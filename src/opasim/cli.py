@@ -60,22 +60,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         help="JSON run configuration; '-' reads from stdin",
     )
     group = parser.add_argument_group("config overrides")
-    group.add_argument("--A", type=float, help="fundamental amplitude")
-    group.add_argument("--phi-deg", type=float, help="fundamental phase (degrees)")
-    group.add_argument("--B", type=float, help="pump amplitude")
-    group.add_argument("--pump-phase-deg", type=float, help="pump phase (degrees)")
-    group.add_argument("--chi1", type=float, help="linear susceptibility")
-    group.add_argument("--chi2", type=float, help="quadratic susceptibility")
-    group.add_argument("--chi3", type=float, help="cubic susceptibility")
-    group.add_argument("--eps0", type=float, help="permittivity scale")
-    group.add_argument("--samples-per-period", type=int)
-    group.add_argument("--n-periods", type=int)
-    group.add_argument("--n-realizations", type=int)
-    group.add_argument("--seed", type=int)
-    group.add_argument("--var-zp", type=float, help="vacuum quadrature variance")
-    group.add_argument("--thetas", type=int, help="quadrature phases per scan")
-    group.add_argument("--mode", choices=("raw", "symplectic"))
-    group.add_argument("--band-sigma", type=float, help="envelope width in stds")
+    for f in config_mod.RUN_FIELDS:
+        group.add_argument(
+            "--" + f.name.replace("_", "-"), type=f.type, choices=f.choices, help=f.help
+        )
 
 
 def _load_config(args) -> RunConfig:
@@ -85,25 +73,8 @@ def _load_config(args) -> RunConfig:
         cfg = config_mod.from_json(sys.stdin.read())
     else:
         cfg = config_mod.from_json(Path(args.config).read_text())
-    return config_mod.with_overrides(
-        cfg,
-        A=args.A,
-        phi_deg=args.phi_deg,
-        B=args.B,
-        pump_phase_deg=args.pump_phase_deg,
-        chi1=args.chi1,
-        chi2=args.chi2,
-        chi3=args.chi3,
-        eps0=args.eps0,
-        samples_per_period=args.samples_per_period,
-        n_periods=args.n_periods,
-        n_realizations=args.n_realizations,
-        seed=args.seed,
-        var_zp=args.var_zp,
-        thetas=args.thetas,
-        mode=args.mode,
-        band_sigma=args.band_sigma,
-    )
+    overrides = {f.name: getattr(args, f.name) for f in config_mod.RUN_FIELDS}
+    return config_mod.with_overrides(cfg, **overrides)
 
 
 def _input_carriers(cfg: RunConfig) -> list[HarmonicComponent]:
@@ -139,11 +110,12 @@ def cmd_spectrum(args) -> int:
             if k <= predicted.k_max
             else (0.0, 0.0)
         )
-        dev = max(
+        # np.maximum propagates NaN where the builtin max would drop it
+        dev = np.maximum(
             abs(comp.c - pred_c) / max(1.0, abs(pred_c)),
             abs(comp.s - pred_s) / max(1.0, abs(pred_s)),
         )
-        worst = max(worst, dev)
+        worst = np.maximum(worst, dev)
         out.write(
             f"{k:>2} {comp.c:>24.16e} {comp.s:>24.16e} {comp.magnitude:>24.16e} "
             f"{math.degrees(comp.phase):>12.6f} {pred_c:>24.16e} {pred_s:>24.16e} "
@@ -159,9 +131,10 @@ def _scan_pairs(cfg: RunConfig, workers: int) -> np.ndarray:
     state = GaussianState.coherent(
         QuadraturePair.from_amplitude_phase(cfg.A, cfg.phi), ens.convention
     )
+    # both modes share the map's validity bound |r| < 1
+    gain = PassGain(cfg.pump_ratio, cfg.mode)
     pairs = sample_state_array(state, ens)
     if cfg.mode == "symplectic":
-        gain = PassGain(cfg.pump_ratio, "symplectic")
         return map_quadratures(pairs, gain, cfg.pump_phase)
     return propagate_ensemble(
         pairs, cfg.B, cfg.pump_phase, cfg.medium, ens.grid, workers=workers

@@ -1,43 +1,58 @@
 """Run configuration: one JSON document describes a complete experiment.
 
-The document mirrors the dataclasses below; unknown keys are rejected at
-every level so that a typo cannot silently fall back to a default. All
-state flows through the config (plus explicit CLI overrides) - there are
-no environment variables.
+The fields of :class:`RunConfig` (with the medium constants of
+:class:`SusceptibilityProfile`) are the only list of run values; the JSON
+document, :func:`with_overrides` and the CLI flags are derived from them
+through :data:`RUN_FIELDS`. Unknown keys are rejected at every level so
+that a typo cannot silently fall back to a default, and every value is
+type-checked strictly. All state flows through the config (plus explicit
+CLI overrides) - there are no environment variables.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple, get_type_hints
 
 from .ensemble import EnsembleConfig, VacuumConvention
 from .fields import TimeGrid
 from .medium import SusceptibilityProfile
+from .oracle import MODES
 
-MODES = ("raw", "symplectic")
+
+class ConfigError(ValueError):
+    """Malformed or out-of-range run configuration."""
+
+
+def _run_field(default, help=None, *, section=None, choices=None):
+    """A RunConfig field with its JSON section, CLI help and choices."""
+    return field(
+        default=default, metadata={"section": section, "help": help, "choices": choices}
+    )
 
 
 @dataclass(frozen=True)
 class RunConfig:
     medium: SusceptibilityProfile = SusceptibilityProfile(chi1=1.0, chi2=0.5)
-    A: float = 0.0
-    phi_deg: float = 0.0
-    B: float = 1.0
-    pump_phase_deg: float = 0.0
-    samples_per_period: int = 64
-    n_periods: int = 4
-    n_realizations: int = 100_000
-    seed: int = 20260811
-    var_zp: float = 1.0
-    thetas: int = 181
-    mode: str = "raw"
-    band_sigma: float = 1.0
+    A: float = _run_field(0.0, "fundamental amplitude")
+    phi_deg: float = _run_field(0.0, "fundamental phase (degrees)")
+    B: float = _run_field(1.0, "pump amplitude")
+    pump_phase_deg: float = _run_field(0.0, "pump phase (degrees)")
+    samples_per_period: int = _run_field(64, section="grid")
+    n_periods: int = _run_field(4, section="grid")
+    n_realizations: int = _run_field(100_000, section="ensemble")
+    seed: int = _run_field(20260811, section="ensemble")
+    var_zp: float = _run_field(1.0, "vacuum quadrature variance", section="ensemble")
+    thetas: int = _run_field(181, "quadrature phases per scan")
+    mode: str = _run_field("raw", choices=MODES)
+    band_sigma: float = _run_field(1.0, "envelope width in stds")
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for f in RUN_FIELDS:
+            f.check(f.get(self))
         if self.thetas < 2:
             raise ValueError("thetas must be at least 2")
         if not self.band_sigma > 0.0:
@@ -76,115 +91,101 @@ class RunConfig:
         )
 
     def to_json(self) -> str:
-        doc = {
-            "medium": {
-                "chi1": self.medium.chi1,
-                "chi2": self.medium.chi2,
-                "chi3": self.medium.chi3,
-                "eps0": self.medium.eps0,
-            },
-            "A": self.A,
-            "phi_deg": self.phi_deg,
-            "B": self.B,
-            "pump_phase_deg": self.pump_phase_deg,
-            "grid": {
-                "samples_per_period": self.samples_per_period,
-                "n_periods": self.n_periods,
-            },
-            "ensemble": {
-                "n_realizations": self.n_realizations,
-                "seed": self.seed,
-                "var_zp": self.var_zp,
-            },
-            "thetas": self.thetas,
-            "mode": self.mode,
-            "band_sigma": self.band_sigma,
-        }
+        doc = {}
+        for f in RUN_FIELDS:
+            section = doc if f.section is None else doc.setdefault(f.section, {})
+            section[f.name] = f.type(f.get(self))
         return json.dumps(doc, indent=2) + "\n"
 
 
-class ConfigError(ValueError):
-    """Malformed or out-of-range run configuration."""
+class RunField(NamedTuple):
+    """One settable run value: a leaf of the JSON document and a CLI flag.
+
+    Leaves of the "medium" section are held by ``RunConfig.medium``.
+    """
+
+    name: str
+    type: type  # int, float or str
+    section: str | None  # enclosing JSON object; None for the top level
+    help: str | None
+    choices: tuple[str, ...] | None  # required for str fields
+
+    def get(self, cfg: RunConfig):
+        return getattr(cfg.medium if self.section == "medium" else cfg, self.name)
+
+    def check(self, value) -> None:
+        """Raise ConfigError unless value has exactly this field's type.
+
+        bool is an int subclass, so it is excluded explicitly: int fields
+        take only int, float fields take int or float and must be finite.
+        """
+        if self.type is str:
+            if not isinstance(value, str) or value not in self.choices:
+                raise ConfigError(
+                    f"{self.name} must be one of {self.choices}, got {value!r}"
+                )
+        elif isinstance(value, bool) or not isinstance(
+            value, int if self.type is int else (int, float)
+        ):
+            kind = "an integer" if self.type is int else "a number"
+            raise ConfigError(f"{self.name} must be {kind}, got {value!r}")
+        elif self.type is float and not abs(value) <= sys.float_info.max:
+            # also rejects ints too large to convert to float
+            raise ConfigError(f"{self.name} must be finite, got {value!r}")
 
 
-def _take(section: dict, defaults: dict, where: str) -> dict:
-    unknown = set(section) - set(defaults)
+def _run_fields():
+    """RunConfig's fields in order, the medium expanded into its constants."""
+    hints = {**get_type_hints(RunConfig), **get_type_hints(SusceptibilityProfile)}
+    for f in fields(RunConfig):
+        if f.name == "medium":
+            for m in fields(SusceptibilityProfile):
+                help_text = m.metadata["help"]
+                yield RunField(m.name, hints[m.name], "medium", help_text, None)
+        else:
+            meta = f.metadata
+            yield RunField(
+                f.name, hints[f.name], meta["section"], meta["help"], meta["choices"]
+            )
+
+
+RUN_FIELDS = tuple(_run_fields())
+
+
+def _replace(cfg: RunConfig, values: dict) -> RunConfig:
+    """cfg with the run fields named in values replaced, validated."""
+    top, medium = {}, {}
+    for f in RUN_FIELDS:
+        if f.name in values:
+            f.check(values[f.name])  # before the medium's range checks see it
+            (medium if f.section == "medium" else top)[f.name] = values[f.name]
+    try:
+        return replace(cfg, medium=replace(cfg.medium, **medium), **top)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _section(doc, known: list[str], where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a dict")
+    unknown = set(doc) - set(known)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-    merged = dict(defaults)
-    merged.update(section)
-    return merged
-
-
-def _require(doc, cls, where: str):
-    if not isinstance(doc, cls):
-        raise ConfigError(f"{where} must be a {cls.__name__}")
     return doc
-
-
-def _section(top: dict, key: str) -> dict:
-    value = top[key]
-    if value is None:
-        return {}
-    return _require(value, dict, key)
 
 
 def from_document(doc: dict) -> RunConfig:
     """Build a validated RunConfig from a parsed JSON document."""
-    base = RunConfig()
-    _require(doc, dict, "config")
-    top_defaults = {
-        "medium": None,
-        "A": base.A,
-        "phi_deg": base.phi_deg,
-        "B": base.B,
-        "pump_phase_deg": base.pump_phase_deg,
-        "grid": None,
-        "ensemble": None,
-        "thetas": base.thetas,
-        "mode": base.mode,
-        "band_sigma": base.band_sigma,
-    }
-    top = _take(doc, top_defaults, "config")
-
-    medium_fields = _take(
-        _section(top, "medium"),
-        {
-            "chi1": base.medium.chi1,
-            "chi2": base.medium.chi2,
-            "chi3": base.medium.chi3,
-            "eps0": base.medium.eps0,
-        },
-        "medium",
-    )
-    grid_fields = _take(
-        _section(top, "grid"),
-        {"samples_per_period": base.samples_per_period, "n_periods": base.n_periods},
-        "grid",
-    )
-    ens_fields = _take(
-        _section(top, "ensemble"),
-        {"n_realizations": base.n_realizations, "seed": base.seed, "var_zp": base.var_zp},
-        "ensemble",
-    )
-    try:
-        return RunConfig(
-            medium=SusceptibilityProfile(**medium_fields),
-            A=float(top["A"]),
-            phi_deg=float(top["phi_deg"]),
-            B=float(top["B"]),
-            pump_phase_deg=float(top["pump_phase_deg"]),
-            samples_per_period=int(grid_fields["samples_per_period"]),
-            n_periods=int(grid_fields["n_periods"]),
-            n_realizations=int(ens_fields["n_realizations"]),
-            seed=int(ens_fields["seed"]),
-            var_zp=float(ens_fields["var_zp"]),
-            thetas=int(top["thetas"]),
-            mode=str(top["mode"]),
-            band_sigma=float(top["band_sigma"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    layout: dict[str | None, list[str]] = {None: []}
+    for f in RUN_FIELDS:
+        layout.setdefault(f.section, []).append(f.name)
+    sections = [section for section in layout if section is not None]
+    top = _section(doc, layout[None] + sections, "config")
+    values = {key: value for key, value in top.items() if key not in sections}
+    for section in sections:
+        if top.get(section) is not None:  # a missing or null section keeps defaults
+            values.update(_section(top[section], layout[section], section))
+    return _replace(RunConfig(), values)
 
 
 def from_json(text: str) -> RunConfig:
@@ -198,36 +199,11 @@ def from_json(text: str) -> RunConfig:
 def with_overrides(cfg: RunConfig, **overrides) -> RunConfig:
     """Rebuild a config with selected fields replaced (None means keep).
 
-    Medium constants are addressed as chi1/chi2/chi3/eps0.
+    Fields are named as in RUN_FIELDS, so medium constants are addressed
+    as chi1/chi2/chi3/eps0.
     """
-    medium_keys = {"chi1", "chi2", "chi3", "eps0"}
-    medium_fields = {
-        key: getattr(cfg.medium, key) for key in medium_keys
-    }
-    fields = {
-        "A": cfg.A,
-        "phi_deg": cfg.phi_deg,
-        "B": cfg.B,
-        "pump_phase_deg": cfg.pump_phase_deg,
-        "samples_per_period": cfg.samples_per_period,
-        "n_periods": cfg.n_periods,
-        "n_realizations": cfg.n_realizations,
-        "seed": cfg.seed,
-        "var_zp": cfg.var_zp,
-        "thetas": cfg.thetas,
-        "mode": cfg.mode,
-        "band_sigma": cfg.band_sigma,
-    }
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key in medium_keys:
-            medium_fields[key] = value
-        elif key in fields:
-            fields[key] = value
-        else:
-            raise ConfigError(f"unknown override: {key}")
-    try:
-        return RunConfig(medium=SusceptibilityProfile(**medium_fields), **fields)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    unknown = set(overrides) - {f.name for f in RUN_FIELDS}
+    if unknown:
+        raise ConfigError(f"unknown override: {', '.join(sorted(unknown))}")
+    changes = {key: value for key, value in overrides.items() if value is not None}
+    return _replace(cfg, changes)

@@ -38,7 +38,7 @@ from .ensemble import (
     variance_scan,
 )
 from .fields import QuadraturePair
-from .medium import transfer_values
+from .medium import polarization_values, transfer_values
 from .oracle import PassGain, map_state
 
 FIGURE_NAMES = ("fig1a", "fig1b", "fig1c", "fig1d", "fig1e", "fig2", "fig3")
@@ -204,11 +204,7 @@ def _pipeline_tables(name: str, cfg: RunConfig, workers: int) -> list[FigureTabl
 
     e_max = abs(cfg.A) + abs(cfg.B) + 4.0 * math.sqrt(convention.var_zp)
     e_axis = np.linspace(-e_max, e_max, CHARACTERISTIC_POINTS)
-    p_axis = cfg.medium.eps0 * (
-        cfg.medium.chi1 * e_axis
-        + cfg.medium.chi2 * e_axis**2
-        + cfg.medium.chi3 * e_axis**3
-    )
+    p_axis = polarization_values(e_axis, cfg.medium)
 
     return [
         FigureTable(f"{name}_input", _TRACE_HEADER, input_cols),

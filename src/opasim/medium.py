@@ -9,7 +9,7 @@ vacuum level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,10 +22,10 @@ class SusceptibilityProfile:
     polarization orders can be isolated in analysis runs, but output
     normalization then becomes undefined and is rejected."""
 
-    chi1: float = 1.0
-    chi2: float = 0.0
-    chi3: float = 0.0
-    eps0: float = 1.0
+    chi1: float = field(default=1.0, metadata={"help": "linear susceptibility"})
+    chi2: float = field(default=0.0, metadata={"help": "quadratic susceptibility"})
+    chi3: float = field(default=0.0, metadata={"help": "cubic susceptibility"})
+    eps0: float = field(default=1.0, metadata={"help": "permittivity scale"})
 
     def __post_init__(self):
         if not self.eps0 > 0.0:
@@ -34,13 +34,19 @@ class SusceptibilityProfile:
             raise ValueError("chi1 must be non-negative")
 
 
-def polarize(e: TimeSeries, medium: SusceptibilityProfile) -> TimeSeries:
-    """Pointwise polarization eps0*(chi1*E + chi2*E^2 + chi3*E^3)."""
-    v = e.values
-    out = medium.chi1 * v + medium.chi2 * v * v
+def polarization_values(
+    values: np.ndarray, medium: SusceptibilityProfile
+) -> np.ndarray:
+    """Pointwise polarization eps0*(chi1*E + chi2*E^2 + chi3*E^3) of an array."""
+    out = medium.chi1 * values + medium.chi2 * values * values
     if medium.chi3 != 0.0:
-        out += medium.chi3 * v * v * v
-    return TimeSeries(e.grid, medium.eps0 * out)
+        out += medium.chi3 * values * values * values
+    return medium.eps0 * out
+
+
+def polarize(e: TimeSeries, medium: SusceptibilityProfile) -> TimeSeries:
+    """Pointwise polarization of a sampled field."""
+    return TimeSeries(e.grid, polarization_values(e.values, medium))
 
 
 def normalize_output(p: TimeSeries, medium: SusceptibilityProfile) -> TimeSeries:
@@ -65,10 +71,7 @@ def transfer_values(values: np.ndarray, medium: SusceptibilityProfile) -> np.nda
     """
     if medium.chi1 <= 0.0:
         raise ValueError("output normalization requires chi1 > 0")
-    p = medium.chi1 * values + medium.chi2 * values * values
-    if medium.chi3 != 0.0:
-        p += medium.chi3 * values * values * values
-    return (medium.eps0 * p) / (medium.eps0 * medium.chi1)
+    return polarization_values(values, medium) / (medium.eps0 * medium.chi1)
 
 
 def transfer(e: TimeSeries, medium: SusceptibilityProfile) -> TimeSeries:

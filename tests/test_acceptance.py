@@ -14,6 +14,7 @@ failure) and enforces its tolerance exactly as stated:
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -247,11 +248,19 @@ def test_c7_figure_contracts():
 
 
 def _run_cli(args, cwd):
+    # the subprocess runs in cwd, so a relative PYTHONPATH (e.g. "src")
+    # must be made absolute for it to find the package
+    env = dict(os.environ)
+    if env.get("PYTHONPATH"):
+        env["PYTHONPATH"] = os.pathsep.join(
+            os.path.abspath(entry) for entry in env["PYTHONPATH"].split(os.pathsep)
+        )
     return subprocess.run(
         [sys.executable, "-m", "opasim", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
     )
 
 

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from opasim.cli import main
+from opasim.config import RUN_FIELDS, RunConfig, from_json, with_overrides
 
 
 def run_cli(argv, capsys):
@@ -37,6 +38,21 @@ class TestConfigCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["A"] == 1.0 and doc["B"] == 0.75
+
+    @pytest.mark.parametrize("run_field", RUN_FIELDS, ids=lambda f: f.name)
+    def test_every_field_has_a_json_key_and_a_flag(self, run_field, capsys):
+        default = run_field.get(RunConfig())
+        if run_field.choices:
+            value = next(c for c in run_field.choices if c != default)
+        else:
+            value = default + (1 if run_field.type is int else 0.25)
+        flag = "--" + run_field.name.replace("_", "-")
+        code, out, _ = run_cli(["config", flag, str(value)], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        section = doc if run_field.section is None else doc[run_field.section]
+        assert section[run_field.name] == value
+        assert from_json(out) == with_overrides(RunConfig(), **{run_field.name: value})
 
     def test_bad_config_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -84,6 +100,11 @@ class TestSpectrumCommand:
     def test_cubic_medium_rejected(self, capsys):
         code, _, err = run_cli(["spectrum", "--chi3", "0.1"], capsys)
         assert code == 2
+
+    def test_overflow_fails_the_gate(self, capsys):
+        code, out, _ = run_cli(["spectrum", "--A", "1e200", "--B", "1"], capsys)
+        assert code == 1
+        assert out.strip().splitlines()[-1].startswith("max deviation = nan")
 
 
 class TestScanCommand:
@@ -140,6 +161,18 @@ class TestScanCommand:
         product = v0 * v90
         assert product == pytest.approx(1.0, rel=0.1)
 
+    def test_non_finite_amplitude_is_config_error(self, capsys):
+        code, out, err = run_cli(["scan", "--A", "nan"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "A must be finite" in err
+
+    def test_threshold_is_config_error(self, capsys):
+        code, out, err = run_cli(["scan", "--chi2", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "threshold" in err
+
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "scan.csv"
         code, out, _ = run_cli(
@@ -194,6 +227,14 @@ class TestFigureCommand:
         assert code == 0
         for part in ("input", "characteristic", "output", "scan"):
             assert (tmp_path / f"fig2_{part}.csv").exists()
+
+    def test_non_finite_pump_is_config_error(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["figure", "fig2", "--B", "inf", "--outdir", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert "B must be finite" in err
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_figure_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -65,6 +66,49 @@ def test_range_validation_propagates():
         from_json('{"ensemble": {"n_realizations": 1}}')
     with pytest.raises(ConfigError):
         from_json('{"medium": {"eps0": -1}}')
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: from_json('{"A": true}'), "A"),
+        (lambda: from_json('{"thetas": 2.7}'), "thetas"),
+        (lambda: from_json('{"ensemble": {"seed": true}}'), "seed"),
+        (lambda: from_json('{"medium": {"chi2": "0.5"}}'), "chi2"),
+        (lambda: from_json('{"medium": {"eps0": "1"}}'), "eps0"),
+        (lambda: from_json('{"B": NaN}'), "B"),
+        (lambda: from_json('{"A": 1e999}'), "A"),
+        (lambda: from_json('{"grid": {"samples_per_period": "64"}}'), "samples_per_period"),
+        (lambda: from_json('{"ensemble": {"n_realizations": 1e5}}'), "n_realizations"),
+        (lambda: from_json('{"A": null}'), "A"),
+        (lambda: with_overrides(RunConfig(), B=math.inf), "B"),
+        (lambda: RunConfig(n_periods=4.0), "n_periods"),
+    ],
+    ids=[
+        "bool-float",
+        "float-int",
+        "bool-int",
+        "string-medium",
+        "string-eps0",
+        "nan",
+        "inf",
+        "string-int",
+        "exponent-int",
+        "null-float",
+        "override-inf",
+        "direct-float-int",
+    ],
+)
+def test_strict_types_name_the_field(build, name):
+    with pytest.raises(ConfigError, match=rf"^{name} must be"):
+        build()
+
+
+def test_numbers_echo_with_their_field_type():
+    doc = json.loads(from_json('{"A": 2, "medium": {"chi2": 1}}').to_json())
+    assert doc["A"] == 2.0 and isinstance(doc["A"], float)
+    assert doc["medium"]["chi2"] == 1.0 and isinstance(doc["medium"]["chi2"], float)
+    assert isinstance(doc["grid"]["n_periods"], int)
 
 
 def test_overrides():
