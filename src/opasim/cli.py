@@ -35,7 +35,7 @@ from .ensemble import (
 )
 from .fields import HarmonicComponent, QuadraturePair, pump_carrier, synthesize
 from .figures import FIGURE_NAMES, emit_figure
-from .medium import polarize
+from .medium import polarize, require_alias_free
 from .oracle import PassGain, gain_matrix, gain_of_phase, map_quadratures, map_state
 from .spectral import full_spectrum, predict_spectrum
 from .validate import run_all
@@ -51,6 +51,16 @@ def write_csv(stream, header, columns) -> None:
     stream.write(",".join(header) + "\n")
     for row in zip(*columns):
         stream.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _worker_count(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -93,6 +103,7 @@ def cmd_spectrum(args) -> int:
         )
     if cfg.medium.chi3 != 0.0:
         raise ConfigError("spectrum requires chi3 = 0 (no closed form kept)")
+    require_alias_free(cfg.grid(), cfg.medium)
     series = synthesize(_input_carriers(cfg), cfg.grid())
     numeric = full_spectrum(polarize(series, cfg.medium), 6).scaled(1.0 / cfg.medium.eps0)
     predicted = predict_spectrum(cfg.A, cfg.B, cfg.phi, cfg.medium)
@@ -265,14 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="quadrature variance scan (CSV)")
     _add_config_flags(p_scan)
     p_scan.add_argument("-o", "--output", metavar="FILE", help="write CSV here")
-    p_scan.add_argument("--workers", type=int, default=1)
+    p_scan.add_argument("--workers", type=_worker_count, default=1)
     p_scan.set_defaults(func=cmd_scan)
 
     p_figure = sub.add_parser("figure", help="emit plot data for a named figure")
     p_figure.add_argument("name", choices=FIGURE_NAMES)
     _add_config_flags(p_figure)
     p_figure.add_argument("--outdir", default=".", help="directory for CSV files")
-    p_figure.add_argument("--workers", type=int, default=1)
+    p_figure.add_argument("--workers", type=_worker_count, default=1)
     p_figure.set_defaults(func=cmd_figure)
 
     p_oracle = sub.add_parser("oracle", help="closed-form single-pass report")

@@ -22,10 +22,16 @@ import numpy as np
 
 from . import rng
 from .fields import QuadraturePair, TimeGrid, pump_carrier
-from .medium import SusceptibilityProfile, transfer_values
+from .medium import SusceptibilityProfile, require_alias_free, transfer_values
 
-# rows per work unit; fixed so that results never depend on worker count
-CHUNK = 4096
+# rows per kernel block: on the default 64x4 grid a (CHUNK, n_samples)
+# float64 trace is 512 KiB, so it stays in L2 cache through the pipeline's
+# elementwise passes; results do not depend on it
+CHUNK = 256
+
+# rows per unit of pool work, and per group of the figure moment sums; fixed,
+# because the figure envelopes depend on how their sums are grouped
+SPAN = 4096
 
 _PSD_SLACK = 1e-9
 
@@ -143,9 +149,7 @@ def propagate_realization(
     exactly linear in (x1, x2): quadratic noise products land only in the
     DC and 2*omega bins, never back at the fundamental.
     """
-    out = _propagate_chunk(
-        np.array([[q.x1, q.x2]]), pump_b, pump_phase, medium, grid
-    )
+    out = propagate_ensemble([q], pump_b, pump_phase, medium, grid)
     return QuadraturePair(float(out[0, 0]), float(out[0, 1]))
 
 
@@ -184,25 +188,76 @@ def lockin_rows(
     return np.column_stack((c, s))
 
 
-def _propagate_chunk(
-    pairs: np.ndarray,
-    pump_b: float,
-    pump_phase: float,
-    medium: SusceptibilityProfile,
-    grid: TimeGrid,
-) -> np.ndarray:
-    """Vectorized pipeline for a block of realizations: rows in, rows out.
+def run_spans(work, n: int, workers: int = 1) -> list:
+    """Ordered map of ``work(start, count)`` over the SPAN-row spans of n rows.
 
-    Column-wise this is identical to running each realization through
-    synthesize -> polarize -> normalize -> lock-in on its own: every
-    operation is elementwise or a per-row reduction, so results do not
-    depend on how the ensemble is blocked.
+    Results come back in span order for any worker count, so outputs
+    never depend on ``workers``. The pool has at most one thread per span.
     """
-    cos1, sin1 = fundamental_references(grid)
-    pump = pump_trace(pump_b, pump_phase, grid)
-    e = synthesize_rows(pairs, pump, cos1, sin1)
-    out = transfer_values(e, medium)
-    return lockin_rows(out, cos1, sin1, grid.n_samples)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    starts = range(0, n, SPAN)
+    counts = [min(SPAN, n - start) for start in starts]
+    if workers == 1 or len(starts) < 2:
+        return list(map(work, starts, counts))
+    with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+        return list(pool.map(work, starts, counts))
+
+
+class TraceMoments:
+    """Running sum and sum of squares over trace rows, added block by block.
+
+    numpy sums a C-contiguous block along axis 0 one row after another,
+    so folding the running sums into the first row of the next block
+    gives, bit for bit, the sums of one call over every row added so far.
+    """
+
+    def __init__(self):
+        self.sums: np.ndarray | None = None
+
+    def add(self, rows: np.ndarray) -> None:
+        """Add a C-contiguous block of rows; its first row is overwritten."""
+        squares = rows * rows
+        if self.sums is not None:
+            rows[0] += self.sums[0]
+            squares[0] += self.sums[1]
+        self.sums = np.stack((rows.sum(axis=0), squares.sum(axis=0)))
+
+
+def propagate_span(
+    pairs: np.ndarray,
+    pump: np.ndarray,
+    cos1: np.ndarray,
+    sin1: np.ndarray,
+    medium: SusceptibilityProfile,
+    out: np.ndarray,
+    moments: tuple[TraceMoments, TraceMoments] | None = None,
+) -> None:
+    """Propagate a span of realizations CHUNK rows at a time; (c, s) into out.
+
+    Every operation is elementwise or a per-row reduction, so each row
+    equals running that realization through synthesize -> polarize ->
+    normalize -> lock-in on its own, whatever the blocking. Given
+    ``moments=(inputs, outputs)``, each block's input and output traces
+    are added to them.
+    """
+    for lo in range(0, len(pairs), CHUNK):
+        e_in = synthesize_rows(pairs[lo : lo + CHUNK], pump, cos1, sin1)
+        e_out = transfer_values(e_in, medium)
+        out[lo : lo + CHUNK] = lockin_rows(e_out, cos1, sin1, cos1.size)
+        if moments is not None:
+            moments[0].add(e_in)
+            moments[1].add(e_out)
+
+
+def synthesize_moments(
+    pairs: np.ndarray, pump: np.ndarray, cos1: np.ndarray, sin1: np.ndarray
+) -> TraceMoments:
+    """Moments of the input traces of a span, synthesized CHUNK rows at a time."""
+    moments = TraceMoments()
+    for lo in range(0, len(pairs), CHUNK):
+        moments.add(synthesize_rows(pairs[lo : lo + CHUNK], pump, cos1, sin1))
+    return moments
 
 
 def propagate_ensemble(
@@ -215,21 +270,21 @@ def propagate_ensemble(
 ) -> np.ndarray:
     """Propagate an (n, 2) ensemble through the medium, optionally threaded.
 
-    Work is split into fixed-size chunks and reassembled in index order,
-    so the result is bitwise independent of ``workers``.
+    Spans run through :func:`run_spans` and write their rows in place, so
+    the result is bitwise independent of ``workers`` and of CHUNK.
     """
     pairs = _as_pair_array(pairs)
-    chunks = [pairs[i : i + CHUNK] for i in range(0, len(pairs), CHUNK)]
+    require_alias_free(grid, medium)
+    cos1, sin1 = fundamental_references(grid)
+    pump = pump_trace(pump_b, pump_phase, grid)
+    out = np.empty_like(pairs)
 
-    def run(block):
-        return _propagate_chunk(block, pump_b, pump_phase, medium, grid)
+    def work(start, count):
+        rows = slice(start, start + count)
+        propagate_span(pairs[rows], pump, cos1, sin1, medium, out[rows])
 
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = [run(block) for block in chunks]
-    return np.concatenate(results, axis=0)
+    run_spans(work, len(pairs), workers)
+    return out
 
 
 def _as_pair_array(pairs) -> np.ndarray:

@@ -21,24 +21,25 @@ fig3          coherent + pump, phased so pump minima sit on fundamental
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .config import RunConfig
 from .ensemble import (
-    CHUNK,
     GaussianState,
+    TraceMoments,
     fundamental_references,
-    lockin_rows,
+    propagate_span,
     pump_trace,
+    run_spans,
     sample_state_array,
-    synthesize_rows,
+    synthesize_moments,
     variance_scan,
 )
 from .fields import QuadraturePair
-from .medium import polarization_values, transfer_values
+from .medium import polarization_values, require_alias_free
 from .oracle import PassGain, map_state
 
 FIGURE_NAMES = ("fig1a", "fig1b", "fig1c", "fig1d", "fig1e", "fig2", "fig3")
@@ -99,34 +100,9 @@ def emit_figure(name: str, cfg: RunConfig, workers: int = 1) -> list[FigureTable
     return _pipeline_tables(name, cfg, workers)
 
 
-def _chunk_starts(n: int) -> list[tuple[int, int]]:
-    return [(start, min(CHUNK, n - start)) for start in range(0, n, CHUNK)]
-
-
-def _accumulate(chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]):
-    """Combine ordered per-chunk partial sums; order is fixed by chunk index."""
-    total1 = chunks[0][0].copy()
-    total2 = chunks[0][1].copy()
-    pair_blocks = []
-    for s1, s2, pairs in chunks:
-        if pairs is not None:
-            pair_blocks.append(pairs)
-    for s1, s2, _ in chunks[1:]:
-        total1 += s1
-        total2 += s2
-    return total1, total2, pair_blocks
-
-
-def _run_chunks(worker_fn, starts, workers: int):
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker_fn, starts))
-    return [worker_fn(span) for span in starts]
-
-
-def _envelope_columns(
-    times: np.ndarray, total1: np.ndarray, total2: np.ndarray, n: int, band_sigma: float
-):
+def _envelope_columns(times: np.ndarray, sums: np.ndarray, n: int, band_sigma: float):
+    """Mean, std and band of n traces from their (sum, sum of squares) rows."""
+    total1, total2 = sums
     mean = total1 / n
     var = np.maximum((total2 - total1 * total1 / n) / (n - 1), 0.0)
     std = np.sqrt(var)
@@ -143,17 +119,12 @@ def _state_trace_table(name: str, cfg: RunConfig, workers: int) -> FigureTable:
     cos1, sin1 = fundamental_references(grid)
     zero_pump = np.zeros(grid.n_samples)
 
-    def work(span):
-        start, count = span
+    def work(start, count):
         pairs = sample_state_array(state, ens, start, count)
-        traces = synthesize_rows(pairs, zero_pump, cos1, sin1)
-        return traces.sum(axis=0), (traces * traces).sum(axis=0), None
+        return synthesize_moments(pairs, zero_pump, cos1, sin1).sums
 
-    chunks = _run_chunks(work, _chunk_starts(ens.n_realizations), workers)
-    total1, total2, _ = _accumulate(chunks)
-    columns = _envelope_columns(
-        grid.times(), total1, total2, ens.n_realizations, cfg.band_sigma
-    )
+    sums = reduce(np.add, run_spans(work, ens.n_realizations, workers))
+    columns = _envelope_columns(grid.times(), sums, ens.n_realizations, cfg.band_sigma)
     return FigureTable(name, _TRACE_HEADER, columns)
 
 
@@ -169,33 +140,23 @@ def _pipeline_tables(name: str, cfg: RunConfig, workers: int) -> list[FigureTabl
             raise ValueError("fig3 needs a coherent input: set a non-zero amplitude A")
         state = GaussianState.coherent(QuadraturePair(cfg.A, 0.0), convention)
 
+    require_alias_free(grid, cfg.medium)
     cos1, sin1 = fundamental_references(grid)
     pump = pump_trace(cfg.B, cfg.pump_phase, grid)
-
-    def work(span):
-        start, count = span
-        pairs = sample_state_array(state, ens, start, count)
-        e_in = synthesize_rows(pairs, pump, cos1, sin1)
-        out = transfer_values(e_in, cfg.medium)
-        out_pairs = lockin_rows(out, cos1, sin1, grid.n_samples)
-        return (
-            np.concatenate((e_in.sum(axis=0), out.sum(axis=0))),
-            np.concatenate(((e_in * e_in).sum(axis=0), (out * out).sum(axis=0))),
-            out_pairs,
-        )
-
-    chunks = _run_chunks(work, _chunk_starts(ens.n_realizations), workers)
-    total1, total2, pair_blocks = _accumulate(chunks)
-    n_samples = grid.n_samples
     n = ens.n_realizations
+    out_pairs = np.empty((n, 2))
+
+    def work(start, count):
+        pairs = sample_state_array(state, ens, start, count)
+        inputs, outputs = TraceMoments(), TraceMoments()
+        rows = out_pairs[start : start + count]
+        propagate_span(pairs, pump, cos1, sin1, cfg.medium, rows, (inputs, outputs))
+        return np.concatenate((inputs.sums, outputs.sums))
+
+    sums = reduce(np.add, run_spans(work, n, workers))
     times = grid.times()
-    input_cols = _envelope_columns(
-        times, total1[:n_samples], total2[:n_samples], n, cfg.band_sigma
-    )
-    output_cols = _envelope_columns(
-        times, total1[n_samples:], total2[n_samples:], n, cfg.band_sigma
-    )
-    out_pairs = np.concatenate(pair_blocks, axis=0)
+    input_cols = _envelope_columns(times, sums[:2], n, cfg.band_sigma)
+    output_cols = _envelope_columns(times, sums[2:], n, cfg.band_sigma)
 
     thetas = np.linspace(0.0, 2.0 * math.pi, 2 * cfg.thetas - 1)
     scan = variance_scan(out_pairs, thetas)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import TimeSeries
+from .fields import TimeGrid, TimeSeries
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,23 @@ def polarization_values(
     if medium.chi3 != 0.0:
         out += medium.chi3 * values * values * values
     return medium.eps0 * out
+
+
+def require_alias_free(grid: TimeGrid, medium: SusceptibilityProfile) -> None:
+    """Reject a grid that cannot resolve every harmonic the pumped medium radiates.
+
+    Fields reach the medium with harmonics up to 2 (the 2*omega pump), so
+    a polynomial of degree d radiates orders up to 2*d: 4 for chi2, 6 for
+    chi3. Below the Nyquist rate for that order the excess folds back
+    onto the fundamental and biases the lock-in without any other sign.
+    """
+    degree = 3 if medium.chi3 != 0.0 else 2 if medium.chi2 != 0.0 else 1
+    limit = 2 * (2 * degree)
+    if grid.samples_per_period <= limit:
+        raise ValueError(
+            f"samples_per_period = {grid.samples_per_period} aliases the medium's "
+            f"output (harmonics up to {2 * degree}): it must be greater than {limit}"
+        )
 
 
 def polarize(e: TimeSeries, medium: SusceptibilityProfile) -> TimeSeries:

@@ -1,0 +1,64 @@
+"""What the benchmark in perfbench/ needs from opasim still exists.
+
+The tracer wraps opasim functions by (module, attribute) and the loop
+imports names from opasim modules. A rename would otherwise only show as
+per-layer metrics that silently read zero, or as a benchmark that cannot
+start. These tests read perfbench/ and never change it.
+"""
+
+import ast
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_tracing(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", PERFBENCH / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while it executes
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _opasim_imports():
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                "opasim"
+            ):
+                for alias in node.names:
+                    yield path.name, node.module, alias.name
+
+
+def test_every_traced_layer_is_a_callable(monkeypatch):
+    tracing = _load_tracing(monkeypatch)
+    assert tracing.LAYERS
+    for _, module, attribute, _ in tracing.LAYERS:
+        target = getattr(importlib.import_module(module), attribute, None)
+        assert callable(target), f"{module}.{attribute}"
+    # the chunk counts and pool attribution key on these span names
+    names = {name for name, *_ in tracing.LAYERS}
+    assert tracing.POOL_PARENTS | {tracing.CHUNK_MARK} <= names
+
+
+@pytest.mark.parametrize(
+    "source, module, name", list(_opasim_imports()), ids=str
+)
+def test_names_the_benchmark_imports_exist(source, module, name):
+    parent = importlib.import_module(module)
+    found = hasattr(parent, name) or importlib.util.find_spec(f"{module}.{name}")
+    assert found, f"{source}: from {module} import {name}"
+
+
+def test_chunk_is_an_int():
+    from opasim.ensemble import CHUNK
+
+    assert type(CHUNK) is int and CHUNK >= 1

@@ -292,3 +292,38 @@ class TestEntryPoint:
             text=True,
         )
         assert result.returncode == 2
+
+
+class TestRunGuards:
+    @pytest.mark.parametrize("command", [["scan"], ["figure", "fig2"]])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_fewer_than_one_worker_is_usage_error(self, command, workers, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--workers", workers])
+        assert excinfo.value.code == 2
+        assert f"--workers: must be at least 1, got {workers}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, spp, limit",
+        [
+            (["scan", "--samples-per-period", "5"], 5, 8),
+            (["scan", "--chi3", "0.1", "--samples-per-period", "6"], 6, 12),
+            (["figure", "fig2", "--samples-per-period", "8"], 8, 8),
+            (["figure", "fig3", "--A", "1", "--samples-per-period", "8"], 8, 8),
+            (["spectrum", "--samples-per-period", "8"], 8, 8),
+        ],
+    )
+    def test_aliasing_grid_is_config_error(self, argv, spp, limit, tmp_path, capsys):
+        if argv[0] == "figure":
+            argv = [*argv, "--outdir", str(tmp_path)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == "" and list(tmp_path.iterdir()) == []
+        assert f"samples_per_period = {spp} " in err
+        assert f"greater than {limit}" in err
+
+    @pytest.mark.parametrize("grid", [[], ["--samples-per-period", "9"]])
+    def test_alias_free_grid_runs(self, grid, capsys):
+        code, out, _ = run_cli(["scan", "--n-realizations", "2000", *grid], capsys)
+        assert code == 0
+        assert len(out.strip().splitlines()) == 182

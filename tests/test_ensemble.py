@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from opasim import ensemble
 from opasim.ensemble import (
+    SPAN,
     EnsembleConfig,
     GaussianState,
     QuadratureScan,
+    TraceMoments,
     VacuumConvention,
     default_thetas,
     propagate_ensemble,
     propagate_realization,
+    run_spans,
     sample_state,
     sample_state_array,
     scan_state,
@@ -181,6 +185,46 @@ class TestPropagation:
             QuadraturePair(draws[3, 0], draws[3, 1]), 0.8, 0.0, medium, GRID
         )
         assert batch[3, 0] == single.x1 and batch[3, 1] == single.x2
+
+
+class TestSpanEngine:
+    def test_spans_cover_the_rows_in_order(self):
+        spans = run_spans(lambda start, count: (start, count), 2 * SPAN + 1, workers=3)
+        assert spans == [(0, SPAN), (SPAN, SPAN), (2 * SPAN, 1)]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one_worker(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_spans(lambda start, count: None, 10, workers)
+
+    def test_pool_has_at_most_one_thread_per_span(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            # runs the work inline, so no thread is started
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", RecordingPool)
+        run_spans(lambda start, count: count, 3 * SPAN, workers=10_000)
+        assert sizes == [3]
+
+    @pytest.mark.parametrize("block", [1, 7, 100, 1000])
+    def test_trace_moments_equal_one_sum_over_all_rows(self, block):
+        rows = np.random.default_rng(3).normal(size=(1000, 37))
+        moments = TraceMoments()
+        for lo in range(0, len(rows), block):
+            moments.add(rows[lo : lo + block].copy())
+        assert np.array_equal(moments.sums[0], rows.sum(axis=0))
+        assert np.array_equal(moments.sums[1], (rows * rows).sum(axis=0))
 
 
 class TestVarianceScan:

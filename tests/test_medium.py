@@ -8,6 +8,7 @@ from opasim.medium import (
     SusceptibilityProfile,
     normalize_output,
     polarize,
+    require_alias_free,
     transfer,
     transfer_values,
 )
@@ -110,3 +111,17 @@ def test_transfer_values_matches_series_path():
     for i in range(3):
         series = transfer(TimeSeries(GRID, block[i]), medium)
         assert np.array_equal(rows[i], series.values)
+
+
+@pytest.mark.parametrize(
+    "chi2, chi3, limit",
+    [(0.0, 0.0, 4), (0.5, 0.0, 8), (0.0, 0.1, 12), (0.5, 0.1, 12)],
+)
+def test_alias_guard_needs_twice_the_highest_output_order(chi2, chi3, limit):
+    medium = SusceptibilityProfile(chi1=1.0, chi2=chi2, chi3=chi3)
+    require_alias_free(TimeGrid(limit + 1, 4), medium)
+    with pytest.raises(ValueError) as excinfo:
+        require_alias_free(TimeGrid(limit, 4), medium)
+    message = str(excinfo.value)
+    assert f"samples_per_period = {limit} " in message
+    assert f"greater than {limit}" in message
