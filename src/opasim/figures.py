@@ -30,7 +30,7 @@ from .config import RunConfig
 from .ensemble import (
     GaussianState,
     TraceMoments,
-    fundamental_references,
+    block_references,
     propagate_span,
     pump_trace,
     run_spans,
@@ -116,12 +116,11 @@ def _state_trace_table(name: str, cfg: RunConfig, workers: int) -> FigureTable:
     state = figure_state(name, cfg)
     grid = cfg.grid()
     ens = cfg.ensemble()
-    cos1, sin1 = fundamental_references(grid)
-    zero_pump = np.zeros(grid.n_samples)
+    refs = block_references(np.zeros(grid.n_samples), grid, ens.n_realizations)
 
     def work(start, count):
         pairs = sample_state_array(state, ens, start, count)
-        return synthesize_moments(pairs, zero_pump, cos1, sin1).sums
+        return synthesize_moments(pairs, *refs).sums
 
     sums = reduce(np.add, run_spans(work, ens.n_realizations, workers))
     columns = _envelope_columns(grid.times(), sums, ens.n_realizations, cfg.band_sigma)
@@ -141,16 +140,15 @@ def _pipeline_tables(name: str, cfg: RunConfig, workers: int) -> list[FigureTabl
         state = GaussianState.coherent(QuadraturePair(cfg.A, 0.0), convention)
 
     require_alias_free(grid, cfg.medium)
-    cos1, sin1 = fundamental_references(grid)
-    pump = pump_trace(cfg.B, cfg.pump_phase, grid)
     n = ens.n_realizations
+    refs = block_references(pump_trace(cfg.B, cfg.pump_phase, grid), grid, n)
     out_pairs = np.empty((n, 2))
 
     def work(start, count):
         pairs = sample_state_array(state, ens, start, count)
         inputs, outputs = TraceMoments(), TraceMoments()
         rows = out_pairs[start : start + count]
-        propagate_span(pairs, pump, cos1, sin1, cfg.medium, rows, (inputs, outputs))
+        propagate_span(pairs, *refs, cfg.medium, rows, (inputs, outputs))
         return np.concatenate((inputs.sums, outputs.sums))
 
     sums = reduce(np.add, run_spans(work, n, workers))

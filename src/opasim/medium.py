@@ -35,13 +35,33 @@ class SusceptibilityProfile:
 
 
 def polarization_values(
-    values: np.ndarray, medium: SusceptibilityProfile
+    values: np.ndarray,
+    medium: SusceptibilityProfile,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Pointwise polarization eps0*(chi1*E + chi2*E^2 + chi3*E^3) of an array."""
-    out = medium.chi1 * values + medium.chi2 * values * values
+    """Pointwise polarization eps0*(chi1*E + chi2*E^2 + chi3*E^3) of an array.
+
+    Evaluated as (chi1*E + (chi2*E)*E) + ((chi3*E)*E)*E, then times eps0,
+    writing into ``out`` and ``scratch`` when given (neither may share
+    memory with ``values``). A factor that is exactly 1.0 is skipped: under
+    IEEE 754, x*1.0 is x, so the result is the same to the bit.
+    """
+    out = np.multiply(values, medium.chi2, out=out)
+    out *= values
+    if medium.chi1 == 1.0:
+        out += values
+    else:
+        scratch = np.multiply(values, medium.chi1, out=scratch)
+        out += scratch
     if medium.chi3 != 0.0:
-        out += medium.chi3 * values * values * values
-    return medium.eps0 * out
+        scratch = np.multiply(values, medium.chi3, out=scratch)
+        scratch *= values
+        scratch *= values
+        out += scratch
+    if medium.eps0 != 1.0:
+        out *= medium.eps0
+    return out
 
 
 def require_alias_free(grid: TimeGrid, medium: SusceptibilityProfile) -> None:
@@ -79,16 +99,26 @@ def normalize_output(p: TimeSeries, medium: SusceptibilityProfile) -> TimeSeries
     return TimeSeries(p.grid, p.values / (medium.eps0 * medium.chi1))
 
 
-def transfer_values(values: np.ndarray, medium: SusceptibilityProfile) -> np.ndarray:
+def transfer_values(
+    values: np.ndarray,
+    medium: SusceptibilityProfile,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
     """Array form of the polarize-then-normalize channel.
 
     Performs the exact operation sequence of
     normalize_output(polarize(...)) so that batched and per-sample paths
-    agree bitwise.
+    agree bitwise; ``out`` and ``scratch`` are as in polarization_values,
+    and a divisor of exactly 1.0 is skipped.
     """
     if medium.chi1 <= 0.0:
         raise ValueError("output normalization requires chi1 > 0")
-    return polarization_values(values, medium) / (medium.eps0 * medium.chi1)
+    out = polarization_values(values, medium, out, scratch)
+    divisor = medium.eps0 * medium.chi1
+    if divisor != 1.0:
+        out /= divisor
+    return out
 
 
 def transfer(e: TimeSeries, medium: SusceptibilityProfile) -> TimeSeries:

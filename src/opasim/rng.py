@@ -20,6 +20,10 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53_SCALE = 2.0**-53
 
+# rows per sampling block: the block's temporaries stay in cache, and a
+# large draw holds little more than its result
+_BLOCK = 4096
+
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64 output permutation (finalizer), elementwise on uint64."""
@@ -47,13 +51,19 @@ def standard_normal_pairs(seed: int, start: int, count: int) -> np.ndarray:
     """Rows ``start .. start+count-1`` of the stream's N(0,1) pair table.
 
     Row i is Box-Muller applied to draws (2i, 2i+1), so row content
-    depends only on (seed, i). Returns an array of shape (count, 2).
+    depends only on (seed, i). Returns an array of shape (count, 2),
+    filled _BLOCK rows at a time with the same elementwise operations.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    rows = np.arange(start, start + count, dtype=np.uint64)
-    u1 = _to_open_unit(raw_uint64(seed, rows * np.uint64(2)))
-    u2 = _to_open_unit(raw_uint64(seed, rows * np.uint64(2) + np.uint64(1)))
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = (2.0 * np.pi) * u2
-    return np.column_stack((radius * np.cos(angle), radius * np.sin(angle)))
+    out = np.empty((count, 2))
+    for lo in range(0, count, _BLOCK):
+        hi = min(lo + _BLOCK, count)
+        rows = np.arange(start + lo, start + hi, dtype=np.uint64)
+        u1 = _to_open_unit(raw_uint64(seed, rows * np.uint64(2)))
+        u2 = _to_open_unit(raw_uint64(seed, rows * np.uint64(2) + np.uint64(1)))
+        radius = np.sqrt(-2.0 * np.log(u1))
+        angle = (2.0 * np.pi) * u2
+        np.multiply(radius, np.cos(angle), out=out[lo:hi, 0])
+        np.multiply(radius, np.sin(angle), out=out[lo:hi, 1])
+    return out

@@ -105,6 +105,14 @@ class TestSpectrumCommand:
         code, out, _ = run_cli(["spectrum", "--A", "1e200", "--B", "1"], capsys)
         assert code == 1
         assert out.strip().splitlines()[-1].startswith("max deviation = nan")
+        # pytest collects warnings itself, so stderr is read from a fresh process
+        result = subprocess.run(
+            [sys.executable, "-m", "opasim", "spectrum", "--A", "1e200", "--B", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert "RuntimeWarning" not in result.stderr
 
 
 class TestScanCommand:
@@ -311,6 +319,7 @@ class TestRunGuards:
             (["figure", "fig2", "--samples-per-period", "8"], 8, 8),
             (["figure", "fig3", "--A", "1", "--samples-per-period", "8"], 8, 8),
             (["spectrum", "--samples-per-period", "8"], 8, 8),
+            (["validate", "--samples-per-period", "8"], 8, 8),
         ],
     )
     def test_aliasing_grid_is_config_error(self, argv, spp, limit, tmp_path, capsys):

@@ -42,6 +42,20 @@ def test_chunking_never_changes_draws(seed, start, count):
     assert np.array_equal(whole, parts)
 
 
+def test_blocked_draws_equal_single_row_draws():
+    # the range straddles two sampling block boundaries and ends ragged
+    start, count = 4095, 2 * 4096 + 3
+    whole = standard_normal_pairs(99, start, count)
+    rows = np.concatenate(
+        [standard_normal_pairs(99, start + i, 1) for i in range(count)]
+    )
+    assert np.array_equal(whole.view(np.uint64), rows.view(np.uint64))
+
+
+def test_empty_draw_keeps_the_pair_shape():
+    assert standard_normal_pairs(5, 123, 0).shape == (0, 2)
+
+
 def test_pairs_depend_only_on_row_index():
     a = standard_normal_pairs(7, 5, 1)
     b = standard_normal_pairs(7, 0, 10)[5:6]
