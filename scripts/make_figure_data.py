@@ -9,7 +9,7 @@ output directory (default ./figure_data) and optionally a worker count.
 import argparse
 from pathlib import Path
 
-from opasim.cli import write_csv
+from opasim.cli import worker_count, write_tables
 from opasim.config import RunConfig, with_overrides
 from opasim.figures import FIGURE_NAMES, emit_figure
 
@@ -21,29 +21,20 @@ def main() -> None:
     parser.add_argument("outdir", nargs="?", default="figure_data")
     parser.add_argument("--n-realizations", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=20260811)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=worker_count, default=1)
     args = parser.parse_args()
 
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     base = with_overrides(
         RunConfig(), n_realizations=args.n_realizations, seed=args.seed
     )
 
     for name in FIGURE_NAMES:
         cfg = with_overrides(base, A=3.0) if name in NEEDS_DISPLACEMENT else base
-        for table in emit_figure(name, cfg, workers=args.workers):
-            path = outdir / f"{table.name}.csv"
-            with open(path, "w", newline="\n") as stream:
-                write_csv(stream, table.header, table.columns)
-            print(path)
+        write_tables(emit_figure(name, cfg, workers=args.workers), outdir)
     # the phase-squeezed variant of the coherent-input figure
     flipped = with_overrides(base, A=3.0, pump_phase_deg=180.0)
-    for table in emit_figure("fig3", flipped, workers=args.workers):
-        path = outdir / f"{table.name}_flipped.csv"
-        with open(path, "w", newline="\n") as stream:
-            write_csv(stream, table.header, table.columns)
-        print(path)
+    write_tables(emit_figure("fig3", flipped, workers=args.workers), outdir, "_flipped")
 
 
 if __name__ == "__main__":

@@ -4,73 +4,38 @@ A quadratic dielectric medium is modeled as a pointwise polarization
 transfer; classical carriers plus Gaussian quantum-noise quadratures are
 propagated through it and the phase-dependent squeezing of the output is
 quantified, cross-checked against a closed-form quadrature map.
+
+The package exports the names of the README's library example; everything
+else is imported from its module.
 """
 
-from .config import ConfigError, RunConfig
 from .ensemble import (
     EnsembleConfig,
     GaussianState,
-    QuadratureScan,
-    SqueezingReport,
     VacuumConvention,
     default_thetas,
     propagate_ensemble,
-    propagate_realization,
-    sample_state,
     sample_state_array,
     squeezing_report,
     variance_scan,
 )
-from .fields import (
-    HarmonicComponent,
-    QuadraturePair,
-    TimeGrid,
-    TimeSeries,
-    carrier_to_quadratures,
-    pump_carrier,
-    quadratures_to_carrier,
-    synthesize,
-)
-from .medium import SusceptibilityProfile, normalize_output, polarize, transfer
-from .oracle import PassGain, gain_of_phase, iterate_passes, map_quadratures, single_pass
-from .spectral import HarmonicSpectrum, full_spectrum, lockin_extract, predict_spectrum
+from .fields import TimeGrid
+from .medium import SusceptibilityProfile
+from .oracle import PassGain, single_pass
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError",
     "EnsembleConfig",
     "GaussianState",
-    "HarmonicComponent",
-    "HarmonicSpectrum",
     "PassGain",
-    "QuadraturePair",
-    "QuadratureScan",
-    "RunConfig",
-    "SqueezingReport",
     "SusceptibilityProfile",
     "TimeGrid",
-    "TimeSeries",
     "VacuumConvention",
-    "carrier_to_quadratures",
     "default_thetas",
-    "full_spectrum",
-    "gain_of_phase",
-    "iterate_passes",
-    "lockin_extract",
-    "map_quadratures",
-    "normalize_output",
-    "polarize",
-    "predict_spectrum",
     "propagate_ensemble",
-    "propagate_realization",
-    "pump_carrier",
-    "quadratures_to_carrier",
-    "sample_state",
     "sample_state_array",
     "single_pass",
     "squeezing_report",
-    "synthesize",
-    "transfer",
     "variance_scan",
 ]

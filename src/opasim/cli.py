@@ -34,9 +34,9 @@ from .ensemble import (
     variance_scan,
 )
 from .fields import HarmonicComponent, QuadraturePair, pump_carrier, synthesize
-from .figures import FIGURE_NAMES, emit_figure
+from .figures import FIGURE_NAMES, FigureTable, emit_figure, scan_table
 from .medium import polarize, require_alias_free
-from .oracle import PassGain, gain_matrix, gain_of_phase, map_quadratures, map_state
+from .oracle import PassGain, gain_matrix, gain_of_phase, map_quadratures, single_pass
 from .spectral import full_spectrum, predict_spectrum
 from .validate import run_all
 
@@ -53,7 +53,18 @@ def write_csv(stream, header, columns) -> None:
         stream.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _worker_count(text: str) -> int:
+def write_tables(tables: list[FigureTable], outdir: Path, suffix: str = "") -> None:
+    """Write each table to outdir/<name><suffix>.csv and print its path."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    for table in tables:
+        path = outdir / f"{table.name}{suffix}.csv"
+        with open(path, "w", newline="\n") as stream:
+            write_csv(stream, table.header, table.columns)
+        print(path)
+
+
+def worker_count(text: str) -> int:
+    """argparse type of a --workers value: an integer of at least 1."""
     try:
         workers = int(text)
     except ValueError:
@@ -173,15 +184,12 @@ def cmd_scan(args) -> int:
     thetas = default_thetas(cfg.thetas)
     scan = variance_scan(out_pairs, thetas)
     convention = cfg.convention()
-    with np.errstate(divide="ignore"):
-        squeeze_db = 10.0 * np.log10(scan.variances / convention.var_zp)
-    columns = (np.degrees(scan.thetas), scan.variances, scan.means, squeeze_db)
-    header = ("theta_deg", "variance", "mean", "squeeze_db")
+    table = scan_table("scan", scan, convention)
     if args.output:
         with open(args.output, "w", newline="\n") as stream:
-            write_csv(stream, header, columns)
+            write_csv(stream, table.header, table.columns)
     else:
-        write_csv(sys.stdout, header, columns)
+        write_csv(sys.stdout, table.header, table.columns)
     report = squeezing_report(scan, convention)
     print(_summary_line(report), file=sys.stderr)
     return 0
@@ -189,14 +197,7 @@ def cmd_scan(args) -> int:
 
 def cmd_figure(args) -> int:
     cfg = _load_config(args)
-    tables = emit_figure(args.name, cfg, workers=args.workers)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for table in tables:
-        path = outdir / f"{table.name}.csv"
-        with open(path, "w", newline="\n") as stream:
-            write_csv(stream, table.header, table.columns)
-        print(path)
+    write_tables(emit_figure(args.name, cfg, workers=args.workers), Path(args.outdir))
     return 0
 
 
@@ -208,7 +209,7 @@ def cmd_oracle(args) -> int:
     state_in = GaussianState.coherent(
         QuadraturePair.from_amplitude_phase(cfg.A, cfg.phi), convention
     )
-    state_out = map_state(state_in, gain, cfg.pump_phase)
+    state_out = single_pass(state_in, gain, cfg.pump_phase)
     report = squeezing_report(
         scan_state(state_out, default_thetas(cfg.thetas)), convention
     )
@@ -238,6 +239,8 @@ def cmd_oracle(args) -> int:
         f"v_min, v_max        = {_fmt(report.v_min)}, {_fmt(report.v_max)} "
         f"(theta {math.degrees(report.theta_min):.1f}, {math.degrees(report.theta_max):.1f} deg)\n"
     )
+    v_low, v_high = np.linalg.eigvalsh(state_out.cov)
+    out.write(f"v_min, v_max exact  = {_fmt(v_low)}, {_fmt(v_high)}\n")
     out.write(
         f"squeeze, antisqueeze = {report.squeeze_db:+.4f} dB, {report.antisqueeze_db:+.4f} dB\n"
     )
@@ -284,14 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="quadrature variance scan (CSV)")
     _add_config_flags(p_scan)
     p_scan.add_argument("-o", "--output", metavar="FILE", help="write CSV here")
-    p_scan.add_argument("--workers", type=_worker_count, default=1)
+    p_scan.add_argument("--workers", type=worker_count, default=1)
     p_scan.set_defaults(func=cmd_scan)
 
     p_figure = sub.add_parser("figure", help="emit plot data for a named figure")
     p_figure.add_argument("name", choices=FIGURE_NAMES)
     _add_config_flags(p_figure)
     p_figure.add_argument("--outdir", default=".", help="directory for CSV files")
-    p_figure.add_argument("--workers", type=_worker_count, default=1)
+    p_figure.add_argument("--workers", type=worker_count, default=1)
     p_figure.set_defaults(func=cmd_figure)
 
     p_oracle = sub.add_parser("oracle", help="closed-form single-pass report")

@@ -23,6 +23,7 @@ import numpy as np
 from . import rng
 from .fields import QuadraturePair, TimeGrid, pump_carrier
 from .medium import SusceptibilityProfile, require_alias_free, transfer_values
+from .spectral import lockin_rows
 
 # rows per kernel block; results do not depend on it. On the default 64x4
 # grid a (CHUNK, n_samples) float64 array is 512 KiB and a span works on six
@@ -164,8 +165,7 @@ def fundamental_references(grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
 
 def pump_trace(pump_b: float, pump_phase: float, grid: TimeGrid) -> np.ndarray:
     """Sampled second-harmonic pump field."""
-    if not grid.supports_harmonic(2):
-        raise ValueError("grid cannot represent the second-harmonic pump")
+    grid.require_harmonic(2)
     phases = grid.phases()
     pump = pump_carrier(pump_b, pump_phase)
     return pump.c * np.cos(2.0 * phases) + pump.s * np.sin(2.0 * phases)
@@ -213,27 +213,6 @@ def synthesize_rows(
     scratch *= sin1
     out += scratch
     out += pump
-    return out
-
-
-def lockin_rows(
-    rows: np.ndarray,
-    cos1: np.ndarray,
-    sin1: np.ndarray,
-    n_samples: int,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """Fundamental-bin (c, s) of each row; exact for band-limited rows.
-
-    The references are single rows or block references; the pair goes to
-    ``out`` and the products to ``scratch`` when given.
-    """
-    scale = 2.0 / n_samples
-    out = np.empty((len(rows), 2)) if out is None else out
-    for column, reference in enumerate((cos1, sin1)):
-        scratch = np.multiply(rows, reference, out=scratch)
-        np.multiply(scale, scratch.sum(axis=1), out=out[:, column])
     return out
 
 
@@ -414,27 +393,27 @@ def variance_scan(
     n = arr.shape[0]
     if n < 2:
         raise ValueError("variance requires at least two realizations")
-    thetas = np.asarray(thetas, dtype=float)
     mean = arr.mean(axis=0)
     centered = arr - mean
     s11 = float((centered[:, 0] * centered[:, 0]).sum()) / (n - 1)
     s22 = float((centered[:, 1] * centered[:, 1]).sum()) / (n - 1)
     s12 = float((centered[:, 0] * centered[:, 1]).sum()) / (n - 1)
-    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    variances = s11 * cos_t**2 + 2.0 * s12 * cos_t * sin_t + s22 * sin_t**2
-    means = mean[0] * cos_t + mean[1] * sin_t
-    return QuadratureScan(thetas, np.maximum(variances, 0.0), means)
+    return _project(mean, ((s11, s12), (s12, s22)), thetas)
 
 
 def scan_state(state: GaussianState, thetas: np.ndarray) -> QuadratureScan:
     """Exact (infinite-ensemble) scan of a Gaussian state's statistics."""
+    return _project(state.mean.as_array(), state.cov, thetas)
+
+
+def _project(mean, cov, thetas: np.ndarray) -> QuadratureScan:
+    """Mean u(theta)'m and variance u(theta)' S u(theta), u = (cos, sin) theta."""
     thetas = np.asarray(thetas, dtype=float)
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    cov = state.cov
     variances = (
-        cov[0, 0] * cos_t**2 + 2.0 * cov[0, 1] * cos_t * sin_t + cov[1, 1] * sin_t**2
+        cov[0][0] * cos_t**2 + 2.0 * cov[0][1] * cos_t * sin_t + cov[1][1] * sin_t**2
     )
-    means = state.mean.x1 * cos_t + state.mean.x2 * sin_t
+    means = mean[0] * cos_t + mean[1] * sin_t
     return QuadratureScan(thetas, np.maximum(variances, 0.0), means)
 
 

@@ -69,6 +69,14 @@ class TimeGrid:
     def supports_harmonic(self, k: int) -> bool:
         return 0 <= k < self.samples_per_period / 2
 
+    def require_harmonic(self, k: int) -> None:
+        """Raise ValueError unless harmonic order k is representable."""
+        if not self.supports_harmonic(k):
+            raise ValueError(
+                f"harmonic k={k} aliases on a grid with "
+                f"samples_per_period={self.samples_per_period}"
+            )
+
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
@@ -187,11 +195,7 @@ def synthesize(
     """
     carriers = list(carriers)
     for comp in carriers:
-        if not grid.supports_harmonic(comp.k):
-            raise ValueError(
-                f"harmonic k={comp.k} aliases on a grid with "
-                f"samples_per_period={grid.samples_per_period}"
-            )
+        grid.require_harmonic(comp.k)
     phases = grid.phases()
     values = np.zeros(grid.n_samples)
     for comp in carriers:

@@ -29,7 +29,9 @@ import numpy as np
 from .config import RunConfig
 from .ensemble import (
     GaussianState,
+    QuadratureScan,
     TraceMoments,
+    VacuumConvention,
     block_references,
     propagate_span,
     pump_trace,
@@ -40,7 +42,7 @@ from .ensemble import (
 )
 from .fields import QuadraturePair
 from .medium import polarization_values, require_alias_free
-from .oracle import PassGain, map_state
+from .oracle import PassGain, single_pass
 
 FIGURE_NAMES = ("fig1a", "fig1b", "fig1c", "fig1d", "fig1e", "fig2", "fig3")
 
@@ -58,6 +60,22 @@ class FigureTable:
             raise ValueError("one header entry per column required")
 
 
+def scan_table(
+    name: str, scan: QuadratureScan, convention: VacuumConvention
+) -> FigureTable:
+    """theta_deg, variance, mean, squeeze_db columns of a quadrature scan.
+
+    A zero variance reads -inf dB.
+    """
+    with np.errstate(divide="ignore"):
+        squeeze_db = 10.0 * np.log10(scan.variances / convention.var_zp)
+    return FigureTable(
+        name,
+        ("theta_deg", "variance", "mean", "squeeze_db"),
+        (np.degrees(scan.thetas), scan.variances, scan.means, squeeze_db),
+    )
+
+
 def figure_state(name: str, cfg: RunConfig) -> GaussianState:
     """The Gaussian state displayed by a fig1 panel."""
     convention = cfg.convention()
@@ -67,15 +85,15 @@ def figure_state(name: str, cfg: RunConfig) -> GaussianState:
         return GaussianState.coherent(_displacement(cfg), convention)
     gain = PassGain(cfg.pump_ratio, cfg.mode)
     if name == "fig1b":
-        return map_state(GaussianState.vacuum(convention), gain, cfg.pump_phase)
+        return single_pass(GaussianState.vacuum(convention), gain, cfg.pump_phase)
     if name == "fig1d":
-        return map_state(
+        return single_pass(
             GaussianState.coherent(_displacement(cfg), convention),
             gain,
             cfg.pump_phase + math.pi,
         )
     if name == "fig1e":
-        return map_state(
+        return single_pass(
             GaussianState.coherent(_displacement(cfg), convention),
             gain,
             cfg.pump_phase,
@@ -158,8 +176,6 @@ def _pipeline_tables(name: str, cfg: RunConfig, workers: int) -> list[FigureTabl
 
     thetas = np.linspace(0.0, 2.0 * math.pi, 2 * cfg.thetas - 1)
     scan = variance_scan(out_pairs, thetas)
-    with np.errstate(divide="ignore"):
-        squeeze_db = 10.0 * np.log10(scan.variances / convention.var_zp)
 
     e_max = abs(cfg.A) + abs(cfg.B) + 4.0 * math.sqrt(convention.var_zp)
     e_axis = np.linspace(-e_max, e_max, CHARACTERISTIC_POINTS)
@@ -169,9 +185,5 @@ def _pipeline_tables(name: str, cfg: RunConfig, workers: int) -> list[FigureTabl
         FigureTable(f"{name}_input", _TRACE_HEADER, input_cols),
         FigureTable(f"{name}_characteristic", ("field", "polarization"), (e_axis, p_axis)),
         FigureTable(f"{name}_output", _TRACE_HEADER, output_cols),
-        FigureTable(
-            f"{name}_scan",
-            ("theta_deg", "variance", "mean", "squeeze_db"),
-            (np.degrees(scan.thetas), scan.variances, scan.means, squeeze_db),
-        ),
+        scan_table(f"{name}_scan", scan, convention),
     ]

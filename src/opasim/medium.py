@@ -92,11 +92,13 @@ def normalize_output(p: TimeSeries, medium: SusceptibilityProfile) -> TimeSeries
     With this convention the pump-off channel maps input to output
     identically, which pins the vacuum reference level of the output.
     """
+    return TimeSeries(p.grid, p.values / _output_divisor(medium))
+
+
+def _output_divisor(medium: SusceptibilityProfile) -> float:
     if medium.chi1 <= 0.0:
         raise ValueError("output normalization requires chi1 > 0")
-    if medium.eps0 <= 0.0:
-        raise ValueError("output normalization requires eps0 > 0")
-    return TimeSeries(p.grid, p.values / (medium.eps0 * medium.chi1))
+    return medium.eps0 * medium.chi1
 
 
 def transfer_values(
@@ -112,10 +114,8 @@ def transfer_values(
     agree bitwise; ``out`` and ``scratch`` are as in polarization_values,
     and a divisor of exactly 1.0 is skipped.
     """
-    if medium.chi1 <= 0.0:
-        raise ValueError("output normalization requires chi1 > 0")
+    divisor = _output_divisor(medium)
     out = polarization_values(values, medium, out, scratch)
-    divisor = medium.eps0 * medium.chi1
     if divisor != 1.0:
         out /= divisor
     return out

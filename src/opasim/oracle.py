@@ -52,11 +52,13 @@ class PassGain:
 def gain_matrix(gain: PassGain, pump_phase: float = 0.0) -> np.ndarray:
     """2x2 quadrature transfer matrix of the single pass.
 
-    For pump phase 0 this is diag(g1, g2). A pump phase psi moves the
-    squeezed axis to the direction -psi/2, so the matrix is the
-    axis-aligned one conjugated by that rotation; psi = pi swaps the two
-    gains (amplitude squeezing becomes phase squeezing). The matrix is
-    symmetric.
+    The one place the gains become a matrix, for states
+    (:func:`single_pass`) and sample arrays (:func:`map_quadratures`)
+    alike. For pump phase 0 it is exactly diag(g1, g2), with no rotation
+    rounding. A pump phase psi moves the squeezed axis to the direction
+    -psi/2, so the matrix is the axis-aligned one conjugated by that
+    rotation; psi = pi swaps the two gains (amplitude squeezing becomes
+    phase squeezing). The matrix is symmetric.
     """
     g1, g2 = gain.gains()
     if pump_phase == 0.0:
@@ -67,22 +69,13 @@ def gain_matrix(gain: PassGain, pump_phase: float = 0.0) -> np.ndarray:
     return rot @ np.array([[g1, 0.0], [0.0, g2]]) @ rot.T
 
 
-def single_pass(state: GaussianState, gain: PassGain) -> GaussianState:
-    """Apply the quadrature gain map to means and covariance."""
-    g1, g2 = gain.gains()
-    mean = QuadraturePair(g1 * state.mean.x1, g2 * state.mean.x2)
-    g = np.array([[g1, 0.0], [0.0, g2]])
-    return GaussianState(mean, g @ state.cov @ g)
-
-
-def iterate_passes(state: GaussianState, gain: PassGain, n: int) -> GaussianState:
-    """n-fold composition of :func:`single_pass` (gains g1**n, g2**n)."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    out = state
-    for _ in range(n):
-        out = single_pass(out, gain)
-    return out
+def single_pass(
+    state: GaussianState, gain: PassGain, pump_phase: float = 0.0
+) -> GaussianState:
+    """Apply the gain map, with optional pump phase, to means and covariance."""
+    m = gain_matrix(gain, pump_phase)
+    mean = QuadraturePair(*(m @ state.mean.as_array()))
+    return GaussianState(mean, m @ state.cov @ m.T)
 
 
 def gain_of_phase(amplitude: float, phi: float, gain: PassGain) -> float:
@@ -102,19 +95,4 @@ def map_quadratures(
     pairs: np.ndarray, gain: PassGain, pump_phase: float = 0.0
 ) -> np.ndarray:
     """Apply the gain map to an (n, 2) array of sampled quadrature pairs."""
-    pairs = np.asarray(pairs, dtype=float)
-    g1, g2 = gain.gains()
-    if pump_phase == 0.0:
-        return pairs * np.array([g1, g2])
-    return pairs @ gain_matrix(gain, pump_phase).T
-
-
-def map_state(
-    state: GaussianState, gain: PassGain, pump_phase: float = 0.0
-) -> GaussianState:
-    """Gain map on a Gaussian state, with optional pump phase."""
-    if pump_phase == 0.0:
-        return single_pass(state, gain)
-    m = gain_matrix(gain, pump_phase)
-    mean_vec = m @ state.mean.as_array()
-    return GaussianState(QuadraturePair(*mean_vec), m @ state.cov @ m.T)
+    return np.asarray(pairs, dtype=float) @ gain_matrix(gain, pump_phase).T

@@ -54,28 +54,45 @@ class HarmonicSpectrum:
         )
 
 
+def lockin_rows(
+    rows: np.ndarray,
+    cos1: np.ndarray,
+    sin1: np.ndarray,
+    n_samples: int,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """(c, s) of each row against the references; exact for band-limited rows.
+
+    c = (2/N) * sum row[n] * cos1[n] and s likewise. The references are
+    single rows or block references; the pair goes to ``out`` and the
+    products to ``scratch`` when given.
+    """
+    scale = 2.0 / n_samples
+    out = np.empty((len(rows), 2)) if out is None else out
+    for column, reference in enumerate((cos1, sin1)):
+        scratch = np.multiply(rows, reference, out=scratch)
+        np.multiply(scale, scratch.sum(axis=1), out=out[:, column])
+    return out
+
+
 def lockin_extract(e: TimeSeries, k: int) -> HarmonicComponent:
     """Project a series onto harmonic order k.
 
-    c = (2/N) * sum e[n] cos(k*omega*t_n) and s likewise for k >= 1;
-    the DC bin is the plain mean. Rejects k at or above the grid's
-    Nyquist order, where the projection would alias.
+    c = (2/N) * sum e[n] cos(k*omega*t_n) and s likewise for k >= 1
+    (:func:`lockin_rows` on the one row); the DC bin is the plain mean.
+    Rejects k at or above the grid's Nyquist order, where the projection
+    would alias.
     """
     if k < 0:
         raise ValueError("harmonic order k must be non-negative")
     grid = e.grid
-    if not grid.supports_harmonic(k):
-        raise ValueError(
-            f"harmonic k={k} aliases on a grid with "
-            f"samples_per_period={grid.samples_per_period}"
-        )
+    grid.require_harmonic(k)
     if k == 0:
         return HarmonicComponent(k=0, c=float(np.mean(e.values)), s=0.0)
     phases = k * grid.phases()
-    n = grid.n_samples
-    c = 2.0 / n * float(np.sum(e.values * np.cos(phases)))
-    s = 2.0 / n * float(np.sum(e.values * np.sin(phases)))
-    return HarmonicComponent(k=k, c=c, s=s)
+    pair = lockin_rows(e.values[None, :], np.cos(phases), np.sin(phases), grid.n_samples)
+    return HarmonicComponent(k=k, c=float(pair[0, 0]), s=float(pair[0, 1]))
 
 
 def full_spectrum(e: TimeSeries, k_max: int = 6) -> HarmonicSpectrum:

@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from opasim.cli import main
 from opasim.config import RUN_FIELDS, RunConfig, from_json, with_overrides
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def run_cli(argv, capsys):
@@ -282,6 +285,23 @@ class TestOracleCommand:
         assert code == 2
         assert "threshold" in err
 
+    def test_exact_extrema_off_the_theta_grid(self, capsys):
+        # a 1 degree pump phase puts the squeezed axis at -0.5 degrees,
+        # between the points of the 1 degree theta grid
+        code, out, _ = run_cli(["oracle", "--pump-phase-deg", "1"], capsys)
+        assert code == 0
+        assert "v_min, v_max        = 0.25015230484360873, " in out
+        line = next(row for row in out.splitlines() if row.startswith("v_min, v_max exact"))
+        v_min, v_max = (float(v) for v in line.split("=")[1].split(","))
+        assert v_min == pytest.approx(0.25, abs=1e-15)
+        assert v_max == pytest.approx(2.25, abs=1e-15)
+
+    @pytest.mark.parametrize("phase", ["0", "1"])
+    def test_vacuum_mean_prints_unsigned_zeros(self, phase, capsys):
+        code, out, _ = run_cli(["oracle", "--A", "0", "--pump-phase-deg", phase], capsys)
+        assert code == 0
+        assert "mean out (x1, x2)   = 0, 0\n" in out
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
@@ -310,6 +330,18 @@ class TestRunGuards:
             main([*command, "--workers", workers])
         assert excinfo.value.code == 2
         assert f"--workers: must be at least 1, got {workers}" in capsys.readouterr().err
+
+    def test_figure_script_rejects_fewer_than_one_worker(self, tmp_path):
+        script = SCRIPTS / "make_figure_data.py"
+        result = subprocess.run(
+            [sys.executable, str(script), str(tmp_path / "out"), "--workers", "0"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert "--workers: must be at least 1, got 0" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "argv, spp, limit",

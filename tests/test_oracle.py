@@ -17,9 +17,7 @@ from opasim.oracle import (
     PassGain,
     gain_matrix,
     gain_of_phase,
-    iterate_passes,
     map_quadratures,
-    map_state,
     single_pass,
 )
 
@@ -91,41 +89,6 @@ class TestSinglePass:
         assert product == pytest.approx((1.0 - r * r) ** 2, rel=1e-12)
 
 
-class TestIteratePasses:
-    def test_one_pass_equals_single(self):
-        state = GaussianState.coherent(QuadraturePair(1.0, 1.0), VAC)
-        a = iterate_passes(state, PassGain(0.2), 1)
-        b = single_pass(state, PassGain(0.2))
-        assert a.mean == b.mean
-        assert np.array_equal(a.cov, b.cov)
-
-    def test_ten_raw_passes(self):
-        state = GaussianState.coherent(QuadraturePair(1.0, 0.0), VAC)
-        out = iterate_passes(state, PassGain(0.1), 10)
-        assert out.mean.x1 == pytest.approx(0.9**10, rel=1e-12)
-        assert out.mean.x1 == pytest.approx(0.34867844, rel=1e-7)
-
-    def test_symplectic_passes_compose_exactly(self):
-        gain = PassGain(0.05, "symplectic")
-        rho = math.atanh(0.05)
-        out = iterate_passes(ground(), gain, 8)
-        np.testing.assert_allclose(
-            np.diag(out.cov), [math.exp(-16 * rho), math.exp(16 * rho)], rtol=1e-12
-        )
-
-    def test_raw_agrees_with_symplectic_to_second_order(self):
-        # per pass the two variants differ at O(r^2)
-        r, n = 0.01, 5
-        raw = iterate_passes(ground(), PassGain(r), n)
-        symp = iterate_passes(ground(), PassGain(r, "symplectic"), n)
-        assert raw.cov[0, 0] == pytest.approx(symp.cov[0, 0], abs=4 * n * r**2)
-        assert raw.cov[1, 1] == pytest.approx(symp.cov[1, 1], abs=4 * n * r**2)
-
-    def test_rejects_non_positive_count(self):
-        with pytest.raises(ValueError):
-            iterate_passes(ground(), PassGain(0.1), 0)
-
-
 class TestGainOfPhase:
     def test_deamplification_at_zero_phase(self):
         assert gain_of_phase(1.0, 0.0, PassGain(0.5)) == pytest.approx(0.5)
@@ -185,7 +148,7 @@ class TestPumpPhase:
         gain = PassGain(0.5, "symplectic")
         psi = 1.1
         state = GaussianState.coherent(QuadraturePair(1.0, 2.0), VAC)
-        mapped = map_state(state, gain, psi)
+        mapped = single_pass(state, gain, psi)
         m = gain_matrix(gain, psi)
         np.testing.assert_allclose(
             mapped.mean.as_array(), m @ np.array([1.0, 2.0]), atol=1e-14
@@ -195,7 +158,7 @@ class TestPumpPhase:
     def test_general_phase_rotates_squeezing_axis(self):
         # the squeezed direction sits at -psi/2
         psi = 0.8
-        mapped = map_state(ground(), PassGain(0.5), psi)
+        mapped = single_pass(ground(), PassGain(0.5), psi)
         eigvals, eigvecs = np.linalg.eigh(mapped.cov)
         angle = math.atan2(eigvecs[1, 0], eigvecs[0, 0])
         expected = -psi / 2.0

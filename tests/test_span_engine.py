@@ -42,6 +42,19 @@ GOLDEN = {
     ("figure", "fig1b"): {
         "fig1b.csv": "02b8afc596ea0cc5ef209dc708df1494b7e9ceeddd54bc4eaf04010651c104d6",
     },
+    # recorded before the oracle's state and array maps became one matrix map
+    ("scan", "--mode", "symplectic"): {
+        "scan.csv": "bf7d7e8899515b9c0c712dc89704c41114bf172cba7a938ff8f0fe5e924c83ba",
+    },
+    ("scan", "--mode", "symplectic", "--pump-phase-deg", "37"): {
+        "scan.csv": "8fa13e5fd58e9c058c600ce1dc784e09ecbb80fe3749b78990cd4cf88dc4625b",
+    },
+    ("figure", "fig1d", "--A", "1.5"): {
+        "fig1d.csv": "4ed67a5a2b567e60209832ed2445ff3e7b4ac9027f9f4ffd2d31a8ee77218844",
+    },
+    ("figure", "fig1e", "--A", "1.5"): {
+        "fig1e.csv": "9823af0b8556cbdd69c10be3ec7bccd6e048c4e8f993923ae97dd4042720e42c",
+    },
 }
 
 

@@ -76,6 +76,25 @@ class TestLockin:
             assert abs(got.c - comp.c) <= 1e-12
             assert abs(got.s - comp.s) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "grid",
+        [GRID, TimeGrid(9, 3), TimeGrid(200, 1)],
+        ids=lambda g: f"{g.samples_per_period}x{g.n_periods}",
+    )
+    def test_bins_equal_the_plain_projection_bit_for_bit(self, grid):
+        # the one-row lock-in must add the products in the same order as
+        # a sum over the series itself
+        rng = np.random.default_rng(13)
+        _, series = random_series(rng, grid, grid.max_harmonic())
+        values = series.values * 1e3 + rng.normal(size=grid.n_samples)
+        series = TimeSeries(grid, values)
+        scale = 2.0 / grid.n_samples
+        for k in range(1, grid.max_harmonic() + 1):
+            phases = k * grid.phases()
+            got = lockin_extract(series, k)
+            assert got.c == scale * float(np.sum(values * np.cos(phases)))
+            assert got.s == scale * float(np.sum(values * np.sin(phases)))
+
     def test_phase_covariance_under_delay(self):
         # delaying by tau advances bin k's phase by k*omega*tau; an
         # eighth-period delay is an exact 8-sample roll on this grid
