@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ from .spectral import lockin_rows
 # most three (1.5 MiB, inside a 2 MiB L2). 128 rows would fit all six but
 # doubles the per-block Python work that a figure's pool threads serialize
 # on; measured on a 2-vCPU VM, 128 ran scan 13% faster and fig2 26% slower.
+# (That scan traced four periods; its one-period blocks are a quarter as big.)
 CHUNK = 256
 
 # rows per unit of pool work, and per group of the figure moment sums; fixed,
@@ -323,11 +324,17 @@ def propagate_ensemble(
 ) -> np.ndarray:
     """Propagate an (n, 2) ensemble through the medium, optionally threaded.
 
-    Spans run through :func:`run_spans` and write their rows in place, so
-    the result is bitwise independent of ``workers`` and of CHUNK.
+    The traces span one fundamental period of ``grid``, whatever its
+    ``n_periods``: the input field and the medium's response repeat every
+    period, and the k = 1 lock-in is exact on any whole number of periods,
+    so further periods only repeat the same projection. The result is
+    therefore bitwise independent of ``grid.n_periods``. Spans run through
+    :func:`run_spans` and write their rows in place, so it is bitwise
+    independent of ``workers`` and of CHUNK too.
     """
     pairs = _as_pair_array(pairs)
     require_alias_free(grid, medium)
+    grid = replace(grid, n_periods=1)
     refs = block_references(pump_trace(pump_b, pump_phase, grid), grid, len(pairs))
     out = np.empty_like(pairs)
 
@@ -439,8 +446,6 @@ def squeezing_report(
     on the default 1-degree grid that offset lands exactly on a grid
     point.
     """
-    if not convention.var_zp > 0.0:
-        raise ValueError("var_zp must be positive")
     i_min = int(np.argmin(scan.variances))
     i_max = int(np.argmax(scan.variances))
     v_min = float(scan.variances[i_min])

@@ -58,15 +58,17 @@ def gain_matrix(gain: PassGain, pump_phase: float = 0.0) -> np.ndarray:
     rounding. A pump phase psi moves the squeezed axis to the direction
     -psi/2, so the matrix is the axis-aligned one conjugated by that
     rotation; psi = pi swaps the two gains (amplitude squeezing becomes
-    phase squeezing). The matrix is symmetric.
+    phase squeezing). The conjugation is written out in closed form, so
+    the two off-diagonals are one product and the matrix is exactly
+    symmetric.
     """
     g1, g2 = gain.gains()
     if pump_phase == 0.0:
         return np.array([[g1, 0.0], [0.0, g2]])
     alpha = -0.5 * pump_phase
     c, s = math.cos(alpha), math.sin(alpha)
-    rot = np.array([[c, -s], [s, c]])
-    return rot @ np.array([[g1, 0.0], [0.0, g2]]) @ rot.T
+    off = (g1 - g2) * c * s
+    return np.array([[g1 * c * c + g2 * s * s, off], [off, g1 * s * s + g2 * c * c]])
 
 
 def single_pass(

@@ -16,8 +16,11 @@ from .config import RunConfig
 from .ensemble import (
     EnsembleConfig,
     GaussianState,
+    block_references,
     default_thetas,
     propagate_ensemble,
+    propagate_span,
+    pump_trace,
     sample_state_array,
     squeezing_report,
     variance_scan,
@@ -113,6 +116,25 @@ def check_oracle_equivalence(cfg: RunConfig) -> tuple[bool, str]:
     return worst <= 1e-10, f"max per-realization deviation {worst:.3e} (bound 1e-10)"
 
 
+def check_one_period_lockin(cfg: RunConfig) -> tuple[bool, str]:
+    """One-period ensemble propagation equals the configured-grid lock-in.
+
+    The figures propagate on the configured grid, the scan on one period
+    of it; both must give each vacuum realization the same k = 1 output.
+    """
+    ens = EnsembleConfig(10_000, cfg.seed, cfg.grid(), cfg.convention())
+    pairs = sample_state_array(GaussianState.vacuum(ens.convention), ens)
+    out = propagate_ensemble(pairs, cfg.B, cfg.pump_phase, cfg.medium, ens.grid)
+    pump = pump_trace(cfg.B, cfg.pump_phase, ens.grid)
+    full = np.empty_like(pairs)
+    propagate_span(pairs, *block_references(pump, ens.grid, len(pairs)), cfg.medium, full)
+    bound = 1e-13 * max(1.0, float(np.max(np.abs(out))))
+    worst = float(np.max(np.abs(out - full)))
+    return worst <= bound, (
+        f"max per-realization deviation {worst:.3e} (bound {bound:.3e})"
+    )
+
+
 def check_vacuum_scan_flat(cfg: RunConfig) -> tuple[bool, str]:
     """With the pump off the variance scan is flat at the vacuum level."""
     ens = cfg.ensemble()
@@ -173,6 +195,7 @@ CHECKS: tuple[tuple[str, Check], ...] = (
     ("parseval", check_parseval),
     ("closed-form-equivalence", check_closed_form_equivalence),
     ("oracle-pipeline-equivalence", check_oracle_equivalence),
+    ("one-period-lockin", check_one_period_lockin),
     ("vacuum-scan-flat", check_vacuum_scan_flat),
     ("heisenberg-symplectic", check_heisenberg_symplectic),
     ("determinism", check_determinism),

@@ -267,7 +267,7 @@ class TestValidateCommand:
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert len(lines) == 7
+        assert len(lines) == 8
         assert all(line.startswith("PASS") for line in lines)
 
 

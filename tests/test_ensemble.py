@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from opasim.ensemble import (
     QuadratureScan,
     TraceMoments,
     VacuumConvention,
+    block_references,
     default_thetas,
     propagate_ensemble,
     propagate_realization,
+    propagate_span,
+    pump_trace,
     run_spans,
     sample_state,
     sample_state_array,
@@ -30,6 +34,7 @@ from opasim.fields import (
     carrier_to_quadratures,
 )
 from opasim.medium import SusceptibilityProfile, normalize_output, polarize
+from opasim.oracle import PassGain, map_quadratures
 from opasim.spectral import lockin_extract
 
 GRID = TimeGrid(64, 4)
@@ -128,9 +133,11 @@ class TestPropagation:
         assert out.x2 == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_explicit_chain(self):
+        # propagate_ensemble traces one period of the grid it is given
         q = QuadraturePair(0.3, -0.9)
         series = synthesize(
-            [quadratures_to_carrier(q), pump_carrier(1.2, 0.4)], GRID
+            [quadratures_to_carrier(q), pump_carrier(1.2, 0.4)],
+            replace(GRID, n_periods=1),
         )
         medium = SusceptibilityProfile(chi1=1.1, chi2=0.4, eps0=1.6)
         chain = carrier_to_quadratures(
@@ -185,6 +192,47 @@ class TestPropagation:
             QuadraturePair(draws[3, 0], draws[3, 1]), 0.8, 0.0, medium, GRID
         )
         assert batch[3, 0] == single.x1 and batch[3, 1] == single.x2
+
+
+class TestOnePeriod:
+    """propagate_ensemble reads the k = 1 bin off one period of its grid."""
+
+    MEDIA = {
+        "chi2": SusceptibilityProfile(chi1=1.1, chi2=0.4, eps0=1.6),
+        "chi3": SusceptibilityProfile(chi1=1.1, chi2=0.4, chi3=0.05, eps0=1.6),
+    }
+
+    @staticmethod
+    def draws():
+        # a squeezed state, so x1 and x2 are correlated
+        state = GaussianState(QuadraturePair(0.4, -0.2), [[0.3, 0.2], [0.2, 1.7]])
+        return sample_state_array(state, cfg(3000))
+
+    @pytest.mark.parametrize("medium", list(MEDIA.values()), ids=list(MEDIA))
+    def test_output_does_not_depend_on_n_periods(self, medium):
+        draws = self.draws()
+        outs = [
+            propagate_ensemble(draws, 1.2, 0.4, medium, TimeGrid(64, periods))
+            for periods in (1, 3, 4)
+        ]
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(outs[0], outs[2])
+
+    @pytest.mark.parametrize("medium", list(MEDIA.values()), ids=list(MEDIA))
+    def test_matches_the_configured_grid_lockin(self, medium):
+        draws = self.draws()
+        out = propagate_ensemble(draws, 1.2, 0.4, medium, GRID)
+        refs = block_references(pump_trace(1.2, 0.4, GRID), GRID, len(draws))
+        full = np.empty_like(draws)
+        propagate_span(draws, *refs, medium, full)
+        assert np.max(np.abs(out - full)) <= 1e-13 * max(1.0, np.max(np.abs(out)))
+
+    def test_matches_the_oracle_map(self):
+        medium = self.MEDIA["chi2"]
+        draws = self.draws()
+        out = propagate_ensemble(draws, 1.2, 0.4, medium, GRID)
+        gain = PassGain(medium.chi2 * 1.2 / medium.chi1)
+        assert np.max(np.abs(out - map_quadratures(draws, gain, 0.4))) <= 1e-12
 
 
 class TestSpanEngine:

@@ -144,6 +144,18 @@ class TestPumpPhase:
                 map_quadratures(pairs, gain, psi), pairs @ m.T, atol=1e-15
             )
 
+    @pytest.mark.parametrize("mode", ["raw", "symplectic"])
+    def test_matrix_is_exactly_symmetric(self, mode):
+        gain = PassGain(0.5, mode)
+        for psi in (0.3, 1.0, math.radians(37), math.pi / 2, math.pi, 4.0, -2.5):
+            m = gain_matrix(gain, psi)
+            assert m[0, 1] == m[1, 0]
+            # the rotation conjugation that the closed form writes out
+            c, s = math.cos(-0.5 * psi), math.sin(-0.5 * psi)
+            rot = np.array([[c, -s], [s, c]])
+            expected = rot @ np.diag(gain.gains()) @ rot.T
+            np.testing.assert_allclose(m, expected, rtol=0, atol=1e-15)
+
     def test_state_map_matches_sample_map(self):
         gain = PassGain(0.5, "symplectic")
         psi = 1.1

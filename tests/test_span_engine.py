@@ -5,6 +5,8 @@ both the spans and the kernel blocks is exercised.
 """
 
 import hashlib
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -18,14 +20,19 @@ from opasim.figures import emit_figure, figure_state
 
 N = 2 * SPAN + 1
 
+# enough rows that OpenBLAS splits the (n, 2) x (2, 2) sampling product
+# over threads when it may
+BLAS_N = 100_000
+
 # SHA-256 of the CSVs written by the span-per-thread engine that used one
 # 4096-row block per span, before the kernel blocks were cut to cache size
 GOLDEN = {
+    # re-recorded when propagate_ensemble moved to one fundamental period
     ("scan",): {
-        "scan.csv": "6d3b21a7dcffdce3ed4f11d161ea1a9313fe025cf8dfa7ad401c8a43a11ace5d",
+        "scan.csv": "b5579edb589c197c2677469a7ba8cbd27b678c2b43014cece9d06f15fa534389",
     },
     ("scan", "--A", "0.5", "--phi-deg", "30", "--chi3", "0.05"): {
-        "scan.csv": "fbdea8471fe4de35c10e2faf9b4032d86c2755e019edabc22902327373f10609",
+        "scan.csv": "f523a4b97853891868fa28614b3ed73beb8efc398293ed0c700c467da1bd5334",
     },
     ("figure", "fig2"): {
         "fig2_input.csv": "855eb85fd0b1aca19b5883717b49034647bbf031727e3db28dbd1de4374083ba",
@@ -46,8 +53,9 @@ GOLDEN = {
     ("scan", "--mode", "symplectic"): {
         "scan.csv": "bf7d7e8899515b9c0c712dc89704c41114bf172cba7a938ff8f0fe5e924c83ba",
     },
+    # re-recorded when gain_matrix became exactly symmetric
     ("scan", "--mode", "symplectic", "--pump-phase-deg", "37"): {
-        "scan.csv": "8fa13e5fd58e9c058c600ce1dc784e09ecbb80fe3749b78990cd4cf88dc4625b",
+        "scan.csv": "be7feafd638f357eb7b485ee156b81687f5a153ca6265268aefce29d307c1d5e",
     },
     ("figure", "fig1d", "--A", "1.5"): {
         "fig1d.csv": "4ed67a5a2b567e60209832ed2445ff3e7b4ac9027f9f4ffd2d31a8ee77218844",
@@ -58,13 +66,17 @@ GOLDEN = {
 }
 
 
+def _target(command, directory):
+    """Output flags that put a command's CSVs into directory."""
+    if command[0] == "scan":
+        return ["-o", str(directory / "scan.csv")]
+    return ["--outdir", str(directory)]
+
+
 @pytest.mark.parametrize("workers", ["1", "3"])
 @pytest.mark.parametrize("command", list(GOLDEN), ids=" ".join)
 def test_golden_csv_bytes(command, workers, tmp_path, capsys):
-    if command[0] == "scan":
-        target = ["-o", str(tmp_path / "scan.csv")]
-    else:
-        target = ["--outdir", str(tmp_path)]
+    target = _target(command, tmp_path)
     argv = [*command, "--n-realizations", str(N), "--workers", workers, *target]
     assert main(argv) == 0
     capsys.readouterr()
@@ -73,6 +85,42 @@ def test_golden_csv_bytes(command, workers, tmp_path, capsys):
         for path in tmp_path.iterdir()
     }
     assert hashes == GOLDEN[command]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("scan",), ("scan", "--A", "0.5", "--phi-deg", "30", "--chi3", "0.05")],
+    ids=" ".join,
+)
+def test_scan_bytes_do_not_depend_on_n_periods(command, tmp_path, capsys):
+    for periods in ("1", "4"):
+        output = str(tmp_path / f"{periods}.csv")
+        argv = [*command, "--n-realizations", str(N), "--n-periods", periods]
+        assert main([*argv, "-o", output]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "4.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command", [("scan",), ("figure", "fig1b", "--pump-phase-deg", "37")], ids=" ".join
+)
+def test_bytes_do_not_depend_on_blas_threads_or_workers(command, tmp_path):
+    # at 37 degrees fig1b samples through a non-diagonal noise matrix
+    outputs = []
+    for threads in ("1", "2"):
+        for workers in ("1", "3"):
+            outdir = tmp_path / f"{threads}-{workers}"
+            outdir.mkdir()
+            argv = [*command, "--n-realizations", str(BLAS_N), "--workers", workers]
+            subprocess.run(
+                [sys.executable, "-m", "opasim", *argv, *_target(command, outdir)],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                check=True,
+            )
+            outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
+    assert outputs[0]
+    assert all(output == outputs[0] for output in outputs[1:])
 
 
 def _outputs(workers):
