@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,42 +134,11 @@ def sample_state_array(
     return np.add(state.mean.as_array(), draws, out=draws)
 
 
-def sample_state(state: GaussianState, cfg: EnsembleConfig) -> list[QuadraturePair]:
-    """Draw the configured ensemble as a list of quadrature pairs."""
-    draws = sample_state_array(state, cfg)
-    return [QuadraturePair(float(x1), float(x2)) for x1, x2 in draws]
-
-
-def propagate_realization(
-    q: QuadraturePair,
-    pump_b: float,
-    pump_phase: float,
-    medium: SusceptibilityProfile,
-    grid: TimeGrid,
-) -> QuadraturePair:
-    """Push one fundamental-mode realization through the pumped medium.
-
-    Synthesizes the realization plus the pump, applies the polarization
-    transfer and reads back the fundamental bin. The k=1 channel is
-    exactly linear in (x1, x2): quadratic noise products land only in the
-    DC and 2*omega bins, never back at the fundamental.
-    """
-    out = propagate_ensemble([q], pump_b, pump_phase, medium, grid)
-    return QuadraturePair(float(out[0, 0]), float(out[0, 1]))
-
-
-def fundamental_references(grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """cos(omega*t_n) and sin(omega*t_n) lock-in reference vectors."""
-    phases = grid.phases()
-    return np.cos(phases), np.sin(phases)
-
-
 def pump_trace(pump_b: float, pump_phase: float, grid: TimeGrid) -> np.ndarray:
     """Sampled second-harmonic pump field."""
-    grid.require_harmonic(2)
-    phases = grid.phases()
+    cos2, sin2 = grid.harmonic(2)
     pump = pump_carrier(pump_b, pump_phase)
-    return pump.c * np.cos(2.0 * phases) + pump.s * np.sin(2.0 * phases)
+    return pump.c * cos2 + pump.s * sin2
 
 
 def block_references(
@@ -183,7 +152,7 @@ def block_references(
     """
     block = max(1, min(CHUNK, rows))
     tiled = []
-    for row in (pump, *fundamental_references(grid)):
+    for row in (pump, *grid.harmonic(1)):
         block_row = np.tile(row, (block, 1))
         block_row.setflags(write=False)
         tiled.append(block_row)
@@ -315,7 +284,7 @@ def synthesize_moments(
 
 
 def propagate_ensemble(
-    pairs: np.ndarray | Sequence[QuadraturePair],
+    pairs: np.ndarray,
     pump_b: float,
     pump_phase: float,
     medium: SusceptibilityProfile,
@@ -347,10 +316,7 @@ def propagate_ensemble(
 
 
 def _as_pair_array(pairs) -> np.ndarray:
-    if isinstance(pairs, np.ndarray):
-        arr = np.asarray(pairs, dtype=float)
-    else:
-        arr = np.array([[q.x1, q.x2] for q in pairs], dtype=float)
+    arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("expected an (n, 2) array of quadrature pairs")
     return arr
@@ -387,7 +353,7 @@ def default_thetas(count: int = 181) -> np.ndarray:
 
 
 def variance_scan(
-    pairs: np.ndarray | Sequence[QuadraturePair], thetas: np.ndarray
+    pairs: np.ndarray, thetas: np.ndarray
 ) -> QuadratureScan:
     """Unbiased mean/variance of the rotated quadrature at each phase.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -66,16 +66,24 @@ class TimeGrid:
         """Largest harmonic order representable without aliasing."""
         return (self.samples_per_period - 1) // 2
 
-    def supports_harmonic(self, k: int) -> bool:
-        return 0 <= k < self.samples_per_period / 2
-
     def require_harmonic(self, k: int) -> None:
         """Raise ValueError unless harmonic order k is representable."""
-        if not self.supports_harmonic(k):
+        if not 0 <= k < self.samples_per_period / 2:
             raise ValueError(
                 f"harmonic k={k} aliases on a grid with "
                 f"samples_per_period={self.samples_per_period}"
             )
+
+    def harmonic(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """cos(k*omega*t_n) and sin(k*omega*t_n): the basis rows of order k.
+
+        The one place the package samples its harmonic basis; synthesis,
+        the lock-in, the pump and the block references all take it from
+        here. Raises ValueError for k < 0 or k at or above Nyquist.
+        """
+        self.require_harmonic(k)
+        phases = k * self.phases()
+        return np.cos(phases), np.sin(phases)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,24 +165,8 @@ class QuadraturePair:
         """Carrier phase phi with x1 = A*cos(phi), x2 = -A*sin(phi)."""
         return math.atan2(-self.x2, self.x1)
 
-    def projected(self, theta: float) -> float:
-        """Rotated quadrature X(theta) = x1*cos(theta) + x2*sin(theta)."""
-        return self.x1 * math.cos(theta) + self.x2 * math.sin(theta)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2])
-
-
-def quadratures_to_carrier(q: QuadraturePair) -> HarmonicComponent:
-    """Represent a quadrature pair as the fundamental (k=1) spectral line."""
-    return HarmonicComponent(k=1, c=q.x1, s=q.x2)
-
-
-def carrier_to_quadratures(component: HarmonicComponent) -> QuadraturePair:
-    """Inverse of :func:`quadratures_to_carrier`; only k=1 lines qualify."""
-    if component.k != 1:
-        raise ValueError(f"quadratures are defined for k=1 only, got k={component.k}")
-    return QuadraturePair(component.c, component.s)
 
 
 def pump_carrier(amplitude: float, phase: float = 0.0) -> HarmonicComponent:
@@ -184,20 +176,14 @@ def pump_carrier(amplitude: float, phase: float = 0.0) -> HarmonicComponent:
     )
 
 
-def synthesize(
-    carriers: Iterable[HarmonicComponent] | Sequence[HarmonicComponent],
-    grid: TimeGrid,
-) -> TimeSeries:
+def synthesize(carriers: Iterable[HarmonicComponent], grid: TimeGrid) -> TimeSeries:
     """Sum spectral lines into a sampled time series.
 
     Raises ValueError if any carrier would alias on the grid
     (k >= samples_per_period / 2).
     """
-    carriers = list(carriers)
-    for comp in carriers:
-        grid.require_harmonic(comp.k)
-    phases = grid.phases()
     values = np.zeros(grid.n_samples)
     for comp in carriers:
-        values += comp.c * np.cos(comp.k * phases) + comp.s * np.sin(comp.k * phases)
+        cos_k, sin_k = grid.harmonic(comp.k)
+        values += comp.c * cos_k + comp.s * sin_k
     return TimeSeries(grid, values)

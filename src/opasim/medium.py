@@ -86,41 +86,24 @@ def polarize(e: TimeSeries, medium: SusceptibilityProfile) -> TimeSeries:
     return TimeSeries(e.grid, polarization_values(e.values, medium))
 
 
-def normalize_output(p: TimeSeries, medium: SusceptibilityProfile) -> TimeSeries:
-    """Scale a polarization to field units: p / (eps0 * chi1).
-
-    With this convention the pump-off channel maps input to output
-    identically, which pins the vacuum reference level of the output.
-    """
-    return TimeSeries(p.grid, p.values / _output_divisor(medium))
-
-
-def _output_divisor(medium: SusceptibilityProfile) -> float:
-    if medium.chi1 <= 0.0:
-        raise ValueError("output normalization requires chi1 > 0")
-    return medium.eps0 * medium.chi1
-
-
 def transfer_values(
     values: np.ndarray,
     medium: SusceptibilityProfile,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Array form of the polarize-then-normalize channel.
+    """Output field of the medium: the polarization divided by eps0*chi1.
 
-    Performs the exact operation sequence of
-    normalize_output(polarize(...)) so that batched and per-sample paths
-    agree bitwise; ``out`` and ``scratch`` are as in polarization_values,
-    and a divisor of exactly 1.0 is skipped.
+    With this normalization the pump-off channel maps input to output
+    identically, which pins the vacuum reference level of the output;
+    it is undefined for chi1 = 0, which is rejected. ``out`` and
+    ``scratch`` are as in polarization_values, and a divisor of exactly
+    1.0 is skipped.
     """
-    divisor = _output_divisor(medium)
+    if medium.chi1 <= 0.0:
+        raise ValueError("output normalization requires chi1 > 0")
+    divisor = medium.eps0 * medium.chi1
     out = polarization_values(values, medium, out, scratch)
     if divisor != 1.0:
         out /= divisor
     return out
-
-
-def transfer(e: TimeSeries, medium: SusceptibilityProfile) -> TimeSeries:
-    """Full single-pass channel: polarize then normalize to field units."""
-    return TimeSeries(e.grid, transfer_values(e.values, medium))

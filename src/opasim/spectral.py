@@ -81,17 +81,13 @@ def lockin_extract(e: TimeSeries, k: int) -> HarmonicComponent:
 
     c = (2/N) * sum e[n] cos(k*omega*t_n) and s likewise for k >= 1
     (:func:`lockin_rows` on the one row); the DC bin is the plain mean.
-    Rejects k at or above the grid's Nyquist order, where the projection
-    would alias.
+    Rejects k < 0 and k at or above the grid's Nyquist order, where the
+    projection would alias (:meth:`TimeGrid.harmonic`).
     """
-    if k < 0:
-        raise ValueError("harmonic order k must be non-negative")
-    grid = e.grid
-    grid.require_harmonic(k)
     if k == 0:
         return HarmonicComponent(k=0, c=float(np.mean(e.values)), s=0.0)
-    phases = k * grid.phases()
-    pair = lockin_rows(e.values[None, :], np.cos(phases), np.sin(phases), grid.n_samples)
+    cos_k, sin_k = e.grid.harmonic(k)
+    pair = lockin_rows(e.values[None, :], cos_k, sin_k, e.grid.n_samples)
     return HarmonicComponent(k=k, c=float(pair[0, 0]), s=float(pair[0, 1]))
 
 
@@ -105,22 +101,19 @@ def predict_spectrum(
     b: float,
     phi: float,
     medium: SusceptibilityProfile,
-    second_order_only: bool = False,
 ) -> HarmonicSpectrum:
     """Closed-form spectrum of the polarization response, divided by eps0.
 
     The input field is A*cos(omega*t + phi) - B*cos(2*omega*t). The
     quadratic response of the medium redistributes the two input lines
     over DC, omega, 2*omega, 3*omega and 4*omega; the linear response
-    keeps the input lines in place. By default both orders are summed
-    (the omega bin is their interference, which is what parametric
-    amplification acts on); ``second_order_only`` keeps just the
-    quadratic part. Only defined for chi3 = 0.
+    keeps the input lines in place. Both orders are summed (the omega bin
+    is their interference, which is what parametric amplification acts
+    on). Only defined for chi3 = 0.
     """
     if medium.chi3 != 0.0:
         raise ValueError("closed-form spectrum is only maintained for chi3 = 0")
-    chi1 = 0.0 if second_order_only else medium.chi1
-    chi2 = medium.chi2
+    chi1, chi2 = medium.chi1, medium.chi2
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
     cos_2phi, sin_2phi = math.cos(2.0 * phi), math.sin(2.0 * phi)
     ab = a * b

@@ -8,6 +8,7 @@ command line without a test runner.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -104,12 +105,17 @@ def check_closed_form_equivalence(cfg: RunConfig) -> tuple[bool, str]:
     return True, f"1000 draws, worst deviation at {worst:.3f} of tolerance"
 
 
+def _vacuum_pairs(cfg: RunConfig) -> tuple[EnsembleConfig, np.ndarray]:
+    """10 000 vacuum draws on the configured seed, grid and convention."""
+    ens = EnsembleConfig(10_000, cfg.seed, cfg.grid(), cfg.convention())
+    return ens, sample_state_array(GaussianState.vacuum(ens.convention), ens)
+
+
 def check_oracle_equivalence(cfg: RunConfig) -> tuple[bool, str]:
     """Pipeline equals the closed-form gain map on every vacuum realization."""
     medium = SusceptibilityProfile(chi1=1.0, chi2=0.5)
     r = 0.5
-    ens = EnsembleConfig(10_000, cfg.seed, cfg.grid(), cfg.convention())
-    pairs = sample_state_array(GaussianState.vacuum(ens.convention), ens)
+    ens, pairs = _vacuum_pairs(cfg)
     out = propagate_ensemble(pairs, 1.0, 0.0, medium, ens.grid)
     expected = pairs * np.array([1.0 - r, 1.0 + r])
     worst = float(np.max(np.abs(out - expected)))
@@ -122,8 +128,7 @@ def check_one_period_lockin(cfg: RunConfig) -> tuple[bool, str]:
     The figures propagate on the configured grid, the scan on one period
     of it; both must give each vacuum realization the same k = 1 output.
     """
-    ens = EnsembleConfig(10_000, cfg.seed, cfg.grid(), cfg.convention())
-    pairs = sample_state_array(GaussianState.vacuum(ens.convention), ens)
+    ens, pairs = _vacuum_pairs(cfg)
     out = propagate_ensemble(pairs, cfg.B, cfg.pump_phase, cfg.medium, ens.grid)
     pump = pump_trace(cfg.B, cfg.pump_phase, ens.grid)
     full = np.empty_like(pairs)
@@ -136,11 +141,19 @@ def check_one_period_lockin(cfg: RunConfig) -> tuple[bool, str]:
 
 
 def check_vacuum_scan_flat(cfg: RunConfig) -> tuple[bool, str]:
-    """With the pump off the variance scan is flat at the vacuum level."""
+    """With the pump off the variance scan is flat at the vacuum level.
+
+    Runs on the configured medium without its cubic term. The cubic
+    self-term (3/4)*chi3*(x1^2 + x2^2) lands on k = 1, so an unpumped
+    Kerr medium scales each realization by its own intensity and lifts
+    the whole scan above var_zp (by about 0.33 at chi3 = 0.05): that is
+    the medium's physics, not a fault of the pipeline this check guards.
+    """
     ens = cfg.ensemble()
     var_zp = ens.convention.var_zp
     pairs = sample_state_array(GaussianState.vacuum(ens.convention), ens)
-    out = propagate_ensemble(pairs, 0.0, 0.0, cfg.medium, ens.grid)
+    medium = replace(cfg.medium, chi3=0.0)
+    out = propagate_ensemble(pairs, 0.0, 0.0, medium, ens.grid)
     scan = variance_scan(out, default_thetas(cfg.thetas))
     bound = 4.0 * math.sqrt(2.0 / (ens.n_realizations - 1))
     worst = float(np.max(np.abs(scan.variances / var_zp - 1.0)))
@@ -172,8 +185,7 @@ def check_heisenberg_symplectic(cfg: RunConfig) -> tuple[bool, str]:
 def check_determinism(cfg: RunConfig) -> tuple[bool, str]:
     """Worker count and chunk order do not change the ensemble bitwise."""
     medium = SusceptibilityProfile(chi1=1.0, chi2=0.5)
-    ens = EnsembleConfig(10_000, cfg.seed, cfg.grid(), cfg.convention())
-    pairs = sample_state_array(GaussianState.vacuum(ens.convention), ens)
+    ens, pairs = _vacuum_pairs(cfg)
     serial = propagate_ensemble(pairs, 1.0, 0.0, medium, ens.grid, workers=1)
     threaded = propagate_ensemble(pairs, 1.0, 0.0, medium, ens.grid, workers=4)
     if not np.array_equal(serial, threaded):

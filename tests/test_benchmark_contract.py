@@ -49,6 +49,16 @@ def test_every_traced_layer_is_a_callable(monkeypatch):
     assert tracing.POOL_PARENTS | {tracing.CHUNK_MARK} <= names
 
 
+def test_every_traced_validate_check_exists(monkeypatch):
+    # per-check busy_s metrics key on these names; a renamed check reads 0
+    from opasim.validate import CHECKS
+
+    tracing = _load_tracing(monkeypatch)
+    names = {name for name, _ in CHECKS}
+    assert tracing.VALIDATE_CHECKS
+    assert set(tracing.VALIDATE_CHECKS) <= names
+
+
 @pytest.mark.parametrize(
     "source, module, name", list(_opasim_imports()), ids=str
 )

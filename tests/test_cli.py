@@ -270,6 +270,14 @@ class TestValidateCommand:
         assert len(lines) == 8
         assert all(line.startswith("PASS") for line in lines)
 
+    def test_validate_passes_on_a_kerr_medium(self, capsys):
+        # the pumpless scan runs without the cubic self-term, which lifts
+        # every variance of an unpumped Kerr medium above the vacuum
+        argv = ["validate", "--chi3", "0.05", "--A", "0.5", "--pump-phase-deg", "37"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert "PASS vacuum-scan-flat" in out
+
 
 class TestOracleCommand:
     def test_report_values(self, capsys):

@@ -15,25 +15,23 @@ from opasim.ensemble import (
     block_references,
     default_thetas,
     propagate_ensemble,
-    propagate_realization,
     propagate_span,
     pump_trace,
     run_spans,
-    sample_state,
     sample_state_array,
     scan_state,
     squeezing_report,
     variance_scan,
 )
 from opasim.fields import (
+    HarmonicComponent,
     QuadraturePair,
     TimeGrid,
+    TimeSeries,
     pump_carrier,
-    quadratures_to_carrier,
     synthesize,
-    carrier_to_quadratures,
 )
-from opasim.medium import SusceptibilityProfile, normalize_output, polarize
+from opasim.medium import SusceptibilityProfile, polarization_values
 from opasim.oracle import PassGain, map_quadratures
 from opasim.spectral import lockin_extract
 
@@ -99,13 +97,6 @@ class TestSampling:
         sample_cov = np.cov(draws.T, ddof=1)
         np.testing.assert_allclose(sample_cov, cov, atol=0.03)
 
-    def test_list_wrapper_matches_array(self):
-        state = GaussianState.vacuum(VAC)
-        pairs = sample_state(state, cfg(50))
-        arr = sample_state_array(state, cfg(50))
-        assert len(pairs) == 50
-        assert pairs[7] == QuadraturePair(arr[7, 0], arr[7, 1])
-
     def test_slices_are_indexed_by_realization(self):
         state = GaussianState.vacuum(VAC)
         whole = sample_state_array(state, cfg(1000))
@@ -115,46 +106,40 @@ class TestSampling:
 
 class TestPropagation:
     def test_pump_off_is_identity(self):
-        out = propagate_realization(
-            QuadraturePair(0.7, -1.1), 0.0, 0.0, MEDIUM_R05, GRID
-        )
-        assert out.x1 == pytest.approx(0.7, abs=1e-12)
-        assert out.x2 == pytest.approx(-1.1, abs=1e-12)
+        out = propagate_ensemble(np.array([[0.7, -1.1]]), 0.0, 0.0, MEDIUM_R05, GRID)
+        assert out[0, 0] == pytest.approx(0.7, abs=1e-12)
+        assert out[0, 1] == pytest.approx(-1.1, abs=1e-12)
 
     def test_known_gain_point(self):
         # r = chi2*B/chi1 = 0.5 deamplifies x1 and amplifies x2
-        out = propagate_realization(QuadraturePair(1.0, 1.0), 1.0, 0.0, MEDIUM_R05, GRID)
-        assert out.x1 == pytest.approx(0.5, abs=1e-12)
-        assert out.x2 == pytest.approx(1.5, abs=1e-12)
+        out = propagate_ensemble(np.array([[1.0, 1.0]]), 1.0, 0.0, MEDIUM_R05, GRID)
+        assert out[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert out[0, 1] == pytest.approx(1.5, abs=1e-12)
 
     def test_deamplification_of_cosine_input(self):
-        out = propagate_realization(QuadraturePair(1.0, 0.0), 1.0, 0.0, MEDIUM_R05, GRID)
-        assert out.x1 == pytest.approx(0.5, abs=1e-12)
-        assert out.x2 == pytest.approx(0.0, abs=1e-12)
+        out = propagate_ensemble(np.array([[1.0, 0.0]]), 1.0, 0.0, MEDIUM_R05, GRID)
+        assert out[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert out[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_explicit_chain(self):
         # propagate_ensemble traces one period of the grid it is given
-        q = QuadraturePair(0.3, -0.9)
+        grid = replace(GRID, n_periods=1)
         series = synthesize(
-            [quadratures_to_carrier(q), pump_carrier(1.2, 0.4)],
-            replace(GRID, n_periods=1),
+            [HarmonicComponent(1, 0.3, -0.9), pump_carrier(1.2, 0.4)], grid
         )
-        medium = SusceptibilityProfile(chi1=1.1, chi2=0.4, eps0=1.6)
-        chain = carrier_to_quadratures(
-            lockin_extract(normalize_output(polarize(series, medium), medium), 1)
-        )
-        direct = propagate_realization(q, 1.2, 0.4, medium, GRID)
-        assert direct == chain
+        m = SusceptibilityProfile(chi1=1.1, chi2=0.4, eps0=1.6)
+        output = polarization_values(series.values, m) / (m.eps0 * m.chi1)
+        chain = lockin_extract(TimeSeries(grid, output), 1)
+        direct = propagate_ensemble(np.array([[0.3, -0.9]]), 1.2, 0.4, m, GRID)
+        assert (direct[0, 0], direct[0, 1]) == (chain.c, chain.s)
 
     def test_batch_matches_single_realizations(self):
         draws = sample_state_array(GaussianState.vacuum(VAC), cfg(40))
         batch = propagate_ensemble(draws, 1.0, 0.3, MEDIUM_R05, GRID)
         for i in range(40):
-            single = propagate_realization(
-                QuadraturePair(draws[i, 0], draws[i, 1]), 1.0, 0.3, MEDIUM_R05, GRID
-            )
-            assert batch[i, 0] == single.x1
-            assert batch[i, 1] == single.x2
+            single = propagate_ensemble(draws[i : i + 1], 1.0, 0.3, MEDIUM_R05, GRID)
+            assert batch[i, 0] == single[0, 0]
+            assert batch[i, 1] == single[0, 1]
 
     def test_worker_count_is_invisible(self):
         draws = sample_state_array(GaussianState.vacuum(VAC), cfg(9000))
@@ -174,11 +159,13 @@ class TestPropagation:
         state = GaussianState.coherent(mean_in, VAC)
         draws = sample_state_array(state, cfg(4000))
         out = propagate_ensemble(draws, 1.0, 0.0, MEDIUM_R05, GRID)
-        mean_only = propagate_realization(mean_in, 1.0, 0.0, MEDIUM_R05, GRID)
-        assert mean_only.x1 == pytest.approx(0.5 * 2.0, abs=1e-12)
-        assert mean_only.x2 == pytest.approx(1.5 * -1.0, abs=1e-12)
+        mean_only = propagate_ensemble(
+            mean_in.as_array()[None, :], 1.0, 0.0, MEDIUM_R05, GRID
+        )[0]
+        assert mean_only[0] == pytest.approx(0.5 * 2.0, abs=1e-12)
+        assert mean_only[1] == pytest.approx(1.5 * -1.0, abs=1e-12)
         # centered noise maps with the same gains, realization by realization
-        centered_out = out - mean_only.as_array()
+        centered_out = out - mean_only
         centered_in = draws - mean_in.as_array()
         np.testing.assert_allclose(
             centered_out, centered_in * np.array([0.5, 1.5]), atol=1e-10
@@ -188,10 +175,8 @@ class TestPropagation:
         medium = SusceptibilityProfile(chi1=1.0, chi2=0.3, chi3=0.05)
         draws = sample_state_array(GaussianState.vacuum(VAC), cfg(20))
         batch = propagate_ensemble(draws, 0.8, 0.0, medium, GRID)
-        single = propagate_realization(
-            QuadraturePair(draws[3, 0], draws[3, 1]), 0.8, 0.0, medium, GRID
-        )
-        assert batch[3, 0] == single.x1 and batch[3, 1] == single.x2
+        single = propagate_ensemble(draws[3:4], 0.8, 0.0, medium, GRID)
+        assert batch[3, 0] == single[0, 0] and batch[3, 1] == single[0, 1]
 
 
 class TestOnePeriod:
@@ -277,13 +262,13 @@ class TestSpanEngine:
 
 class TestVarianceScan:
     def test_identical_pairs_have_zero_variance(self):
-        pairs = [QuadraturePair(1.0, 2.0)] * 10
+        pairs = np.array([[1.0, 2.0]] * 10)
         scan = variance_scan(pairs, default_thetas(19))
         assert np.all(scan.variances == 0.0)
 
     def test_hand_computed_two_point_ensemble(self):
         # X(0) = +-1 -> unbiased variance 2; X(90deg) = 0 always
-        pairs = [QuadraturePair(1.0, 0.0), QuadraturePair(-1.0, 0.0)]
+        pairs = np.array([[1.0, 0.0], [-1.0, 0.0]])
         scan = variance_scan(pairs, np.array([0.0, math.pi / 2]))
         assert scan.variances[0] == pytest.approx(2.0)
         assert scan.variances[1] == pytest.approx(0.0, abs=1e-30)
@@ -291,7 +276,7 @@ class TestVarianceScan:
 
     def test_rejects_tiny_ensembles(self):
         with pytest.raises(ValueError):
-            variance_scan([QuadraturePair(1.0, 0.0)], default_thetas(5))
+            variance_scan(np.array([[1.0, 0.0]]), default_thetas(5))
 
     def test_matches_direct_projection_estimator(self):
         rng = np.random.default_rng(3)

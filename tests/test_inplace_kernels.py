@@ -16,7 +16,6 @@ from opasim import ensemble
 from opasim.ensemble import (
     TraceMoments,
     block_references,
-    fundamental_references,
     lockin_rows,
     propagate_span,
     pump_trace,
@@ -105,7 +104,7 @@ def traces():
 
 @pytest.fixture
 def references():
-    cos1, sin1 = fundamental_references(GRID)
+    cos1, sin1 = GRID.harmonic(1)
     return pump_trace(1.0, 0.3, GRID), cos1, sin1
 
 

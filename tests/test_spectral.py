@@ -176,18 +176,6 @@ class TestPredictSpectrum:
         spectrum = predict_spectrum(1.0, 1.0, 0.0, medium)
         assert spectrum.component(1).magnitude == pytest.approx(0.0, abs=1e-15)
 
-    def test_second_order_only_flag(self):
-        medium = SusceptibilityProfile(chi1=1.0, chi2=0.5)
-        total = predict_spectrum(1.0, 1.0, 0.3, medium)
-        quad = predict_spectrum(1.0, 1.0, 0.3, medium, second_order_only=True)
-        # linear part only feeds k = 1 and k = 2
-        assert quad.component(1).c == pytest.approx(
-            total.component(1).c - math.cos(0.3)
-        )
-        assert quad.component(2).c == pytest.approx(total.component(2).c + 1.0)
-        assert quad.component(0).c == total.component(0).c
-        assert quad.component(3).c == total.component(3).c
-
     @settings(max_examples=100, deadline=None)
     @given(
         st.floats(0, 2),
