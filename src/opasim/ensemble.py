@@ -14,6 +14,7 @@ reproducible regardless of chunking, evaluation order or worker count.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -48,8 +49,13 @@ class VacuumConvention:
     var_zp: float = 1.0
 
     def __post_init__(self):
-        if not self.var_zp > 0.0:
-            raise ValueError("var_zp must be positive")
+        var_zp = float(self.var_zp)
+        # var_zp**2 is the vacuum uncertainty product that reports divide by;
+        # a subnormal one has lost bits, so it must be a normal float
+        if not (var_zp > 0.0 and sys.float_info.min <= var_zp * var_zp < math.inf):
+            raise ValueError(
+                f"var_zp must be positive with a finite, normal square, got {self.var_zp!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,7 @@ class GaussianState:
         if (
             cov[0, 0] < -_PSD_SLACK * scale
             or cov[1, 1] < -_PSD_SLACK * scale
-            or det < -_PSD_SLACK * scale**2
+            or det < -_PSD_SLACK * scale * scale  # inf, not OverflowError
         ):
             raise ValueError("cov must be positive semi-definite")
         cov.setflags(write=False)
@@ -225,21 +231,6 @@ class TraceMoments:
         self.sums = np.stack((rows.sum(axis=0), squares.sum(axis=0)))
 
 
-def _blocks(pairs: np.ndarray, references: tuple[np.ndarray, ...], buffers: int):
-    """Yield (rows, references, buffers) for each block of a span.
-
-    The block size is the row count of the block references. Each block
-    gets them and ``buffers`` arrays, allocated once per span and reused,
-    all cut to its rows; the buffers are C-contiguous.
-    """
-    block, n_samples = references[0].shape
-    full = [np.empty((min(block, len(pairs)), n_samples)) for _ in range(buffers)]
-    for lo in range(0, len(pairs), block):
-        rows = slice(lo, min(lo + block, len(pairs)))
-        count = rows.stop - lo
-        yield rows, [r[:count] for r in references], [b[:count] for b in full]
-
-
 def propagate_span(
     pairs: np.ndarray,
     pump: np.ndarray,
@@ -247,40 +238,30 @@ def propagate_span(
     sin1: np.ndarray,
     medium: SusceptibilityProfile,
     out: np.ndarray,
-    moments: tuple[TraceMoments, TraceMoments] | None = None,
+    moments: TraceMoments | None = None,
 ) -> None:
     """Propagate a span of realizations block by block; (c, s) into out.
 
     ``pump``, ``cos1`` and ``sin1`` are block references
-    (:func:`block_references`). Every operation is elementwise or a
-    per-row reduction, so each row equals running that realization
-    through synthesize -> polarize -> normalize -> lock-in on its own,
-    whatever the blocking. Given ``moments=(inputs, outputs)``, each
-    block's input and output traces are added to them.
+    (:func:`block_references`); the block size is their row count. Every
+    operation is elementwise or a per-row reduction, so each row equals
+    running that realization through synthesize -> polarize -> normalize
+    -> lock-in on its own, whatever the blocking. Given ``moments``, each
+    block's output traces are added to it.
     """
-    n_samples = cos1.shape[1]
-    blocks = _blocks(pairs, (pump, cos1, sin1), 3)
-    for rows, (pump_b, cos_b, sin_b), (e_in, e_out, scratch) in blocks:
+    block, n_samples = cos1.shape
+    buffers = [np.empty((min(block, len(pairs)), n_samples)) for _ in range(3)]
+    for lo in range(0, len(pairs), block):
+        rows = slice(lo, min(lo + block, len(pairs)))
+        count = rows.stop - lo
+        pump_b, cos_b, sin_b, e_in, e_out, scratch = (
+            a[:count] for a in (pump, cos1, sin1, *buffers)
+        )
         synthesize_rows(pairs[rows], pump_b, cos_b, sin_b, out=e_in, scratch=scratch)
         transfer_values(e_in, medium, out=e_out, scratch=scratch)
         lockin_rows(e_out, cos_b, sin_b, n_samples, out=out[rows], scratch=scratch)
         if moments is not None:
-            moments[0].add(e_in, scratch)
-            moments[1].add(e_out, scratch)
-
-
-def synthesize_moments(
-    pairs: np.ndarray, pump: np.ndarray, cos1: np.ndarray, sin1: np.ndarray
-) -> TraceMoments:
-    """Moments of the input traces of a span, synthesized block by block.
-
-    The references are block references, as for :func:`propagate_span`.
-    """
-    moments = TraceMoments()
-    for rows, refs, (e_in, scratch) in _blocks(pairs, (pump, cos1, sin1), 2):
-        synthesize_rows(pairs[rows], *refs, out=e_in, scratch=scratch)
-        moments.add(e_in, scratch)
-    return moments
+            moments.add(e_out, scratch)
 
 
 def propagate_ensemble(
@@ -372,6 +353,28 @@ def variance_scan(
     s22 = float((centered[:, 1] * centered[:, 1]).sum()) / (n - 1)
     s12 = float((centered[:, 0] * centered[:, 1]).sum()) / (n - 1)
     return _project(mean, ((s11, s12), (s12, s22)), thetas)
+
+
+def pair_sums(pairs: np.ndarray) -> np.ndarray:
+    """(sum x1, sum x2, sum x1^2, sum x1*x2, sum x2^2) of an (n, 2) array.
+
+    Elementwise products and ``sum``, not a BLAS dot, whose bits would
+    depend on its blocking.
+    """
+    x1, x2 = pairs[:, 0], pairs[:, 1]
+    return np.array([x1.sum(), x2.sum(), (x1 * x1).sum(), (x1 * x2).sum(), (x2 * x2).sum()])
+
+
+def sums_scan(sums: np.ndarray, n: int, thetas: np.ndarray) -> QuadratureScan:
+    """Scan of n pairs from their :func:`pair_sums`.
+
+    The sample mean and covariance (n-1 divisor) go through the same
+    projection as in :func:`variance_scan`.
+    """
+    s1, s2, s11, s12, s22 = sums
+    c12 = (s12 - s1 * s2 / n) / (n - 1)
+    cov = (((s11 - s1 * s1 / n) / (n - 1), c12), (c12, (s22 - s2 * s2 / n) / (n - 1)))
+    return _project((s1 / n, s2 / n), cov, thetas)
 
 
 def scan_state(state: GaussianState, thetas: np.ndarray) -> QuadratureScan:

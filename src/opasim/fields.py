@@ -103,11 +103,6 @@ class TimeSeries:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    def __add__(self, other: "TimeSeries") -> "TimeSeries":
-        if other.grid != self.grid:
-            raise ValueError("cannot add series on different grids")
-        return TimeSeries(self.grid, self.values + other.values)
-
     def mean_square(self) -> float:
         return float(np.mean(self.values**2))
 

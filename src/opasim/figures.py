@@ -1,10 +1,13 @@
 """Plot-ready data for the illustration figures.
 
 Every figure is emitted as one or more CSV tables. Time-domain tables
-carry the ensemble-mean trace plus a mean +- band_sigma*std envelope,
-computed pointwise in time over the full set of realizations (for the
-pumped figures, over complete pipeline output traces, not a
-reconstruction from the closed-form map).
+carry the ensemble-mean trace plus a mean +- band_sigma*std envelope.
+An input band is the ensemble's sample covariance (n-1 divisor)
+projected at theta = omega*t, which is algebraically the pointwise
+sample variance of the input traces, so no input trace is synthesized
+for it. Output bands (fig2, fig3) are pointwise in time over the
+complete pipeline output traces, not a reconstruction from the
+closed-form map.
 
 Figures
 -------
@@ -33,11 +36,12 @@ from .ensemble import (
     TraceMoments,
     VacuumConvention,
     block_references,
+    pair_sums,
     propagate_span,
     pump_trace,
     run_spans,
     sample_state_array,
-    synthesize_moments,
+    sums_scan,
     variance_scan,
 )
 from .fields import QuadraturePair
@@ -58,6 +62,12 @@ class FigureTable:
     def __post_init__(self):
         if len(self.header) != len(self.columns):
             raise ValueError("one header entry per column required")
+        for label, column in zip(self.header, self.columns):
+            finite = np.isfinite(column)
+            if label == "squeeze_db":
+                finite |= column == -np.inf  # an exactly zero variance
+            if not finite.all():
+                raise ValueError(f"table {self.name}: column {label} is not finite")
 
 
 def scan_table(
@@ -77,36 +87,32 @@ def scan_table(
 
 
 def figure_state(name: str, cfg: RunConfig) -> GaussianState:
-    """The Gaussian state displayed by a fig1 panel."""
+    """The Gaussian state a figure shows (fig1) or sends through the medium."""
     convention = cfg.convention()
-    if name == "fig1a":
+    if name in ("fig1a", "fig2"):
         return GaussianState.vacuum(convention)
+    if name == "fig3":
+        # fundamental extrema on the pump minima: phi = 0 by construction
+        return _coherent(cfg, QuadraturePair(cfg.A, 0.0))
+    carrier = QuadraturePair.from_amplitude_phase(cfg.A, cfg.phi)
     if name == "fig1c":
-        return GaussianState.coherent(_displacement(cfg), convention)
+        return _coherent(cfg, carrier)
     gain = PassGain(cfg.pump_ratio, cfg.mode)
     if name == "fig1b":
         return single_pass(GaussianState.vacuum(convention), gain, cfg.pump_phase)
     if name == "fig1d":
-        return single_pass(
-            GaussianState.coherent(_displacement(cfg), convention),
-            gain,
-            cfg.pump_phase + math.pi,
-        )
+        return single_pass(_coherent(cfg, carrier), gain, cfg.pump_phase + math.pi)
     if name == "fig1e":
-        return single_pass(
-            GaussianState.coherent(_displacement(cfg), convention),
-            gain,
-            cfg.pump_phase,
-        )
+        return single_pass(_coherent(cfg, carrier), gain, cfg.pump_phase)
     raise ValueError(f"unknown figure state {name!r}")
 
 
-def _displacement(cfg: RunConfig) -> QuadraturePair:
+def _coherent(cfg: RunConfig, mean: QuadraturePair) -> GaussianState:
     if cfg.A == 0.0:
         raise ValueError(
             "this figure needs a coherent input: set a non-zero amplitude A"
         )
-    return QuadraturePair.from_amplitude_phase(cfg.A, cfg.phi)
+    return GaussianState.coherent(mean, cfg.convention())
 
 
 def emit_figure(name: str, cfg: RunConfig, workers: int = 1) -> list[FigureTable]:
@@ -118,11 +124,8 @@ def emit_figure(name: str, cfg: RunConfig, workers: int = 1) -> list[FigureTable
     return _pipeline_tables(name, cfg, workers)
 
 
-def _envelope_columns(times: np.ndarray, sums: np.ndarray, n: int, band_sigma: float):
-    """Mean, std and band of n traces from their (sum, sum of squares) rows."""
-    total1, total2 = sums
-    mean = total1 / n
-    var = np.maximum((total2 - total1 * total1 / n) / (n - 1), 0.0)
+def _envelope_columns(times, mean: np.ndarray, var: np.ndarray, band_sigma: float):
+    """t, mean, std and the mean -+ band_sigma*std band."""
     std = np.sqrt(var)
     return (times, mean, std, mean - band_sigma * std, mean + band_sigma * std)
 
@@ -134,45 +137,40 @@ def _state_trace_table(name: str, cfg: RunConfig, workers: int) -> FigureTable:
     state = figure_state(name, cfg)
     grid = cfg.grid()
     ens = cfg.ensemble()
-    refs = block_references(np.zeros(grid.n_samples), grid, ens.n_realizations)
 
     def work(start, count):
-        pairs = sample_state_array(state, ens, start, count)
-        return synthesize_moments(pairs, *refs).sums
+        return pair_sums(sample_state_array(state, ens, start, count))
 
     sums = reduce(np.add, run_spans(work, ens.n_realizations, workers))
-    columns = _envelope_columns(grid.times(), sums, ens.n_realizations, cfg.band_sigma)
+    band = sums_scan(sums, ens.n_realizations, grid.phases())
+    columns = _envelope_columns(grid.times(), band.means, band.variances, cfg.band_sigma)
     return FigureTable(name, _TRACE_HEADER, columns)
 
 
 def _pipeline_tables(name: str, cfg: RunConfig, workers: int) -> list[FigureTable]:
+    state = figure_state(name, cfg)
     grid = cfg.grid()
     ens = cfg.ensemble()
     convention = cfg.convention()
-    if name == "fig2":
-        state = GaussianState.vacuum(convention)
-    else:
-        # fundamental extrema on the pump minima: phi = 0 by construction
-        if cfg.A == 0.0:
-            raise ValueError("fig3 needs a coherent input: set a non-zero amplitude A")
-        state = GaussianState.coherent(QuadraturePair(cfg.A, 0.0), convention)
-
     require_alias_free(grid, cfg.medium)
     n = ens.n_realizations
-    refs = block_references(pump_trace(cfg.B, cfg.pump_phase, grid), grid, n)
+    pump = pump_trace(cfg.B, cfg.pump_phase, grid)
+    refs = block_references(pump, grid, n)
     out_pairs = np.empty((n, 2))
 
     def work(start, count):
         pairs = sample_state_array(state, ens, start, count)
-        inputs, outputs = TraceMoments(), TraceMoments()
-        rows = out_pairs[start : start + count]
-        propagate_span(pairs, *refs, cfg.medium, rows, (inputs, outputs))
-        return np.concatenate((inputs.sums, outputs.sums))
+        outputs = TraceMoments()
+        propagate_span(pairs, *refs, cfg.medium, out_pairs[start : start + count], outputs)
+        return np.concatenate((pair_sums(pairs), outputs.sums.ravel()))
 
     sums = reduce(np.add, run_spans(work, n, workers))
     times = grid.times()
-    input_cols = _envelope_columns(times, sums[:2], n, cfg.band_sigma)
-    output_cols = _envelope_columns(times, sums[2:], n, cfg.band_sigma)
+    band = sums_scan(sums[:5], n, grid.phases())
+    input_cols = _envelope_columns(times, band.means + pump, band.variances, cfg.band_sigma)
+    total1, total2 = sums[5:].reshape(2, -1)
+    var = np.maximum((total2 - total1 * total1 / n) / (n - 1), 0.0)
+    output_cols = _envelope_columns(times, total1 / n, var, cfg.band_sigma)
 
     thetas = np.linspace(0.0, 2.0 * math.pi, 2 * cfg.thetas - 1)
     scan = variance_scan(out_pairs, thetas)

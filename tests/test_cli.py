@@ -376,3 +376,46 @@ class TestRunGuards:
         code, out, _ = run_cli(["scan", "--n-realizations", "2000", *grid], capsys)
         assert code == 0
         assert len(out.strip().splitlines()) == 182
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--A", "1e200"],
+            ["figure", "fig1c", "--A", "1e200"],
+            ["figure", "fig2", "--A", "1e200"],  # the characteristic overflows
+            ["figure", "fig2", "--band-sigma", "1e308"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_table_is_config_error(self, argv, tmp_path, capsys):
+        if argv[0] == "scan":
+            target = ["-o", str(tmp_path / "x.csv")]
+        else:
+            target = ["--outdir", str(tmp_path)]
+        code, out, err = run_cli([*argv, "--n-realizations", "1000", *target], capsys)
+        assert code == 2
+        assert out == "" and list(tmp_path.iterdir()) == []
+        assert "error: table " in err and "is not finite" in err
+
+    @pytest.mark.parametrize("var_zp", ["1e-200", "1e-160", "1e300"])
+    @pytest.mark.parametrize(
+        "command", [["scan"], ["figure", "fig2"], ["oracle"], ["validate"]], ids=" ".join
+    )
+    def test_var_zp_without_a_finite_square_is_config_error(
+        self, command, var_zp, tmp_path, capsys
+    ):
+        # var_zp**2, the vacuum uncertainty product, underflows to zero,
+        # turns subnormal or overflows
+        argv = [*command, "--var-zp", var_zp]
+        if command[0] == "figure":
+            argv += ["--outdir", str(tmp_path)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == "" and list(tmp_path.iterdir()) == []
+        assert "error: var_zp must be positive with a finite, normal square" in err
+
+    def test_oracle_runs_near_the_largest_var_zp(self, capsys):
+        code, out, _ = run_cli(["oracle", "--var-zp", "1e154"], capsys)
+        assert code == 0
+        assert "det cov / var_zp^2  = 0.5625" in out

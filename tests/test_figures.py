@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opasim.config import RunConfig, with_overrides
+from opasim.ensemble import SPAN, pump_trace, sample_state_array
 from opasim.figures import FIGURE_NAMES, emit_figure, figure_state
 from opasim.fields import TimeSeries
 from opasim.spectral import full_spectrum
@@ -29,6 +30,14 @@ class TestFigureStates:
         state = figure_state("fig1c", small_cfg(A=3.0))
         assert state.mean.x1 == pytest.approx(3.0)
         assert np.array_equal(state.cov, np.eye(2))
+
+    def test_pipeline_inputs(self):
+        assert np.array_equal(figure_state("fig2", small_cfg()).cov, np.eye(2))
+        with pytest.raises(ValueError, match="coherent"):
+            figure_state("fig3", small_cfg())
+        # phi = 0 exactly: a +0.0 sine quadrature, not the -0.0 of -A*sin(0)
+        mean = figure_state("fig3", small_cfg(A=3.0)).mean.as_array()
+        assert np.array_equal(mean.view(np.uint64), np.array([3.0, 0.0]).view(np.uint64))
 
     def test_bright_panels_squeeze_opposite_quadratures(self):
         amp = figure_state("fig1e", small_cfg(A=3.0))
@@ -65,6 +74,33 @@ class TestStateTraces:
         (table,) = emit_figure("fig1a", cfg)
         _, mean, std, lower, upper = table.columns
         np.testing.assert_allclose(upper, mean + 2.0 * std, atol=1e-12)
+
+
+INPUT_VARIANTS = {
+    "defaults": {},
+    "kerr": {"chi3": 0.05},
+    "pump-phase-37": {"pump_phase_deg": 37.0},
+    "symplectic": {"mode": "symplectic"},
+}
+
+
+@pytest.mark.parametrize("variant", list(INPUT_VARIANTS))
+@pytest.mark.parametrize("name", FIGURE_NAMES)
+def test_input_band_matches_synthesized_traces(name, variant):
+    # the band comes from the pairs' moments; here the traces are built
+    # and their pointwise statistics taken directly
+    cfg = small_cfg(n_realizations=2 * SPAN + 1, A=3.0, **INPUT_VARIANTS[variant])
+    _, mean, std, _, _ = emit_figure(name, cfg)[0].columns
+    grid = cfg.grid()
+    pairs = sample_state_array(figure_state(name, cfg), cfg.ensemble())
+    cos1, sin1 = grid.harmonic(1)
+    traces = pairs[:, 0:1] * cos1 + pairs[:, 1:2] * sin1
+    if not name.startswith("fig1"):
+        traces += pump_trace(cfg.B, cfg.pump_phase, grid)
+    want_mean = traces.mean(axis=0)
+    bound = 1e-13 * np.maximum(1.0, np.abs(want_mean))
+    assert np.all(np.abs(mean - want_mean) <= bound)
+    assert np.all(np.abs(std - traces.std(axis=0, ddof=1)) <= bound)
 
 
 class TestPipelineFigures:

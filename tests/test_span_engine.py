@@ -35,19 +35,22 @@ GOLDEN = {
         "scan.csv": "f523a4b97853891868fa28614b3ed73beb8efc398293ed0c700c467da1bd5334",
     },
     ("figure", "fig2"): {
-        "fig2_input.csv": "855eb85fd0b1aca19b5883717b49034647bbf031727e3db28dbd1de4374083ba",
+        # re-recorded when the input bands became the pairs' projected covariance
+        "fig2_input.csv": "de0f26491056295cd09c6e10038d99a0af997010bf1049ac10d26652aa535ab6",
         "fig2_characteristic.csv": "0ccd5c33334b0e9e7bffd09b77abf9e6b7663f258d2ab30d935970ac8c202af9",
         "fig2_output.csv": "cf57387d4bcd6763f9375104029dcbb058d399e15442a10f59c405d9a7c46c1c",
         "fig2_scan.csv": "8299f593be817aa9d8e14c135342bf092538c139aa0b0de18003c4cfad79f3ef",
     },
     ("figure", "fig3", "--A", "0.8"): {
-        "fig3_input.csv": "518c3d5a52dfc83aea1f83aae2bb892fd3becec0e14603ee5d44a796e2941cd4",
+        # re-recorded when the input bands became the pairs' projected covariance
+        "fig3_input.csv": "38fe3dfc9372435164ca2ac3d57dab0348f475579fb6c14d6b20545cba76cf61",
         "fig3_characteristic.csv": "e549ace235f7d6509cde51cf2cff0f3ba1f7d91319166c12e8cef38fca54f332",
         "fig3_output.csv": "1c028b7cb42e3f4db299ff6532e2dcd21f9eddb2bb692967a8709e9a97ca1b19",
         "fig3_scan.csv": "3d449b6121c2cda6bfe35e146d5550351b321702d7b4a15239d2eac3d2fdbe21",
     },
+    # re-recorded when the input bands became the pairs' projected covariance
     ("figure", "fig1b"): {
-        "fig1b.csv": "02b8afc596ea0cc5ef209dc708df1494b7e9ceeddd54bc4eaf04010651c104d6",
+        "fig1b.csv": "67ab9e18377fb5f67736ea5bd1f4ad6e0999a03803ac8ac8e8265141cb7835bd",
     },
     # recorded before the oracle's state and array maps became one matrix map
     ("scan", "--mode", "symplectic"): {
@@ -57,11 +60,13 @@ GOLDEN = {
     ("scan", "--mode", "symplectic", "--pump-phase-deg", "37"): {
         "scan.csv": "be7feafd638f357eb7b485ee156b81687f5a153ca6265268aefce29d307c1d5e",
     },
+    # re-recorded when the input bands became the pairs' projected covariance
     ("figure", "fig1d", "--A", "1.5"): {
-        "fig1d.csv": "4ed67a5a2b567e60209832ed2445ff3e7b4ac9027f9f4ffd2d31a8ee77218844",
+        "fig1d.csv": "268e0c1e61e6a8dddc66ee18a11073e8e1be0a74b7564edd88a7dbd34bee88f7",
     },
+    # re-recorded when the input bands became the pairs' projected covariance
     ("figure", "fig1e", "--A", "1.5"): {
-        "fig1e.csv": "9823af0b8556cbdd69c10be3ec7bccd6e048c4e8f993923ae97dd4042720e42c",
+        "fig1e.csv": "3ac6ad9b1fc1375863d33f21b3e396d195a6fb7ec0cb37821ad14a30ffafd3f8",
     },
 }
 
