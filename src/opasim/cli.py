@@ -180,11 +180,12 @@ def _summary_line(report) -> str:
 
 def cmd_scan(args) -> int:
     cfg = _load_config(args)
-    out_pairs = _scan_pairs(cfg, args.workers)
-    thetas = default_thetas(cfg.thetas)
-    scan = variance_scan(out_pairs, thetas)
-    convention = cfg.convention()
-    table = scan_table("scan", scan, convention)
+    # a non-finite table exits 2 naming its column; numpy's own warnings
+    # would only print ahead of that message
+    with np.errstate(over="ignore", invalid="ignore"):
+        scan = variance_scan(_scan_pairs(cfg, args.workers), default_thetas(cfg.thetas))
+        convention = cfg.convention()
+        table = scan_table("scan", scan, convention)
     if args.output:
         with open(args.output, "w", newline="\n") as stream:
             write_csv(stream, table.header, table.columns)
@@ -197,7 +198,10 @@ def cmd_scan(args) -> int:
 
 def cmd_figure(args) -> int:
     cfg = _load_config(args)
-    write_tables(emit_figure(args.name, cfg, workers=args.workers), Path(args.outdir))
+    # as in cmd_scan, a non-finite table is reported by its own error
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = emit_figure(args.name, cfg, workers=args.workers)
+    write_tables(tables, Path(args.outdir))
     return 0
 
 

@@ -13,6 +13,7 @@ reproducible regardless of chunking, evaluation order or worker count.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -26,13 +27,15 @@ from .fields import QuadraturePair, TimeGrid, pump_carrier
 from .medium import SusceptibilityProfile, require_alias_free, transfer_values
 from .spectral import lockin_rows
 
-# rows per kernel block; results do not depend on it. On the default 64x4
-# grid a (CHUNK, n_samples) float64 array is 512 KiB and a span works on six
-# (three buffers, three block references): 3 MiB, while one pass touches at
-# most three (1.5 MiB, inside a 2 MiB L2). 128 rows would fit all six but
-# doubles the per-block Python work that a figure's pool threads serialize
-# on; measured on a 2-vCPU VM, 128 ran scan 13% faster and fig2 26% slower.
-# (That scan traced four periods; its one-period blocks are a quarter as big.)
+# rows per kernel block; results do not depend on it. The scan and the figure
+# pipelines trace one period, so on the default grid a (CHUNK, 64) float64
+# array is 128 KiB and a span's six (three buffers, three block references)
+# take 768 KiB. Fewer, larger blocks cut the per-block Python work that a
+# figure's pool threads serialize on, but not the scan's time. Interleaved
+# in-process sweep at 1e6 rows (2-vCPU VM, medians of 5) at 128/256/512/1024
+# rows: scan propagation on 1 worker 0.69/0.57/0.59/0.64 s, fig2 on 2 workers
+# 2.20/1.77/1.25/1.17 s. 256 is the scan's optimum; a block size that depends
+# on the worker count would be a separate change.
 CHUNK = 256
 
 # rows per unit of pool work, and per group of the figure moment sums; fixed,
@@ -147,6 +150,19 @@ def pump_trace(pump_b: float, pump_phase: float, grid: TimeGrid) -> np.ndarray:
     return pump.c * cos2 + pump.s * sin2
 
 
+def period_references(
+    pump_b: float, pump_phase: float, grid: TimeGrid, rows: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`block_references` of the pump on one fundamental period of grid.
+
+    The input field and the pump repeat every period and the medium is
+    memoryless, so every later period of an output trace repeats the first,
+    and the k = 1 lock-in is exact on one period.
+    """
+    period = replace(grid, n_periods=1)
+    return block_references(pump_trace(pump_b, pump_phase, period), period, rows)
+
+
 def block_references(
     pump: np.ndarray, grid: TimeGrid, rows: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -196,7 +212,9 @@ def run_spans(work, n: int, workers: int = 1) -> list:
     """Ordered map of ``work(start, count)`` over the SPAN-row spans of n rows.
 
     Results come back in span order for any worker count, so outputs
-    never depend on ``workers``. The pool has at most one thread per span.
+    never depend on ``workers``. The pool has at most one thread per span,
+    and each span runs in a copy of the caller's context, so the threads
+    keep the caller's ``np.errstate``.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -204,8 +222,13 @@ def run_spans(work, n: int, workers: int = 1) -> list:
     counts = [min(SPAN, n - start) for start in starts]
     if workers == 1 or len(starts) < 2:
         return list(map(work, starts, counts))
+    context = contextvars.copy_context()
+
+    def in_context(start, count):
+        return context.copy().run(work, start, count)
+
     with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-        return list(pool.map(work, starts, counts))
+        return list(pool.map(in_context, starts, counts))
 
 
 class TraceMoments:
@@ -225,10 +248,13 @@ class TraceMoments:
         The squares go to ``scratch`` when given.
         """
         squares = np.multiply(rows, rows, out=scratch)
-        if self.sums is not None:
+        if self.sums is None:
+            self.sums = np.empty((2, rows.shape[1]))
+        else:
             rows[0] += self.sums[0]
             squares[0] += self.sums[1]
-        self.sums = np.stack((rows.sum(axis=0), squares.sum(axis=0)))
+        rows.sum(axis=0, out=self.sums[0])
+        squares.sum(axis=0, out=self.sums[1])
 
 
 def propagate_span(
@@ -275,17 +301,14 @@ def propagate_ensemble(
     """Propagate an (n, 2) ensemble through the medium, optionally threaded.
 
     The traces span one fundamental period of ``grid``, whatever its
-    ``n_periods``: the input field and the medium's response repeat every
-    period, and the k = 1 lock-in is exact on any whole number of periods,
-    so further periods only repeat the same projection. The result is
-    therefore bitwise independent of ``grid.n_periods``. Spans run through
+    ``n_periods`` (:func:`period_references`), so the result is bitwise
+    independent of ``grid.n_periods``. Spans run through
     :func:`run_spans` and write their rows in place, so it is bitwise
     independent of ``workers`` and of CHUNK too.
     """
     pairs = _as_pair_array(pairs)
     require_alias_free(grid, medium)
-    grid = replace(grid, n_periods=1)
-    refs = block_references(pump_trace(pump_b, pump_phase, grid), grid, len(pairs))
+    refs = period_references(pump_b, pump_phase, grid, len(pairs))
     out = np.empty_like(pairs)
 
     def work(start, count):
@@ -355,18 +378,23 @@ def variance_scan(
     return _project(mean, ((s11, s12), (s12, s22)), thetas)
 
 
-def pair_sums(pairs: np.ndarray) -> np.ndarray:
-    """(sum x1, sum x2, sum x1^2, sum x1*x2, sum x2^2) of an (n, 2) array.
+def pair_sums(pairs: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """(sum y1, sum y2, sum y1^2, sum y1*y2, sum y2^2) of y = pairs - center.
 
+    ``center`` is the sampled state's exact mean: the sums of squares of
+    uncentred bright pairs would cancel in :func:`sums_scan` and lose the
+    variance. A zero center leaves every pair's bits as they are.
     Elementwise products and ``sum``, not a BLAS dot, whose bits would
     depend on its blocking.
     """
-    x1, x2 = pairs[:, 0], pairs[:, 1]
-    return np.array([x1.sum(), x2.sum(), (x1 * x1).sum(), (x1 * x2).sum(), (x2 * x2).sum()])
+    y1, y2 = pairs[:, 0] - center[0], pairs[:, 1] - center[1]
+    return np.array([y1.sum(), y2.sum(), (y1 * y1).sum(), (y1 * y2).sum(), (y2 * y2).sum()])
 
 
-def sums_scan(sums: np.ndarray, n: int, thetas: np.ndarray) -> QuadratureScan:
-    """Scan of n pairs from their :func:`pair_sums`.
+def sums_scan(
+    sums: np.ndarray, n: int, center: np.ndarray, thetas: np.ndarray
+) -> QuadratureScan:
+    """Scan of n pairs from their :func:`pair_sums` about ``center``.
 
     The sample mean and covariance (n-1 divisor) go through the same
     projection as in :func:`variance_scan`.
@@ -374,7 +402,7 @@ def sums_scan(sums: np.ndarray, n: int, thetas: np.ndarray) -> QuadratureScan:
     s1, s2, s11, s12, s22 = sums
     c12 = (s12 - s1 * s2 / n) / (n - 1)
     cov = (((s11 - s1 * s1 / n) / (n - 1), c12), (c12, (s22 - s2 * s2 / n) / (n - 1)))
-    return _project((s1 / n, s2 / n), cov, thetas)
+    return _project((s1 / n + center[0], s2 / n + center[1]), cov, thetas)
 
 
 def scan_state(state: GaussianState, thetas: np.ndarray) -> QuadratureScan:

@@ -5,9 +5,13 @@ carry the ensemble-mean trace plus a mean +- band_sigma*std envelope.
 An input band is the ensemble's sample covariance (n-1 divisor)
 projected at theta = omega*t, which is algebraically the pointwise
 sample variance of the input traces, so no input trace is synthesized
-for it. Output bands (fig2, fig3) are pointwise in time over the
-complete pipeline output traces, not a reconstruction from the
-closed-form map.
+for it. Output bands (fig2, fig3) are pointwise in time over one
+fundamental period of the pipeline output traces, repeated over the
+grid's periods: the input field and the pump repeat every period and the
+medium is memoryless, so every period of an output trace repeats the
+first, and the k = 1 lock-in behind the scan is exact on one period.
+They are taken from the traces, not reconstructed from the closed-form
+map.
 
 Figures
 -------
@@ -35,8 +39,8 @@ from .ensemble import (
     QuadratureScan,
     TraceMoments,
     VacuumConvention,
-    block_references,
     pair_sums,
+    period_references,
     propagate_span,
     pump_trace,
     run_spans,
@@ -137,12 +141,13 @@ def _state_trace_table(name: str, cfg: RunConfig, workers: int) -> FigureTable:
     state = figure_state(name, cfg)
     grid = cfg.grid()
     ens = cfg.ensemble()
+    center = state.mean.as_array()
 
     def work(start, count):
-        return pair_sums(sample_state_array(state, ens, start, count))
+        return pair_sums(sample_state_array(state, ens, start, count), center)
 
     sums = reduce(np.add, run_spans(work, ens.n_realizations, workers))
-    band = sums_scan(sums, ens.n_realizations, grid.phases())
+    band = sums_scan(sums, ens.n_realizations, center, grid.phases())
     columns = _envelope_columns(grid.times(), band.means, band.variances, cfg.band_sigma)
     return FigureTable(name, _TRACE_HEADER, columns)
 
@@ -154,21 +159,23 @@ def _pipeline_tables(name: str, cfg: RunConfig, workers: int) -> list[FigureTabl
     convention = cfg.convention()
     require_alias_free(grid, cfg.medium)
     n = ens.n_realizations
-    pump = pump_trace(cfg.B, cfg.pump_phase, grid)
-    refs = block_references(pump, grid, n)
+    center = state.mean.as_array()
+    refs = period_references(cfg.B, cfg.pump_phase, grid, n)
     out_pairs = np.empty((n, 2))
 
     def work(start, count):
         pairs = sample_state_array(state, ens, start, count)
         outputs = TraceMoments()
         propagate_span(pairs, *refs, cfg.medium, out_pairs[start : start + count], outputs)
-        return np.concatenate((pair_sums(pairs), outputs.sums.ravel()))
+        return np.concatenate((pair_sums(pairs, center), outputs.sums.ravel()))
 
     sums = reduce(np.add, run_spans(work, n, workers))
     times = grid.times()
-    band = sums_scan(sums[:5], n, grid.phases())
+    band = sums_scan(sums[:5], n, center, grid.phases())
+    pump = pump_trace(cfg.B, cfg.pump_phase, grid)
     input_cols = _envelope_columns(times, band.means + pump, band.variances, cfg.band_sigma)
-    total1, total2 = sums[5:].reshape(2, -1)
+    # the output sums cover one period; every period of the traces repeats it
+    total1, total2 = np.tile(sums[5:].reshape(2, -1), grid.n_periods)
     var = np.maximum((total2 - total1 * total1 / n) / (n - 1), 0.0)
     output_cols = _envelope_columns(times, total1 / n, var, cfg.band_sigma)
 

@@ -125,8 +125,9 @@ def check_oracle_equivalence(cfg: RunConfig) -> tuple[bool, str]:
 def check_one_period_lockin(cfg: RunConfig) -> tuple[bool, str]:
     """One-period ensemble propagation equals the configured-grid lock-in.
 
-    The figures propagate on the configured grid, the scan on one period
-    of it; both must give each vacuum realization the same k = 1 output.
+    The scan and the figures propagate on one period of the configured
+    grid; that must give each vacuum realization the k = 1 output of the
+    whole grid.
     """
     ens, pairs = _vacuum_pairs(cfg)
     out = propagate_ensemble(pairs, cfg.B, cfg.pump_phase, cfg.medium, ens.grid)

@@ -382,7 +382,9 @@ class TestRunGuards:
         "argv",
         [
             ["scan", "--A", "1e200"],
-            ["figure", "fig1c", "--A", "1e200"],
+            # a bright band is centred on the state's mean and stays finite
+            # at any A; std = 2 makes the envelope overflow
+            ["figure", "fig1c", "--A", "1", "--var-zp", "4", "--band-sigma", "1e308"],
             ["figure", "fig2", "--A", "1e200"],  # the characteristic overflows
             ["figure", "fig2", "--band-sigma", "1e308"],
         ],
@@ -397,6 +399,30 @@ class TestRunGuards:
         assert code == 2
         assert out == "" and list(tmp_path.iterdir()) == []
         assert "error: table " in err and "is not finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "fig2", "--band-sigma", "1e308"],
+            # overflows in the pool threads, which keep the caller's errstate
+            ["scan", "--A", "1e200", "--workers", "2"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_table_prints_only_the_error(self, argv, tmp_path):
+        # pytest collects warnings itself, so stderr is read from a fresh process
+        if argv[0] == "scan":
+            target = ["-o", str(tmp_path / "x.csv")]
+        else:
+            target = ["--outdir", str(tmp_path)]
+        result = subprocess.run(
+            [sys.executable, "-m", "opasim", *argv, "--n-realizations", "10000", *target],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("error: table ") and line.endswith("is not finite")
 
     @pytest.mark.parametrize("var_zp", ["1e-200", "1e-160", "1e300"])
     @pytest.mark.parametrize(

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from opasim.config import RunConfig, with_overrides
-from opasim.ensemble import SPAN, pump_trace, sample_state_array
-from opasim.figures import FIGURE_NAMES, emit_figure, figure_state
+from opasim.ensemble import (
+    SPAN,
+    TraceMoments,
+    block_references,
+    propagate_span,
+    pump_trace,
+    sample_state_array,
+    variance_scan,
+)
+from opasim.figures import FIGURE_NAMES, emit_figure, figure_state, scan_table
 from opasim.fields import TimeSeries
 from opasim.spectral import full_spectrum
 
@@ -101,6 +109,54 @@ def test_input_band_matches_synthesized_traces(name, variant):
     bound = 1e-13 * np.maximum(1.0, np.abs(want_mean))
     assert np.all(np.abs(mean - want_mean) <= bound)
     assert np.all(np.abs(std - traces.std(axis=0, ddof=1)) <= bound)
+
+
+@pytest.mark.parametrize("name", ["fig1c", "fig1d", "fig1e", "fig3"])
+def test_bright_input_band_keeps_its_variance(name):
+    # raw sums of squares at A = 1e8 cancel to a std anywhere in [0, 1)
+    cfg = small_cfg(n_realizations=2 * SPAN + 1, A=1e8)
+    _, _, std, _, _ = emit_figure(name, cfg)[0].columns
+    pairs = sample_state_array(figure_state(name, cfg), cfg.ensemble())
+    centred = pairs - pairs.mean(axis=0)
+    cov = centred.T @ centred / (len(pairs) - 1)
+    u = np.stack(cfg.grid().harmonic(1))
+    want = np.sqrt(np.einsum("it,ij,jt->t", u, cov, u))
+    assert np.max(np.abs(std - want)) <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3"])
+def test_output_periods_repeat_the_first(name):
+    cfg = small_cfg(n_realizations=2 * SPAN + 1, A=3.0, chi3=0.05)
+    grid = cfg.grid()
+    _, *columns = emit_figure(name, cfg)[2].columns
+    for column in columns:
+        periods = column.view(np.uint64).reshape(grid.n_periods, -1)
+        assert np.array_equal(periods, np.tile(periods[0], (grid.n_periods, 1)))
+
+
+@pytest.mark.parametrize("chi3", [0.0, 0.05])
+@pytest.mark.parametrize("name", ["fig2", "fig3"])
+def test_output_tables_match_every_period_traced(name, chi3):
+    # the tables trace one period; here every period of the grid is traced
+    cfg = small_cfg(n_realizations=2 * SPAN + 1, A=3.0, chi3=chi3)
+    grid, n = cfg.grid(), cfg.n_realizations
+    pairs = sample_state_array(figure_state(name, cfg), cfg.ensemble())
+    refs = block_references(pump_trace(cfg.B, cfg.pump_phase, grid), grid, n)
+    out = np.empty_like(pairs)
+    moments = TraceMoments()
+    propagate_span(pairs, *refs, cfg.medium, out, moments)
+    total1, total2 = moments.sums
+    mean = total1 / n
+    std = np.sqrt(np.maximum((total2 - total1 * total1 / n) / (n - 1), 0.0))
+    band = cfg.band_sigma * std
+    thetas = np.linspace(0.0, 2.0 * math.pi, 2 * cfg.thetas - 1)
+    scan = scan_table("scan", variance_scan(out, thetas), cfg.convention())
+    want = [(grid.times(), mean, std, mean - band, mean + band), scan.columns]
+    got = [table.columns for table in emit_figure(name, cfg)[2:]]
+    for got_columns, want_columns in zip(got, want):
+        for column, want_column in zip(got_columns, want_columns):
+            bound = 1e-13 * np.maximum(1.0, np.abs(want_column))
+            assert np.all(np.abs(column - want_column) <= bound)
 
 
 class TestPipelineFigures:

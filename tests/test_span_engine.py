@@ -38,15 +38,17 @@ GOLDEN = {
         # re-recorded when the input bands became the pairs' projected covariance
         "fig2_input.csv": "de0f26491056295cd09c6e10038d99a0af997010bf1049ac10d26652aa535ab6",
         "fig2_characteristic.csv": "0ccd5c33334b0e9e7bffd09b77abf9e6b7663f258d2ab30d935970ac8c202af9",
-        "fig2_output.csv": "cf57387d4bcd6763f9375104029dcbb058d399e15442a10f59c405d9a7c46c1c",
-        "fig2_scan.csv": "8299f593be817aa9d8e14c135342bf092538c139aa0b0de18003c4cfad79f3ef",
+        # re-recorded when the figures moved to one fundamental period
+        "fig2_output.csv": "90c436a3d12b2b1ae51e05e0c82c435549e52eac9773a3ab55c2007c276f9cc6",
+        "fig2_scan.csv": "c17146093814a94d38104a47cd87428a6af196c5b13305b4f6ad22f6bb9be282",
     },
     ("figure", "fig3", "--A", "0.8"): {
-        # re-recorded when the input bands became the pairs' projected covariance
-        "fig3_input.csv": "38fe3dfc9372435164ca2ac3d57dab0348f475579fb6c14d6b20545cba76cf61",
+        # re-recorded when the input bands were centred on the state's mean
+        "fig3_input.csv": "7dd34ae4d97fa401689af7a478a2fe6a3dd8ecc1617b5aebc5ed8662478fdaf8",
         "fig3_characteristic.csv": "e549ace235f7d6509cde51cf2cff0f3ba1f7d91319166c12e8cef38fca54f332",
-        "fig3_output.csv": "1c028b7cb42e3f4db299ff6532e2dcd21f9eddb2bb692967a8709e9a97ca1b19",
-        "fig3_scan.csv": "3d449b6121c2cda6bfe35e146d5550351b321702d7b4a15239d2eac3d2fdbe21",
+        # re-recorded when the figures moved to one fundamental period
+        "fig3_output.csv": "e9ba9f35a7cdeb1ded327b6f2ceca3273f4b9db48c6cdf09f4b7975521dcaa17",
+        "fig3_scan.csv": "c74b8e3780e1b40a4d89fcf066dd3061555551b9026da81962cbc7d4c59fa3e3",
     },
     # re-recorded when the input bands became the pairs' projected covariance
     ("figure", "fig1b"): {
@@ -60,13 +62,13 @@ GOLDEN = {
     ("scan", "--mode", "symplectic", "--pump-phase-deg", "37"): {
         "scan.csv": "be7feafd638f357eb7b485ee156b81687f5a153ca6265268aefce29d307c1d5e",
     },
-    # re-recorded when the input bands became the pairs' projected covariance
+    # re-recorded when the input bands were centred on the state's mean
     ("figure", "fig1d", "--A", "1.5"): {
-        "fig1d.csv": "268e0c1e61e6a8dddc66ee18a11073e8e1be0a74b7564edd88a7dbd34bee88f7",
+        "fig1d.csv": "8a318a749abc70890cc5afddb55154d66e40300ff2c64c9738c431c61e35d3cb",
     },
-    # re-recorded when the input bands became the pairs' projected covariance
+    # re-recorded when the input bands were centred on the state's mean
     ("figure", "fig1e", "--A", "1.5"): {
-        "fig1e.csv": "3ac6ad9b1fc1375863d33f21b3e396d195a6fb7ec0cb37821ad14a30ffafd3f8",
+        "fig1e.csv": "a43e273f73126ba3f50749d576999ae5d2c5e326a44f24139e50f4b235ca414b",
     },
 }
 
@@ -94,16 +96,24 @@ def test_golden_csv_bytes(command, workers, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command",
-    [("scan",), ("scan", "--A", "0.5", "--phi-deg", "30", "--chi3", "0.05")],
+    [
+        ("scan",),
+        ("scan", "--A", "0.5", "--phi-deg", "30", "--chi3", "0.05"),
+        ("figure", "fig2"),
+    ],
     ids=" ".join,
 )
 def test_scan_bytes_do_not_depend_on_n_periods(command, tmp_path, capsys):
+    name = "scan.csv" if command[0] == "scan" else f"{command[1]}_scan.csv"
+    scans = []
     for periods in ("1", "4"):
-        output = str(tmp_path / f"{periods}.csv")
+        outdir = tmp_path / periods
+        outdir.mkdir()
         argv = [*command, "--n-realizations", str(N), "--n-periods", periods]
-        assert main([*argv, "-o", output]) == 0
+        assert main([*argv, *_target(command, outdir)]) == 0
+        scans.append((outdir / name).read_bytes())
     capsys.readouterr()
-    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "4.csv").read_bytes()
+    assert scans[0] == scans[1]
 
 
 @pytest.mark.parametrize(
