@@ -27,16 +27,20 @@ from .fields import QuadraturePair, TimeGrid, pump_carrier
 from .medium import SusceptibilityProfile, require_alias_free, transfer_values
 from .spectral import lockin_rows
 
-# rows per kernel block; results do not depend on it. The scan and the figure
-# pipelines trace one period, so on the default grid a (CHUNK, 64) float64
-# array is 128 KiB and a span's six (three buffers, three block references)
-# take 768 KiB. Fewer, larger blocks cut the per-block Python work that a
-# figure's pool threads serialize on, but not the scan's time. Interleaved
-# in-process sweep at 1e6 rows (2-vCPU VM, medians of 5) at 128/256/512/1024
-# rows: scan propagation on 1 worker 0.69/0.57/0.59/0.64 s, fig2 on 2 workers
-# 2.20/1.77/1.25/1.17 s. 256 is the scan's optimum; a block size that depends
-# on the worker count would be a separate change.
-CHUNK = 256
+# fundamental periods of trace per kernel block, counted in rows of the
+# one-period traces that the scan and the figures propagate
+# (block_references takes CHUNK // n_periods rows); results do not
+# depend on it. On the default grid a (512, 64) float64 array is 256 KiB, and
+# a span's six (three buffers, three block references) take 1.5 MiB, inside
+# one core's 2 MiB L2. Short blocks leave each numpy call so brief that a
+# figure's two pool threads hand the GIL over around nearly every one.
+# Interleaved in-process sweep at 1e6 rows (2-vCPU VM, medians of 5) at
+# 256/384/512/768/1024 rows: fig2 on 2 workers 1.30/0.96/0.83/0.76/0.73 s, on
+# 1 worker 1.00/0.98/0.96/1.08/1.08 s, scan propagation 0.72/0.66/0.65/0.74/
+# 0.76 s; voluntary context switches per 2-worker fig2 run 45.9k at 256 rows,
+# 15.0k at 512 and 7.7k at 1024. From 768 rows the six arrays spill L2 and
+# the scan slows, so 512 it is.
+CHUNK = 512
 
 # rows per unit of pool work, and per group of the figure moment sums; fixed,
 # because the figure envelopes depend on how their sums are grouped
@@ -166,19 +170,22 @@ def period_references(
 def block_references(
     pump: np.ndarray, grid: TimeGrid, rows: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pump, cos1, sin1) tiled to one kernel block of min(CHUNK, rows) rows.
+    """(pump, cos1, sin1) tiled to one kernel block of CHUNK periods of trace.
 
-    Operands of the block's own shape let the pump add and the lock-in
-    products run as one contiguous loop instead of one loop per row. The
-    copies are read-only, so the threads of one call share them.
+    The block has CHUNK // grid.n_periods rows, at least one and at most
+    ``rows``. Operands of the block's own shape let the pump add and the
+    lock-in products run as one contiguous loop instead of one loop per
+    row.
     """
-    block = max(1, min(CHUNK, rows))
-    tiled = []
-    for row in (pump, *grid.harmonic(1)):
-        block_row = np.tile(row, (block, 1))
-        block_row.setflags(write=False)
-        tiled.append(block_row)
-    return tuple(tiled)
+    block = max(1, min(CHUNK // grid.n_periods, rows))
+    return tuple(block_tile(row, block) for row in (pump, *grid.harmonic(1)))
+
+
+def block_tile(row: np.ndarray, block: int) -> np.ndarray:
+    """Read-only (block, len(row)) copies of row, shared by a call's threads."""
+    tiled = np.tile(row, (block, 1))
+    tiled.setflags(write=False)
+    return tiled
 
 
 def synthesize_rows(
@@ -237,16 +244,23 @@ class TraceMoments:
     numpy sums a C-contiguous block along axis 0 one row after another,
     so folding the running sums into the first row of the next block
     gives, bit for bit, the sums of one call over every row added so far.
+    Given ``center``, a :func:`block_tile` of one trace at least as tall as
+    any block, the sums are of the rows less that trace: about the
+    noiseless output, the sums of squares of bright traces do not cancel
+    in the variance.
     """
 
-    def __init__(self):
+    def __init__(self, center: np.ndarray | None = None):
+        self.center = center
         self.sums: np.ndarray | None = None
 
     def add(self, rows: np.ndarray, scratch: np.ndarray | None = None) -> None:
-        """Add a C-contiguous block of rows; its first row is overwritten.
+        """Add a C-contiguous block of rows; the rows are overwritten.
 
         The squares go to ``scratch`` when given.
         """
+        if self.center is not None:
+            rows -= self.center[: len(rows)]
         squares = np.multiply(rows, rows, out=scratch)
         if self.sums is None:
             self.sums = np.empty((2, rows.shape[1]))

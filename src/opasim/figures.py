@@ -11,7 +11,9 @@ grid's periods: the input field and the pump repeat every period and the
 medium is memoryless, so every period of an output trace repeats the
 first, and the k = 1 lock-in behind the scan is exact on one period.
 They are taken from the traces, not reconstructed from the closed-form
-map.
+map. The output band and the fundamental-bin scan are summed about the
+noiseless output (the state's mean pair propagated as one row), so a
+bright state keeps its output variance.
 
 Figures
 -------
@@ -39,6 +41,7 @@ from .ensemble import (
     QuadratureScan,
     TraceMoments,
     VacuumConvention,
+    block_tile,
     pair_sums,
     period_references,
     propagate_span,
@@ -46,7 +49,6 @@ from .ensemble import (
     run_spans,
     sample_state_array,
     sums_scan,
-    variance_scan,
 )
 from .fields import QuadraturePair
 from .medium import polarization_values, require_alias_free
@@ -153,6 +155,7 @@ def _state_trace_table(name: str, cfg: RunConfig, workers: int) -> FigureTable:
 
 
 def _pipeline_tables(name: str, cfg: RunConfig, workers: int) -> list[FigureTable]:
+    PassGain(cfg.pump_ratio, cfg.mode)  # the threshold check every subcommand makes
     state = figure_state(name, cfg)
     grid = cfg.grid()
     ens = cfg.ensemble()
@@ -161,26 +164,38 @@ def _pipeline_tables(name: str, cfg: RunConfig, workers: int) -> list[FigureTabl
     n = ens.n_realizations
     center = state.mean.as_array()
     refs = period_references(cfg.B, cfg.pump_phase, grid, n)
-    out_pairs = np.empty((n, 2))
+    # the noiseless output: the mean pair propagated as one row, about which
+    # the output traces and pairs are summed
+    out_center = np.empty((1, 2))
+    noiseless = TraceMoments()
+    center_refs = period_references(cfg.B, cfg.pump_phase, grid, 1)
+    propagate_span(center[None], *center_refs, cfg.medium, out_center, noiseless)
+    trace_center = block_tile(noiseless.sums[0], len(refs[0]))
+    out_center = out_center[0]
 
     def work(start, count):
         pairs = sample_state_array(state, ens, start, count)
-        outputs = TraceMoments()
-        propagate_span(pairs, *refs, cfg.medium, out_pairs[start : start + count], outputs)
-        return np.concatenate((pair_sums(pairs, center), outputs.sums.ravel()))
+        out = np.empty_like(pairs)
+        outputs = TraceMoments(trace_center)
+        propagate_span(pairs, *refs, cfg.medium, out, outputs)
+        return np.concatenate(
+            (pair_sums(pairs, center), outputs.sums.ravel(), pair_sums(out, out_center))
+        )
 
     sums = reduce(np.add, run_spans(work, n, workers))
+    in_sums, trace_sums, out_sums = np.split(sums, [5, len(sums) - 5])
     times = grid.times()
-    band = sums_scan(sums[:5], n, center, grid.phases())
+    band = sums_scan(in_sums, n, center, grid.phases())
     pump = pump_trace(cfg.B, cfg.pump_phase, grid)
     input_cols = _envelope_columns(times, band.means + pump, band.variances, cfg.band_sigma)
-    # the output sums cover one period; every period of the traces repeats it
-    total1, total2 = np.tile(sums[5:].reshape(2, -1), grid.n_periods)
+    total1, total2 = trace_sums.reshape(2, -1)
     var = np.maximum((total2 - total1 * total1 / n) / (n - 1), 0.0)
-    output_cols = _envelope_columns(times, total1 / n, var, cfg.band_sigma)
+    # the output sums cover one period; every period of the traces repeats it
+    mean, var = np.tile((total1 / n + noiseless.sums[0], var), grid.n_periods)
+    output_cols = _envelope_columns(times, mean, var, cfg.band_sigma)
 
     thetas = np.linspace(0.0, 2.0 * math.pi, 2 * cfg.thetas - 1)
-    scan = variance_scan(out_pairs, thetas)
+    scan = sums_scan(out_sums, n, out_center, thetas)
 
     e_max = abs(cfg.A) + abs(cfg.B) + 4.0 * math.sqrt(convention.var_zp)
     e_axis = np.linspace(-e_max, e_max, CHARACTERISTIC_POINTS)

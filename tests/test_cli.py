@@ -247,6 +247,17 @@ class TestFigureCommand:
         assert "B must be finite" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv", [["fig2", "--B", "2"], ["fig3", "--A", "1", "--B", "2"]], ids=" ".join
+    )
+    def test_pump_at_threshold_is_config_error(self, argv, tmp_path, capsys):
+        # r = chi2 * B / chi1 = 1 at the default medium
+        code, out, err = run_cli(["figure", *argv, "--outdir", str(tmp_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "|r| must be < 1" in err
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_figure_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["figure", "fig7"])

@@ -11,10 +11,12 @@ from opasim.ensemble import (
     propagate_span,
     pump_trace,
     sample_state_array,
+    synthesize_rows,
     variance_scan,
 )
 from opasim.figures import FIGURE_NAMES, emit_figure, figure_state, scan_table
 from opasim.fields import TimeSeries
+from opasim.medium import transfer_values
 from opasim.spectral import full_spectrum
 
 
@@ -122,6 +124,18 @@ def test_bright_input_band_keeps_its_variance(name):
     u = np.stack(cfg.grid().harmonic(1))
     want = np.sqrt(np.einsum("it,ij,jt->t", u, cov, u))
     assert np.max(np.abs(std - want)) <= 1e-6
+
+
+def test_bright_output_band_keeps_its_variance():
+    # raw trace sums of squares at A = 1e8 cancel to a std of 0.0 at some times
+    cfg = small_cfg(n_realizations=2 * SPAN + 1, A=1e8)
+    _, _, std, _, _ = emit_figure("fig3", cfg)[2].columns
+    grid = cfg.grid()
+    pairs = sample_state_array(figure_state("fig3", cfg), cfg.ensemble())
+    pump = pump_trace(cfg.B, cfg.pump_phase, grid)
+    traces = transfer_values(synthesize_rows(pairs, pump, *grid.harmonic(1)), cfg.medium)
+    want = traces.std(axis=0, ddof=1)
+    assert np.max(np.abs(std - want) / want) <= 1e-6
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig3"])

@@ -8,6 +8,7 @@ bit patterns, so a -0.0 turned into +0.0 fails.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,11 +171,18 @@ def test_propagate_span_keeps_the_bits(medium, pairs, references):
     assert same_bits(moments.sums[1], squares)
 
 
-def test_block_references_are_read_only_block_tiles(references):
+def test_block_references_are_read_only_block_tiles(references, monkeypatch):
     pump, cos1, sin1 = references
     refs = block_references(pump, GRID, ROWS)
     for tiled, row in zip(refs, references):
-        assert tiled.shape == (ensemble.CHUNK, GRID.n_samples)
+        # a block holds CHUNK periods of trace
+        assert tiled.shape == (ensemble.CHUNK // GRID.n_periods, GRID.n_samples)
         assert not tiled.flags.writeable
         assert all(same_bits(tiled_row, row) for tiled_row in tiled)
+    period = replace(GRID, n_periods=1)
+    one_period = block_references(pump[: period.n_samples], period, ROWS)
+    assert one_period[0].shape == (ensemble.CHUNK, period.n_samples)
     assert block_references(pump, GRID, 3)[0].shape == (3, GRID.n_samples)
+    # a block is never empty, even when CHUNK is less than a trace
+    monkeypatch.setattr(ensemble, "CHUNK", 3)
+    assert block_references(pump, GRID, ROWS)[0].shape == (1, GRID.n_samples)

@@ -17,6 +17,7 @@ from opasim.cli import main
 from opasim.config import RunConfig, with_overrides
 from opasim.ensemble import SPAN, propagate_ensemble, sample_state_array
 from opasim.figures import emit_figure, figure_state
+from opasim.validate import check_one_period_lockin
 
 N = 2 * SPAN + 1
 
@@ -38,17 +39,17 @@ GOLDEN = {
         # re-recorded when the input bands became the pairs' projected covariance
         "fig2_input.csv": "de0f26491056295cd09c6e10038d99a0af997010bf1049ac10d26652aa535ab6",
         "fig2_characteristic.csv": "0ccd5c33334b0e9e7bffd09b77abf9e6b7663f258d2ab30d935970ac8c202af9",
-        # re-recorded when the figures moved to one fundamental period
-        "fig2_output.csv": "90c436a3d12b2b1ae51e05e0c82c435549e52eac9773a3ab55c2007c276f9cc6",
-        "fig2_scan.csv": "c17146093814a94d38104a47cd87428a6af196c5b13305b4f6ad22f6bb9be282",
+        # re-recorded when the output sums were taken about the noiseless output
+        "fig2_output.csv": "9d3277f46e266aed473673894a866b602e69c003da4188d1bf5e5d25bdd53b29",
+        "fig2_scan.csv": "2de49c95647c8edfeb1cccf904e30fb19734f399cac5ccaa760087644eda4d76",
     },
     ("figure", "fig3", "--A", "0.8"): {
         # re-recorded when the input bands were centred on the state's mean
         "fig3_input.csv": "7dd34ae4d97fa401689af7a478a2fe6a3dd8ecc1617b5aebc5ed8662478fdaf8",
         "fig3_characteristic.csv": "e549ace235f7d6509cde51cf2cff0f3ba1f7d91319166c12e8cef38fca54f332",
-        # re-recorded when the figures moved to one fundamental period
-        "fig3_output.csv": "e9ba9f35a7cdeb1ded327b6f2ceca3273f4b9db48c6cdf09f4b7975521dcaa17",
-        "fig3_scan.csv": "c74b8e3780e1b40a4d89fcf066dd3061555551b9026da81962cbc7d4c59fa3e3",
+        # re-recorded when the output sums were taken about the noiseless output
+        "fig3_output.csv": "769c15024d210bcf795dcc4b563fe09eebc6c550b9ab2c59fee0c602bedade69",
+        "fig3_scan.csv": "35f6ef24734da78d5ec719a2b97428fb6895c99d7493019ba6b59deaa537b53b",
     },
     # re-recorded when the input bands became the pairs' projected covariance
     ("figure", "fig1b"): {
@@ -158,7 +159,7 @@ def reference_outputs():
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("chunk", [1, 7, 256, 4096])
+@pytest.mark.parametrize("chunk", [1, 3, 7, 256, 4096])
 def test_outputs_do_not_depend_on_block_size_or_workers(
     chunk, workers, reference_outputs, monkeypatch
 ):
@@ -174,3 +175,13 @@ def test_outputs_do_not_depend_on_block_size_or_workers(
     assert len(outputs) == len(reference_outputs)
     for got, want in zip(outputs, reference_outputs):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 512])
+def test_one_period_lockin_check_passes_at_any_block_size(chunk, monkeypatch):
+    cfg = RunConfig()
+    want = check_one_period_lockin(cfg)
+    monkeypatch.setattr(ensemble, "CHUNK", chunk)
+    ok, message = check_one_period_lockin(cfg)
+    assert ok
+    assert (ok, message) == want
