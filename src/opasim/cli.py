@@ -105,6 +105,12 @@ def _input_carriers(cfg: RunConfig) -> list[HarmonicComponent]:
     ]
 
 
+def _require_quadratic(cfg: RunConfig, command: str) -> None:
+    """Reject chi3 in a command that only knows the quadratic medium's closed form."""
+    if cfg.medium.chi3 != 0.0:
+        raise ConfigError(f"{command} requires chi3 = 0 (no closed form kept)")
+
+
 def cmd_spectrum(args) -> int:
     cfg = _load_config(args)
     if cfg.pump_phase_deg % 360.0 != 0.0:
@@ -112,8 +118,7 @@ def cmd_spectrum(args) -> int:
             "spectrum compares against the closed form, which is defined "
             "for pump_phase_deg = 0"
         )
-    if cfg.medium.chi3 != 0.0:
-        raise ConfigError("spectrum requires chi3 = 0 (no closed form kept)")
+    _require_quadratic(cfg, "spectrum")
     require_alias_free(cfg.grid(), cfg.medium)
     # an overflowing input reaches the gate as NaN, which fails it; numpy's
     # own warnings would only repeat that on stderr
@@ -164,6 +169,7 @@ def _scan_pairs(cfg: RunConfig, workers: int) -> np.ndarray:
     gain = PassGain(cfg.pump_ratio, cfg.mode)
     pairs = sample_state_array(state, ens)
     if cfg.mode == "symplectic":
+        _require_quadratic(cfg, "scan --mode symplectic")
         return map_quadratures(pairs, gain, cfg.pump_phase)
     return propagate_ensemble(
         pairs, cfg.B, cfg.pump_phase, cfg.medium, ens.grid, workers=workers
@@ -207,6 +213,7 @@ def cmd_figure(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _load_config(args)
+    _require_quadratic(cfg, "oracle")
     gain = PassGain(cfg.pump_ratio, cfg.mode)
     g1, g2 = gain.gains()
     convention = cfg.convention()

@@ -24,23 +24,31 @@ import numpy as np
 
 from . import rng
 from .fields import QuadraturePair, TimeGrid, pump_carrier
-from .medium import SusceptibilityProfile, require_alias_free, transfer_values
+from .medium import (
+    SusceptibilityProfile,
+    alias_free_samples,
+    require_alias_free,
+    transfer_values,
+)
 from .spectral import lockin_rows
 
-# fundamental periods of trace per kernel block, counted in rows of the
-# one-period traces that the scan and the figures propagate
-# (block_references takes CHUNK // n_periods rows); results do not
-# depend on it. On the default grid a (512, 64) float64 array is 256 KiB, and
-# a span's six (three buffers, three block references) take 1.5 MiB, inside
-# one core's 2 MiB L2. Short blocks leave each numpy call so brief that a
-# figure's two pool threads hand the GIL over around nearly every one.
-# Interleaved in-process sweep at 1e6 rows (2-vCPU VM, medians of 5) at
-# 256/384/512/768/1024 rows: fig2 on 2 workers 1.30/0.96/0.83/0.76/0.73 s, on
-# 1 worker 1.00/0.98/0.96/1.08/1.08 s, scan propagation 0.72/0.66/0.65/0.74/
-# 0.76 s; voluntary context switches per 2-worker fig2 run 45.9k at 256 rows,
-# 15.0k at 512 and 7.7k at 1024. From 768 rows the six arrays spill L2 and
-# the scan slows, so 512 it is.
-CHUNK = 512
+# samples of trace per kernel block (block_references takes
+# CHUNK // n_samples rows); results do not depend on it. A block of the
+# default 64-sample period is 512 rows, a (512, 64) float64 array of 256 KiB,
+# and a span's six (three buffers, three block references) take 1.5 MiB,
+# inside one core's 2 MiB L2. Short blocks leave each numpy call so brief
+# that a figure's two pool threads hand the GIL over around nearly every one.
+# Interleaved in-process sweep at 1e6 rows on a 64-sample period (2-vCPU VM,
+# medians of 5) at 256/384/512/768/1024 rows: fig2 on 2 workers
+# 1.30/0.96/0.83/0.76/0.73 s, on 1 worker 1.00/0.98/0.96/1.08/1.08 s, scan
+# propagation 0.72/0.66/0.65/0.74/0.76 s; voluntary context switches per
+# 2-worker fig2 run 45.9k at 256 rows, 15.0k at 512 and 7.7k at 1024. From
+# 768 rows the six arrays spill L2 and the scan slows, so 512 rows of 64.
+# The scan's 9-sample period gets 3640 rows: its propagation at 1e6 took
+# 0.167/0.137/0.134/0.138/0.131 s at 512/1024/2048/3640/4096 rows (same VM,
+# interleaved, medians of 7), against 0.58 s on a 64-sample period in
+# 512-row blocks, so the row count needs no rounding.
+CHUNK = 512 * 64
 
 # rows per unit of pool work, and per group of the figure moment sums; fixed,
 # because the figure envelopes depend on how their sums are grouped
@@ -170,14 +178,14 @@ def period_references(
 def block_references(
     pump: np.ndarray, grid: TimeGrid, rows: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pump, cos1, sin1) tiled to one kernel block of CHUNK periods of trace.
+    """(pump, cos1, sin1) tiled to one kernel block of CHUNK samples of trace.
 
-    The block has CHUNK // grid.n_periods rows, at least one and at most
+    The block has CHUNK // grid.n_samples rows, at least one and at most
     ``rows``. Operands of the block's own shape let the pump add and the
     lock-in products run as one contiguous loop instead of one loop per
     row.
     """
-    block = max(1, min(CHUNK // grid.n_periods, rows))
+    block = max(1, min(CHUNK // grid.n_samples, rows))
     return tuple(block_tile(row, block) for row in (pump, *grid.harmonic(1)))
 
 
@@ -314,15 +322,20 @@ def propagate_ensemble(
 ) -> np.ndarray:
     """Propagate an (n, 2) ensemble through the medium, optionally threaded.
 
-    The traces span one fundamental period of ``grid``, whatever its
-    ``n_periods`` (:func:`period_references`), so the result is bitwise
-    independent of ``grid.n_periods``. Spans run through
-    :func:`run_spans` and write their rows in place, so it is bitwise
-    independent of ``workers`` and of CHUNK too.
+    ``grid`` must resolve the medium's output (:func:`require_alias_free`).
+    The traces then span one period of the smallest such grid
+    (:func:`alias_free_samples` samples: 9 for chi2, 13 for chi3), because
+    the k = 1 lock-in is exact on any whole number of periods of any grid
+    that resolves every harmonic the medium radiates. So the result is
+    bitwise independent of ``grid.samples_per_period`` and
+    ``grid.n_periods``. Spans run through :func:`run_spans` and write their
+    rows in place, so it is bitwise independent of ``workers`` and of CHUNK
+    too.
     """
     pairs = _as_pair_array(pairs)
     require_alias_free(grid, medium)
-    refs = period_references(pump_b, pump_phase, grid, len(pairs))
+    period = TimeGrid(alias_free_samples(medium), 1, grid.omega)
+    refs = period_references(pump_b, pump_phase, period, len(pairs))
     out = np.empty_like(pairs)
 
     def work(start, count):

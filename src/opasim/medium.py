@@ -64,20 +64,30 @@ def polarization_values(
     return out
 
 
-def require_alias_free(grid: TimeGrid, medium: SusceptibilityProfile) -> None:
-    """Reject a grid that cannot resolve every harmonic the pumped medium radiates.
+def alias_free_samples(medium: SusceptibilityProfile) -> int:
+    """Fewest samples per period that resolve the pumped medium's output.
 
     Fields reach the medium with harmonics up to 2 (the 2*omega pump), so
     a polynomial of degree d radiates orders up to 2*d: 4 for chi2, 6 for
-    chi3. Below the Nyquist rate for that order the excess folds back
-    onto the fundamental and biases the lock-in without any other sign.
+    chi3. A grid resolves them above the Nyquist rate of that order, with
+    more than 4*d samples per period: 5 for a linear medium, 9 for chi2
+    and 13 for chi3.
     """
     degree = 3 if medium.chi3 != 0.0 else 2 if medium.chi2 != 0.0 else 1
-    limit = 2 * (2 * degree)
+    return 4 * degree + 1
+
+
+def require_alias_free(grid: TimeGrid, medium: SusceptibilityProfile) -> None:
+    """Reject a grid that cannot resolve every harmonic the pumped medium radiates.
+
+    Below :func:`alias_free_samples` the excess folds back onto the
+    fundamental and biases the lock-in without any other sign.
+    """
+    limit = alias_free_samples(medium) - 1
     if grid.samples_per_period <= limit:
         raise ValueError(
             f"samples_per_period = {grid.samples_per_period} aliases the medium's "
-            f"output (harmonics up to {2 * degree}): it must be greater than {limit}"
+            f"output (harmonics up to {limit // 2}): it must be greater than {limit}"
         )
 
 

@@ -172,6 +172,14 @@ class TestScanCommand:
         product = v0 * v90
         assert product == pytest.approx(1.0, rel=0.1)
 
+    def test_symplectic_mode_rejects_chi3(self, capsys):
+        # the symplectic map is the quadratic medium's closed form
+        argv = ["scan", "--mode", "symplectic", "--chi3", "0.05"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "requires chi3 = 0" in err
+
     def test_non_finite_amplitude_is_config_error(self, capsys):
         code, out, err = run_cli(["scan", "--A", "nan"], capsys)
         assert code == 2
@@ -288,6 +296,13 @@ class TestValidateCommand:
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert "PASS vacuum-scan-flat" in out
+        assert "PASS one-period-lockin: 13-sample period vs 64x4 grid" in out
+
+    def test_validate_passes_on_a_linear_medium(self, capsys):
+        code, out, _ = run_cli(["validate", "--chi2", "0"], capsys)
+        assert code == 0
+        assert len(out.strip().splitlines()) == 8
+        assert "PASS one-period-lockin: 5-sample period vs 64x4 grid" in out
 
 
 class TestOracleCommand:
@@ -303,6 +318,13 @@ class TestOracleCommand:
         code, _, err = run_cli(["oracle", "--chi2", "1.5"], capsys)
         assert code == 2
         assert "threshold" in err
+
+    def test_chi3_is_config_error(self, capsys):
+        # the closed form is the quadratic medium's; it would print chi3 = 0
+        code, out, err = run_cli(["oracle", "--chi3", "0.05"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "requires chi3 = 0" in err
 
     def test_exact_extrema_off_the_theta_grid(self, capsys):
         # a 1 degree pump phase puts the squeezed axis at -0.5 degrees,

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +30,12 @@ from opasim.fields import (
     pump_carrier,
     synthesize,
 )
-from opasim.medium import SusceptibilityProfile, polarization_values
+from opasim.medium import (
+    SusceptibilityProfile,
+    alias_free_samples,
+    polarization_values,
+    transfer_values,
+)
 from opasim.oracle import PassGain, map_quadratures
 from opasim.spectral import lockin_extract
 
@@ -122,16 +126,17 @@ class TestPropagation:
         assert out[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_explicit_chain(self):
-        # propagate_ensemble traces one period of the grid it is given
-        grid = replace(GRID, n_periods=1)
-        series = synthesize(
-            [HarmonicComponent(1, 0.3, -0.9), pump_carrier(1.2, 0.4)], grid
-        )
-        m = SusceptibilityProfile(chi1=1.1, chi2=0.4, eps0=1.6)
-        output = polarization_values(series.values, m) / (m.eps0 * m.chi1)
-        chain = lockin_extract(TimeSeries(grid, output), 1)
-        direct = propagate_ensemble(np.array([[0.3, -0.9]]), 1.2, 0.4, m, GRID)
-        assert (direct[0, 0], direct[0, 1]) == (chain.c, chain.s)
+        # propagate_ensemble traces one period of the smallest alias-free grid
+        for chi3 in (0.0, 0.05):
+            m = SusceptibilityProfile(chi1=1.1, chi2=0.4, chi3=chi3, eps0=1.6)
+            grid = TimeGrid(alias_free_samples(m), 1)
+            series = synthesize(
+                [HarmonicComponent(1, 0.3, -0.9), pump_carrier(1.2, 0.4)], grid
+            )
+            output = polarization_values(series.values, m) / (m.eps0 * m.chi1)
+            chain = lockin_extract(TimeSeries(grid, output), 1)
+            direct = propagate_ensemble(np.array([[0.3, -0.9]]), 1.2, 0.4, m, GRID)
+            assert (direct[0, 0], direct[0, 1]) == (chain.c, chain.s)
 
     def test_batch_matches_single_realizations(self):
         draws = sample_state_array(GaussianState.vacuum(VAC), cfg(40))
@@ -211,6 +216,21 @@ class TestOnePeriod:
         full = np.empty_like(draws)
         propagate_span(draws, *refs, medium, full)
         assert np.max(np.abs(out - full)) <= 1e-13 * max(1.0, np.max(np.abs(out)))
+
+    def test_linear_medium_runs_on_five_samples(self, monkeypatch):
+        widths = []
+
+        def transfer(values, *args, **kwargs):
+            widths.append(values.shape[1])
+            return transfer_values(values, *args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "transfer_values", transfer)
+        draws = self.draws()
+        linear = SusceptibilityProfile(chi1=1.1, eps0=1.6)
+        # the 2*omega pump is representable on 5 samples and leaves k = 1 alone
+        out = propagate_ensemble(draws, 1.2, 0.4, linear, GRID)
+        assert set(widths) == {5}
+        assert np.max(np.abs(out - draws)) <= 1e-14 * np.max(np.abs(draws))
 
     def test_matches_the_oracle_map(self):
         medium = self.MEDIA["chi2"]

@@ -2,7 +2,7 @@
 
 The golden CSV hashes only cover chi1 = eps0 = 1, where the x1.0 passes are
 skipped; here every kernel, and a whole span, is run on a ragged block
-(CHUNK + 3 rows) for media with and without those factors, on inputs
+(one block plus 3 rows) for media with and without those factors, on inputs
 holding signed zeros and values that overflow. Results are compared as
 bit patterns, so a -0.0 turned into +0.0 fails.
 """
@@ -26,7 +26,8 @@ from opasim.fields import TimeGrid
 from opasim.medium import SusceptibilityProfile, polarization_values, transfer_values
 
 GRID = TimeGrid(64, 4)
-ROWS = ensemble.CHUNK + 3
+BLOCK = ensemble.CHUNK // GRID.n_samples
+ROWS = BLOCK + 3
 
 MEDIA = [
     SusceptibilityProfile(chi1=chi1, chi2=chi2, chi3=chi3, eps0=eps0)
@@ -67,10 +68,10 @@ def reference_lockin(rows, cos1, sin1, n_samples):
 
 def reference_span(pairs, pump, cos1, sin1, medium):
     out = np.empty((len(pairs), 2))
-    for lo in range(0, len(pairs), ensemble.CHUNK):
-        e_in = reference_synthesize(pairs[lo : lo + ensemble.CHUNK], pump, cos1, sin1)
+    for lo in range(0, len(pairs), BLOCK):
+        e_in = reference_synthesize(pairs[lo : lo + BLOCK], pump, cos1, sin1)
         e_out = reference_transfer(e_in, medium)
-        out[lo : lo + ensemble.CHUNK] = reference_lockin(e_out, cos1, sin1, cos1.size)
+        out[lo : lo + BLOCK] = reference_lockin(e_out, cos1, sin1, cos1.size)
     return out
 
 
@@ -175,13 +176,14 @@ def test_block_references_are_read_only_block_tiles(references, monkeypatch):
     pump, cos1, sin1 = references
     refs = block_references(pump, GRID, ROWS)
     for tiled, row in zip(refs, references):
-        # a block holds CHUNK periods of trace
-        assert tiled.shape == (ensemble.CHUNK // GRID.n_periods, GRID.n_samples)
+        # a block holds CHUNK samples of trace
+        assert tiled.shape == (ensemble.CHUNK // GRID.n_samples, GRID.n_samples)
         assert not tiled.flags.writeable
         assert all(same_bits(tiled_row, row) for tiled_row in tiled)
-    period = replace(GRID, n_periods=1)
-    one_period = block_references(pump[: period.n_samples], period, ROWS)
-    assert one_period[0].shape == (ensemble.CHUNK, period.n_samples)
+    for period in (replace(GRID, n_periods=1), TimeGrid(9, 1)):
+        pump_row = pump_trace(1.0, 0.3, period)
+        shape = block_references(pump_row, period, 10**6)[0].shape
+        assert shape == (ensemble.CHUNK // period.n_samples, period.n_samples)
     assert block_references(pump, GRID, 3)[0].shape == (3, GRID.n_samples)
     # a block is never empty, even when CHUNK is less than a trace
     monkeypatch.setattr(ensemble, "CHUNK", 3)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from opasim.fields import HarmonicComponent, TimeGrid, TimeSeries, synthesize
 from opasim.medium import (
     SusceptibilityProfile,
+    alias_free_samples,
     polarize,
     require_alias_free,
     transfer_values,
@@ -100,6 +101,7 @@ def test_polarize_is_pointwise(chi1, chi2, chi3, perm):
 )
 def test_alias_guard_needs_twice_the_highest_output_order(chi2, chi3, limit):
     medium = SusceptibilityProfile(chi1=1.0, chi2=chi2, chi3=chi3)
+    assert alias_free_samples(medium) == limit + 1
     require_alias_free(TimeGrid(limit + 1, 4), medium)
     with pytest.raises(ValueError) as excinfo:
         require_alias_free(TimeGrid(limit, 4), medium)

@@ -28,12 +28,12 @@ BLAS_N = 100_000
 # SHA-256 of the CSVs written by the span-per-thread engine that used one
 # 4096-row block per span, before the kernel blocks were cut to cache size
 GOLDEN = {
-    # re-recorded when propagate_ensemble moved to one fundamental period
+    # re-recorded when propagate_ensemble moved to the smallest alias-free period
     ("scan",): {
-        "scan.csv": "b5579edb589c197c2677469a7ba8cbd27b678c2b43014cece9d06f15fa534389",
+        "scan.csv": "d0f2b1880ba109f9249cb572d7b9444b4db253fcd3e9dd26d1000dd427d7e50d",
     },
     ("scan", "--A", "0.5", "--phi-deg", "30", "--chi3", "0.05"): {
-        "scan.csv": "f523a4b97853891868fa28614b3ed73beb8efc398293ed0c700c467da1bd5334",
+        "scan.csv": "93b7618c9cf0673208e51cc03d6356423b961db2a6843dae35af94f1b0d509cb",
     },
     ("figure", "fig2"): {
         # re-recorded when the input bands became the pairs' projected covariance
@@ -117,6 +117,21 @@ def test_scan_bytes_do_not_depend_on_n_periods(command, tmp_path, capsys):
     assert scans[0] == scans[1]
 
 
+@pytest.mark.parametrize("command", [("scan",), ("scan", "--chi3", "0.05")], ids=" ".join)
+def test_scan_bytes_do_not_depend_on_the_grid(command, tmp_path, capsys):
+    # the scan propagates on the smallest alias-free period, whatever the grid
+    scans = set()
+    for samples in ("16", "64", "256"):
+        for periods in ("1", "4"):
+            target = tmp_path / f"{samples}x{periods}.csv"
+            argv = [*command, "--n-realizations", str(N), "-o", str(target)]
+            argv += ["--samples-per-period", samples, "--n-periods", periods]
+            assert main(argv) == 0
+            scans.add(target.read_bytes())
+    capsys.readouterr()
+    assert len(scans) == 1
+
+
 @pytest.mark.parametrize(
     "command", [("scan",), ("figure", "fig1b", "--pump-phase-deg", "37")], ids=" ".join
 )
@@ -158,8 +173,11 @@ def reference_outputs():
     return _outputs(workers=1)
 
 
+# CHUNK in samples: blocks of 1 row (1, 3, 7), 3 rows of the scan's 9-sample
+# period (27), 4 rows of the figures' 64-sample period (256), and more rows
+# than a span on both (64 * 4096)
 @pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("chunk", [1, 3, 7, 256, 4096])
+@pytest.mark.parametrize("chunk", [1, 3, 7, 27, 256, 4096, 64 * 4096])
 def test_outputs_do_not_depend_on_block_size_or_workers(
     chunk, workers, reference_outputs, monkeypatch
 ):
@@ -177,7 +195,10 @@ def test_outputs_do_not_depend_on_block_size_or_workers(
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 512])
+# CHUNK in samples: blocks of 1 row (1, 3), 3 rows of the 9-sample period
+# (27), 2 rows of the configured 64x4 grid (512), and more rows than a span
+# on both (256 * 4096)
+@pytest.mark.parametrize("chunk", [1, 3, 27, 512, 256 * 4096])
 def test_one_period_lockin_check_passes_at_any_block_size(chunk, monkeypatch):
     cfg = RunConfig()
     want = check_one_period_lockin(cfg)
