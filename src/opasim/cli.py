@@ -204,6 +204,12 @@ def cmd_scan(args) -> int:
 
 def cmd_figure(args) -> int:
     cfg = _load_config(args)
+    if cfg.mode == "symplectic" and not args.name.startswith("fig1"):
+        # fig2/fig3 trace the polynomial medium itself, which has no such mode
+        raise ConfigError(
+            f"figure {args.name} sends its traces through the raw medium and has "
+            "no symplectic mode: use --mode raw"
+        )
     # as in cmd_scan, a non-finite table is reported by its own error
     with np.errstate(over="ignore", invalid="ignore"):
         tables = emit_figure(args.name, cfg, workers=args.workers)

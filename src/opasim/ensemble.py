@@ -17,7 +17,7 @@ import contextvars
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -33,24 +33,20 @@ from .medium import (
 from .spectral import lockin_rows
 
 # samples of trace per kernel block (block_references takes
-# CHUNK // n_samples rows); results do not depend on it. A block of the
-# default 64-sample period is 512 rows, a (512, 64) float64 array of 256 KiB,
-# and a span's six (three buffers, three block references) take 1.5 MiB,
-# inside one core's 2 MiB L2. Short blocks leave each numpy call so brief
-# that a figure's two pool threads hand the GIL over around nearly every one.
-# Interleaved in-process sweep at 1e6 rows on a 64-sample period (2-vCPU VM,
-# medians of 5) at 256/384/512/768/1024 rows: fig2 on 2 workers
-# 1.30/0.96/0.83/0.76/0.73 s, on 1 worker 1.00/0.98/0.96/1.08/1.08 s, scan
-# propagation 0.72/0.66/0.65/0.74/0.76 s; voluntary context switches per
-# 2-worker fig2 run 45.9k at 256 rows, 15.0k at 512 and 7.7k at 1024. From
-# 768 rows the six arrays spill L2 and the scan slows, so 512 rows of 64.
-# The scan's 9-sample period gets 3640 rows: its propagation at 1e6 took
-# 0.167/0.137/0.134/0.138/0.131 s at 512/1024/2048/3640/4096 rows (same VM,
-# interleaved, medians of 7), against 0.58 s on a 64-sample period in
-# 512-row blocks, so the row count needs no rounding.
+# CHUNK // n_samples rows); results do not depend on it. The scan and the
+# fig2/fig3 pipelines propagate on the smallest alias-free period, 9 samples
+# for a chi2 medium, where a block is 3640 rows: a (3640, 9) float64 array
+# of 256 KiB, so a span's six (three buffers, three block references) take
+# 1.5 MiB, inside one core's 2 MiB L2. Interleaved in-process sweeps at 1e6
+# rows on that period (2-vCPU VM, medians of 7) at 512/1024/2048/3640/4096
+# rows: scan propagation 0.167/0.137/0.134/0.138/0.131 s; fig2 on 1 worker
+# 0.30/0.29/0.38/0.38/0.39 s, on 2 workers 0.53/0.42/0.36/0.40/0.34 s, where
+# short blocks make each numpy call so brief that the two pool threads hand
+# the GIL over around nearly every one. The value is the 512 rows that a
+# 64-sample period needed (from 768 rows the six arrays spilled L2).
 CHUNK = 512 * 64
 
-# rows per unit of pool work, and per group of the figure moment sums; fixed,
+# rows per unit of pool work, and per group of the figure sums; fixed,
 # because the figure envelopes depend on how their sums are grouped
 SPAN = 4096
 
@@ -162,16 +158,24 @@ def pump_trace(pump_b: float, pump_phase: float, grid: TimeGrid) -> np.ndarray:
     return pump.c * cos2 + pump.s * sin2
 
 
-def period_references(
-    pump_b: float, pump_phase: float, grid: TimeGrid, rows: int
+def alias_free_references(
+    pump_b: float,
+    pump_phase: float,
+    medium: SusceptibilityProfile,
+    grid: TimeGrid,
+    rows: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`block_references` of the pump on one fundamental period of grid.
+    """:func:`block_references` of the pump on the smallest grid that resolves medium.
 
-    The input field and the pump repeat every period and the medium is
-    memoryless, so every later period of an output trace repeats the first,
-    and the k = 1 lock-in is exact on one period.
+    ``grid`` is checked first (:func:`require_alias_free`). The references
+    then span one period of :func:`alias_free_samples` samples: the input
+    field and the pump repeat every period and the medium is memoryless,
+    so every later period of an output trace repeats the first, and the
+    k = 1 lock-in is exact on one period of any grid that resolves every
+    harmonic the medium radiates.
     """
-    period = replace(grid, n_periods=1)
+    require_alias_free(grid, medium)
+    period = TimeGrid(alias_free_samples(medium), 1, grid.omega)
     return block_references(pump_trace(pump_b, pump_phase, period), period, rows)
 
 
@@ -183,17 +187,13 @@ def block_references(
     The block has CHUNK // grid.n_samples rows, at least one and at most
     ``rows``. Operands of the block's own shape let the pump add and the
     lock-in products run as one contiguous loop instead of one loop per
-    row.
+    row. They are read-only, as a call's threads share them.
     """
     block = max(1, min(CHUNK // grid.n_samples, rows))
-    return tuple(block_tile(row, block) for row in (pump, *grid.harmonic(1)))
-
-
-def block_tile(row: np.ndarray, block: int) -> np.ndarray:
-    """Read-only (block, len(row)) copies of row, shared by a call's threads."""
-    tiled = np.tile(row, (block, 1))
-    tiled.setflags(write=False)
-    return tiled
+    refs = tuple(np.tile(row, (block, 1)) for row in (pump, *grid.harmonic(1)))
+    for ref in refs:
+        ref.setflags(write=False)
+    return refs
 
 
 def synthesize_rows(
@@ -246,39 +246,6 @@ def run_spans(work, n: int, workers: int = 1) -> list:
         return list(pool.map(in_context, starts, counts))
 
 
-class TraceMoments:
-    """Running sum and sum of squares over trace rows, added block by block.
-
-    numpy sums a C-contiguous block along axis 0 one row after another,
-    so folding the running sums into the first row of the next block
-    gives, bit for bit, the sums of one call over every row added so far.
-    Given ``center``, a :func:`block_tile` of one trace at least as tall as
-    any block, the sums are of the rows less that trace: about the
-    noiseless output, the sums of squares of bright traces do not cancel
-    in the variance.
-    """
-
-    def __init__(self, center: np.ndarray | None = None):
-        self.center = center
-        self.sums: np.ndarray | None = None
-
-    def add(self, rows: np.ndarray, scratch: np.ndarray | None = None) -> None:
-        """Add a C-contiguous block of rows; the rows are overwritten.
-
-        The squares go to ``scratch`` when given.
-        """
-        if self.center is not None:
-            rows -= self.center[: len(rows)]
-        squares = np.multiply(rows, rows, out=scratch)
-        if self.sums is None:
-            self.sums = np.empty((2, rows.shape[1]))
-        else:
-            rows[0] += self.sums[0]
-            squares[0] += self.sums[1]
-        rows.sum(axis=0, out=self.sums[0])
-        squares.sum(axis=0, out=self.sums[1])
-
-
 def propagate_span(
     pairs: np.ndarray,
     pump: np.ndarray,
@@ -286,7 +253,6 @@ def propagate_span(
     sin1: np.ndarray,
     medium: SusceptibilityProfile,
     out: np.ndarray,
-    moments: TraceMoments | None = None,
 ) -> None:
     """Propagate a span of realizations block by block; (c, s) into out.
 
@@ -294,8 +260,7 @@ def propagate_span(
     (:func:`block_references`); the block size is their row count. Every
     operation is elementwise or a per-row reduction, so each row equals
     running that realization through synthesize -> polarize -> normalize
-    -> lock-in on its own, whatever the blocking. Given ``moments``, each
-    block's output traces are added to it.
+    -> lock-in on its own, whatever the blocking.
     """
     block, n_samples = cos1.shape
     buffers = [np.empty((min(block, len(pairs)), n_samples)) for _ in range(3)]
@@ -308,8 +273,6 @@ def propagate_span(
         synthesize_rows(pairs[rows], pump_b, cos_b, sin_b, out=e_in, scratch=scratch)
         transfer_values(e_in, medium, out=e_out, scratch=scratch)
         lockin_rows(e_out, cos_b, sin_b, n_samples, out=out[rows], scratch=scratch)
-        if moments is not None:
-            moments.add(e_out, scratch)
 
 
 def propagate_ensemble(
@@ -333,9 +296,7 @@ def propagate_ensemble(
     too.
     """
     pairs = _as_pair_array(pairs)
-    require_alias_free(grid, medium)
-    period = TimeGrid(alias_free_samples(medium), 1, grid.omega)
-    refs = period_references(pump_b, pump_phase, period, len(pairs))
+    refs = alias_free_references(pump_b, pump_phase, medium, grid, len(pairs))
     out = np.empty_like(pairs)
 
     def work(start, count):
@@ -405,9 +366,12 @@ def variance_scan(
     return _project(mean, ((s11, s12), (s12, s22)), thetas)
 
 
-def pair_sums(pairs: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """(sum y1, sum y2, sum y1^2, sum y1*y2, sum y2^2) of y = pairs - center.
+def pair_sums(pairs: np.ndarray, center: np.ndarray, degree: int = 2) -> np.ndarray:
+    """Power sums T[p, q] = sum y1^p * y2^q of y = pairs - center, 1 <= p + q <= degree.
 
+    Ordered by p + q, then by falling p: at degree 2 they are (sum y1,
+    sum y2, sum y1^2, sum y1*y2, sum y2^2), what :func:`sums_scan` takes,
+    and each higher degree appends its sums to those of the degree below.
     ``center`` is the sampled state's exact mean: the sums of squares of
     uncentred bright pairs would cancel in :func:`sums_scan` and lose the
     variance. A zero center leaves every pair's bits as they are.
@@ -415,7 +379,12 @@ def pair_sums(pairs: np.ndarray, center: np.ndarray) -> np.ndarray:
     depend on its blocking.
     """
     y1, y2 = pairs[:, 0] - center[0], pairs[:, 1] - center[1]
-    return np.array([y1.sum(), y2.sum(), (y1 * y1).sum(), (y1 * y2).sum(), (y2 * y2).sum()])
+    powers = [y1, y2]  # y1^p * y2^(m-p) for p = m..0, here m = 1
+    sums = [y1.sum(), y2.sum()]
+    for _ in range(degree - 1):
+        powers = [power * y1 for power in powers] + [powers[-1] * y2]
+        sums.extend(power.sum() for power in powers)
+    return np.array(sums)
 
 
 def sums_scan(

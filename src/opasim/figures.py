@@ -5,15 +5,18 @@ carry the ensemble-mean trace plus a mean +- band_sigma*std envelope.
 An input band is the ensemble's sample covariance (n-1 divisor)
 projected at theta = omega*t, which is algebraically the pointwise
 sample variance of the input traces, so no input trace is synthesized
-for it. Output bands (fig2, fig3) are pointwise in time over one
-fundamental period of the pipeline output traces, repeated over the
-grid's periods: the input field and the pump repeat every period and the
+for it. An output band (fig2, fig3) is likewise the pointwise sample
+mean and variance of the output traces, computed without them: the
+medium is a polynomial of degree d, so each output trace less the
+noiseless output is a polynomial in the input's deviation from the
+noiseless input, and its pointwise sums follow exactly from the pairs'
+power sums up to degree 2d (see :func:`_output_band`). The band is
+evaluated over one fundamental period and repeated over the grid's
+periods: the input field and the pump repeat every period and the
 medium is memoryless, so every period of an output trace repeats the
-first, and the k = 1 lock-in behind the scan is exact on one period.
-They are taken from the traces, not reconstructed from the closed-form
-map. The output band and the fundamental-bin scan are summed about the
-noiseless output (the state's mean pair propagated as one row), so a
-bright state keeps its output variance.
+first. The fundamental-bin scan propagates the pairs on one period of
+the smallest alias-free grid, as ``scan`` does, and sums them about the
+noiseless output pair, so a bright state keeps its output variance.
 
 Figures
 -------
@@ -30,7 +33,7 @@ fig3          coherent + pump, phased so pump minima sit on fundamental
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -39,19 +42,23 @@ from .config import RunConfig
 from .ensemble import (
     GaussianState,
     QuadratureScan,
-    TraceMoments,
     VacuumConvention,
-    block_tile,
+    alias_free_references,
     pair_sums,
-    period_references,
     propagate_span,
     pump_trace,
     run_spans,
     sample_state_array,
     sums_scan,
+    synthesize_rows,
 )
 from .fields import QuadraturePair
-from .medium import polarization_values, require_alias_free
+from .medium import (
+    polarization_values,
+    polynomial_degree,
+    transfer_taylor,
+    transfer_values,
+)
 from .oracle import PassGain, single_pass
 
 FIGURE_NAMES = ("fig1a", "fig1b", "fig1c", "fig1d", "fig1e", "fig2", "fig3")
@@ -160,38 +167,30 @@ def _pipeline_tables(name: str, cfg: RunConfig, workers: int) -> list[FigureTabl
     grid = cfg.grid()
     ens = cfg.ensemble()
     convention = cfg.convention()
-    require_alias_free(grid, cfg.medium)
     n = ens.n_realizations
     center = state.mean.as_array()
-    refs = period_references(cfg.B, cfg.pump_phase, grid, n)
-    # the noiseless output: the mean pair propagated as one row, about which
-    # the output traces and pairs are summed
+    # the output band reads the pairs' power sums up to twice the medium's degree
+    degree = 2 * polynomial_degree(cfg.medium)
+    refs = alias_free_references(cfg.B, cfg.pump_phase, cfg.medium, grid, n)
+    # the noiseless output pair, about which the output pairs are summed
     out_center = np.empty((1, 2))
-    noiseless = TraceMoments()
-    center_refs = period_references(cfg.B, cfg.pump_phase, grid, 1)
-    propagate_span(center[None], *center_refs, cfg.medium, out_center, noiseless)
-    trace_center = block_tile(noiseless.sums[0], len(refs[0]))
+    propagate_span(center[None], *refs, cfg.medium, out_center)
     out_center = out_center[0]
 
     def work(start, count):
         pairs = sample_state_array(state, ens, start, count)
         out = np.empty_like(pairs)
-        outputs = TraceMoments(trace_center)
-        propagate_span(pairs, *refs, cfg.medium, out, outputs)
-        return np.concatenate(
-            (pair_sums(pairs, center), outputs.sums.ravel(), pair_sums(out, out_center))
-        )
+        propagate_span(pairs, *refs, cfg.medium, out)
+        return np.concatenate((pair_sums(pairs, center, degree), pair_sums(out, out_center)))
 
     sums = reduce(np.add, run_spans(work, n, workers))
-    in_sums, trace_sums, out_sums = np.split(sums, [5, len(sums) - 5])
+    in_sums, out_sums = np.split(sums, [len(sums) - 5])
     times = grid.times()
-    band = sums_scan(in_sums, n, center, grid.phases())
+    band = sums_scan(in_sums[:5], n, center, grid.phases())
     pump = pump_trace(cfg.B, cfg.pump_phase, grid)
     input_cols = _envelope_columns(times, band.means + pump, band.variances, cfg.band_sigma)
-    total1, total2 = trace_sums.reshape(2, -1)
-    var = np.maximum((total2 - total1 * total1 / n) / (n - 1), 0.0)
-    # the output sums cover one period; every period of the traces repeats it
-    mean, var = np.tile((total1 / n + noiseless.sums[0], var), grid.n_periods)
+    # the band covers one period; every period of the output traces repeats it
+    mean, var = np.tile(_output_band(in_sums, n, center, cfg), grid.n_periods)
     output_cols = _envelope_columns(times, mean, var, cfg.band_sigma)
 
     thetas = np.linspace(0.0, 2.0 * math.pi, 2 * cfg.thetas - 1)
@@ -207,3 +206,38 @@ def _pipeline_tables(name: str, cfg: RunConfig, workers: int) -> list[FigureTabl
         FigureTable(f"{name}_output", _TRACE_HEADER, output_cols),
         scan_table(f"{name}_scan", scan, convention),
     ]
+
+
+def _output_band(power_sums: np.ndarray, n: int, center: np.ndarray, cfg: RunConfig):
+    """Pointwise mean and variance of the output traces over one period of the grid.
+
+    An input trace is E0 + delta, with E0 the noiseless input (the center
+    pair plus the pump) and delta = y1*cos + y2*sin for y = pair - center.
+    The medium is a polynomial of degree d, so its output less the
+    noiseless output f(E0) is exactly y = sum_k a_k*delta^k
+    (:func:`transfer_taylor`). Hence sum y = sum_k a_k*M_k and
+    sum y^2 = sum_{k,l} a_k*a_l*M_{k+l}, where M_m = sum_i delta_i^m
+    expands into the pairs' power sums T[p, m-p] (:func:`pair_sums` of
+    degree 2d) with binomial weights. No output trace is synthesized, and
+    about f(E0) the sums of squares of bright traces do not cancel.
+    """
+    period = replace(cfg.grid(), n_periods=1)
+    cos1, sin1 = period.harmonic(1)
+    pump = pump_trace(cfg.B, cfg.pump_phase, period)
+    e0 = synthesize_rows(center[None], pump, cos1, sin1)[0]
+    a = transfer_taylor(e0, cfg.medium)
+    d = len(a)
+    moments = []  # M_1 .. M_2d
+    offset = 0
+    for m in range(1, 2 * d + 1):
+        # T[p, m-p] for p = m..0 follow the sums of every lower degree
+        terms = (
+            math.comb(m, p) * cos1**p * sin1 ** (m - p) * power_sums[offset + m - p]
+            for p in range(m + 1)
+        )
+        moments.append(sum(terms))
+        offset += m + 1
+    total = sum(a[k] * moments[k] for k in range(d))
+    squares = sum(a[k] * a[l] * moments[k + l + 1] for k in range(d) for l in range(d))
+    var = np.maximum((squares - total * total / n) / (n - 1), 0.0)
+    return transfer_values(e0, cfg.medium) + total / n, var

@@ -64,6 +64,11 @@ def polarization_values(
     return out
 
 
+def polynomial_degree(medium: SusceptibilityProfile) -> int:
+    """Degree of the polarization polynomial: 3 with chi3, else 2 with chi2, else 1."""
+    return 3 if medium.chi3 != 0.0 else 2 if medium.chi2 != 0.0 else 1
+
+
 def alias_free_samples(medium: SusceptibilityProfile) -> int:
     """Fewest samples per period that resolve the pumped medium's output.
 
@@ -73,8 +78,7 @@ def alias_free_samples(medium: SusceptibilityProfile) -> int:
     more than 4*d samples per period: 5 for a linear medium, 9 for chi2
     and 13 for chi3.
     """
-    degree = 3 if medium.chi3 != 0.0 else 2 if medium.chi2 != 0.0 else 1
-    return 4 * degree + 1
+    return 4 * polynomial_degree(medium) + 1
 
 
 def require_alias_free(grid: TimeGrid, medium: SusceptibilityProfile) -> None:
@@ -110,10 +114,33 @@ def transfer_values(
     ``scratch`` are as in polarization_values, and a divisor of exactly
     1.0 is skipped.
     """
-    if medium.chi1 <= 0.0:
-        raise ValueError("output normalization requires chi1 > 0")
+    _require_normalizable(medium)
     divisor = medium.eps0 * medium.chi1
     out = polarization_values(values, medium, out, scratch)
     if divisor != 1.0:
         out /= divisor
     return out
+
+
+def transfer_taylor(values: np.ndarray, medium: SusceptibilityProfile) -> list[np.ndarray]:
+    """Taylor coefficients a_1..a_d of :func:`transfer_values` about each value E0.
+
+    The output field is E + r2*E^2 + r3*E^3 with r_k = chi_k/chi1, so for
+    any delta, f(E0 + delta) - f(E0) = sum_k a_k(E0) * delta^k exactly, with
+    a_1 = 1 + 2*r2*E0 + 3*r3*E0^2, a_2 = r2 + 3*r3*E0 and a_3 = r3, up to
+    the medium's :func:`polynomial_degree` d.
+    """
+    _require_normalizable(medium)
+    values = np.asarray(values, dtype=float)
+    r2, r3 = medium.chi2 / medium.chi1, medium.chi3 / medium.chi1
+    coefficients = [
+        1.0 + (2.0 * r2 + 3.0 * r3 * values) * values,
+        r2 + 3.0 * r3 * values,
+        np.full_like(values, r3),
+    ]
+    return coefficients[: polynomial_degree(medium)]
+
+
+def _require_normalizable(medium: SusceptibilityProfile) -> None:
+    if medium.chi1 <= 0.0:
+        raise ValueError("output normalization requires chi1 > 0")

@@ -271,6 +271,25 @@ class TestFigureCommand:
             main(["figure", "fig7"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["fig2"], ["fig3", "--A", "1"]], ids=" ".join)
+    def test_pipeline_figure_rejects_symplectic_mode(self, argv, tmp_path, capsys):
+        # the pipelines trace the raw medium: symplectic mode wrote raw bytes
+        argv = ["figure", *argv, "--mode", "symplectic", "--outdir", str(tmp_path)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "figure fig" in err and "no symplectic mode" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_fig1_follows_symplectic_mode(self, tmp_path, capsys):
+        for mode in ("raw", "symplectic"):
+            argv = ["figure", "fig1b", "--mode", mode, "--outdir", str(tmp_path / mode)]
+            code, _, _ = run_cli([*argv, "--n-realizations", "5000"], capsys)
+            assert code == 0
+        assert (tmp_path / "raw" / "fig1b.csv").read_bytes() != (
+            tmp_path / "symplectic" / "fig1b.csv"
+        ).read_bytes()
+
     def test_fig3_without_displacement_is_config_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["figure", "fig3", "--outdir", str(tmp_path)], capsys

@@ -9,10 +9,10 @@ from opasim.ensemble import (
     EnsembleConfig,
     GaussianState,
     QuadratureScan,
-    TraceMoments,
     VacuumConvention,
     block_references,
     default_thetas,
+    pair_sums,
     propagate_ensemble,
     propagate_span,
     pump_trace,
@@ -270,14 +270,35 @@ class TestSpanEngine:
         run_spans(lambda start, count: count, 3 * SPAN, workers=10_000)
         assert sizes == [3]
 
-    @pytest.mark.parametrize("block", [1, 7, 100, 1000])
-    def test_trace_moments_equal_one_sum_over_all_rows(self, block):
-        rows = np.random.default_rng(3).normal(size=(1000, 37))
-        moments = TraceMoments()
-        for lo in range(0, len(rows), block):
-            moments.add(rows[lo : lo + block].copy())
-        assert np.array_equal(moments.sums[0], rows.sum(axis=0))
-        assert np.array_equal(moments.sums[1], (rows * rows).sum(axis=0))
+
+
+class TestPairSums:
+    @pytest.fixture
+    def pairs(self):
+        return np.random.default_rng(5).normal(size=(1001, 2)) * 2.0 + 3.0
+
+    @pytest.mark.parametrize("degree", [2, 3, 4, 6])
+    def test_degree_two_part_is_the_five_pair_sums_bit_for_bit(self, pairs, degree):
+        # the input bands read these five sums: their bits set the fig*_input
+        # and fig1 bytes whatever degree the output band needs
+        center = np.array([3.0, -0.5])
+        y1, y2 = pairs[:, 0] - center[0], pairs[:, 1] - center[1]
+        five = np.array([y1.sum(), y2.sum(), (y1 * y1).sum(), (y1 * y2).sum(), (y2 * y2).sum()])
+        sums = pair_sums(pairs, center, degree)
+        assert len(sums) == (degree * (degree + 3)) // 2
+        assert np.array_equal(sums[:5].view(np.uint64), five.view(np.uint64))
+        assert np.array_equal(pair_sums(pairs, center).view(np.uint64), five.view(np.uint64))
+
+    def test_sums_run_by_degree_then_falling_power_of_y1(self, pairs):
+        center = np.array([3.0, -0.5])
+        y1, y2 = pairs[:, 0] - center[0], pairs[:, 1] - center[1]
+        want = [
+            (y1**p * y2 ** (m - p)).sum() for m in range(1, 7) for p in range(m, -1, -1)
+        ]
+        sums = pair_sums(pairs, center, 6)
+        assert len(sums) == 27
+        np.testing.assert_allclose(sums, want, rtol=1e-13)
+        assert np.array_equal(pair_sums(pairs, center, 4), sums[:14])
 
 
 class TestVarianceScan:

@@ -8,7 +8,9 @@ from opasim.medium import (
     SusceptibilityProfile,
     alias_free_samples,
     polarize,
+    polynomial_degree,
     require_alias_free,
+    transfer_taylor,
     transfer_values,
 )
 from opasim.spectral import lockin_extract
@@ -101,10 +103,42 @@ def test_polarize_is_pointwise(chi1, chi2, chi3, perm):
 )
 def test_alias_guard_needs_twice_the_highest_output_order(chi2, chi3, limit):
     medium = SusceptibilityProfile(chi1=1.0, chi2=chi2, chi3=chi3)
-    assert alias_free_samples(medium) == limit + 1
+    assert alias_free_samples(medium) == 4 * polynomial_degree(medium) + 1 == limit + 1
     require_alias_free(TimeGrid(limit + 1, 4), medium)
     with pytest.raises(ValueError) as excinfo:
         require_alias_free(TimeGrid(limit, 4), medium)
     message = str(excinfo.value)
     assert f"samples_per_period = {limit} " in message
     assert f"greater than {limit}" in message
+
+
+@pytest.mark.parametrize(
+    "chi2, chi3, degree", [(0.0, 0.0, 1), (0.5, 0.0, 2), (0.0, 0.1, 3), (-0.3, 0.1, 3)]
+)
+def test_polynomial_degree(chi2, chi3, degree):
+    assert polynomial_degree(SusceptibilityProfile(chi2=chi2, chi3=chi3)) == degree
+
+
+@pytest.mark.parametrize(
+    "chi2_zero, chi3_zero", [(False, False), (True, False), (False, True), (True, True)]
+)
+def test_taylor_coefficients_expand_the_transfer(chi2_zero, chi3_zero):
+    # f(E0 + delta) - f(E0) = sum_k a_k(E0) delta^k, with chi1 and eps0 away from 1
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        chi1, eps0 = rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0)
+        chi2 = 0.0 if chi2_zero else rng.uniform(-1.0, 1.0)
+        chi3 = 0.0 if chi3_zero else rng.uniform(-0.3, 0.3)
+        medium = SusceptibilityProfile(chi1=chi1, chi2=chi2, chi3=chi3, eps0=eps0)
+        e0, delta = rng.uniform(-5.0, 5.0, size=(2, 64))
+        coefficients = transfer_taylor(e0, medium)
+        assert len(coefficients) == polynomial_degree(medium)
+        got = sum(a * delta ** (k + 1) for k, a in enumerate(coefficients))
+        after, before = transfer_values(e0 + delta, medium), transfer_values(e0, medium)
+        bound = 1e-13 * np.maximum(1.0, np.abs(after) + np.abs(before))
+        assert np.all(np.abs(got - (after - before)) <= bound)
+
+
+def test_taylor_coefficients_reject_degenerate_medium():
+    with pytest.raises(ValueError, match="chi1 > 0"):
+        transfer_taylor(np.ones(3), SusceptibilityProfile(chi1=0.0, chi2=1.0))

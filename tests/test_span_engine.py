@@ -39,17 +39,19 @@ GOLDEN = {
         # re-recorded when the input bands became the pairs' projected covariance
         "fig2_input.csv": "de0f26491056295cd09c6e10038d99a0af997010bf1049ac10d26652aa535ab6",
         "fig2_characteristic.csv": "0ccd5c33334b0e9e7bffd09b77abf9e6b7663f258d2ab30d935970ac8c202af9",
-        # re-recorded when the output sums were taken about the noiseless output
-        "fig2_output.csv": "9d3277f46e266aed473673894a866b602e69c003da4188d1bf5e5d25bdd53b29",
-        "fig2_scan.csv": "2de49c95647c8edfeb1cccf904e30fb19734f399cac5ccaa760087644eda4d76",
+        # re-recorded when the output band came from the pairs' power sums
+        # and the pairs were propagated on the smallest alias-free period
+        "fig2_output.csv": "4f7f768376ad1c5205a275f31530c493505b45e8f1a189f44d5e895a4dec4dd8",
+        "fig2_scan.csv": "188ce327da91685996f40f2966e4f544c148e2654004d7a1835f2f3d86fdc537",
     },
     ("figure", "fig3", "--A", "0.8"): {
         # re-recorded when the input bands were centred on the state's mean
         "fig3_input.csv": "7dd34ae4d97fa401689af7a478a2fe6a3dd8ecc1617b5aebc5ed8662478fdaf8",
         "fig3_characteristic.csv": "e549ace235f7d6509cde51cf2cff0f3ba1f7d91319166c12e8cef38fca54f332",
-        # re-recorded when the output sums were taken about the noiseless output
-        "fig3_output.csv": "769c15024d210bcf795dcc4b563fe09eebc6c550b9ab2c59fee0c602bedade69",
-        "fig3_scan.csv": "35f6ef24734da78d5ec719a2b97428fb6895c99d7493019ba6b59deaa537b53b",
+        # re-recorded when the output band came from the pairs' power sums
+        # and the pairs were propagated on the smallest alias-free period
+        "fig3_output.csv": "6423bc8db294e22dc05270e6de5b94fc14067c82080b6ff21eaba9bb71c22d9d",
+        "fig3_scan.csv": "d164446e24537b910c24ab79d95323cd42a9e991a880e0e18ddb74e2073c9d58",
     },
     # re-recorded when the input bands became the pairs' projected covariance
     ("figure", "fig1b"): {
@@ -173,9 +175,9 @@ def reference_outputs():
     return _outputs(workers=1)
 
 
-# CHUNK in samples: blocks of 1 row (1, 3, 7), 3 rows of the scan's 9-sample
-# period (27), 4 rows of the figures' 64-sample period (256), and more rows
-# than a span on both (64 * 4096)
+# CHUNK in samples: blocks of 1 row (1, 3, 7), 3 rows of the 9-sample
+# period that the scan and the figures propagate on (27), 28 rows of it
+# (256), and more rows than a span (64 * 4096)
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("chunk", [1, 3, 7, 27, 256, 4096, 64 * 4096])
 def test_outputs_do_not_depend_on_block_size_or_workers(
