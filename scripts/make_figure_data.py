@@ -9,7 +9,7 @@ output directory (default ./figure_data) and optionally a worker count.
 import argparse
 from pathlib import Path
 
-from opasim.cli import worker_count, write_tables
+from opasim.cli import realization_count, seed_value, worker_count, write_tables
 from opasim.config import RunConfig, with_overrides
 from opasim.figures import FIGURE_NAMES, emit_figure
 
@@ -19,8 +19,8 @@ NEEDS_DISPLACEMENT = {"fig1c", "fig1d", "fig1e", "fig3"}
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("outdir", nargs="?", default="figure_data")
-    parser.add_argument("--n-realizations", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=20260811)
+    parser.add_argument("--n-realizations", type=realization_count, default=100_000)
+    parser.add_argument("--seed", type=seed_value, default=20260811)
     parser.add_argument("--workers", type=worker_count, default=1)
     args = parser.parse_args()
 

@@ -9,6 +9,7 @@ and the determinant-preserving (symplectic) convention.
 import argparse
 import math
 
+from opasim.cli import realization_count, seed_value
 from opasim.ensemble import (
     EnsembleConfig,
     GaussianState,
@@ -24,12 +25,20 @@ from opasim.medium import SusceptibilityProfile
 from opasim.oracle import PassGain, single_pass
 
 
+def pump_ratio(text: str) -> float:
+    """argparse type of an --r value: a pump ratio below threshold, |r| < 1."""
+    try:
+        return PassGain(float(text)).r
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-realizations", type=int, default=50_000)
-    parser.add_argument("--seed", type=int, default=20260811)
+    parser.add_argument("--n-realizations", type=realization_count, default=50_000)
+    parser.add_argument("--seed", type=seed_value, default=20260811)
     parser.add_argument(
-        "--r", type=float, nargs="+", default=[0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9]
+        "--r", type=pump_ratio, nargs="+", default=[0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9]
     )
     args = parser.parse_args()
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +27,13 @@ from . import config as config_mod
 from .config import ConfigError, RunConfig
 from .ensemble import (
     GaussianState,
+    QuadratureScan,
+    channel_sums,
     default_thetas,
-    propagate_ensemble,
-    sample_state_array,
+    medium_channel,
     scan_state,
     squeezing_report,
-    variance_scan,
+    sums_scan,
 )
 from .fields import HarmonicComponent, QuadraturePair, pump_carrier, synthesize
 from .figures import FIGURE_NAMES, FigureTable, emit_figure, scan_table
@@ -63,15 +65,32 @@ def write_tables(tables: list[FigureTable], outdir: Path, suffix: str = "") -> N
         print(path)
 
 
-def worker_count(text: str) -> int:
-    """argparse type of a --workers value: an integer of at least 1."""
+def _integer(text: str, low: int, high: int | None = None) -> int:
+    """An integer in [low, high), or the argparse error that names the range."""
     try:
-        workers = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
-    return workers
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+    if high is not None and value >= high:
+        raise argparse.ArgumentTypeError(f"must be below {high}, got {value}")
+    return value
+
+
+def worker_count(text: str) -> int:
+    """argparse type of a --workers value: an integer of at least 1."""
+    return _integer(text, 1)
+
+
+def realization_count(text: str) -> int:
+    """argparse type of a script's --n-realizations: at least 2, as EnsembleConfig."""
+    return _integer(text, 2)
+
+
+def seed_value(text: str) -> int:
+    """argparse type of a script's --seed: a 64-bit unsigned integer."""
+    return _integer(text, 0, 2**64)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -159,21 +178,22 @@ def _spectrum_table(cfg: RunConfig) -> int:
     return 0 if worst <= SPECTRUM_GATE else 1
 
 
-def _scan_pairs(cfg: RunConfig, workers: int) -> np.ndarray:
-    """Sample the configured input state and apply the configured channel."""
+def run_scan(cfg: RunConfig, workers: int = 1) -> QuadratureScan:
+    """Scan of the configured input state sent through the configured channel."""
     ens = cfg.ensemble()
+    n = ens.n_realizations
     state = GaussianState.coherent(
         QuadraturePair.from_amplitude_phase(cfg.A, cfg.phi), ens.convention
     )
     # both modes share the map's validity bound |r| < 1
     gain = PassGain(cfg.pump_ratio, cfg.mode)
-    pairs = sample_state_array(state, ens)
     if cfg.mode == "symplectic":
         _require_quadratic(cfg, "scan --mode symplectic")
-        return map_quadratures(pairs, gain, cfg.pump_phase)
-    return propagate_ensemble(
-        pairs, cfg.B, cfg.pump_phase, cfg.medium, ens.grid, workers=workers
-    )
+        channel = partial(map_quadratures, gain=gain, pump_phase=cfg.pump_phase)
+    else:
+        channel = medium_channel(cfg.B, cfg.pump_phase, cfg.medium, ens.grid, n)
+    sums, out_center = channel_sums(state, ens, channel, workers)
+    return sums_scan(sums, n, out_center, default_thetas(cfg.thetas))
 
 
 def _summary_line(report) -> str:
@@ -189,7 +209,7 @@ def cmd_scan(args) -> int:
     # a non-finite table exits 2 naming its column; numpy's own warnings
     # would only print ahead of that message
     with np.errstate(over="ignore", invalid="ignore"):
-        scan = variance_scan(_scan_pairs(cfg, args.workers), default_thetas(cfg.thetas))
+        scan = run_scan(cfg, args.workers)
         convention = cfg.convention()
         table = scan_table("scan", scan, convention)
     if args.output:

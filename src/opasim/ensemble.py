@@ -16,9 +16,11 @@ from __future__ import annotations
 import contextvars
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import reduce
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -263,7 +265,7 @@ def propagate_span(
     -> lock-in on its own, whatever the blocking.
     """
     block, n_samples = cos1.shape
-    buffers = [np.empty((min(block, len(pairs)), n_samples)) for _ in range(3)]
+    buffers = _block_buffers(min(block, len(pairs)), n_samples)
     for lo in range(0, len(pairs), block):
         rows = slice(lo, min(lo + block, len(pairs)))
         count = rows.stop - lo
@@ -273,6 +275,76 @@ def propagate_span(
         synthesize_rows(pairs[rows], pump_b, cos_b, sin_b, out=e_in, scratch=scratch)
         transfer_values(e_in, medium, out=e_out, scratch=scratch)
         lockin_rows(e_out, cos_b, sin_b, n_samples, out=out[rows], scratch=scratch)
+
+
+_held = threading.local()
+
+
+def _block_buffers(rows: int, n_samples: int) -> list[np.ndarray]:
+    """The calling thread's three (rows, n_samples) kernel buffers.
+
+    Each thread keeps its buffers across calls, replacing them only when
+    they are too short or of another sample count. Block-sized arrays freed
+    after every span would go back to the system, and the next span would
+    fault their pages in again.
+    """
+    held = getattr(_held, "buffers", None)
+    if held is None or len(held[0]) < rows or held[0].shape[1] != n_samples:
+        held = _held.buffers = [np.empty((rows, n_samples)) for _ in range(3)]
+    return held
+
+
+def medium_channel(
+    pump_b: float,
+    pump_phase: float,
+    medium: SusceptibilityProfile,
+    grid: TimeGrid,
+    rows: int,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The k = 1 output pairs of the pumped medium as a function of input pairs.
+
+    It propagates with :func:`propagate_span` on
+    :func:`alias_free_references` for kernel blocks of at most ``rows``
+    rows, so ``grid`` is checked here, before anything is sampled.
+    """
+    refs = alias_free_references(pump_b, pump_phase, medium, grid, rows)
+
+    def channel(pairs):
+        out = np.empty_like(pairs)
+        propagate_span(pairs, *refs, medium, out)
+        return out
+
+    return channel
+
+
+def channel_sums(
+    state: GaussianState,
+    cfg: EnsembleConfig,
+    channel: Callable[[np.ndarray], np.ndarray],
+    workers: int = 1,
+    in_degree: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Power sums of the state's samples sent through channel, and their center.
+
+    Each span samples its pairs (:func:`sample_state_array`), sends them
+    through ``channel`` and returns their :func:`pair_sums` about
+    ``out_center``, the channel's output for the state's mean as one row;
+    with ``in_degree``, the input pairs' sums about the mean to that degree
+    come first. The spans' sums are added in span order
+    (:func:`run_spans`), so nothing of size O(n) is held and the result is
+    bitwise independent of ``workers``. Returns (sums, out_center).
+    """
+    center = state.mean.as_array()
+    out_center = channel(center[None])[0]
+
+    def work(start, count):
+        pairs = sample_state_array(state, cfg, start, count)
+        out_sums = pair_sums(channel(pairs), out_center)
+        if not in_degree:
+            return out_sums
+        return np.concatenate((pair_sums(pairs, center, in_degree), out_sums))
+
+    return reduce(np.add, run_spans(work, cfg.n_realizations, workers)), out_center
 
 
 def propagate_ensemble(
@@ -344,26 +416,18 @@ def default_thetas(count: int = 181) -> np.ndarray:
     return np.linspace(0.0, math.pi, count)
 
 
-def variance_scan(
-    pairs: np.ndarray, thetas: np.ndarray
-) -> QuadratureScan:
+def variance_scan(pairs: np.ndarray, thetas: np.ndarray) -> QuadratureScan:
     """Unbiased mean/variance of the rotated quadrature at each phase.
 
-    Computed from the ensemble's first and second moments: with sample
-    covariance S (n-1 divisor), Var X(theta) = u(theta)' S u(theta),
-    which is algebraically the unbiased sample variance of the projected
-    values.
+    The :func:`sums_scan` of an in-memory ensemble's :func:`pair_sums`
+    about its sample mean.
     """
     arr = _as_pair_array(pairs)
     n = arr.shape[0]
     if n < 2:
         raise ValueError("variance requires at least two realizations")
     mean = arr.mean(axis=0)
-    centered = arr - mean
-    s11 = float((centered[:, 0] * centered[:, 0]).sum()) / (n - 1)
-    s22 = float((centered[:, 1] * centered[:, 1]).sum()) / (n - 1)
-    s12 = float((centered[:, 0] * centered[:, 1]).sum()) / (n - 1)
-    return _project(mean, ((s11, s12), (s12, s22)), thetas)
+    return sums_scan(pair_sums(arr, mean), n, mean, thetas)
 
 
 def pair_sums(pairs: np.ndarray, center: np.ndarray, degree: int = 2) -> np.ndarray:
@@ -392,8 +456,9 @@ def sums_scan(
 ) -> QuadratureScan:
     """Scan of n pairs from their :func:`pair_sums` about ``center``.
 
-    The sample mean and covariance (n-1 divisor) go through the same
-    projection as in :func:`variance_scan`.
+    With sample covariance S (n-1 divisor), Var X(theta) =
+    u(theta)' S u(theta), which is algebraically the unbiased sample
+    variance of the projected values.
     """
     s1, s2, s11, s12, s22 = sums
     c12 = (s12 - s1 * s2 / n) / (n - 1)

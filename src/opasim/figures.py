@@ -14,9 +14,12 @@ power sums up to degree 2d (see :func:`_output_band`). The band is
 evaluated over one fundamental period and repeated over the grid's
 periods: the input field and the pump repeat every period and the
 medium is memoryless, so every period of an output trace repeats the
-first. The fundamental-bin scan propagates the pairs on one period of
-the smallest alias-free grid, as ``scan`` does, and sums them about the
-noiseless output pair, so a bright state keeps its output variance.
+first. Every figure reads its ensemble through the span loop that
+``scan`` runs, :func:`~opasim.ensemble.channel_sums`: fig1 sends the
+pairs through the identity, fig2/fig3 through the pumped medium on one
+period of the smallest alias-free grid, and each span's output pairs are
+summed about the noiseless output pair, so a bright state keeps its
+output variance in the fundamental-bin scan.
 
 Figures
 -------
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
 
 import numpy as np
 
@@ -43,12 +45,9 @@ from .ensemble import (
     GaussianState,
     QuadratureScan,
     VacuumConvention,
-    alias_free_references,
-    pair_sums,
-    propagate_span,
+    channel_sums,
+    medium_channel,
     pump_trace,
-    run_spans,
-    sample_state_array,
     sums_scan,
     synthesize_rows,
 )
@@ -150,12 +149,8 @@ def _state_trace_table(name: str, cfg: RunConfig, workers: int) -> FigureTable:
     state = figure_state(name, cfg)
     grid = cfg.grid()
     ens = cfg.ensemble()
-    center = state.mean.as_array()
-
-    def work(start, count):
-        return pair_sums(sample_state_array(state, ens, start, count), center)
-
-    sums = reduce(np.add, run_spans(work, ens.n_realizations, workers))
+    # the state itself: its pairs through the identity channel
+    sums, center = channel_sums(state, ens, lambda pairs: pairs, workers)
     band = sums_scan(sums, ens.n_realizations, center, grid.phases())
     columns = _envelope_columns(grid.times(), band.means, band.variances, cfg.band_sigma)
     return FigureTable(name, _TRACE_HEADER, columns)
@@ -171,19 +166,8 @@ def _pipeline_tables(name: str, cfg: RunConfig, workers: int) -> list[FigureTabl
     center = state.mean.as_array()
     # the output band reads the pairs' power sums up to twice the medium's degree
     degree = 2 * polynomial_degree(cfg.medium)
-    refs = alias_free_references(cfg.B, cfg.pump_phase, cfg.medium, grid, n)
-    # the noiseless output pair, about which the output pairs are summed
-    out_center = np.empty((1, 2))
-    propagate_span(center[None], *refs, cfg.medium, out_center)
-    out_center = out_center[0]
-
-    def work(start, count):
-        pairs = sample_state_array(state, ens, start, count)
-        out = np.empty_like(pairs)
-        propagate_span(pairs, *refs, cfg.medium, out)
-        return np.concatenate((pair_sums(pairs, center, degree), pair_sums(out, out_center)))
-
-    sums = reduce(np.add, run_spans(work, n, workers))
+    channel = medium_channel(cfg.B, cfg.pump_phase, cfg.medium, grid, n)
+    sums, out_center = channel_sums(state, ens, channel, workers, degree)
     in_sums, out_sums = np.split(sums, [len(sums) - 5])
     times = grid.times()
     band = sums_scan(in_sums[:5], n, center, grid.phases())

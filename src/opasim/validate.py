@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -18,17 +19,19 @@ from .ensemble import (
     EnsembleConfig,
     GaussianState,
     block_references,
+    channel_sums,
     default_thetas,
+    medium_channel,
     propagate_ensemble,
     propagate_span,
     pump_trace,
     sample_state_array,
     squeezing_report,
-    variance_scan,
+    sums_scan,
 )
 from .fields import HarmonicComponent, pump_carrier, synthesize
 from .medium import SusceptibilityProfile, alias_free_samples, polarize
-from .oracle import PassGain, single_pass
+from .oracle import PassGain, map_quadratures, single_pass
 from .spectral import full_spectrum, lockin_extract, predict_spectrum
 
 Check = Callable[[RunConfig], tuple[bool, str]]
@@ -155,10 +158,10 @@ def check_vacuum_scan_flat(cfg: RunConfig) -> tuple[bool, str]:
     """
     ens = cfg.ensemble()
     var_zp = ens.convention.var_zp
-    pairs = sample_state_array(GaussianState.vacuum(ens.convention), ens)
     medium = replace(cfg.medium, chi3=0.0)
-    out = propagate_ensemble(pairs, 0.0, 0.0, medium, ens.grid)
-    scan = variance_scan(out, default_thetas(cfg.thetas))
+    channel = medium_channel(0.0, 0.0, medium, ens.grid, ens.n_realizations)
+    sums, out_center = channel_sums(GaussianState.vacuum(ens.convention), ens, channel)
+    scan = sums_scan(sums, ens.n_realizations, out_center, default_thetas(cfg.thetas))
     bound = 4.0 * math.sqrt(2.0 / (ens.n_realizations - 1))
     worst = float(np.max(np.abs(scan.variances / var_zp - 1.0)))
     return worst <= bound, (
@@ -175,11 +178,12 @@ def check_heisenberg_symplectic(cfg: RunConfig) -> tuple[bool, str]:
     det = float(np.linalg.det(state.cov))
     if abs(det - var_zp**2) > 1e-10:
         return False, f"oracle determinant off by {abs(det - var_zp**2):.3e}"
+    # the vacuum through the map, as scan --mode symplectic samples it
     ens = cfg.ensemble()
-    pairs = sample_state_array(state, ens)
-    report = squeezing_report(
-        variance_scan(pairs, default_thetas(cfg.thetas)), convention
-    )
+    channel = partial(map_quadratures, gain=gain)
+    sums, out_center = channel_sums(GaussianState.vacuum(convention), ens, channel)
+    scan = sums_scan(sums, ens.n_realizations, out_center, default_thetas(cfg.thetas))
+    report = squeezing_report(scan, convention)
     rel = abs(report.uncertainty_product / var_zp**2 - 1.0)
     return rel <= 0.03, (
         f"oracle det exact; sampled product off by {rel:.4f} (bound 0.03)"

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from opasim import ensemble, rng
 from opasim.cli import main
 from opasim.config import RUN_FIELDS, RunConfig, from_json, with_overrides
 
@@ -179,6 +181,32 @@ class TestScanCommand:
         assert code == 2
         assert out == ""
         assert "requires chi3 = 0" in err
+
+    def test_symplectic_mode_rejects_chi3_before_sampling(self, monkeypatch, capsys):
+        def sample(*args):
+            raise AssertionError("sampled a configuration that is rejected")
+
+        monkeypatch.setattr(ensemble, "sample_state_array", sample)
+        monkeypatch.setattr(rng, "standard_normal_pairs", sample)
+        argv = ["scan", "--mode", "symplectic", "--chi3", "0.05"]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "requires chi3 = 0" in err
+
+    def test_memory_does_not_grow_with_n(self, tmp_path, capsys):
+        def peak(n):
+            argv = ["scan", "--n-realizations", str(n), "-o", str(tmp_path / "scan.csv")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(ensemble.SPAN)  # this thread's kernel buffers are kept across calls
+        small, large = peak(65536), peak(4 * 65536)
+        capsys.readouterr()
+        assert abs(large - small) < 0.5 * 2**20
 
     def test_non_finite_amplitude_is_config_error(self, capsys):
         code, out, err = run_cli(["scan", "--A", "nan"], capsys)
@@ -404,6 +432,31 @@ class TestRunGuards:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "script, argv, message",
+        [
+            ("squeeze_vs_pump.py", ["--r", "0.5", "1.0"], "--r: |r| must be < 1"),
+            ("squeeze_vs_pump.py", ["--n-realizations", "1"], "must be at least 2, got 1"),
+            ("squeeze_vs_pump.py", ["--seed", "-1"], "--seed: must be at least 0"),
+            ("make_figure_data.py", ["--n-realizations", "1"], "must be at least 2, got 1"),
+            ("make_figure_data.py", ["--seed", "-1"], "--seed: must be at least 0"),
+        ],
+        ids=["squeeze-r", "squeeze-n", "squeeze-seed", "figures-n", "figures-seed"],
+    )
+    def test_script_rejects_bad_input_before_any_output(
+        self, script, argv, message, tmp_path
+    ):
+        if script == "make_figure_data.py":
+            argv = [str(tmp_path / "out"), *argv]
+        result = subprocess.run(
+            [sys.executable, str(SCRIPTS / script), *argv], capture_output=True, text=True
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "error: argument" in result.stderr and message in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "argv, spp, limit",
         [
             (["scan", "--samples-per-period", "5"], 5, 8),
@@ -497,3 +550,19 @@ class TestRunGuards:
         code, out, _ = run_cli(["oracle", "--var-zp", "1e154"], capsys)
         assert code == 0
         assert "det cov / var_zp^2  = 0.5625" in out
+
+
+def test_squeeze_script_tabulates_each_pump_ratio():
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "squeeze_vs_pump.py"), "--n-realizations", "4000",
+         "--r", "0.3", "0.5"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    header, *rows = result.stdout.splitlines()
+    assert header.split()[:3] == ["r", "mc_sqz_db", "raw_sqz_db"]
+    assert [float(row.split()[0]) for row in rows] == [0.3, 0.5]
+    for row in rows:
+        mc_db, raw_db = map(float, row.split()[1:3])
+        assert mc_db == pytest.approx(raw_db, abs=0.5)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from opasim import ensemble
-from opasim.cli import main
+from opasim.cli import main, run_scan
 from opasim.config import RunConfig, with_overrides
 from opasim.ensemble import SPAN, propagate_ensemble, sample_state_array
 from opasim.figures import emit_figure, figure_state
@@ -28,12 +28,13 @@ BLAS_N = 100_000
 # SHA-256 of the CSVs written by the span-per-thread engine that used one
 # 4096-row block per span, before the kernel blocks were cut to cache size
 GOLDEN = {
-    # re-recorded when propagate_ensemble moved to the smallest alias-free period
+    # re-recorded when scan summed its output pairs per span about the
+    # noiseless output pair
     ("scan",): {
-        "scan.csv": "d0f2b1880ba109f9249cb572d7b9444b4db253fcd3e9dd26d1000dd427d7e50d",
+        "scan.csv": "ec518c3b2914d1ad6465023844de8d2aa50b8037dd1aaf6fd18a208ab3c8b5c1",
     },
     ("scan", "--A", "0.5", "--phi-deg", "30", "--chi3", "0.05"): {
-        "scan.csv": "93b7618c9cf0673208e51cc03d6356423b961db2a6843dae35af94f1b0d509cb",
+        "scan.csv": "0a0e34c4fb775363e0120f5182e4cc8ed2bff46bb056b14141500f38794caf83",
     },
     ("figure", "fig2"): {
         # re-recorded when the input bands became the pairs' projected covariance
@@ -57,13 +58,12 @@ GOLDEN = {
     ("figure", "fig1b"): {
         "fig1b.csv": "67ab9e18377fb5f67736ea5bd1f4ad6e0999a03803ac8ac8e8265141cb7835bd",
     },
-    # recorded before the oracle's state and array maps became one matrix map
+    # re-recorded when scan summed its output pairs per span
     ("scan", "--mode", "symplectic"): {
-        "scan.csv": "bf7d7e8899515b9c0c712dc89704c41114bf172cba7a938ff8f0fe5e924c83ba",
+        "scan.csv": "78098a469a03bab4571eeba4e48981e34d8124ea26c1e8260dfb5cba335f9997",
     },
-    # re-recorded when gain_matrix became exactly symmetric
     ("scan", "--mode", "symplectic", "--pump-phase-deg", "37"): {
-        "scan.csv": "be7feafd638f357eb7b485ee156b81687f5a153ca6265268aefce29d307c1d5e",
+        "scan.csv": "6fc2e64a8252cc732bfb86e00cdd38fc18ef45387e5049316582125264f58b21",
     },
     # re-recorded when the input bands were centred on the state's mean
     ("figure", "fig1d", "--A", "1.5"): {
@@ -135,10 +135,17 @@ def test_scan_bytes_do_not_depend_on_the_grid(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command", [("scan",), ("figure", "fig1b", "--pump-phase-deg", "37")], ids=" ".join
+    "command",
+    [
+        ("scan",),
+        ("scan", "--mode", "symplectic", "--pump-phase-deg", "37"),
+        ("figure", "fig1b", "--pump-phase-deg", "37"),
+    ],
+    ids=" ".join,
 )
 def test_bytes_do_not_depend_on_blas_threads_or_workers(command, tmp_path):
-    # at 37 degrees fig1b samples through a non-diagonal noise matrix
+    # at 37 degrees fig1b samples through a non-diagonal noise matrix, and
+    # the symplectic scan maps each span through a non-diagonal gain matrix
     outputs = []
     for threads in ("1", "2"):
         for workers in ("1", "3"):
@@ -164,6 +171,9 @@ def _outputs(workers):
         pairs, cfg.B, cfg.pump_phase, cfg.medium, cfg.grid(), workers=workers
     )
     columns = [propagated]
+    for mode in (cfg, with_overrides(cfg, mode="symplectic", pump_phase_deg=37.0)):
+        scan = run_scan(mode, workers)
+        columns.extend((scan.variances, scan.means))
     for name in ("fig2", "fig1b"):
         for table in emit_figure(name, cfg, workers=workers):
             columns.extend(table.columns)
