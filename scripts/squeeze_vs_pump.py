@@ -2,8 +2,9 @@
 """Sweep the pump strength and tabulate squeezing of the output state.
 
 For each normalized pump strength r the Monte-Carlo pipeline estimate is
-printed next to the closed-form values 20*log10(1 -+ r), in both the raw
-and the determinant-preserving (symplectic) convention.
+printed next to the closed-form values 20*log10(1 -+ |r|), in both the raw
+and the determinant-preserving (symplectic) convention. A negative r
+squeezes the other quadrature by the same amount.
 """
 
 import argparse
@@ -56,11 +57,13 @@ def main() -> None:
         medium = SusceptibilityProfile(chi1=1.0, chi2=r)
         out = propagate_ensemble(pairs, 1.0, 0.0, medium, grid)
         rep = squeezing_report(variance_scan(out, thetas), vac)
-        raw = single_pass(GaussianState.vacuum(vac), PassGain(r))
-        symp = single_pass(GaussianState.vacuum(vac), PassGain(r, "symplectic"))
+        # the closed forms of |r|, whose sine quadrature is the anti-squeezed one
+        a = abs(r)
+        raw = single_pass(GaussianState.vacuum(vac), PassGain(a))
+        symp = single_pass(GaussianState.vacuum(vac), PassGain(a, "symplectic"))
         print(
-            f"{r:>5.2f} {rep.squeeze_db:>10.3f} {20 * math.log10(1 - r):>11.3f} "
-            f"{rep.antisqueeze_db:>11.3f} {20 * math.log10(1 + r):>12.3f} "
+            f"{r:>5.2f} {rep.squeeze_db:>10.3f} {20 * math.log10(1 - a):>11.3f} "
+            f"{rep.antisqueeze_db:>11.3f} {20 * math.log10(1 + a):>12.3f} "
             f"{float(raw.cov[0, 0] * raw.cov[1, 1]):>12.5f} "
             f"{10 * math.log10(symp.cov[1, 1]):>13.3f}"
         )

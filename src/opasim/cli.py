@@ -114,7 +114,10 @@ def _load_config(args) -> RunConfig:
     else:
         cfg = config_mod.from_json(Path(args.config).read_text())
     overrides = {f.name: getattr(args, f.name) for f in config_mod.RUN_FIELDS}
-    return config_mod.with_overrides(cfg, **overrides)
+    cfg = config_mod.with_overrides(cfg, **overrides)
+    # one bound for every subcommand, whether or not it traces the medium
+    require_alias_free(cfg.grid(), cfg.medium)
+    return cfg
 
 
 def _input_carriers(cfg: RunConfig) -> list[HarmonicComponent]:
@@ -138,7 +141,6 @@ def cmd_spectrum(args) -> int:
             "for pump_phase_deg = 0"
         )
     _require_quadratic(cfg, "spectrum")
-    require_alias_free(cfg.grid(), cfg.medium)
     # an overflowing input reaches the gate as NaN, which fails it; numpy's
     # own warnings would only repeat that on stderr
     with np.errstate(over="ignore", invalid="ignore"):
@@ -191,7 +193,7 @@ def run_scan(cfg: RunConfig, workers: int = 1) -> QuadratureScan:
         _require_quadratic(cfg, "scan --mode symplectic")
         channel = partial(map_quadratures, gain=gain, pump_phase=cfg.pump_phase)
     else:
-        channel = medium_channel(cfg.B, cfg.pump_phase, cfg.medium, ens.grid, n)
+        channel = medium_channel(cfg.B, cfg.pump_phase, cfg.medium, ens.grid)
     sums, out_center = channel_sums(state, ens, channel, workers)
     return sums_scan(sums, n, out_center, default_thetas(cfg.thetas))
 
@@ -287,7 +289,6 @@ def cmd_oracle(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _load_config(args)
-    require_alias_free(cfg.grid(), cfg.medium)
     failures = 0
     for name, ok, detail in run_all(cfg):
         status = "PASS" if ok else "FAIL"

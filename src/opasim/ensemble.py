@@ -34,23 +34,12 @@ from .medium import (
 )
 from .spectral import lockin_rows
 
-# samples of trace per kernel block (block_references takes
-# CHUNK // n_samples rows); results do not depend on it. The scan and the
-# fig2/fig3 pipelines propagate on the smallest alias-free period, 9 samples
-# for a chi2 medium, where a block is 3640 rows: a (3640, 9) float64 array
-# of 256 KiB, so a span's six (three buffers, three block references) take
-# 1.5 MiB, inside one core's 2 MiB L2. Interleaved in-process sweeps at 1e6
-# rows on that period (2-vCPU VM, medians of 7) at 512/1024/2048/3640/4096
-# rows: scan propagation 0.167/0.137/0.134/0.138/0.131 s; fig2 on 1 worker
-# 0.30/0.29/0.38/0.38/0.39 s, on 2 workers 0.53/0.42/0.36/0.40/0.34 s, where
-# short blocks make each numpy call so brief that the two pool threads hand
-# the GIL over around nearly every one. The value is the 512 rows that a
-# 64-sample period needed (from 768 rows the six arrays spilled L2).
-CHUNK = 512 * 64
-
-# rows per unit of pool work, and per group of the figure sums; fixed,
-# because the figure envelopes depend on how their sums are grouped
-SPAN = 4096
+# rows per span: the unit of thread-pool work, the kernel block and the
+# group of the scan and figure sums, whose bits depend on that grouping.
+# On the 9-sample period of a chi2 medium a span's six (4096, 9) float64
+# arrays (three buffers, three references) take 1.7 MiB, inside one
+# core's 2 MiB L2.
+CHUNK = 4096
 
 _PSD_SLACK = 1e-9
 
@@ -160,44 +149,6 @@ def pump_trace(pump_b: float, pump_phase: float, grid: TimeGrid) -> np.ndarray:
     return pump.c * cos2 + pump.s * sin2
 
 
-def alias_free_references(
-    pump_b: float,
-    pump_phase: float,
-    medium: SusceptibilityProfile,
-    grid: TimeGrid,
-    rows: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`block_references` of the pump on the smallest grid that resolves medium.
-
-    ``grid`` is checked first (:func:`require_alias_free`). The references
-    then span one period of :func:`alias_free_samples` samples: the input
-    field and the pump repeat every period and the medium is memoryless,
-    so every later period of an output trace repeats the first, and the
-    k = 1 lock-in is exact on one period of any grid that resolves every
-    harmonic the medium radiates.
-    """
-    require_alias_free(grid, medium)
-    period = TimeGrid(alias_free_samples(medium), 1, grid.omega)
-    return block_references(pump_trace(pump_b, pump_phase, period), period, rows)
-
-
-def block_references(
-    pump: np.ndarray, grid: TimeGrid, rows: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pump, cos1, sin1) tiled to one kernel block of CHUNK samples of trace.
-
-    The block has CHUNK // grid.n_samples rows, at least one and at most
-    ``rows``. Operands of the block's own shape let the pump add and the
-    lock-in products run as one contiguous loop instead of one loop per
-    row. They are read-only, as a call's threads share them.
-    """
-    block = max(1, min(CHUNK // grid.n_samples, rows))
-    refs = tuple(np.tile(row, (block, 1)) for row in (pump, *grid.harmonic(1)))
-    for ref in refs:
-        ref.setflags(write=False)
-    return refs
-
-
 def synthesize_rows(
     pairs: np.ndarray,
     pump: np.ndarray,
@@ -226,7 +177,7 @@ def synthesize_rows(
 
 
 def run_spans(work, n: int, workers: int = 1) -> list:
-    """Ordered map of ``work(start, count)`` over the SPAN-row spans of n rows.
+    """Ordered map of ``work(start, count)`` over the CHUNK-row spans of n rows.
 
     Results come back in span order for any worker count, so outputs
     never depend on ``workers``. The pool has at most one thread per span,
@@ -235,8 +186,8 @@ def run_spans(work, n: int, workers: int = 1) -> list:
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    starts = range(0, n, SPAN)
-    counts = [min(SPAN, n - start) for start in starts]
+    starts = range(0, n, CHUNK)
+    counts = [min(CHUNK, n - start) for start in starts]
     if workers == 1 or len(starts) < 2:
         return list(map(work, starts, counts))
     context = contextvars.copy_context()
@@ -256,41 +207,39 @@ def propagate_span(
     medium: SusceptibilityProfile,
     out: np.ndarray,
 ) -> None:
-    """Propagate a span of realizations block by block; (c, s) into out.
+    """Propagate a span of realizations as one kernel block; (c, s) into out.
 
-    ``pump``, ``cos1`` and ``sin1`` are block references
-    (:func:`block_references`); the block size is their row count. Every
-    operation is elementwise or a per-row reduction, so each row equals
-    running that realization through synthesize -> polarize -> normalize
-    -> lock-in on its own, whatever the blocking.
+    ``pump``, ``cos1`` and ``sin1`` are tiled references (:func:`medium_channel`),
+    and the span has at most their row count. Every operation is
+    elementwise or a per-row reduction, so each row equals running that
+    realization through synthesize -> polarize -> normalize -> lock-in on
+    its own, whatever the span.
     """
-    block, n_samples = cos1.shape
-    buffers = _block_buffers(min(block, len(pairs)), n_samples)
-    for lo in range(0, len(pairs), block):
-        rows = slice(lo, min(lo + block, len(pairs)))
-        count = rows.stop - lo
-        pump_b, cos_b, sin_b, e_in, e_out, scratch = (
-            a[:count] for a in (pump, cos1, sin1, *buffers)
-        )
-        synthesize_rows(pairs[rows], pump_b, cos_b, sin_b, out=e_in, scratch=scratch)
-        transfer_values(e_in, medium, out=e_out, scratch=scratch)
-        lockin_rows(e_out, cos_b, sin_b, n_samples, out=out[rows], scratch=scratch)
+    count = len(pairs)
+    if count > len(cos1):
+        raise ValueError(f"a span holds at most {len(cos1)} rows, got {count}")
+    n_samples = cos1.shape[1]
+    pump, cos1, sin1, e_in, e_out, scratch = (
+        a[:count] for a in (pump, cos1, sin1, *_block_buffers(cos1.shape))
+    )
+    synthesize_rows(pairs, pump, cos1, sin1, out=e_in, scratch=scratch)
+    transfer_values(e_in, medium, out=e_out, scratch=scratch)
+    lockin_rows(e_out, cos1, sin1, n_samples, out=out, scratch=scratch)
 
 
 _held = threading.local()
 
 
-def _block_buffers(rows: int, n_samples: int) -> list[np.ndarray]:
-    """The calling thread's three (rows, n_samples) kernel buffers.
+def _block_buffers(shape: tuple[int, int]) -> list[np.ndarray]:
+    """The calling thread's three kernel buffers of the given shape.
 
-    Each thread keeps its buffers across calls, replacing them only when
-    they are too short or of another sample count. Block-sized arrays freed
-    after every span would go back to the system, and the next span would
-    fault their pages in again.
+    Each thread keeps its buffers across calls, replacing them only for
+    another shape. Block-sized arrays freed after every span would go back
+    to the system, and the next span would fault their pages in again.
     """
     held = getattr(_held, "buffers", None)
-    if held is None or len(held[0]) < rows or held[0].shape[1] != n_samples:
-        held = _held.buffers = [np.empty((rows, n_samples)) for _ in range(3)]
+    if held is None or held[0].shape != shape:
+        held = _held.buffers = [np.empty(shape) for _ in range(3)]
     return held
 
 
@@ -299,15 +248,26 @@ def medium_channel(
     pump_phase: float,
     medium: SusceptibilityProfile,
     grid: TimeGrid,
-    rows: int,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The k = 1 output pairs of the pumped medium as a function of input pairs.
+    """The k = 1 output pairs of the pumped medium for up to CHUNK input pairs.
 
-    It propagates with :func:`propagate_span` on
-    :func:`alias_free_references` for kernel blocks of at most ``rows``
-    rows, so ``grid`` is checked here, before anything is sampled.
+    ``grid`` is checked here (:func:`require_alias_free`), before anything
+    is sampled. The channel then traces one period of
+    :func:`alias_free_samples` samples: the input field and the pump
+    repeat every period and the medium is memoryless, so every later
+    period of an output trace repeats the first, and the k = 1 lock-in is
+    exact on one period of any grid that resolves every harmonic the
+    medium radiates. The pump and the lock-in references are tiled to
+    CHUNK rows once, so the pump add and the lock-in products run as one
+    contiguous loop instead of one per row; they are read-only, as the
+    threads share them.
     """
-    refs = alias_free_references(pump_b, pump_phase, medium, grid, rows)
+    require_alias_free(grid, medium)
+    period = TimeGrid(alias_free_samples(medium), 1, grid.omega)
+    rows = (pump_trace(pump_b, pump_phase, period), *period.harmonic(1))
+    refs = [np.tile(row, (CHUNK, 1)) for row in rows]
+    for ref in refs:
+        ref.setflags(write=False)
 
     def channel(pairs):
         out = np.empty_like(pairs)
@@ -357,23 +317,21 @@ def propagate_ensemble(
 ) -> np.ndarray:
     """Propagate an (n, 2) ensemble through the medium, optionally threaded.
 
-    ``grid`` must resolve the medium's output (:func:`require_alias_free`).
-    The traces then span one period of the smallest such grid
-    (:func:`alias_free_samples` samples: 9 for chi2, 13 for chi3), because
-    the k = 1 lock-in is exact on any whole number of periods of any grid
-    that resolves every harmonic the medium radiates. So the result is
-    bitwise independent of ``grid.samples_per_period`` and
-    ``grid.n_periods``. Spans run through :func:`run_spans` and write their
-    rows in place, so it is bitwise independent of ``workers`` and of CHUNK
-    too.
+    Each span goes through :func:`medium_channel`, which checks ``grid``
+    and traces one period of the smallest grid that resolves the medium
+    (:func:`alias_free_samples` samples: 9 for chi2, 13 for chi3). So the
+    result is bitwise independent of ``grid.samples_per_period`` and
+    ``grid.n_periods``. Spans run through :func:`run_spans` and each writes
+    its own rows, so it is bitwise independent of ``workers`` and of
+    CHUNK too.
     """
     pairs = _as_pair_array(pairs)
-    refs = alias_free_references(pump_b, pump_phase, medium, grid, len(pairs))
+    channel = medium_channel(pump_b, pump_phase, medium, grid)
     out = np.empty_like(pairs)
 
     def work(start, count):
         rows = slice(start, start + count)
-        propagate_span(pairs[rows], *refs, medium, out[rows])
+        out[rows] = channel(pairs[rows])
 
     run_spans(work, len(pairs), workers)
     return out

@@ -166,7 +166,7 @@ def _pipeline_tables(name: str, cfg: RunConfig, workers: int) -> list[FigureTabl
     center = state.mean.as_array()
     # the output band reads the pairs' power sums up to twice the medium's degree
     degree = 2 * polynomial_degree(cfg.medium)
-    channel = medium_channel(cfg.B, cfg.pump_phase, cfg.medium, grid, n)
+    channel = medium_channel(cfg.B, cfg.pump_phase, cfg.medium, grid)
     sums, out_center = channel_sums(state, ens, channel, workers, degree)
     in_sums, out_sums = np.split(sums, [len(sums) - 5])
     times = grid.times()

@@ -203,7 +203,7 @@ class TestScanCommand:
             finally:
                 tracemalloc.stop()
 
-        peak(ensemble.SPAN)  # this thread's kernel buffers are kept across calls
+        peak(ensemble.CHUNK)  # this thread's kernel buffers are kept across calls
         small, large = peak(65536), peak(4 * 65536)
         capsys.readouterr()
         assert abs(large - small) < 0.5 * 2**20
@@ -465,6 +465,11 @@ class TestRunGuards:
             (["figure", "fig3", "--A", "1", "--samples-per-period", "8"], 8, 8),
             (["spectrum", "--samples-per-period", "8"], 8, 8),
             (["validate", "--samples-per-period", "8"], 8, 8),
+            # subcommands that trace no medium share the bound
+            (["scan", "--mode", "symplectic", "--samples-per-period", "8"], 8, 8),
+            (["oracle", "--samples-per-period", "8"], 8, 8),
+            (["figure", "fig1a", "--samples-per-period", "8"], 8, 8),
+            (["config", "--samples-per-period", "8"], 8, 8),
         ],
     )
     def test_aliasing_grid_is_config_error(self, argv, spp, limit, tmp_path, capsys):
@@ -555,14 +560,18 @@ class TestRunGuards:
 def test_squeeze_script_tabulates_each_pump_ratio():
     result = subprocess.run(
         [sys.executable, str(SCRIPTS / "squeeze_vs_pump.py"), "--n-realizations", "4000",
-         "--r", "0.3", "0.5"],
+         "--r", "0.3", "0.5", "-0.3", "0.3"],
         capture_output=True,
         text=True,
         check=True,
     )
     header, *rows = result.stdout.splitlines()
     assert header.split()[:3] == ["r", "mc_sqz_db", "raw_sqz_db"]
-    assert [float(row.split()[0]) for row in rows] == [0.3, 0.5]
+    assert [float(row.split()[0]) for row in rows] == [0.3, 0.5, -0.3, 0.3]
     for row in rows:
         mc_db, raw_db = map(float, row.split()[1:3])
         assert mc_db == pytest.approx(raw_db, abs=0.5)
+    # a negative r squeezes the other quadrature by as much: the closed-form
+    # columns (raw_sqz_db, raw_anti_db, raw_product, symp_anti_db) follow |r|
+    closed_form = [row.split()[i] for row in rows[2:] for i in (2, 4, 5, 6)]
+    assert closed_form[:4] == closed_form[4:]

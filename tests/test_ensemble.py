@@ -5,21 +5,20 @@ import pytest
 
 from opasim import ensemble
 from opasim.ensemble import (
-    SPAN,
+    CHUNK,
     EnsembleConfig,
     GaussianState,
     QuadratureScan,
     VacuumConvention,
-    block_references,
     default_thetas,
     pair_sums,
     propagate_ensemble,
-    propagate_span,
     pump_trace,
     run_spans,
     sample_state_array,
     scan_state,
     squeezing_report,
+    synthesize_rows,
     variance_scan,
 )
 from opasim.fields import (
@@ -37,7 +36,7 @@ from opasim.medium import (
     transfer_values,
 )
 from opasim.oracle import PassGain, map_quadratures
-from opasim.spectral import lockin_extract
+from opasim.spectral import lockin_extract, lockin_rows
 
 GRID = TimeGrid(64, 4)
 VAC = VacuumConvention(1.0)
@@ -212,9 +211,10 @@ class TestOnePeriod:
     def test_matches_the_configured_grid_lockin(self, medium):
         draws = self.draws()
         out = propagate_ensemble(draws, 1.2, 0.4, medium, GRID)
-        refs = block_references(pump_trace(1.2, 0.4, GRID), GRID, len(draws))
-        full = np.empty_like(draws)
-        propagate_span(draws, *refs, medium, full)
+        # the plain kernels on every sample of the configured grid
+        cos1, sin1 = GRID.harmonic(1)
+        traces = synthesize_rows(draws, pump_trace(1.2, 0.4, GRID), cos1, sin1)
+        full = lockin_rows(transfer_values(traces, medium), cos1, sin1, GRID.n_samples)
         assert np.max(np.abs(out - full)) <= 1e-13 * max(1.0, np.max(np.abs(out)))
 
     def test_linear_medium_runs_on_five_samples(self, monkeypatch):
@@ -242,8 +242,8 @@ class TestOnePeriod:
 
 class TestSpanEngine:
     def test_spans_cover_the_rows_in_order(self):
-        spans = run_spans(lambda start, count: (start, count), 2 * SPAN + 1, workers=3)
-        assert spans == [(0, SPAN), (SPAN, SPAN), (2 * SPAN, 1)]
+        spans = run_spans(lambda start, count: (start, count), 2 * CHUNK + 1, workers=3)
+        assert spans == [(0, CHUNK), (CHUNK, CHUNK), (2 * CHUNK, 1)]
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_fewer_than_one_worker(self, workers):
@@ -267,7 +267,7 @@ class TestSpanEngine:
             map = staticmethod(map)
 
         monkeypatch.setattr(ensemble, "ThreadPoolExecutor", RecordingPool)
-        run_spans(lambda start, count: count, 3 * SPAN, workers=10_000)
+        run_spans(lambda start, count: count, 3 * CHUNK, workers=10_000)
         assert sizes == [3]
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from opasim.config import RunConfig, with_overrides
 from opasim.ensemble import (
-    SPAN,
+    CHUNK,
     pump_trace,
     sample_state_array,
     synthesize_rows,
@@ -96,7 +96,7 @@ INPUT_VARIANTS = {
 def test_input_band_matches_synthesized_traces(name, variant):
     # the band comes from the pairs' moments; here the traces are built
     # and their pointwise statistics taken directly
-    cfg = small_cfg(n_realizations=2 * SPAN + 1, A=3.0, **INPUT_VARIANTS[variant])
+    cfg = small_cfg(n_realizations=2 * CHUNK + 1, A=3.0, **INPUT_VARIANTS[variant])
     _, mean, std, _, _ = emit_figure(name, cfg)[0].columns
     grid = cfg.grid()
     pairs = sample_state_array(figure_state(name, cfg), cfg.ensemble())
@@ -113,7 +113,7 @@ def test_input_band_matches_synthesized_traces(name, variant):
 @pytest.mark.parametrize("name", ["fig1c", "fig1d", "fig1e", "fig3"])
 def test_bright_input_band_keeps_its_variance(name):
     # raw sums of squares at A = 1e8 cancel to a std anywhere in [0, 1)
-    cfg = small_cfg(n_realizations=2 * SPAN + 1, A=1e8)
+    cfg = small_cfg(n_realizations=2 * CHUNK + 1, A=1e8)
     _, _, std, _, _ = emit_figure(name, cfg)[0].columns
     pairs = sample_state_array(figure_state(name, cfg), cfg.ensemble())
     centred = pairs - pairs.mean(axis=0)
@@ -125,7 +125,7 @@ def test_bright_input_band_keeps_its_variance(name):
 
 def test_bright_output_band_keeps_its_variance():
     # raw trace sums of squares at A = 1e8 cancel to a std of 0.0 at some times
-    cfg = small_cfg(n_realizations=2 * SPAN + 1, A=1e8)
+    cfg = small_cfg(n_realizations=2 * CHUNK + 1, A=1e8)
     _, _, std, _, _ = emit_figure("fig3", cfg)[2].columns
     grid = cfg.grid()
     pairs = sample_state_array(figure_state("fig3", cfg), cfg.ensemble())
@@ -137,7 +137,7 @@ def test_bright_output_band_keeps_its_variance():
 
 @pytest.mark.parametrize("name", ["fig2", "fig3"])
 def test_output_periods_repeat_the_first(name):
-    cfg = small_cfg(n_realizations=2 * SPAN + 1, A=3.0, chi3=0.05)
+    cfg = small_cfg(n_realizations=2 * CHUNK + 1, A=3.0, chi3=0.05)
     grid = cfg.grid()
     _, *columns = emit_figure(name, cfg)[2].columns
     for column in columns:
@@ -180,7 +180,7 @@ def assert_close(got_columns, want_columns, rel=1e-13):
 def test_output_tables_match_every_period_traced(name, chi3):
     # the tables come from one period's power sums; here every period of
     # the grid is traced
-    cfg = small_cfg(n_realizations=2 * SPAN + 1, A=3.0, chi3=chi3)
+    cfg = small_cfg(n_realizations=2 * CHUNK + 1, A=3.0, chi3=chi3)
     mean, var, out = traced_outputs(name, cfg)
     std = np.sqrt(var)
     band = cfg.band_sigma * std

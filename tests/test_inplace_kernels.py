@@ -1,22 +1,21 @@
 """The in-place kernels give the bits of the allocating expressions they replaced.
 
 The golden CSV hashes only cover chi1 = eps0 = 1, where the x1.0 passes are
-skipped; here every kernel, and a whole span, is run on a ragged block
-(one block plus 3 rows) for media with and without those factors, on inputs
-holding signed zeros and values that overflow. Results are compared as
-bit patterns, so a -0.0 turned into +0.0 fails.
+skipped; here every kernel, and a whole span, is run for media with and
+without those factors, on inputs holding signed zeros and values that
+overflow. Results are compared as bit patterns, so a -0.0 turned into +0.0
+fails.
 """
 
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from opasim import ensemble
 from opasim.ensemble import (
-    block_references,
     lockin_rows,
+    medium_channel,
     propagate_span,
     pump_trace,
     synthesize_rows,
@@ -25,8 +24,7 @@ from opasim.fields import TimeGrid
 from opasim.medium import SusceptibilityProfile, polarization_values, transfer_values
 
 GRID = TimeGrid(64, 4)
-BLOCK = ensemble.CHUNK // GRID.n_samples
-ROWS = BLOCK + 3
+ROWS = 131
 
 MEDIA = [
     SusceptibilityProfile(chi1=chi1, chi2=chi2, chi3=chi3, eps0=eps0)
@@ -66,12 +64,8 @@ def reference_lockin(rows, cos1, sin1, n_samples):
 
 
 def reference_span(pairs, pump, cos1, sin1, medium):
-    out = np.empty((len(pairs), 2))
-    for lo in range(0, len(pairs), BLOCK):
-        e_in = reference_synthesize(pairs[lo : lo + BLOCK], pump, cos1, sin1)
-        e_out = reference_transfer(e_in, medium)
-        out[lo : lo + BLOCK] = reference_lockin(e_out, cos1, sin1, cos1.size)
-    return out
+    e_out = reference_transfer(reference_synthesize(pairs, pump, cos1, sin1), medium)
+    return reference_lockin(e_out, cos1, sin1, cos1.size)
 
 
 def same_bits(got, want):
@@ -154,27 +148,34 @@ def test_lockin_rows_keeps_the_bits(traces, references):
 
 @pytest.mark.parametrize("medium", MEDIA, ids=_medium_id)
 def test_propagate_span_keeps_the_bits(medium, pairs, references):
-    with np.errstate(all="ignore"):
-        want = reference_span(pairs, *references, medium)
-        refs = block_references(references[0], GRID, ROWS)
-        out = np.empty((ROWS, 2))
-        propagate_span(pairs, *refs, medium, out)
-    assert same_bits(out, want)
+    # a full span, and a ragged one shorter than its tiled references
+    tiled = [np.tile(row, (ROWS, 1)) for row in references]
+    for count in (ROWS, ROWS - 3):
+        with np.errstate(all="ignore"):
+            want = reference_span(pairs[:count], *references, medium)
+            out = np.empty((count, 2))
+            propagate_span(pairs[:count], *tiled, medium, out)
+        assert same_bits(out, want)
 
 
-def test_block_references_are_read_only_block_tiles(references, monkeypatch):
-    pump, cos1, sin1 = references
-    refs = block_references(pump, GRID, ROWS)
-    for tiled, row in zip(refs, references):
-        # a block holds CHUNK samples of trace
-        assert tiled.shape == (ensemble.CHUNK // GRID.n_samples, GRID.n_samples)
-        assert not tiled.flags.writeable
-        assert all(same_bits(tiled_row, row) for tiled_row in tiled)
-    for period in (replace(GRID, n_periods=1), TimeGrid(9, 1)):
-        pump_row = pump_trace(1.0, 0.3, period)
-        shape = block_references(pump_row, period, 10**6)[0].shape
-        assert shape == (ensemble.CHUNK // period.n_samples, period.n_samples)
-    assert block_references(pump, GRID, 3)[0].shape == (3, GRID.n_samples)
-    # a block is never empty, even when CHUNK is less than a trace
-    monkeypatch.setattr(ensemble, "CHUNK", 3)
-    assert block_references(pump, GRID, ROWS)[0].shape == (1, GRID.n_samples)
+def test_channel_references_are_read_only_chunk_tiles(monkeypatch):
+    monkeypatch.setattr(ensemble, "CHUNK", 5)
+    tiles = []
+    monkeypatch.setattr(ensemble, "propagate_span", lambda *args: tiles.extend(args[1:4]))
+    medium = SusceptibilityProfile(chi1=1.0, chi2=0.5, chi3=0.05)
+    medium_channel(1.0, 0.3, medium, GRID)(np.zeros((1, 2)))
+    # one period of the smallest alias-free grid, 13 samples for chi3
+    period = TimeGrid(13, 1)
+    rows = (pump_trace(1.0, 0.3, period), *period.harmonic(1))
+    for tile, row in zip(tiles, rows, strict=True):
+        assert tile.shape == (5, 13)
+        assert not tile.flags.writeable
+        assert all(same_bits(tile_row, row) for tile_row in tile)
+
+
+def test_channel_rejects_more_rows_than_a_span(pairs):
+    channel = medium_channel(1.0, 0.3, MEDIA[0], GRID)
+    assert channel(pairs[:1]).shape == (1, 2)
+    rows = np.zeros((ensemble.CHUNK + 1, 2))
+    with pytest.raises(ValueError, match=f"at most {ensemble.CHUNK} rows"):
+        channel(rows)

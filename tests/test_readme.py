@@ -1,7 +1,9 @@
-"""The README's library example runs, and the package exports what it uses."""
+"""The README's library example runs, and the names it gives resolve in the package."""
 
 import contextlib
+import importlib
 import io
+import pkgutil
 import re
 from pathlib import Path
 
@@ -28,3 +30,21 @@ def test_every_exported_name_resolves():
     assert opasim.__all__
     for name in opasim.__all__:
         assert hasattr(opasim, name), name
+
+
+def _qualified_names() -> list[str]:
+    """Every `module.name` (or `module.Class.attr`) the README names in code spans."""
+    modules = {info.name for info in pkgutil.iter_modules(opasim.__path__)}
+    spans = re.findall(r"`(\w+(?:\.\w+)+)(?:\([^`]*\))?`", README.read_text())
+    return sorted({span for span in spans if span.split(".")[0] in modules})
+
+
+def test_every_qualified_name_resolves():
+    names = _qualified_names()
+    assert len(names) >= 10
+    for name in names:
+        module, *attrs = name.split(".")
+        target = importlib.import_module(f"opasim.{module}")
+        for attr in attrs:
+            assert hasattr(target, attr), name
+            target = getattr(target, attr)

@@ -1,7 +1,8 @@
-"""The span engine keeps every output byte: golden CSV hashes and block invariance.
+"""The span engine keeps every output byte: golden CSV hashes and span invariance.
 
-n = 2 * SPAN + 1 makes the last span a single row, so the ragged tail of
-both the spans and the kernel blocks is exercised.
+A span of CHUNK rows is the kernel block, the unit of pool work and the
+group of the scan and figure sums. n = 2 * CHUNK + 1 makes the last span
+a single row, so the ragged tail is exercised.
 """
 
 import hashlib
@@ -15,18 +16,18 @@ import pytest
 from opasim import ensemble
 from opasim.cli import main, run_scan
 from opasim.config import RunConfig, with_overrides
-from opasim.ensemble import SPAN, propagate_ensemble, sample_state_array
+from opasim.ensemble import CHUNK, propagate_ensemble, sample_state_array
 from opasim.figures import emit_figure, figure_state
 from opasim.validate import check_one_period_lockin
 
-N = 2 * SPAN + 1
+N = 2 * CHUNK + 1
 
 # enough rows that OpenBLAS splits the (n, 2) x (2, 2) sampling product
 # over threads when it may
 BLAS_N = 100_000
 
-# SHA-256 of the CSVs written by the span-per-thread engine that used one
-# 4096-row block per span, before the kernel blocks were cut to cache size
+# SHA-256 of the CSVs written by the span-per-thread engine, one 4096-row
+# kernel block per span
 GOLDEN = {
     # re-recorded when scan summed its output pairs per span about the
     # noiseless output pair
@@ -140,6 +141,7 @@ def test_scan_bytes_do_not_depend_on_the_grid(command, tmp_path, capsys):
         ("scan",),
         ("scan", "--mode", "symplectic", "--pump-phase-deg", "37"),
         ("figure", "fig1b", "--pump-phase-deg", "37"),
+        ("figure", "fig2"),
     ],
     ids=" ".join,
 )
@@ -163,14 +165,18 @@ def test_bytes_do_not_depend_on_blas_threads_or_workers(command, tmp_path):
     assert all(output == outputs[0] for output in outputs[1:])
 
 
-def _outputs(workers):
+def _propagated(workers):
     cfg = with_overrides(RunConfig(), n_realizations=N)
     # a squeezed state has a non-diagonal noise matrix
     pairs = sample_state_array(figure_state("fig1b", cfg), cfg.ensemble())
-    propagated = propagate_ensemble(
+    return propagate_ensemble(
         pairs, cfg.B, cfg.pump_phase, cfg.medium, cfg.grid(), workers=workers
     )
-    columns = [propagated]
+
+
+def _outputs(workers):
+    cfg = with_overrides(RunConfig(), n_realizations=N)
+    columns = []
     for mode in (cfg, with_overrides(cfg, mode="symplectic", pump_phase_deg=37.0)):
         scan = run_scan(mode, workers)
         columns.extend((scan.variances, scan.means))
@@ -180,37 +186,41 @@ def _outputs(workers):
     return columns
 
 
-@pytest.fixture(scope="module")
-def reference_outputs():
-    return _outputs(workers=1)
-
-
-# CHUNK in samples: blocks of 1 row (1, 3, 7), 3 rows of the 9-sample
-# period that the scan and the figures propagate on (27), 28 rows of it
-# (256), and more rows than a span (64 * 4096)
-@pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("chunk", [1, 3, 7, 27, 256, 4096, 64 * 4096])
-def test_outputs_do_not_depend_on_block_size_or_workers(
-    chunk, workers, reference_outputs, monkeypatch
-):
-    monkeypatch.setattr(ensemble, "CHUNK", chunk)
+def _switching_often(run, workers):
     # threads that switch often: a span written to the wrong rows or a
     # sum taken out of order would change the bits
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        outputs = _outputs(workers)
+        return run(workers)
     finally:
         sys.setswitchinterval(interval)
-    assert len(outputs) == len(reference_outputs)
-    for got, want in zip(outputs, reference_outputs):
-        assert np.array_equal(got, want)
 
 
-# CHUNK in samples: blocks of 1 row (1, 3), 3 rows of the 9-sample period
-# (27), 2 rows of the configured 64x4 grid (512), and more rows than a span
-# on both (256 * 4096)
-@pytest.mark.parametrize("chunk", [1, 3, 27, 512, 256 * 4096])
+# CHUNK in rows, the propagated rows' kernel block: spans of 1 row (1),
+# short spans (3, 7, 27, 256), the default (4096) and one span for all N
+# rows (16384)
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("chunk", [1, 3, 7, 27, 256, 4096, 16384])
+def test_outputs_do_not_depend_on_block_size_or_workers(chunk, workers, monkeypatch):
+    want = _propagated(workers=1)
+    monkeypatch.setattr(ensemble, "CHUNK", chunk)
+    assert np.array_equal(_switching_often(_propagated, workers), want)
+
+
+# the scan and figure sums are grouped by span, so their bits are pinned
+# at the default CHUNK; only the worker count may vary
+def test_scan_and_figure_outputs_do_not_depend_on_workers():
+    want = _outputs(workers=1)
+    outputs = _switching_often(_outputs, workers=3)
+    assert len(outputs) == len(want)
+    for got, ref in zip(outputs, want):
+        assert np.array_equal(got, ref)
+
+
+# CHUNK in rows: spans of 1 row (1), short spans (3, 27, 512), and one
+# span for all 10 000 rows of the check (16384)
+@pytest.mark.parametrize("chunk", [1, 3, 27, 512, 16384])
 def test_one_period_lockin_check_passes_at_any_block_size(chunk, monkeypatch):
     cfg = RunConfig()
     want = check_one_period_lockin(cfg)
