@@ -36,9 +36,9 @@ from .spectral import lockin_rows
 
 # rows per span: the unit of thread-pool work, the kernel block and the
 # group of the scan and figure sums, whose bits depend on that grouping.
-# On the 9-sample period of a chi2 medium a span's six (4096, 9) float64
-# arrays (three buffers, three references) take 1.7 MiB, inside one
-# core's 2 MiB L2.
+# The block is samples-major, one column per realization: on the 9-sample
+# period of a chi2 medium a thread's three (9, 4096) float64 buffers take
+# 864 KiB (1.2 MiB at the 13 samples of chi3), inside one core's 2 MiB L2.
 CHUNK = 4096
 
 _PSD_SLACK = 1e-9
@@ -139,7 +139,11 @@ def sample_state_array(
         count = cfg.n_realizations - start
     z = rng.standard_normal_pairs(cfg.seed, start, count)
     draws = z @ state.noise_matrix().T
-    return np.add(state.mean.as_array(), draws, out=draws)
+    # a scalar add per column: broadcasting the (2,) mean is a slower loop
+    mean = state.mean.as_array()
+    draws[:, 0] += mean[0]
+    draws[:, 1] += mean[1]
+    return draws
 
 
 def pump_trace(pump_b: float, pump_phase: float, grid: TimeGrid) -> np.ndarray:
@@ -157,22 +161,22 @@ def synthesize_rows(
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Input field traces (x1*cos1 + x2*sin1) + pump, one row per realization.
+    """Input field traces (x1*cos1 + x2*sin1) + pump, one column per realization.
 
-    The references are single rows or block references. Each product
-    copies the quadrature column across the row, then multiplies in
-    place: the same IEEE product as a broadcast multiply, without numpy's
-    per-row loop.
+    ``pump``, ``cos1`` and ``sin1`` are rows of n_samples; the result is
+    an (n_samples, len(pairs)) samples-major block. The quadratures are
+    copied to contiguous vectors and multiplied by the references taken
+    as columns, so each sample is the IEEE expression of that
+    realization's own trace.
     """
-    shape = (len(pairs), cos1.shape[-1])
+    shape = (cos1.size, len(pairs))
     out = np.empty(shape) if out is None else out
     scratch = np.empty(shape) if scratch is None else scratch
-    np.copyto(out, pairs[:, 0:1])
-    out *= cos1
-    np.copyto(scratch, pairs[:, 1:2])
-    scratch *= sin1
+    x1, x2 = np.ascontiguousarray(pairs.T)
+    np.multiply(cos1[:, None], x1, out=out)
+    np.multiply(sin1[:, None], x2, out=scratch)
     out += scratch
-    out += pump
+    out += pump[:, None]
     return out
 
 
@@ -209,19 +213,16 @@ def propagate_span(
 ) -> None:
     """Propagate a span of realizations as one kernel block; (c, s) into out.
 
-    ``pump``, ``cos1`` and ``sin1`` are tiled references (:func:`medium_channel`),
-    and the span has at most their row count. Every operation is
-    elementwise or a per-row reduction, so each row equals running that
-    realization through synthesize -> polarize -> normalize -> lock-in on
-    its own, whatever the span.
+    ``pump``, ``cos1`` and ``sin1`` are one period's rows
+    (:func:`medium_channel`). The block is samples-major, one column per
+    realization, in the calling thread's buffers. Every operation is
+    elementwise or a per-column sum in a fixed order (:func:`lockin_rows`),
+    so each row of out equals running that realization through
+    synthesize -> polarize -> normalize -> lock-in on its own, whatever
+    the span.
     """
-    count = len(pairs)
-    if count > len(cos1):
-        raise ValueError(f"a span holds at most {len(cos1)} rows, got {count}")
-    n_samples = cos1.shape[1]
-    pump, cos1, sin1, e_in, e_out, scratch = (
-        a[:count] for a in (pump, cos1, sin1, *_block_buffers(cos1.shape))
-    )
+    n_samples = cos1.size
+    e_in, e_out, scratch = _block_buffers(n_samples, len(pairs))
     synthesize_rows(pairs, pump, cos1, sin1, out=e_in, scratch=scratch)
     transfer_values(e_in, medium, out=e_out, scratch=scratch)
     lockin_rows(e_out, cos1, sin1, n_samples, out=out, scratch=scratch)
@@ -230,17 +231,25 @@ def propagate_span(
 _held = threading.local()
 
 
-def _block_buffers(shape: tuple[int, int]) -> list[np.ndarray]:
-    """The calling thread's three kernel buffers of the given shape.
+def _block_buffers(n_samples: int, count: int) -> list[np.ndarray]:
+    """(n_samples, count) views of the calling thread's three kernel buffers.
 
-    Each thread keeps its buffers across calls, replacing them only for
-    another shape. Block-sized arrays freed after every span would go back
-    to the system, and the next span would fault their pages in again.
+    Each thread keeps its buffers across calls, replacing them only when
+    a block needs more rows or columns, so a span, the ragged last span
+    and the centre row all reuse them. Block-sized arrays freed after
+    every span would go back to the system, and the next span would fault
+    their pages in again. The buffers' rows are 8 elements longer than
+    the widest block, so no view is one contiguous run: numpy streams a
+    broadcast (n_samples, 1) reference along each row of such a view, but
+    for a contiguous block it copies the reference through a buffer first
+    (46 against 15 us for a (9, 4096) product, numpy 2.4 on a 2-vCPU
+    x86-64 VM).
     """
     held = getattr(_held, "buffers", None)
-    if held is None or held[0].shape != shape:
+    if held is None or held[0].shape[0] < n_samples or held[0].shape[1] <= count:
+        shape = (n_samples, max(count, CHUNK) + 8)
         held = _held.buffers = [np.empty(shape) for _ in range(3)]
-    return held
+    return [buffer[:n_samples, :count] for buffer in held]
 
 
 def medium_channel(
@@ -249,7 +258,7 @@ def medium_channel(
     medium: SusceptibilityProfile,
     grid: TimeGrid,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The k = 1 output pairs of the pumped medium for up to CHUNK input pairs.
+    """The k = 1 output pairs of the pumped medium for a span of input pairs.
 
     ``grid`` is checked here (:func:`require_alias_free`), before anything
     is sampled. The channel then traces one period of
@@ -257,17 +266,14 @@ def medium_channel(
     repeat every period and the medium is memoryless, so every later
     period of an output trace repeats the first, and the k = 1 lock-in is
     exact on one period of any grid that resolves every harmonic the
-    medium radiates. The pump and the lock-in references are tiled to
-    CHUNK rows once, so the pump add and the lock-in products run as one
-    contiguous loop instead of one per row; they are read-only, as the
-    threads share them.
+    medium radiates. The pump and the lock-in references are that
+    period's rows, read-only, as the threads share them.
     """
     require_alias_free(grid, medium)
     period = TimeGrid(alias_free_samples(medium), 1, grid.omega)
-    rows = (pump_trace(pump_b, pump_phase, period), *period.harmonic(1))
-    refs = [np.tile(row, (CHUNK, 1)) for row in rows]
-    for ref in refs:
-        ref.setflags(write=False)
+    pump = pump_trace(pump_b, pump_phase, period)
+    pump.setflags(write=False)
+    refs = (pump, *period.harmonic(1))
 
     def channel(pairs):
         out = np.empty_like(pairs)

@@ -9,6 +9,7 @@ exact and lock-in extraction leakage-free for band-limited signals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -78,12 +79,24 @@ class TimeGrid:
         """cos(k*omega*t_n) and sin(k*omega*t_n): the basis rows of order k.
 
         The one place the package samples its harmonic basis; synthesis,
-        the lock-in, the pump and the block references all take it from
-        here. Raises ValueError for k < 0 or k at or above Nyquist.
+        the lock-in, the pump and the propagation channel's references all
+        take it from here. The rows are read-only and shared: they are
+        built once per (samples_per_period, n_periods, k), which fix them.
+        Raises ValueError for k < 0 or k at or above Nyquist.
         """
         self.require_harmonic(k)
-        phases = k * self.phases()
-        return np.cos(phases), np.sin(phases)
+        return _harmonic_rows(self.samples_per_period, self.n_periods, k)
+
+
+@functools.lru_cache(maxsize=256)
+def _harmonic_rows(
+    samples_per_period: int, n_periods: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    phases = k * TimeGrid(samples_per_period, n_periods).phases()
+    rows = np.cos(phases), np.sin(phases)
+    for row in rows:
+        row.setflags(write=False)
+    return rows
 
 
 @dataclass(frozen=True, eq=False)

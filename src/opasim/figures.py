@@ -208,7 +208,7 @@ def _output_band(power_sums: np.ndarray, n: int, center: np.ndarray, cfg: RunCon
     period = replace(cfg.grid(), n_periods=1)
     cos1, sin1 = period.harmonic(1)
     pump = pump_trace(cfg.B, cfg.pump_phase, period)
-    e0 = synthesize_rows(center[None], pump, cos1, sin1)[0]
+    e0 = synthesize_rows(center[None], pump, cos1, sin1)[:, 0]
     a = transfer_taylor(e0, cfg.medium)
     d = len(a)
     moments = []  # M_1 .. M_2d

@@ -55,25 +55,73 @@ class HarmonicSpectrum:
 
 
 def lockin_rows(
-    rows: np.ndarray,
+    block: np.ndarray,
     cos1: np.ndarray,
     sin1: np.ndarray,
     n_samples: int,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(c, s) of each row against the references; exact for band-limited rows.
+    """(c, s) of each column of a samples-major block; exact for band-limited columns.
 
-    c = (2/N) * sum row[n] * cos1[n] and s likewise. The references are
-    single rows or block references; the pair goes to ``out`` and the
-    products to ``scratch`` when given.
+    ``block`` is (n_samples, m), one column per realization, and the
+    references are rows of n_samples: c = (2/N) * sum block[n] * cos1[n]
+    and s likewise. The m pairs go to ``out`` and the products to
+    ``scratch`` when given. Each sum has the bits of ``np.sum`` on that
+    column alone (:func:`_column_sums`), whatever m.
     """
     scale = 2.0 / n_samples
-    out = np.empty((len(rows), 2)) if out is None else out
+    out = np.empty((block.shape[1], 2)) if out is None else out
     for column, reference in enumerate((cos1, sin1)):
-        scratch = np.multiply(rows, reference, out=scratch)
-        np.multiply(scale, scratch.sum(axis=1), out=out[:, column])
+        scratch = np.multiply(block, reference[:, None], out=scratch)
+        np.multiply(scale, _column_sums(scratch), out=out[:, column])
     return out
+
+
+def _column_sums(block: np.ndarray) -> np.ndarray:
+    """Sum of each column of a 2-d block, overwriting the block.
+
+    ``np.sum`` of one contiguous series adds its terms in numpy's pairwise
+    order (Higham, SIAM J. Sci. Comput. 14, 1993) to an initial +0.0. Over
+    axis 0 of a wider block numpy adds in another order, which depends on
+    the width, so those adds are made here as whole-row adds, and every
+    column gets the bits of its own series' sum. A width-1 block is such a
+    series already.
+    """
+    if block.shape[1] == 1:
+        return block.sum(axis=0)
+    row = _pairwise_rows(block)
+    row += 0.0  # the initial +0.0, which turns a -0.0 sum into +0.0
+    return row
+
+
+def _pairwise_rows(block: np.ndarray) -> np.ndarray:
+    """Row 0 of block, overwritten with numpy's ``pairwise_sum`` over the rows.
+
+    Under 8 rows they are added in order; up to 128, eight accumulators
+    step by 8, are added as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the
+    remainder follows in order; over 128 the rows split at n/2, rounded
+    down to a multiple of 8, and the halves' sums are added.
+    """
+    n = block.shape[0]
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        row = _pairwise_rows(block[:half])
+        row += _pairwise_rows(block[half:])
+        return row
+    if n < 8:
+        rest = range(1, n)
+    else:
+        stop = n - n % 8
+        for start in range(8, stop, 8):
+            block[:8] += block[start : start + 8]
+        np.add(block[0:8:2], block[1:8:2], out=block[0:8:2])
+        np.add(block[0:8:4], block[2:8:4], out=block[0:8:4])
+        block[0] += block[4]
+        rest = range(stop, n)
+    for i in rest:
+        block[0] += block[i]
+    return block[0]
 
 
 def lockin_extract(e: TimeSeries, k: int) -> HarmonicComponent:
@@ -87,7 +135,7 @@ def lockin_extract(e: TimeSeries, k: int) -> HarmonicComponent:
     if k == 0:
         return HarmonicComponent(k=0, c=float(np.mean(e.values)), s=0.0)
     cos_k, sin_k = e.grid.harmonic(k)
-    pair = lockin_rows(e.values[None, :], cos_k, sin_k, e.grid.n_samples)
+    pair = lockin_rows(e.values[:, None], cos_k, sin_k, e.grid.n_samples)
     return HarmonicComponent(k=k, c=float(pair[0, 0]), s=float(pair[0, 1]))
 
 

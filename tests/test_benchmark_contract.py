@@ -72,3 +72,29 @@ def test_chunk_is_an_int():
     from opasim.ensemble import CHUNK
 
     assert type(CHUNK) is int and CHUNK >= 1
+
+
+def test_traced_scan_reaches_every_kernel_layer(monkeypatch, tmp_path, capsys):
+    # the kernel must call its layers through the names the tracer patches;
+    # one that bypassed them would read 0 in the benchmark, not fail
+    from opasim import cli
+    from opasim.ensemble import CHUNK
+
+    tracing = _load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    n = 2 * CHUNK + 1
+    uninstall = tracing.install(tracer)
+    try:
+        argv = ["scan", "--n-realizations", str(n), "-o", str(tmp_path / "scan.csv")]
+        assert cli.main(argv) == 0
+    finally:
+        uninstall()
+    capsys.readouterr()
+    metrics = tracing.layer_metrics(tracer.spans)
+    # one block per span, plus the channel's centre row
+    blocks = -(-n // CHUNK) + 1
+    assert metrics["ensemble.synthesize_rows.calls"] == blocks
+    assert metrics["ensemble.lockin_rows.calls"] == blocks
+    # the 9-sample period of the default chi2 medium
+    assert metrics["medium.transfer_values.samples"] == 9 * (n + 1)
+    assert metrics["rng.standard_normal_pairs.rows"] == n

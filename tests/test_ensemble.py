@@ -221,7 +221,7 @@ class TestOnePeriod:
         widths = []
 
         def transfer(values, *args, **kwargs):
-            widths.append(values.shape[1])
+            widths.append(values.shape[0])
             return transfer_values(values, *args, **kwargs)
 
         monkeypatch.setattr(ensemble, "transfer_values", transfer)

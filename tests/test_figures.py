@@ -131,7 +131,7 @@ def test_bright_output_band_keeps_its_variance():
     pairs = sample_state_array(figure_state("fig3", cfg), cfg.ensemble())
     pump = pump_trace(cfg.B, cfg.pump_phase, grid)
     traces = transfer_values(synthesize_rows(pairs, pump, *grid.harmonic(1)), cfg.medium)
-    want = traces.std(axis=0, ddof=1)
+    want = traces.std(axis=1, ddof=1)
     assert np.max(np.abs(std - want) / want) <= 1e-6
 
 

@@ -1,10 +1,12 @@
 """The in-place kernels give the bits of the allocating expressions they replaced.
 
-The golden CSV hashes only cover chi1 = eps0 = 1, where the x1.0 passes are
+The kernels run on samples-major blocks, one column per realization. The
+golden CSV hashes only cover chi1 = eps0 = 1, where the x1.0 passes are
 skipped; here every kernel, and a whole span, is run for media with and
 without those factors, on inputs holding signed zeros and values that
-overflow. Results are compared as bit patterns, so a -0.0 turned into +0.0
-fails.
+overflow. Each realization is checked against its own trace, built and
+summed alone as a contiguous row. Results are compared as bit patterns, so
+a -0.0 turned into +0.0 fails.
 """
 
 import itertools
@@ -38,11 +40,11 @@ def _medium_id(m):
     return f"chi1={m.chi1}-eps0={m.eps0}-chi2={m.chi2}-chi3={m.chi3}"
 
 
-# the expressions the kernels ran before they wrote into buffers
+# each realization's trace and lock-in on its own, one contiguous row each
 
 
 def reference_synthesize(pairs, pump, cos1, sin1):
-    return pairs[:, 0:1] * cos1 + pairs[:, 1:2] * sin1 + pump
+    return np.array([x1 * cos1 + x2 * sin1 + pump for x1, x2 in pairs]).T
 
 
 def reference_polarization(values, medium):
@@ -56,11 +58,11 @@ def reference_transfer(values, medium):
     return reference_polarization(values, medium) / (medium.eps0 * medium.chi1)
 
 
-def reference_lockin(rows, cos1, sin1, n_samples):
+def reference_lockin(block, cos1, sin1, n_samples):
     scale = 2.0 / n_samples
-    c = scale * (rows * cos1).sum(axis=1)
-    s = scale * (rows * sin1).sum(axis=1)
-    return np.column_stack((c, s))
+    return np.array(
+        [(scale * np.sum(trace * cos1), scale * np.sum(trace * sin1)) for trace in block.T]
+    )
 
 
 def reference_span(pairs, pump, cos1, sin1, medium):
@@ -86,7 +88,7 @@ def _with_specials(values):
 def pairs():
     rng = np.random.default_rng(2024)
     pairs = _with_specials(rng.normal(size=(ROWS, 2)) * 3.0)
-    # rows whose products are all signed zeros
+    # realizations whose products are all signed zeros
     pairs[:3] = [(-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0)]
     return pairs
 
@@ -94,7 +96,10 @@ def pairs():
 @pytest.fixture
 def traces():
     rng = np.random.default_rng(7)
-    return _with_specials(rng.normal(size=(ROWS, GRID.n_samples)) * 2.0)
+    traces = _with_specials(rng.normal(size=(GRID.n_samples, ROWS)) * 2.0)
+    # a realization whose trace is all -0.0 sums to +0.0, as np.sum does
+    traces[:, 5] = -0.0
+    return traces
 
 
 @pytest.fixture
@@ -109,11 +114,11 @@ def test_synthesize_rows_keeps_the_bits(pump, pairs, references):
         # a -0.0 pump keeps the sign of a zero sum, as a nonzero one would not
         references = (np.full(GRID.n_samples, -0.0), *references[1:])
     want = reference_synthesize(pairs, *references)
+    shape = (GRID.n_samples, ROWS)
     with np.errstate(all="ignore"):
         assert same_bits(synthesize_rows(pairs, *references), want)
-        tiled = [np.tile(row, (ROWS, 1)) for row in references]
-        out, scratch = np.empty((ROWS, GRID.n_samples)), np.empty((ROWS, GRID.n_samples))
-        got = synthesize_rows(pairs, *tiled, out=out, scratch=scratch)
+        out, scratch = np.empty(shape), np.empty(shape)
+        got = synthesize_rows(pairs, *references, out=out, scratch=scratch)
     assert got is out
     assert same_bits(out, want)
 
@@ -137,45 +142,67 @@ def test_lockin_rows_keeps_the_bits(traces, references):
     want = reference_lockin(traces, cos1, sin1, GRID.n_samples)
     with np.errstate(all="ignore"):
         assert same_bits(lockin_rows(traces, cos1, sin1, GRID.n_samples), want)
-        tiled = [np.tile(row, (ROWS, 1)) for row in (cos1, sin1)]
         out = np.empty((ROWS, 2))
         got = lockin_rows(
-            traces, *tiled, GRID.n_samples, out=out, scratch=np.empty_like(traces)
+            traces, cos1, sin1, GRID.n_samples, out=out, scratch=np.empty_like(traces)
         )
     assert got is out
     assert same_bits(out, want)
 
 
+# numpy's pairwise sum adds under 8 terms in order, up to 128 through
+# eight accumulators, and splits longer series in two
+@pytest.mark.parametrize("n_samples", [*range(1, 21), 64, 127, 128, 129, 256, 257])
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 4096])
+def test_lockin_rows_sums_each_column_as_np_sum(n_samples, width):
+    rng = np.random.default_rng(n_samples * 10_000 + width)
+    # magnitudes over ten decades, so another order of adds changes the bits
+    block = rng.normal(size=(n_samples, width)) * 10.0 ** rng.integers(-5, 5, (n_samples, width))
+    if width > 1:
+        block[:, 1] = -0.0
+    cos1, sin1 = rng.normal(size=(2, n_samples))
+    want = reference_lockin(block, cos1, sin1, n_samples)
+    assert same_bits(lockin_rows(block, cos1, sin1, n_samples), want)
+    # a view whose rows are not adjacent, as propagate_span's blocks are
+    wide = np.empty((n_samples, width + 8))
+    wide[:, :width] = block
+    assert same_bits(lockin_rows(wide[:, :width], cos1, sin1, n_samples), want)
+
+
 @pytest.mark.parametrize("medium", MEDIA, ids=_medium_id)
 def test_propagate_span_keeps_the_bits(medium, pairs, references):
-    # a full span, and a ragged one shorter than its tiled references
-    tiled = [np.tile(row, (ROWS, 1)) for row in references]
-    for count in (ROWS, ROWS - 3):
+    # a full span, a ragged one and a single row, as the channel's centre is
+    for count in (ROWS, ROWS - 3, 1):
         with np.errstate(all="ignore"):
             want = reference_span(pairs[:count], *references, medium)
             out = np.empty((count, 2))
-            propagate_span(pairs[:count], *tiled, medium, out)
+            propagate_span(pairs[:count], *references, medium, out)
         assert same_bits(out, want)
 
 
-def test_channel_references_are_read_only_chunk_tiles(monkeypatch):
-    monkeypatch.setattr(ensemble, "CHUNK", 5)
-    tiles = []
-    monkeypatch.setattr(ensemble, "propagate_span", lambda *args: tiles.extend(args[1:4]))
+def test_channel_references_are_read_only_period_rows(monkeypatch):
+    rows = []
+    monkeypatch.setattr(ensemble, "propagate_span", lambda *args: rows.extend(args[1:4]))
     medium = SusceptibilityProfile(chi1=1.0, chi2=0.5, chi3=0.05)
     medium_channel(1.0, 0.3, medium, GRID)(np.zeros((1, 2)))
     # one period of the smallest alias-free grid, 13 samples for chi3
     period = TimeGrid(13, 1)
-    rows = (pump_trace(1.0, 0.3, period), *period.harmonic(1))
-    for tile, row in zip(tiles, rows, strict=True):
-        assert tile.shape == (5, 13)
-        assert not tile.flags.writeable
-        assert all(same_bits(tile_row, row) for tile_row in tile)
+    want = (pump_trace(1.0, 0.3, period), *period.harmonic(1))
+    for row, want_row in zip(rows, want, strict=True):
+        assert not row.flags.writeable
+        assert same_bits(row, want_row)
 
 
-def test_channel_rejects_more_rows_than_a_span(pairs):
+def test_spans_reuse_the_thread_buffers(pairs, monkeypatch):
+    monkeypatch.setattr(ensemble, "CHUNK", ROWS)
     channel = medium_channel(1.0, 0.3, MEDIA[0], GRID)
-    assert channel(pairs[:1]).shape == (1, 2)
-    rows = np.zeros((ensemble.CHUNK + 1, 2))
-    with pytest.raises(ValueError, match=f"at most {ensemble.CHUNK} rows"):
-        channel(rows)
+    with np.errstate(all="ignore"):
+        want = channel(pairs)
+        held = [buffer.base for buffer in ensemble._block_buffers(9, ROWS)]
+        # the centre row and a ragged span run in the same buffers
+        for count in (1, ROWS - 3):
+            assert same_bits(channel(pairs[:count]), want[:count])
+            views = ensemble._block_buffers(9, count)
+            assert all(view.base is base for view, base in zip(views, held, strict=True))
+        # a block wider than a span runs too, in wider buffers
+        assert same_bits(channel(np.tile(pairs, (2, 1))), np.tile(want, (2, 1)))

@@ -1,4 +1,4 @@
-"""The span engine keeps every output byte: golden CSV hashes and span invariance.
+"""The span engine keeps every output byte: golden CSV and stdout hashes, span invariance.
 
 A span of CHUNK rows is the kernel block, the unit of pool work and the
 group of the scan and figure sums. n = 2 * CHUNK + 1 makes the last span
@@ -75,6 +75,26 @@ GOLDEN = {
         "fig1e.csv": "a43e273f73126ba3f50749d576999ae5d2c5e326a44f24139e50f4b235ca414b",
     },
 }
+
+
+# SHA-256 of the standard output, which prints the checks' worst deviations
+# and the pipeline's spectrum to the last digit, so a change of order in any
+# sum the span engine or the lock-in makes shows here
+STDOUT_GOLDEN = {
+    ("validate",): "b4a3c9a43a2a9831a26edea24f22d637dbeac1d08941a808a8b8080c1848b850",
+    (
+        "validate", "--chi3", "0.05", "--chi1", "0.7", "--eps0", "2.5",
+        "--pump-phase-deg", "37",
+    ): "d5eddfc34f7d51ff543a098c00f14f1b368277020d9e21c5b2582a7479b29fb7",
+    ("spectrum",): "7f71abf7233834e743acfd3e9c6ea5c86839346f913de41531fc31f5a29bbd75",
+}
+
+
+@pytest.mark.parametrize("command", list(STDOUT_GOLDEN), ids=" ".join)
+def test_golden_stdout_bytes(command, capsys):
+    assert main(list(command)) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == STDOUT_GOLDEN[command]
 
 
 def _target(command, directory):
