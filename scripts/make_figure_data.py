@@ -3,13 +3,13 @@
 
 Vacuum-input figures use the run defaults; the bright-state panels and
 the coherent-input pipeline figure get a displacement of A = 3. Pass an
-output directory (default ./figure_data) and optionally a worker count.
+output directory (default ./figure_data).
 """
 
 import argparse
 from pathlib import Path
 
-from opasim.cli import realization_count, seed_value, worker_count, write_tables
+from opasim.cli import realization_count, seed_value, write_tables
 from opasim.config import RunConfig, with_overrides
 from opasim.figures import FIGURE_NAMES, emit_figure
 
@@ -21,7 +21,6 @@ def main() -> None:
     parser.add_argument("outdir", nargs="?", default="figure_data")
     parser.add_argument("--n-realizations", type=realization_count, default=100_000)
     parser.add_argument("--seed", type=seed_value, default=20260811)
-    parser.add_argument("--workers", type=worker_count, default=1)
     args = parser.parse_args()
 
     outdir = Path(args.outdir)
@@ -31,10 +30,10 @@ def main() -> None:
 
     for name in FIGURE_NAMES:
         cfg = with_overrides(base, A=3.0) if name in NEEDS_DISPLACEMENT else base
-        write_tables(emit_figure(name, cfg, workers=args.workers), outdir)
+        write_tables(emit_figure(name, cfg), outdir)
     # the phase-squeezed variant of the coherent-input figure
     flipped = with_overrides(base, A=3.0, pump_phase_deg=180.0)
-    write_tables(emit_figure("fig3", flipped, workers=args.workers), outdir, "_flipped")
+    write_tables(emit_figure("fig3", flipped), outdir, "_flipped")
 
 
 if __name__ == "__main__":

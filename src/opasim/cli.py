@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failure, 2 usage or config error.
 All numeric output uses 17 significant digits and '.' decimals so runs
-are reproducible byte for byte; the --workers flag never changes output.
+are reproducible byte for byte. scan and figure run on one thread; they
+still accept --workers N (N >= 1) and ignore it.
 """
 
 from __future__ import annotations
@@ -81,6 +82,9 @@ def _integer(text: str, low: int, high: int | None = None) -> int:
 def worker_count(text: str) -> int:
     """argparse type of a --workers value: an integer of at least 1."""
     return _integer(text, 1)
+
+
+WORKERS_HELP = "accepted for compatibility and ignored: the span loop runs on one thread"
 
 
 def realization_count(text: str) -> int:
@@ -180,7 +184,7 @@ def _spectrum_table(cfg: RunConfig) -> int:
     return 0 if worst <= SPECTRUM_GATE else 1
 
 
-def run_scan(cfg: RunConfig, workers: int = 1) -> QuadratureScan:
+def run_scan(cfg: RunConfig) -> QuadratureScan:
     """Scan of the configured input state sent through the configured channel."""
     ens = cfg.ensemble()
     n = ens.n_realizations
@@ -194,7 +198,7 @@ def run_scan(cfg: RunConfig, workers: int = 1) -> QuadratureScan:
         channel = partial(map_quadratures, gain=gain, pump_phase=cfg.pump_phase)
     else:
         channel = medium_channel(cfg.B, cfg.pump_phase, cfg.medium, ens.grid)
-    sums, out_center = channel_sums(state, ens, channel, workers)
+    sums, out_center = channel_sums(state, ens, channel)
     return sums_scan(sums, n, out_center, default_thetas(cfg.thetas))
 
 
@@ -211,7 +215,7 @@ def cmd_scan(args) -> int:
     # a non-finite table exits 2 naming its column; numpy's own warnings
     # would only print ahead of that message
     with np.errstate(over="ignore", invalid="ignore"):
-        scan = run_scan(cfg, args.workers)
+        scan = run_scan(cfg)
         convention = cfg.convention()
         table = scan_table("scan", scan, convention)
     if args.output:
@@ -234,7 +238,7 @@ def cmd_figure(args) -> int:
         )
     # as in cmd_scan, a non-finite table is reported by its own error
     with np.errstate(over="ignore", invalid="ignore"):
-        tables = emit_figure(args.name, cfg, workers=args.workers)
+        tables = emit_figure(args.name, cfg)
     write_tables(tables, Path(args.outdir))
     return 0
 
@@ -325,14 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="quadrature variance scan (CSV)")
     _add_config_flags(p_scan)
     p_scan.add_argument("-o", "--output", metavar="FILE", help="write CSV here")
-    p_scan.add_argument("--workers", type=worker_count, default=1)
+    p_scan.add_argument("--workers", type=worker_count, default=1, help=WORKERS_HELP)
     p_scan.set_defaults(func=cmd_scan)
 
     p_figure = sub.add_parser("figure", help="emit plot data for a named figure")
     p_figure.add_argument("name", choices=FIGURE_NAMES)
     _add_config_flags(p_figure)
     p_figure.add_argument("--outdir", default=".", help="directory for CSV files")
-    p_figure.add_argument("--workers", type=worker_count, default=1)
+    p_figure.add_argument("--workers", type=worker_count, default=1, help=WORKERS_HELP)
     p_figure.set_defaults(func=cmd_figure)
 
     p_oracle = sub.add_parser("oracle", help="closed-form single-pass report")

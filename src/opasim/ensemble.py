@@ -8,16 +8,14 @@ quadratures carry uncertainty.
 
 Realization i of an ensemble is always derived from the counter-based
 stream at row i (see :mod:`opasim.rng`), so ensembles are bitwise
-reproducible regardless of chunking, evaluation order or worker count.
+reproducible regardless of chunking or evaluation order.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, NamedTuple
@@ -34,11 +32,11 @@ from .medium import (
 )
 from .spectral import lockin_rows
 
-# rows per span: the unit of thread-pool work, the kernel block and the
-# group of the scan and figure sums, whose bits depend on that grouping.
-# The block is samples-major, one column per realization: on the 9-sample
-# period of a chi2 medium a thread's three (9, 4096) float64 buffers take
-# 864 KiB (1.2 MiB at the 13 samples of chi3), inside one core's 2 MiB L2.
+# rows per span: the kernel block and the group of the scan and figure
+# sums, whose bits depend on that grouping. The block is samples-major, one
+# column per realization: on the 9-sample period of a chi2 medium the three
+# (9, 4096) float64 kernel buffers take 864 KiB (1.2 MiB at the 13 samples
+# of chi3), inside one core's 2 MiB L2.
 CHUNK = 4096
 
 _PSD_SLACK = 1e-9
@@ -180,27 +178,9 @@ def synthesize_rows(
     return out
 
 
-def run_spans(work, n: int, workers: int = 1) -> list:
-    """Ordered map of ``work(start, count)`` over the CHUNK-row spans of n rows.
-
-    Results come back in span order for any worker count, so outputs
-    never depend on ``workers``. The pool has at most one thread per span,
-    and each span runs in a copy of the caller's context, so the threads
-    keep the caller's ``np.errstate``.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    starts = range(0, n, CHUNK)
-    counts = [min(CHUNK, n - start) for start in starts]
-    if workers == 1 or len(starts) < 2:
-        return list(map(work, starts, counts))
-    context = contextvars.copy_context()
-
-    def in_context(start, count):
-        return context.copy().run(work, start, count)
-
-    with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-        return list(pool.map(in_context, starts, counts))
+def run_spans(work, n: int) -> list:
+    """Ordered map of ``work(start, count)`` over the CHUNK-row spans of n rows."""
+    return [work(start, min(CHUNK, n - start)) for start in range(0, n, CHUNK)]
 
 
 def propagate_span(
@@ -215,11 +195,11 @@ def propagate_span(
 
     ``pump``, ``cos1`` and ``sin1`` are one period's rows
     (:func:`medium_channel`). The block is samples-major, one column per
-    realization, in the calling thread's buffers. Every operation is
-    elementwise or a per-column sum in a fixed order (:func:`lockin_rows`),
-    so each row of out equals running that realization through
-    synthesize -> polarize -> normalize -> lock-in on its own, whatever
-    the span.
+    realization, in the kernel buffers of :func:`_block_buffers`. Every
+    operation is elementwise or a per-column sum in a fixed order
+    (:func:`lockin_rows`), so each row of out equals running that
+    realization through synthesize -> polarize -> normalize -> lock-in on
+    its own, whatever the span.
     """
     n_samples = cos1.size
     e_in, e_out, scratch = _block_buffers(n_samples, len(pairs))
@@ -267,7 +247,7 @@ def medium_channel(
     period of an output trace repeats the first, and the k = 1 lock-in is
     exact on one period of any grid that resolves every harmonic the
     medium radiates. The pump and the lock-in references are that
-    period's rows, read-only, as the threads share them.
+    period's rows, read-only, as every span shares them.
     """
     require_alias_free(grid, medium)
     period = TimeGrid(alias_free_samples(medium), 1, grid.omega)
@@ -287,7 +267,6 @@ def channel_sums(
     state: GaussianState,
     cfg: EnsembleConfig,
     channel: Callable[[np.ndarray], np.ndarray],
-    workers: int = 1,
     in_degree: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Power sums of the state's samples sent through channel, and their center.
@@ -297,8 +276,8 @@ def channel_sums(
     ``out_center``, the channel's output for the state's mean as one row;
     with ``in_degree``, the input pairs' sums about the mean to that degree
     come first. The spans' sums are added in span order
-    (:func:`run_spans`), so nothing of size O(n) is held and the result is
-    bitwise independent of ``workers``. Returns (sums, out_center).
+    (:func:`run_spans`), so nothing of size O(n) is held. Returns
+    (sums, out_center).
     """
     center = state.mean.as_array()
     out_center = channel(center[None])[0]
@@ -310,7 +289,7 @@ def channel_sums(
             return out_sums
         return np.concatenate((pair_sums(pairs, center, in_degree), out_sums))
 
-    return reduce(np.add, run_spans(work, cfg.n_realizations, workers)), out_center
+    return reduce(np.add, run_spans(work, cfg.n_realizations)), out_center
 
 
 def propagate_ensemble(
@@ -319,17 +298,15 @@ def propagate_ensemble(
     pump_phase: float,
     medium: SusceptibilityProfile,
     grid: TimeGrid,
-    workers: int = 1,
 ) -> np.ndarray:
-    """Propagate an (n, 2) ensemble through the medium, optionally threaded.
+    """Propagate an (n, 2) ensemble through the medium, span by span.
 
     Each span goes through :func:`medium_channel`, which checks ``grid``
     and traces one period of the smallest grid that resolves the medium
     (:func:`alias_free_samples` samples: 9 for chi2, 13 for chi3). So the
     result is bitwise independent of ``grid.samples_per_period`` and
     ``grid.n_periods``. Spans run through :func:`run_spans` and each writes
-    its own rows, so it is bitwise independent of ``workers`` and of
-    CHUNK too.
+    its own rows, so it is bitwise independent of CHUNK too.
     """
     pairs = _as_pair_array(pairs)
     channel = medium_channel(pump_b, pump_phase, medium, grid)
@@ -339,7 +316,7 @@ def propagate_ensemble(
         rows = slice(start, start + count)
         out[rows] = channel(pairs[rows])
 
-    run_spans(work, len(pairs), workers)
+    run_spans(work, len(pairs))
     return out
 
 

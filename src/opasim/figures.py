@@ -127,13 +127,13 @@ def _coherent(cfg: RunConfig, mean: QuadraturePair) -> GaussianState:
     return GaussianState.coherent(mean, cfg.convention())
 
 
-def emit_figure(name: str, cfg: RunConfig, workers: int = 1) -> list[FigureTable]:
+def emit_figure(name: str, cfg: RunConfig) -> list[FigureTable]:
     """Build all tables for one figure."""
     if name not in FIGURE_NAMES:
         raise ValueError(f"unknown figure {name!r} (expected one of {FIGURE_NAMES})")
     if name.startswith("fig1"):
-        return [_state_trace_table(name, cfg, workers)]
-    return _pipeline_tables(name, cfg, workers)
+        return [_state_trace_table(name, cfg)]
+    return _pipeline_tables(name, cfg)
 
 
 def _envelope_columns(times, mean: np.ndarray, var: np.ndarray, band_sigma: float):
@@ -145,18 +145,18 @@ def _envelope_columns(times, mean: np.ndarray, var: np.ndarray, band_sigma: floa
 _TRACE_HEADER = ("t", "mean", "std", "lower", "upper")
 
 
-def _state_trace_table(name: str, cfg: RunConfig, workers: int) -> FigureTable:
+def _state_trace_table(name: str, cfg: RunConfig) -> FigureTable:
     state = figure_state(name, cfg)
     grid = cfg.grid()
     ens = cfg.ensemble()
     # the state itself: its pairs through the identity channel
-    sums, center = channel_sums(state, ens, lambda pairs: pairs, workers)
+    sums, center = channel_sums(state, ens, lambda pairs: pairs)
     band = sums_scan(sums, ens.n_realizations, center, grid.phases())
     columns = _envelope_columns(grid.times(), band.means, band.variances, cfg.band_sigma)
     return FigureTable(name, _TRACE_HEADER, columns)
 
 
-def _pipeline_tables(name: str, cfg: RunConfig, workers: int) -> list[FigureTable]:
+def _pipeline_tables(name: str, cfg: RunConfig) -> list[FigureTable]:
     PassGain(cfg.pump_ratio, cfg.mode)  # the threshold check every subcommand makes
     state = figure_state(name, cfg)
     grid = cfg.grid()
@@ -167,7 +167,7 @@ def _pipeline_tables(name: str, cfg: RunConfig, workers: int) -> list[FigureTabl
     # the output band reads the pairs' power sums up to twice the medium's degree
     degree = 2 * polynomial_degree(cfg.medium)
     channel = medium_channel(cfg.B, cfg.pump_phase, cfg.medium, grid)
-    sums, out_center = channel_sums(state, ens, channel, workers, degree)
+    sums, out_center = channel_sums(state, ens, channel, degree)
     in_sums, out_sums = np.split(sums, [len(sums) - 5])
     times = grid.times()
     band = sums_scan(in_sums[:5], n, center, grid.phases())

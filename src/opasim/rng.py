@@ -3,9 +3,9 @@
 Draw j of stream ``seed`` is the j-th output of a SplitMix64 sequence
 started at ``seed``: out(j) = mix64(seed + (j+1)*GOLDEN). Because any
 output is computable directly from its index, realizations can be
-generated in any order, in any chunking, on any number of workers, and
-the ensemble is always bitwise identical. Standard normals come from the
-Box-Muller transform on pairs of consecutive outputs.
+generated in any order and in any chunking, and the ensemble is always
+bitwise identical. Standard normals come from the Box-Muller transform on
+pairs of consecutive outputs.
 
 The generator is deliberately self-contained (no dependence on library
 RNG streams) so that frozen test values survive library upgrades.

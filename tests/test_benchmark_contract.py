@@ -1,9 +1,9 @@
 """What the benchmark in perfbench/ needs from opasim still exists.
 
 The tracer wraps opasim functions by (module, attribute) and the loop
-imports names from opasim modules. A rename would otherwise only show as
-per-layer metrics that silently read zero, or as a benchmark that cannot
-start. These tests read perfbench/ and never change it.
+imports names from opasim modules and runs CLI command lines. A rename
+would otherwise only show as per-layer metrics that silently read zero,
+or as a benchmark that cannot start or whose every operation fails. These tests read perfbench/ and never change it.
 """
 
 import ast
@@ -17,9 +17,9 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing(monkeypatch):
+def _load(monkeypatch, name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", PERFBENCH / "tracing.py"
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     # dataclasses look their module up in sys.modules while it executes
@@ -39,7 +39,7 @@ def _opasim_imports():
 
 
 def test_every_traced_layer_is_a_callable(monkeypatch):
-    tracing = _load_tracing(monkeypatch)
+    tracing = _load(monkeypatch, "tracing")
     assert tracing.LAYERS
     for _, module, attribute, _ in tracing.LAYERS:
         target = getattr(importlib.import_module(module), attribute, None)
@@ -53,7 +53,7 @@ def test_every_traced_validate_check_exists(monkeypatch):
     # per-check busy_s metrics key on these names; a renamed check reads 0
     from opasim.validate import CHECKS
 
-    tracing = _load_tracing(monkeypatch)
+    tracing = _load(monkeypatch, "tracing")
     names = {name for name, _ in CHECKS}
     assert tracing.VALIDATE_CHECKS
     assert set(tracing.VALIDATE_CHECKS) <= names
@@ -68,6 +68,18 @@ def test_names_the_benchmark_imports_exist(source, module, name):
     assert found, f"{source}: from {module} import {name}"
 
 
+def test_every_benchmark_command_line_parses(monkeypatch, tmp_path):
+    # every op of a workload whose flags the CLI no longer takes would fail
+    from opasim import cli
+
+    loop = _load(monkeypatch, "loop")
+    assert loop.WORKLOADS
+    parser = cli.build_parser()
+    for name in loop.WORKLOADS:
+        args = parser.parse_args(loop.cli_argv(name, 1, 1000, tmp_path))
+        assert args.command == loop.WORKLOADS[name].argv[0], name
+
+
 def test_chunk_is_an_int():
     from opasim.ensemble import CHUNK
 
@@ -80,7 +92,7 @@ def test_traced_scan_reaches_every_kernel_layer(monkeypatch, tmp_path, capsys):
     from opasim import cli
     from opasim.ensemble import CHUNK
 
-    tracing = _load_tracing(monkeypatch)
+    tracing = _load(monkeypatch, "tracing")
     tracer = tracing.Tracer()
     n = 2 * CHUNK + 1
     uninstall = tracing.install(tracer)

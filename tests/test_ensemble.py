@@ -145,12 +145,6 @@ class TestPropagation:
             assert batch[i, 0] == single[0, 0]
             assert batch[i, 1] == single[0, 1]
 
-    def test_worker_count_is_invisible(self):
-        draws = sample_state_array(GaussianState.vacuum(VAC), cfg(9000))
-        one = propagate_ensemble(draws, 1.0, 0.0, MEDIUM_R05, GRID, workers=1)
-        many = propagate_ensemble(draws, 1.0, 0.0, MEDIUM_R05, GRID, workers=4)
-        assert np.array_equal(one, many)
-
     def test_per_realization_oracle_equivalence(self):
         draws = sample_state_array(GaussianState.vacuum(VAC), cfg(5000))
         out = propagate_ensemble(draws, 1.0, 0.0, MEDIUM_R05, GRID)
@@ -242,33 +236,8 @@ class TestOnePeriod:
 
 class TestSpanEngine:
     def test_spans_cover_the_rows_in_order(self):
-        spans = run_spans(lambda start, count: (start, count), 2 * CHUNK + 1, workers=3)
+        spans = run_spans(lambda start, count: (start, count), 2 * CHUNK + 1)
         assert spans == [(0, CHUNK), (CHUNK, CHUNK), (2 * CHUNK, 1)]
-
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_rejects_fewer_than_one_worker(self, workers):
-        with pytest.raises(ValueError, match="workers"):
-            run_spans(lambda start, count: None, 10, workers)
-
-    def test_pool_has_at_most_one_thread_per_span(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool:
-            # runs the work inline, so no thread is started
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", RecordingPool)
-        run_spans(lambda start, count: count, 3 * CHUNK, workers=10_000)
-        assert sizes == [3]
 
 
 

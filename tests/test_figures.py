@@ -280,14 +280,6 @@ class TestPipelineFigures:
         # displacement amplified in the flipped configuration
         assert mean_flip[i0] == pytest.approx(4.5, abs=0.05)
 
-    def test_fig2_worker_count_is_invisible(self):
-        cfg = small_cfg(n_realizations=10_000)
-        serial = emit_figure("fig2", cfg, workers=1)
-        threaded = emit_figure("fig2", cfg, workers=4)
-        for a, b in zip(serial, threaded):
-            for col_a, col_b in zip(a.columns, b.columns):
-                assert np.array_equal(col_a, col_b)
-
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown figure"):
             emit_figure("fig9", small_cfg())

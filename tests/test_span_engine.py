@@ -1,23 +1,24 @@
 """The span engine keeps every output byte: golden CSV and stdout hashes, span invariance.
 
-A span of CHUNK rows is the kernel block, the unit of pool work and the
-group of the scan and figure sums. n = 2 * CHUNK + 1 makes the last span
-a single row, so the ragged tail is exercised.
+A span of CHUNK rows is the kernel block and the group of the scan and
+figure sums. n = 2 * CHUNK + 1 makes the last span a single row, so the
+ragged tail is exercised.
 """
 
 import hashlib
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from opasim import ensemble
-from opasim.cli import main, run_scan
+from opasim.cli import main
 from opasim.config import RunConfig, with_overrides
 from opasim.ensemble import CHUNK, propagate_ensemble, sample_state_array
-from opasim.figures import emit_figure, figure_state
+from opasim.figures import figure_state
 from opasim.validate import check_one_period_lockin
 
 N = 2 * CHUNK + 1
@@ -26,8 +27,8 @@ N = 2 * CHUNK + 1
 # over threads when it may
 BLAS_N = 100_000
 
-# SHA-256 of the CSVs written by the span-per-thread engine, one 4096-row
-# kernel block per span
+# SHA-256 of the CSVs written by the span engine, one 4096-row kernel block
+# per span
 GOLDEN = {
     # re-recorded when scan summed its output pairs per span about the
     # noiseless output pair
@@ -81,11 +82,13 @@ GOLDEN = {
 # and the pipeline's spectrum to the last digit, so a change of order in any
 # sum the span engine or the lock-in makes shows here
 STDOUT_GOLDEN = {
-    ("validate",): "b4a3c9a43a2a9831a26edea24f22d637dbeac1d08941a808a8b8080c1848b850",
+    # re-recorded when the determinism check compared span cuts instead of
+    # worker counts; only its detail line changed
+    ("validate",): "ca4e0daab6e713a137d238fbf72988efad1d678b145774777f2888d73fe2a7ca",
     (
         "validate", "--chi3", "0.05", "--chi1", "0.7", "--eps0", "2.5",
         "--pump-phase-deg", "37",
-    ): "d5eddfc34f7d51ff543a098c00f14f1b368277020d9e21c5b2582a7479b29fb7",
+    ): "19ce48d7d475cd84f44c7132b3222571ea1a919a1f063a707cc7c01c90edf62a",
     ("spectrum",): "7f71abf7233834e743acfd3e9c6ea5c86839346f913de41531fc31f5a29bbd75",
 }
 
@@ -104,6 +107,7 @@ def _target(command, directory):
     return ["--outdir", str(directory)]
 
 
+# --workers is parsed and ignored, so each value must give the golden bytes
 @pytest.mark.parametrize("workers", ["1", "3"])
 @pytest.mark.parametrize("command", list(GOLDEN), ids=" ".join)
 def test_golden_csv_bytes(command, workers, tmp_path, capsys):
@@ -170,72 +174,51 @@ def test_bytes_do_not_depend_on_blas_threads_or_workers(command, tmp_path):
     # the symplectic scan maps each span through a non-diagonal gain matrix
     outputs = []
     for threads in ("1", "2"):
-        for workers in ("1", "3"):
-            outdir = tmp_path / f"{threads}-{workers}"
-            outdir.mkdir()
-            argv = [*command, "--n-realizations", str(BLAS_N), "--workers", workers]
-            subprocess.run(
-                [sys.executable, "-m", "opasim", *argv, *_target(command, outdir)],
-                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
-                capture_output=True,
-                check=True,
-            )
-            outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
+        outdir = tmp_path / threads
+        outdir.mkdir()
+        argv = [*command, "--n-realizations", str(BLAS_N)]
+        subprocess.run(
+            [sys.executable, "-m", "opasim", *argv, *_target(command, outdir)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            check=True,
+        )
+        outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
     assert outputs[0]
-    assert all(output == outputs[0] for output in outputs[1:])
+    assert outputs[1] == outputs[0]
 
 
-def _propagated(workers):
+def _propagated():
     cfg = with_overrides(RunConfig(), n_realizations=N)
     # a squeezed state has a non-diagonal noise matrix
     pairs = sample_state_array(figure_state("fig1b", cfg), cfg.ensemble())
-    return propagate_ensemble(
-        pairs, cfg.B, cfg.pump_phase, cfg.medium, cfg.grid(), workers=workers
-    )
+    return propagate_ensemble(pairs, cfg.B, cfg.pump_phase, cfg.medium, cfg.grid())
 
 
-def _outputs(workers):
-    cfg = with_overrides(RunConfig(), n_realizations=N)
-    columns = []
-    for mode in (cfg, with_overrides(cfg, mode="symplectic", pump_phase_deg=37.0)):
-        scan = run_scan(mode, workers)
-        columns.extend((scan.variances, scan.means))
-    for name in ("fig2", "fig1b"):
-        for table in emit_figure(name, cfg, workers=workers):
-            columns.extend(table.columns)
-    return columns
-
-
-def _switching_often(run, workers):
-    # threads that switch often: a span written to the wrong rows or a
-    # sum taken out of order would change the bits
+def _on_threads(run, workers):
+    """run() on each of workers threads at once, which switch often."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        return run(workers)
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(run) for _ in range(workers)]
+            return [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(interval)
 
 
 # CHUNK in rows, the propagated rows' kernel block: spans of 1 row (1),
 # short spans (3, 7, 27, 256), the default (4096) and one span for all N
-# rows (16384)
+# rows (16384). workers callers propagate at once: each thread has its own
+# kernel buffers, so a span written to another caller's buffers would
+# change the bits
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("chunk", [1, 3, 7, 27, 256, 4096, 16384])
 def test_outputs_do_not_depend_on_block_size_or_workers(chunk, workers, monkeypatch):
-    want = _propagated(workers=1)
+    want = _propagated()
     monkeypatch.setattr(ensemble, "CHUNK", chunk)
-    assert np.array_equal(_switching_often(_propagated, workers), want)
-
-
-# the scan and figure sums are grouped by span, so their bits are pinned
-# at the default CHUNK; only the worker count may vary
-def test_scan_and_figure_outputs_do_not_depend_on_workers():
-    want = _outputs(workers=1)
-    outputs = _switching_often(_outputs, workers=3)
-    assert len(outputs) == len(want)
-    for got, ref in zip(outputs, want):
-        assert np.array_equal(got, ref)
+    for got in _on_threads(_propagated, workers):
+        assert np.array_equal(got, want)
 
 
 # CHUNK in rows: spans of 1 row (1), short spans (3, 27, 512), and one
