@@ -80,6 +80,8 @@ class GaussianState:
 
     mean: QuadraturePair
     cov: np.ndarray = field(repr=False)
+    # symmetric PSD square root L of cov (L @ L = cov), built with it
+    noise: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         cov = np.array(self.cov, dtype=float)
@@ -98,6 +100,9 @@ class GaussianState:
             raise ValueError("cov must be positive semi-definite")
         cov.setflags(write=False)
         object.__setattr__(self, "cov", cov)
+        noise = _psd_sqrt(cov)
+        noise.setflags(write=False)
+        object.__setattr__(self, "noise", noise)
 
     @classmethod
     def vacuum(cls, convention: VacuumConvention = VacuumConvention()) -> "GaussianState":
@@ -112,16 +117,17 @@ class GaussianState:
         """Displaced vacuum: isotropic zero-point noise around a mean."""
         return cls(mean, convention.var_zp * np.eye(2))
 
-    def noise_matrix(self) -> np.ndarray:
-        """Symmetric PSD square root L of cov (L @ L = cov), closed form."""
-        a, b, c = self.cov[0, 0], self.cov[1, 1], self.cov[0, 1]
-        det = max(a * b - c * c, 0.0)
-        sq = math.sqrt(det)
-        trace_term = a + b + 2.0 * sq
-        if trace_term <= 0.0:
-            return np.zeros((2, 2))
-        denom = math.sqrt(trace_term)
-        return (self.cov + sq * np.eye(2)) / denom
+
+def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root L of a 2x2 PSD cov (L @ L = cov), closed form."""
+    a, b, c = cov[0, 0], cov[1, 1], cov[0, 1]
+    det = max(a * b - c * c, 0.0)
+    sq = math.sqrt(det)
+    trace_term = a + b + 2.0 * sq
+    if trace_term <= 0.0:
+        return np.zeros((2, 2))
+    denom = math.sqrt(trace_term)
+    return (cov + sq * np.eye(2)) / denom
 
 
 def sample_state_array(
@@ -136,7 +142,7 @@ def sample_state_array(
     if count is None:
         count = cfg.n_realizations - start
     z = rng.standard_normal_pairs(cfg.seed, start, count)
-    draws = z @ state.noise_matrix().T
+    draws = z @ state.noise.T
     # a scalar add per column: broadcasting the (2,) mean is a slower loop
     mean = state.mean.as_array()
     draws[:, 0] += mean[0]

@@ -184,14 +184,47 @@ def pump_carrier(amplitude: float, phase: float = 0.0) -> HarmonicComponent:
     )
 
 
+def cos_sin(phase):
+    """cos and sin of a phase by libm, or of each entry of a row of phases.
+
+    A row is taken entry by entry through ``math``, so every entry has
+    the bits of its own scalar call: numpy's vectorized cos/sin need not
+    round as libm does.
+    """
+    if isinstance(phase, np.ndarray):
+        return (
+            np.fromiter(map(math.cos, phase), float, phase.size),
+            np.fromiter(map(math.sin, phase), float, phase.size),
+        )
+    return math.cos(phase), math.sin(phase)
+
+
 def synthesize(carriers: Iterable[HarmonicComponent], grid: TimeGrid) -> TimeSeries:
     """Sum spectral lines into a sampled time series.
 
     Raises ValueError if any carrier would alias on the grid
     (k >= samples_per_period / 2).
     """
-    values = np.zeros(grid.n_samples)
+    return TimeSeries(grid, synthesize_values(carriers, grid))
+
+
+def synthesize_values(
+    carriers: Iterable[HarmonicComponent], grid: TimeGrid, width: int | None = None
+) -> np.ndarray:
+    """Samples of a sum of spectral lines: :func:`synthesize`'s values.
+
+    With ``width`` m, each coefficient is a scalar or a row of m entries
+    and the result is an (n_samples, m) samples-major block, one column per
+    entry, summed by the same elementwise expressions on the harmonic rows
+    taken as columns; each column has the bits of its own scalar call.
+    """
+    shape = grid.n_samples if width is None else (grid.n_samples, width)
+    values = np.zeros(shape)
     for comp in carriers:
         cos_k, sin_k = grid.harmonic(comp.k)
-        values += comp.c * cos_k + comp.s * sin_k
-    return TimeSeries(grid, values)
+        if width is not None:
+            cos_k, sin_k = (np.broadcast_to(row[:, None], shape) for row in (cos_k, sin_k))
+        line = comp.c * cos_k
+        line += comp.s * sin_k
+        values += line
+    return values

@@ -42,26 +42,51 @@ def polarization_values(
 ) -> np.ndarray:
     """Pointwise polarization eps0*(chi1*E + chi2*E^2 + chi3*E^3) of an array.
 
-    Evaluated as (chi1*E + (chi2*E)*E) + ((chi3*E)*E)*E, then times eps0,
-    writing into ``out`` and ``scratch`` when given (neither may share
-    memory with ``values``). A factor that is exactly 1.0 is skipped: under
-    IEEE 754, x*1.0 is x, so the result is the same to the bit.
+    Evaluated as (chi1*E + (chi2*E)*E) + ((chi3*E)*E)*E, then times eps0
+    (:func:`polynomial_values`), writing into ``out`` and ``scratch`` when
+    given (neither may share memory with ``values``).
     """
-    out = np.multiply(values, medium.chi2, out=out)
+    return polynomial_values(
+        values, medium.chi1, medium.chi2, medium.chi3, medium.eps0, out, scratch
+    )
+
+
+def polynomial_values(
+    values: np.ndarray,
+    chi1,
+    chi2,
+    chi3,
+    eps0,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """The polarization polynomial of :func:`polarization_values` on given coefficients.
+
+    A coefficient is a scalar, or a row that broadcasts over the columns
+    of a samples-major block, one medium per column. A scalar factor that
+    is exactly 1.0 is skipped (and a scalar chi3 of 0.0 drops the cubic
+    term): under IEEE 754, x*1.0 is x, so the result is the same to the bit.
+    """
+    out = np.multiply(values, chi2, out=out)
     out *= values
-    if medium.chi1 == 1.0:
+    if _exactly(chi1, 1.0):
         out += values
     else:
-        scratch = np.multiply(values, medium.chi1, out=scratch)
+        scratch = np.multiply(values, chi1, out=scratch)
         out += scratch
-    if medium.chi3 != 0.0:
-        scratch = np.multiply(values, medium.chi3, out=scratch)
+    if not _exactly(chi3, 0.0):
+        scratch = np.multiply(values, chi3, out=scratch)
         scratch *= values
         scratch *= values
         out += scratch
-    if medium.eps0 != 1.0:
-        out *= medium.eps0
+    if not _exactly(eps0, 1.0):
+        out *= eps0
     return out
+
+
+def _exactly(coefficient, value: float) -> bool:
+    """Whether a scalar coefficient equals value; a row of coefficients never does."""
+    return not isinstance(coefficient, np.ndarray) and coefficient == value
 
 
 def polynomial_degree(medium: SusceptibilityProfile) -> int:

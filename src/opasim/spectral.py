@@ -9,12 +9,11 @@ tolerance enters anywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import HarmonicComponent, TimeSeries
+from .fields import HarmonicComponent, TimeGrid, TimeSeries, cos_sin
 from .medium import SusceptibilityProfile
 
 
@@ -75,6 +74,29 @@ def lockin_rows(
     for column, reference in enumerate((cos1, sin1)):
         scratch = np.multiply(block, reference[:, None], out=scratch)
         np.multiply(scale, _column_sums(scratch), out=out[:, column])
+    return out
+
+
+def spectrum_rows(
+    block: np.ndarray,
+    grid: TimeGrid,
+    k_max: int,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """(c, s) of bins k = 0..k_max of each column of a samples-major block.
+
+    The result is (m, k_max + 1, 2), into ``out`` when given. Column j's
+    pairs have the bits of :func:`full_spectrum` on that column alone:
+    bins k >= 1 from :func:`lockin_rows`, and DC the column's ``np.mean``,
+    its :func:`_column_sums` over n_samples. Overwrites block.
+    """
+    out = np.empty((block.shape[1], k_max + 1, 2)) if out is None else out
+    for k in range(1, k_max + 1):
+        cos_k, sin_k = grid.harmonic(k)
+        lockin_rows(block, cos_k, sin_k, grid.n_samples, out=out[:, k], scratch=scratch)
+    np.divide(_column_sums(block), grid.n_samples, out=out[:, 0, 0])
+    out[:, 0, 1] = 0.0
     return out
 
 
@@ -161,23 +183,31 @@ def predict_spectrum(
     """
     if medium.chi3 != 0.0:
         raise ValueError("closed-form spectrum is only maintained for chi3 = 0")
-    chi1, chi2 = medium.chi1, medium.chi2
-    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
-    cos_2phi, sin_2phi = math.cos(2.0 * phi), math.sin(2.0 * phi)
+    lines = closed_form_lines(a, b, phi, medium.chi1, medium.chi2)
+    return HarmonicSpectrum(
+        tuple(HarmonicComponent(k, c, s) for k, (c, s) in enumerate(lines))
+    )
+
+
+def closed_form_lines(a, b, phi, chi1, chi2) -> tuple[tuple, ...]:
+    """(c, s) of bins k = 0..4 of :func:`predict_spectrum`, for chi3 = 0.
+
+    The arguments are scalars or rows of draws, and the lines broadcast
+    over them; each entry has the bits of its own scalar call.
+    """
+    cos_phi, sin_phi = cos_sin(phi)
+    cos_2phi, sin_2phi = cos_sin(2.0 * phi)
     ab = a * b
-    components = (
-        HarmonicComponent(0, 0.5 * chi2 * (a * a + b * b)),
-        HarmonicComponent(
-            1,
+    return (
+        (0.5 * chi2 * (a * a + b * b), 0.0),
+        (
             chi1 * a * cos_phi - chi2 * ab * cos_phi,
             -chi1 * a * sin_phi - chi2 * ab * sin_phi,
         ),
-        HarmonicComponent(
-            2,
+        (
             -chi1 * b + 0.5 * chi2 * a * a * cos_2phi,
             -0.5 * chi2 * a * a * sin_2phi,
         ),
-        HarmonicComponent(3, -chi2 * ab * cos_phi, chi2 * ab * sin_phi),
-        HarmonicComponent(4, 0.5 * chi2 * b * b),
+        (-chi2 * ab * cos_phi, chi2 * ab * sin_phi),
+        (0.5 * chi2 * b * b, 0.0),
     )
-    return HarmonicSpectrum(components)

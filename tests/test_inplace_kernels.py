@@ -23,7 +23,12 @@ from opasim.ensemble import (
     synthesize_rows,
 )
 from opasim.fields import TimeGrid
-from opasim.medium import SusceptibilityProfile, polarization_values, transfer_values
+from opasim.medium import (
+    SusceptibilityProfile,
+    polarization_values,
+    polynomial_values,
+    transfer_values,
+)
 
 GRID = TimeGrid(64, 4)
 ROWS = 131
@@ -135,6 +140,24 @@ def test_medium_kernels_keep_the_bits(medium, traces):
             got = kernel(traces, medium, out=out, scratch=scratch)
             assert got is out
             assert same_bits(out, want)
+
+
+# one medium per column: coefficient rows, and chi3 as a scalar or a row;
+# row entries of exactly 1.0 are multiplied through, as x*1.0 is x
+@pytest.mark.parametrize("chi3", [0.0, 0.05, "row"])
+def test_polynomial_rows_give_each_column_its_own_mediums_bits(chi3, traces):
+    media = [m for m in MEDIA if m.chi3 == (0.0 if chi3 == 0.0 else 0.05)]
+    columns = [media[j % len(media)] for j in range(ROWS)]
+    chi1, chi2, eps0 = (
+        np.array([getattr(m, name) for m in columns]) for name in ("chi1", "chi2", "eps0")
+    )
+    chi3 = np.full(ROWS, 0.05) if chi3 == "row" else chi3
+    with np.errstate(all="ignore"):
+        want = np.array(
+            [polarization_values(traces[:, j], m) for j, m in enumerate(columns)]
+        ).T
+        got = polynomial_values(traces, chi1, chi2, chi3, eps0)
+    assert same_bits(got, want)
 
 
 def test_lockin_rows_keeps_the_bits(traces, references):

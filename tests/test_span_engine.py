@@ -89,6 +89,12 @@ STDOUT_GOLDEN = {
         "validate", "--chi3", "0.05", "--chi1", "0.7", "--eps0", "2.5",
         "--pump-phase-deg", "37",
     ): "19ce48d7d475cd84f44c7132b3222571ea1a919a1f063a707cc7c01c90edf62a",
+    # the smallest alias-free grid, and 381 samples: the lock-in sums over
+    # fewer and over more than 128 samples take different pairwise paths
+    ("validate", "--samples-per-period", "9", "--n-periods", "1"):
+    "61c79d2ea50db0c1b4b6c9e8b87d1a0abbaa3b48eafbdedc552906cd9dd407f6",
+    ("validate", "--samples-per-period", "127", "--n-periods", "3"):
+    "18f7f2da5aff95702baca8d537d3f92913208c8b956ebe76fbf5a67a98b1b6d6",
     ("spectrum",): "7f71abf7233834e743acfd3e9c6ea5c86839346f913de41531fc31f5a29bbd75",
 }
 

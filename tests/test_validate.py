@@ -1,0 +1,176 @@
+"""The validate checks: the batched closed-form check against the scalar
+pipeline, bit for bit, and failing verdicts for wrong or non-finite results."""
+
+import itertools
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from opasim import spectral, validate
+from opasim.config import RunConfig
+from opasim.fields import HarmonicComponent, TimeGrid, pump_carrier, synthesize
+from opasim.medium import SusceptibilityProfile, polarize
+from opasim.spectral import full_spectrum, predict_spectrum
+
+# the default grid, the smallest alias-free period, and 381 samples: the
+# lock-in sums over fewer and over more than 128 samples take different
+# pairwise paths
+GRIDS = [TimeGrid(64, 4), TimeGrid(9, 1), TimeGrid(127, 3)]
+
+
+def _scalar_check(grid, perturb=()):
+    """The closed-form check one draw at a time, through the scalar API.
+
+    perturb holds (draw, k, part, delta): delta is added to that draw's
+    closed-form bin k, part "c" or "s". Returns (draws, numeric,
+    predicted, worst, verdict), verdict as the check reports it.
+    """
+    rng = np.random.default_rng(3)
+    draws, numeric, predicted = [], [], []
+    worst, verdict = 0.0, None
+    for draw in range(1000):
+        a = float(rng.uniform(0, 2))
+        b = float(rng.uniform(0, 2))
+        phi = float(rng.uniform(0, 2 * math.pi))
+        medium = SusceptibilityProfile(
+            chi1=float(rng.uniform(0.5, 2)),
+            chi2=float(rng.uniform(-1, 1)),
+            eps0=float(rng.uniform(0.5, 2)),
+        )
+        series = synthesize(
+            [
+                HarmonicComponent(1, a * math.cos(phi), -a * math.sin(phi)),
+                pump_carrier(b),
+            ],
+            grid,
+        )
+        num = full_spectrum(polarize(series, medium), 4).scaled(1.0 / medium.eps0)
+        pred = list(predict_spectrum(a, b, phi, medium))
+        for at, k, part, delta in perturb:
+            if at == draw:
+                pred[k] = replace(pred[k], **{part: getattr(pred[k], part) + delta})
+        draws.append((a, b, phi, medium.chi1, medium.chi2, medium.eps0))
+        numeric.append([(line.c, line.s) for line in num])
+        predicted.append([(line.c, line.s) for line in pred])
+        for n, p in zip(num, pred):
+            for got, want in ((n.c, p.c), (n.s, p.s)):
+                err = abs(got - want)
+                tol = 1e-9 * abs(want) + 1e-12
+                if verdict is None and err > tol:
+                    verdict = False, f"bin k={n.k} off by {err:.3e} (tol {tol:.3e})"
+                worst = max(worst, err / tol)
+    if verdict is None:
+        verdict = True, f"1000 draws, worst deviation at {worst:.3f} of tolerance"
+    return np.array(draws), np.array(numeric), np.array(predicted), worst, verdict
+
+
+def _bits(array):
+    return np.ascontiguousarray(array, dtype=float).tobytes()
+
+
+def _grid_id(grid):
+    return f"{grid.samples_per_period}x{grid.n_periods}"
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=_grid_id)
+def test_batched_check_has_the_scalar_pipelines_bits(grid):
+    draws, numeric, predicted, worst, verdict = _scalar_check(grid)
+    got = validate._closed_form_spectra(grid)
+    assert _bits(got[0]) == _bits(draws)
+    assert _bits(got[1]) == _bits(numeric)
+    assert _bits(got[2]) == _bits(predicted)
+    assert validate._closed_form_worst(got[1], got[2]) == (worst, None)
+    cfg = RunConfig(samples_per_period=grid.samples_per_period, n_periods=grid.n_periods)
+    assert verdict[0]
+    assert validate.check_closed_form_equivalence(cfg) == verdict
+
+
+# blocks of 1 column (a width-1 lock-in), short ones, and one for every draw
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_batched_check_does_not_depend_on_the_block_width(block, monkeypatch):
+    grid = GRIDS[1]
+    want = validate._closed_form_spectra(grid)
+    monkeypatch.setattr(validate, "BLOCK", block)
+    got = validate._closed_form_spectra(grid)
+    assert [_bits(x) for x in got] == [_bits(x) for x in want]
+
+
+def _perturbed_lines(perturb):
+    """closed_form_lines with deltas added, each at (draw, k, part, delta)."""
+    calls = itertools.count()
+
+    def lines(a, b, phi, chi1, chi2):
+        lo = next(calls) * validate.BLOCK
+        out = [
+            [np.array(np.broadcast_to(x, a.shape)) for x in line]
+            for line in spectral.closed_form_lines(a, b, phi, chi1, chi2)
+        ]
+        for draw, k, part, delta in perturb:
+            if lo <= draw < lo + len(a):
+                out[k]["cs".index(part)][draw - lo] += delta
+        return out
+
+    return lines
+
+
+# the first failure is reported by draw, then by bin k, c before s
+@pytest.mark.parametrize(
+    "perturb",
+    [
+        [(637, 3, "s", 1e-6)],
+        [(900, 0, "c", 1e-6), (637, 3, "s", 1e-6)],
+        [(5, 4, "s", 1e-11), (5, 2, "c", 1e-6)],
+        [(999, 1, "s", 1e-6), (999, 1, "c", -1e-6)],
+        [(128, 0, "c", 1e-6)],
+    ],
+    ids=str,
+)
+def test_a_perturbed_closed_form_fails_as_the_scalar_loop_does(perturb, monkeypatch):
+    grid = GRIDS[0]
+    want = _scalar_check(grid, perturb)[4]
+    monkeypatch.setattr(validate, "closed_form_lines", _perturbed_lines(perturb))
+    got = validate.check_closed_form_equivalence(RunConfig())
+    assert not got[0]
+    assert got == want
+
+
+def test_the_first_reported_failure_is_pinned(monkeypatch):
+    perturb = [(637, 3, "s", 1e-6)]
+    monkeypatch.setattr(validate, "closed_form_lines", _perturbed_lines(perturb))
+    got = validate.check_closed_form_equivalence(RunConfig())
+    assert got == (False, "bin k=3 off by 1.000e-06 (tol 1.399e-10)")
+
+
+@pytest.fixture
+def nan_lockin(monkeypatch):
+    """Every lock-in coefficient of bins k >= 1 is NaN."""
+    lockin_rows = spectral.lockin_rows
+
+    def nan_rows(block, cos1, sin1, n_samples, out=None, scratch=None):
+        out = lockin_rows(block, cos1, sin1, n_samples, out, scratch)
+        out[...] = np.nan
+        return out
+
+    monkeypatch.setattr(spectral, "lockin_rows", nan_rows)
+
+
+@pytest.mark.parametrize(
+    "check, detail",
+    [
+        (validate.check_lockin_exactness, "coefficient error is not finite (nan)"),
+        (validate.check_parseval, "relative Parseval error is not finite (nan)"),
+        (validate.check_closed_form_equivalence, "bin k=1 deviation is not finite (nan)"),
+    ],
+    ids=lambda x: getattr(x, "__name__", ""),
+)
+def test_a_nan_deviation_fails(check, detail, nan_lockin):
+    assert check(RunConfig()) == (False, detail)
+
+
+def test_an_infinite_closed_form_fails(monkeypatch):
+    perturb = [(3, 2, "c", math.inf)]
+    monkeypatch.setattr(validate, "closed_form_lines", _perturbed_lines(perturb))
+    got = validate.check_closed_form_equivalence(RunConfig())
+    assert got == (False, "bin k=2 deviation is not finite (inf)")
