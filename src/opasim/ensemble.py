@@ -84,9 +84,14 @@ class GaussianState:
     noise: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not (math.isfinite(self.mean.x1) and math.isfinite(self.mean.x2)):
+            raise ValueError("mean must be finite")
         cov = np.array(self.cov, dtype=float)
         if cov.shape != (2, 2):
             raise ValueError("cov must be a 2x2 matrix")
+        # NaN fails every comparison below, so it is caught here
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("cov must be finite")
         scale = max(1.0, float(np.max(np.abs(cov))))
         if abs(cov[0, 1] - cov[1, 0]) > _PSD_SLACK * scale:
             raise ValueError("cov must be symmetric")
@@ -142,12 +147,32 @@ def sample_state_array(
     if count is None:
         count = cfg.n_realizations - start
     z = rng.standard_normal_pairs(cfg.seed, start, count)
-    draws = z @ state.noise.T
+    draws = map_pairs(z, state.noise)
     # a scalar add per column: broadcasting the (2,) mean is a slower loop
     mean = state.mean.as_array()
     draws[:, 0] += mean[0]
     draws[:, 1] += mean[1]
     return draws
+
+
+def map_pairs(pairs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Each row x of an (n, 2) array mapped to matrix @ x, as a new (n, 2) array.
+
+    Row r of the result is m[r, 0]*x1 + m[r, 1]*x2: numpy multiplies and
+    adds, which it never fuses, so the bits do not depend on the host's
+    BLAS or SIMD kernels. For a diagonal matrix they equal
+    ``pairs @ matrix.T``; otherwise they can differ from it by an FMA's
+    rounding.
+    """
+    out = np.empty(pairs.shape)
+    x1, x2 = pairs[:, 0], pairs[:, 1]
+    scratch = np.empty(len(pairs))
+    # column by column: a broadcast (2, 1) factor is a much slower loop
+    for row, column in zip(matrix, out.T):
+        np.multiply(x1, row[0], out=column)
+        np.multiply(x2, row[1], out=scratch)
+        column += scratch
+    return out
 
 
 def pump_trace(pump_b: float, pump_phase: float, grid: TimeGrid) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import GaussianState
+from .ensemble import GaussianState, map_pairs
 from .fields import QuadraturePair
 
 MODES = ("raw", "symplectic")
@@ -74,10 +74,16 @@ def gain_matrix(gain: PassGain, pump_phase: float = 0.0) -> np.ndarray:
 def single_pass(
     state: GaussianState, gain: PassGain, pump_phase: float = 0.0
 ) -> GaussianState:
-    """Apply the gain map, with optional pump phase, to means and covariance."""
+    """Apply the gain map, with optional pump phase, to means and covariance.
+
+    The products are :func:`map_pairs`, not BLAS calls, so the output
+    state has the same bits on every host.
+    """
     m = gain_matrix(gain, pump_phase)
-    mean = QuadraturePair(*(m @ state.mean.as_array()))
-    return GaussianState(mean, m @ state.cov @ m.T)
+    (mean,) = map_pairs(state.mean.as_array()[None], m)
+    # map_pairs(x, m) is x @ m.T, so this is (m @ cov @ m.T).T
+    cov_t = map_pairs(map_pairs(state.cov, m).T, m)
+    return GaussianState(QuadraturePair(*mean), cov_t.T)
 
 
 def gain_of_phase(amplitude: float, phi: float, gain: PassGain) -> float:
@@ -97,4 +103,4 @@ def map_quadratures(
     pairs: np.ndarray, gain: PassGain, pump_phase: float = 0.0
 ) -> np.ndarray:
     """Apply the gain map to an (n, 2) array of sampled quadrature pairs."""
-    return np.asarray(pairs, dtype=float) @ gain_matrix(gain, pump_phase).T
+    return map_pairs(np.asarray(pairs, dtype=float), gain_matrix(gain, pump_phase))

@@ -11,6 +11,7 @@ from opasim.ensemble import (
     QuadratureScan,
     VacuumConvention,
     default_thetas,
+    map_pairs,
     pair_sums,
     propagate_ensemble,
     pump_trace,
@@ -61,6 +62,22 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="symmetric"):
             GaussianState(QuadraturePair(0, 0), [[1.0, 0.5], [0.1, 1.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 1)])
+    def test_rejects_non_finite_covariance(self, bad, where):
+        cov = np.eye(2)
+        cov[where] = cov[where[::-1]] = bad
+        with pytest.raises(ValueError, match="cov must be finite"):
+            GaussianState(QuadraturePair(0, 0), cov)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_rejects_non_finite_mean(self, bad, axis):
+        mean = [0.5, -0.5]
+        mean[axis] = bad
+        with pytest.raises(ValueError, match="mean must be finite"):
+            GaussianState(QuadraturePair(*mean), np.eye(2))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EnsembleConfig(1, 0, GRID, VAC)
@@ -99,6 +116,22 @@ class TestSampling:
         draws = sample_state_array(state, cfg(200_000))
         sample_cov = np.cov(draws.T, ddof=1)
         np.testing.assert_allclose(sample_cov, cov, atol=0.03)
+
+    def test_noise_map_is_two_products_and_a_sum_per_column(self):
+        z = np.random.default_rng(4).standard_normal((1000, 2))
+        m = np.array([[0.7, 0.2], [-0.3, 1.3]])
+        want = np.empty_like(z)
+        for r in range(2):
+            want[:, r] = z[:, 0] * m[r, 0] + z[:, 1] * m[r, 1]
+        got = map_pairs(z, m)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - z @ m.T)) <= 1e-15 * np.max(np.abs(got))
+
+    def test_noise_map_of_a_diagonal_matrix_has_the_bits_of_the_product(self):
+        z = np.random.default_rng(5).standard_normal((1000, 2))
+        m = np.diag([0.5, 1.7])
+        assert np.array_equal(map_pairs(z, m), z @ m.T)
 
     def test_slices_are_indexed_by_realization(self):
         state = GaussianState.vacuum(VAC)
