@@ -60,8 +60,13 @@ class TimeGrid:
         return np.arange(self.n_samples) * step
 
     def phases(self) -> np.ndarray:
-        """Fundamental phases omega * t_n in radians."""
-        return np.arange(self.n_samples) * (TWO_PI / self.samples_per_period)
+        """Fundamental phases omega * t_n in radians, taken modulo one period.
+
+        Sample n has phase (n mod samples_per_period) * 2*pi/samples_per_period,
+        so every period of the grid repeats the first bit for bit.
+        """
+        spp = self.samples_per_period
+        return (np.arange(self.n_samples) % spp) * (TWO_PI / spp)
 
     def max_harmonic(self) -> int:
         """Largest harmonic order representable without aliasing."""
@@ -80,8 +85,10 @@ class TimeGrid:
 
         The one place the package samples its harmonic basis; synthesis,
         the lock-in, the pump and the propagation channel's references all
-        take it from here. The rows are read-only and shared: they are
-        built once per (samples_per_period, n_periods, k), which fix them.
+        take it from here. They are taken of :meth:`phases`, so the rows of
+        an n-period grid are the one-period rows tiled n times, bit for
+        bit. The rows are read-only and shared: they are built once per
+        (samples_per_period, n_periods, k), which fix them.
         Raises ValueError for k < 0 or k at or above Nyquist.
         """
         self.require_harmonic(k)

@@ -29,11 +29,32 @@ class TestTimeGrid:
         # endpoint of the last period is excluded
         assert t[-1] < 4.0
 
-    def test_phases_cover_integer_periods(self):
+    def test_phases_repeat_one_period(self):
         grid = TimeGrid(8, 3)
         ph = grid.phases()
-        assert ph[8] == pytest.approx(2.0 * math.pi)
-        assert ph[-1] == pytest.approx(2.0 * math.pi * 3 - 2.0 * math.pi / 8)
+        assert ph[8] == 0.0
+        assert ph[7] == pytest.approx(2.0 * math.pi - 2.0 * math.pi / 8)
+        assert np.array_equal(ph, np.tile(ph[:8], 3))
+
+    @pytest.mark.parametrize("spp,n", [(64, 4), (9, 3), (127, 3)])
+    def test_harmonic_rows_are_k_omega_t(self, spp, n):
+        # against cos/sin of the exactly reduced angle 2*pi*(k*n mod spp)/spp;
+        # float64 k*omega*t itself drifts by 2.7e-15 at k = 1 over 4 periods
+        grid = TimeGrid(spp, n)
+        steps = np.arange(grid.n_samples)
+        for k in range(grid.max_harmonic() + 1):
+            angle = (k * steps % spp) * (2.0 * math.pi / spp)
+            cos_k, sin_k = grid.harmonic(k)
+            bound = 1e-15 * max(1, 2 * k - 1)
+            assert np.max(np.abs(cos_k - np.cos(angle))) <= bound
+            assert np.max(np.abs(sin_k - np.sin(angle))) <= bound
+
+    @pytest.mark.parametrize("spp,n", [(64, 4), (9, 3), (127, 3)])
+    def test_harmonic_rows_tile_one_period(self, spp, n):
+        grid, period = TimeGrid(spp, n), TimeGrid(spp, 1)
+        for k in range(grid.max_harmonic() + 1):
+            for row, one in zip(grid.harmonic(k), period.harmonic(k), strict=True):
+                assert np.array_equal(row.view(np.uint64), np.tile(one, n).view(np.uint64))
 
     @pytest.mark.parametrize("spp,n", [(0, 1), (4, 0), (-2, 3)])
     def test_rejects_non_positive(self, spp, n):

@@ -42,8 +42,8 @@ GOLDEN = {
         "scan.csv": "59c12fedb75577883ccf6a2310473b851c9d28e43e7e024d827891e48180db35",
     },
     ("figure", "fig2"): {
-        # re-recorded when the input bands became the pairs' projected covariance
-        "fig2_input.csv": "28dbb2a653d8dc63ae30b8856682205b8dde09fca47805982056e3b3cced7298",
+        # re-recorded when phases became periodic
+        "fig2_input.csv": "ff3d038c27a1ab455786ccdb55e487e7c31738b7b56e2bba8b75e042170c37b5",
         "fig2_characteristic.csv": "0ccd5c33334b0e9e7bffd09b77abf9e6b7663f258d2ab30d935970ac8c202af9",
         # re-recorded when the output band came from the pairs' power sums
         # and the pairs were propagated on the smallest alias-free period
@@ -51,17 +51,17 @@ GOLDEN = {
         "fig2_scan.csv": "ac2f3e628aa1672c44c8d91d0e9080b7bb81381804b69aa78b8fd68b3d6ca70e",
     },
     ("figure", "fig3", "--A", "0.8"): {
-        # re-recorded when the input bands were centred on the state's mean
-        "fig3_input.csv": "9872620b33419d53f244c5a359636567ce59ec05d119e113cbe7b743a9fab5ba",
+        # re-recorded when phases became periodic
+        "fig3_input.csv": "35327bba55a2e3e5be3a6d47852d7613c57b02e6b042140e3736f171b7be182f",
         "fig3_characteristic.csv": "e549ace235f7d6509cde51cf2cff0f3ba1f7d91319166c12e8cef38fca54f332",
         # re-recorded when the output band came from the pairs' power sums
         # and the pairs were propagated on the smallest alias-free period
         "fig3_output.csv": "864c68ba4dc35702fc90dcb005c0c51e89dae98d664fa373e1b60ebe0a005059",
         "fig3_scan.csv": "799794f6386892df8cbec93f052314e8e3e8d2622da727c31ec3b5cb1eadab56",
     },
-    # re-recorded when the input bands became the pairs' projected covariance
+    # re-recorded when phases became periodic
     ("figure", "fig1b"): {
-        "fig1b.csv": "432c068d15e0e7a5497b8f99c03e31f76f70ed9c01ae33d82d42f43102ca3af9",
+        "fig1b.csv": "c20bbdc59a0a370f421f157599760fec9f4040d92d0319ddf3268d6c9d59af5f",
     },
     # re-recorded when scan summed its output pairs per span
     ("scan", "--mode", "symplectic"): {
@@ -70,13 +70,13 @@ GOLDEN = {
     ("scan", "--mode", "symplectic", "--pump-phase-deg", "37"): {
         "scan.csv": "7c49bb16a640680baf6ffca0a3e0dcb38ee06210485dfa88a364e5a50ce6f792",
     },
-    # re-recorded when the input bands were centred on the state's mean
+    # re-recorded when phases became periodic
     ("figure", "fig1d", "--A", "1.5"): {
-        "fig1d.csv": "08933d5e3fc39b589ee0bb549e8d00ef50d9781045b43bdeaaa9c362302b4765",
+        "fig1d.csv": "a5450ee4f09cfdb6df84d301476afe965930e771af02572135657e0d2a730387",
     },
-    # re-recorded when the input bands were centred on the state's mean
+    # re-recorded when phases became periodic
     ("figure", "fig1e", "--A", "1.5"): {
-        "fig1e.csv": "e8086c7ca2edfc82db1acc4cba934c21c91e89249eb4ab71d243d90c3e358cbd",
+        "fig1e.csv": "c728a49aae61ba1d3ce5a7788a9c7628bc6630c698a9a5ba7437a9f87a7d9a8c",
     },
 }
 
@@ -85,20 +85,22 @@ GOLDEN = {
 # and the pipeline's spectrum to the last digit, so a change of order in any
 # sum the span engine or the lock-in makes shows here
 STDOUT_GOLDEN = {
-    # re-recorded when the determinism check compared span cuts instead of
-    # worker counts; only its detail line changed
-    ("validate",): "ca4e0daab6e713a137d238fbf72988efad1d678b145774777f2888d73fe2a7ca",
+    # re-recorded when phases became periodic
+    ("validate",): "5dbaa9c85a3b7f8feea4ba0e63fac28a22650a90b58a15dc1814e79a8669b5bb",
+    # re-recorded when phases became periodic
     (
         "validate", "--chi3", "0.05", "--chi1", "0.7", "--eps0", "2.5",
         "--pump-phase-deg", "37",
-    ): "19ce48d7d475cd84f44c7132b3222571ea1a919a1f063a707cc7c01c90edf62a",
+    ): "ee45a9b9b342824867e541f06cc4983df51937dbc9108bb9eb29d3e78a990310",
     # the smallest alias-free grid, and 381 samples: the lock-in sums over
     # fewer and over more than 128 samples take different pairwise paths
     ("validate", "--samples-per-period", "9", "--n-periods", "1"):
     "61c79d2ea50db0c1b4b6c9e8b87d1a0abbaa3b48eafbdedc552906cd9dd407f6",
+    # re-recorded when phases became periodic
     ("validate", "--samples-per-period", "127", "--n-periods", "3"):
-    "18f7f2da5aff95702baca8d537d3f92913208c8b956ebe76fbf5a67a98b1b6d6",
-    ("spectrum",): "7f71abf7233834e743acfd3e9c6ea5c86839346f913de41531fc31f5a29bbd75",
+    "086bf14d6d75322ea2e996e3bfd7c998f1cdab38a554616beddbfbece83076cd",
+    # re-recorded when phases became periodic
+    ("spectrum",): "befeb8f87b6ee9dd245602b273cba068ba103073fb17a72baf8d5dfa8408e43a",
 }
 
 
