@@ -43,8 +43,11 @@ class TimeGrid:
             raise ValueError("samples_per_period must be a positive integer")
         if self.n_periods < 1:
             raise ValueError("n_periods must be a positive integer")
-        if not self.omega > 0.0:
-            raise ValueError("omega must be positive")
+        if not (0.0 < self.omega < math.inf and TWO_PI / self.omega < math.inf):
+            raise ValueError(
+                "omega must be positive and finite, with a finite period, "
+                f"got {self.omega!r}"
+            )
 
     @property
     def n_samples(self) -> int:

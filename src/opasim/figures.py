@@ -2,6 +2,10 @@
 
 Every figure is emitted as one or more CSV tables. Time-domain tables
 carry the ensemble-mean trace plus a mean +- band_sigma*std envelope.
+Each is built on one fundamental period of the configured grid and
+repeated over the grid's periods (:func:`_trace_table`): the fundamental
+field, the pump and the medium's memoryless response all repeat every
+period, so ``n_periods`` sets only how often a table repeats.
 An input band is the ensemble's sample covariance (n-1 divisor)
 projected at theta = omega*t, which is algebraically the pointwise
 sample variance of the input traces, so no input trace is synthesized
@@ -10,16 +14,13 @@ mean and variance of the output traces, computed without them: the
 medium is a polynomial of degree d, so each output trace less the
 noiseless output is a polynomial in the input's deviation from the
 noiseless input, and its pointwise sums follow exactly from the pairs'
-power sums up to degree 2d (see :func:`_output_band`). The band is
-evaluated over one fundamental period and repeated over the grid's
-periods: the input field and the pump repeat every period and the
-medium is memoryless, so every period of an output trace repeats the
-first. Every figure reads its ensemble through the span loop that
-``scan`` runs, :func:`~opasim.ensemble.channel_sums`: fig1 sends the
-pairs through the identity, fig2/fig3 through the pumped medium on one
-period of the smallest alias-free grid, and each span's output pairs are
-summed about the noiseless output pair, so a bright state keeps its
-output variance in the fundamental-bin scan.
+power sums up to degree 2d (see :func:`_output_band`). Every figure
+reads its ensemble through the span loop that ``scan`` runs,
+:func:`~opasim.ensemble.channel_sums`: fig1 sends the pairs through the
+identity, fig2/fig3 through the pumped medium on one period of the
+smallest alias-free grid, and each span's output pairs are summed about
+the noiseless output pair, so a bright state keeps its output variance
+in the fundamental-bin scan.
 
 Figures
 -------
@@ -51,8 +52,9 @@ from .ensemble import (
     sums_scan,
     synthesize_rows,
 )
-from .fields import QuadraturePair
+from .fields import QuadraturePair, TimeGrid
 from .medium import (
+    SusceptibilityProfile,
     polarization_values,
     polynomial_degree,
     transfer_taylor,
@@ -131,51 +133,47 @@ def emit_figure(name: str, cfg: RunConfig) -> list[FigureTable]:
     """Build all tables for one figure."""
     if name not in FIGURE_NAMES:
         raise ValueError(f"unknown figure {name!r} (expected one of {FIGURE_NAMES})")
+    # every time-domain table is built on one period of the configured grid
+    period = replace(cfg.grid(), n_periods=1)
     if name.startswith("fig1"):
-        return [_state_trace_table(name, cfg)]
-    return _pipeline_tables(name, cfg)
+        # the state itself: its pairs through the identity channel
+        state = figure_state(name, cfg)
+        sums, center = channel_sums(state, cfg.ensemble(), lambda pairs: pairs)
+        band = sums_scan(sums, cfg.n_realizations, center, period.phases())
+        return [_trace_table(name, cfg, band.means, band.variances)]
+    return _pipeline_tables(name, cfg, period)
 
 
-def _envelope_columns(times, mean: np.ndarray, var: np.ndarray, band_sigma: float):
-    """t, mean, std and the mean -+ band_sigma*std band."""
-    std = np.sqrt(var)
-    return (times, mean, std, mean - band_sigma * std, mean + band_sigma * std)
+def _trace_table(
+    name: str, cfg: RunConfig, mean: np.ndarray, var: np.ndarray
+) -> FigureTable:
+    """t, mean, std and the mean -+ band_sigma*std band over the configured grid.
 
-
-_TRACE_HEADER = ("t", "mean", "std", "lower", "upper")
-
-
-def _state_trace_table(name: str, cfg: RunConfig) -> FigureTable:
-    state = figure_state(name, cfg)
+    ``mean`` and ``var`` cover one period; every period of the grid
+    repeats it bit for bit.
+    """
     grid = cfg.grid()
-    ens = cfg.ensemble()
-    # the state itself: its pairs through the identity channel
-    sums, center = channel_sums(state, ens, lambda pairs: pairs)
-    band = sums_scan(sums, ens.n_realizations, center, grid.phases())
-    columns = _envelope_columns(grid.times(), band.means, band.variances, cfg.band_sigma)
-    return FigureTable(name, _TRACE_HEADER, columns)
+    mean, var = np.tile((mean, var), grid.n_periods)
+    std = np.sqrt(var)
+    band = cfg.band_sigma * std
+    columns = (grid.times(), mean, std, mean - band, mean + band)
+    return FigureTable(name, ("t", "mean", "std", "lower", "upper"), columns)
 
 
-def _pipeline_tables(name: str, cfg: RunConfig) -> list[FigureTable]:
+def _pipeline_tables(name: str, cfg: RunConfig, period: TimeGrid) -> list[FigureTable]:
     PassGain(cfg.pump_ratio, cfg.mode)  # the threshold check every subcommand makes
     state = figure_state(name, cfg)
-    grid = cfg.grid()
-    ens = cfg.ensemble()
     convention = cfg.convention()
-    n = ens.n_realizations
+    n = cfg.n_realizations
     center = state.mean.as_array()
     # the output band reads the pairs' power sums up to twice the medium's degree
     degree = 2 * polynomial_degree(cfg.medium)
-    channel = medium_channel(cfg.B, cfg.pump_phase, cfg.medium, grid)
-    sums, out_center = channel_sums(state, ens, channel, degree)
+    channel = medium_channel(cfg.B, cfg.pump_phase, cfg.medium, period)
+    sums, out_center = channel_sums(state, cfg.ensemble(), channel, degree)
     in_sums, out_sums = np.split(sums, [len(sums) - 5])
-    times = grid.times()
-    band = sums_scan(in_sums[:5], n, center, grid.phases())
-    pump = pump_trace(cfg.B, cfg.pump_phase, grid)
-    input_cols = _envelope_columns(times, band.means + pump, band.variances, cfg.band_sigma)
-    # the band covers one period; every period of the output traces repeats it
-    mean, var = np.tile(_output_band(in_sums, n, center, cfg), grid.n_periods)
-    output_cols = _envelope_columns(times, mean, var, cfg.band_sigma)
+    band = sums_scan(in_sums[:5], n, center, period.phases())
+    pump = pump_trace(cfg.B, cfg.pump_phase, period)
+    output = _output_band(in_sums, n, center, pump, period, cfg.medium)
 
     thetas = np.linspace(0.0, 2.0 * math.pi, 2 * cfg.thetas - 1)
     scan = sums_scan(out_sums, n, out_center, thetas)
@@ -185,31 +183,37 @@ def _pipeline_tables(name: str, cfg: RunConfig) -> list[FigureTable]:
     p_axis = polarization_values(e_axis, cfg.medium)
 
     return [
-        FigureTable(f"{name}_input", _TRACE_HEADER, input_cols),
+        _trace_table(f"{name}_input", cfg, band.means + pump, band.variances),
         FigureTable(f"{name}_characteristic", ("field", "polarization"), (e_axis, p_axis)),
-        FigureTable(f"{name}_output", _TRACE_HEADER, output_cols),
+        _trace_table(f"{name}_output", cfg, *output),
         scan_table(f"{name}_scan", scan, convention),
     ]
 
 
-def _output_band(power_sums: np.ndarray, n: int, center: np.ndarray, cfg: RunConfig):
-    """Pointwise mean and variance of the output traces over one period of the grid.
+def _output_band(
+    power_sums: np.ndarray,
+    n: int,
+    center: np.ndarray,
+    pump: np.ndarray,
+    period: TimeGrid,
+    medium: SusceptibilityProfile,
+):
+    """Pointwise mean and variance of the output traces over one period.
 
     An input trace is E0 + delta, with E0 the noiseless input (the center
-    pair plus the pump) and delta = y1*cos + y2*sin for y = pair - center.
-    The medium is a polynomial of degree d, so its output less the
-    noiseless output f(E0) is exactly y = sum_k a_k*delta^k
-    (:func:`transfer_taylor`). Hence sum y = sum_k a_k*M_k and
-    sum y^2 = sum_{k,l} a_k*a_l*M_{k+l}, where M_m = sum_i delta_i^m
-    expands into the pairs' power sums T[p, m-p] (:func:`pair_sums` of
-    degree 2d) with binomial weights. No output trace is synthesized, and
-    about f(E0) the sums of squares of bright traces do not cancel.
+    pair plus the period's ``pump`` row) and delta = y1*cos + y2*sin for
+    y = pair - center. The medium is a polynomial of degree d, so its
+    output less the noiseless output f(E0) is exactly
+    y = sum_k a_k*delta^k (:func:`transfer_taylor`). Hence
+    sum y = sum_k a_k*M_k and sum y^2 = sum_{k,l} a_k*a_l*M_{k+l}, where
+    M_m = sum_i delta_i^m expands into the pairs' power sums T[p, m-p]
+    (:func:`pair_sums` of degree 2d) with binomial weights. No output
+    trace is synthesized, and about f(E0) the sums of squares of bright
+    traces do not cancel.
     """
-    period = replace(cfg.grid(), n_periods=1)
     cos1, sin1 = period.harmonic(1)
-    pump = pump_trace(cfg.B, cfg.pump_phase, period)
     e0 = synthesize_rows(center[None], pump, cos1, sin1)[:, 0]
-    a = transfer_taylor(e0, cfg.medium)
+    a = transfer_taylor(e0, medium)
     d = len(a)
     moments = []  # M_1 .. M_2d
     offset = 0
@@ -224,4 +228,4 @@ def _output_band(power_sums: np.ndarray, n: int, center: np.ndarray, cfg: RunCon
     total = sum(a[k] * moments[k] for k in range(d))
     squares = sum(a[k] * a[l] * moments[k + l + 1] for k in range(d) for l in range(d))
     var = np.maximum((squares - total * total / n) / (n - 1), 0.0)
-    return transfer_values(e0, cfg.medium) + total / n, var
+    return transfer_values(e0, medium) + total / n, var

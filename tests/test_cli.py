@@ -343,13 +343,13 @@ class TestValidateCommand:
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert "PASS vacuum-scan-flat" in out
-        assert "PASS one-period-lockin: 13-sample period vs 64x4 grid" in out
+        assert "PASS one-period-lockin: 13-sample period vs 64x1 grid" in out
 
     def test_validate_passes_on_a_linear_medium(self, capsys):
         code, out, _ = run_cli(["validate", "--chi2", "0"], capsys)
         assert code == 0
         assert len(out.strip().splitlines()) == 8
-        assert "PASS one-period-lockin: 5-sample period vs 64x4 grid" in out
+        assert "PASS one-period-lockin: 5-sample period vs 64x1 grid" in out
 
 
 class TestOracleCommand:
@@ -538,6 +538,44 @@ class TestRunGuards:
         assert code == 2
         assert out == "" and list(tmp_path.iterdir()) == []
         assert "error: var_zp must be positive with a finite, normal square" in err
+
+    @pytest.mark.parametrize(
+        "medium, message",
+        [
+            (["--eps0", "5e-324"], "eps0 must be at least 2.2250738585072014e-308"),
+            (
+                ["--eps0", "1e-160", "--chi1", "1e-162", "--chi2", "5e-163"],
+                "eps0*chi1 must be at least 2.2250738585072014e-308",
+            ),
+            (
+                ["--eps0", "1e-200", "--chi1", "1e-200", "--chi2", "5e-201"],
+                "eps0*chi1 must be at least 2.2250738585072014e-308",
+            ),
+        ],
+        ids=["eps0", "subnormal-divisor", "zero-divisor"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["scan", "--n-realizations", "20000"],
+            ["figure", "fig2"],
+            ["spectrum"],
+            ["validate"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_subnormal_eps0_is_config_error(
+        self, command, medium, message, tmp_path, capsys
+    ):
+        # they ran on: scan read -6.858 dB for -5.982 dB, validate failed two
+        # checks, spectrum and the zero divisor failed with unrelated errors
+        argv = [*command, *medium]
+        if command[0] == "figure":
+            argv += ["--outdir", str(tmp_path)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == "" and list(tmp_path.iterdir()) == []
+        assert f"error: {message}" in err
 
     def test_oracle_runs_near_the_largest_var_zp(self, capsys):
         code, out, _ = run_cli(["oracle", "--var-zp", "1e154"], capsys)

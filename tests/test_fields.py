@@ -61,6 +61,13 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(spp, n)
 
+    @pytest.mark.parametrize("omega", [math.inf, math.nan, 0.0, -1.0, 5e-324])
+    def test_rejects_an_omega_without_a_finite_period(self, omega):
+        # an infinite omega gave times() of all zeros, a subnormal one an
+        # infinite period
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            TimeGrid(64, 4, omega)
+
     def test_harmonic_support(self):
         grid = TimeGrid(64, 1)
         grid.require_harmonic(31)

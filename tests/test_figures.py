@@ -135,14 +135,22 @@ def test_bright_output_band_keeps_its_variance():
     assert np.max(np.abs(std - want) / want) <= 1e-6
 
 
-@pytest.mark.parametrize("name", ["fig2", "fig3"])
-def test_output_periods_repeat_the_first(name):
-    cfg = small_cfg(n_realizations=2 * CHUNK + 1, A=3.0, chi3=0.05)
+@pytest.mark.parametrize(
+    "name,overrides",
+    [(name, {"A": 3.0, "chi3": 0.05}) for name in FIGURE_NAMES]
+    + [("fig3", {"A": 1e4, "chi3": 0.01})],
+)
+def test_time_tables_repeat_the_first_period(name, overrides):
+    # every time-domain table (fig1, *_input, *_output) is one period tiled
+    cfg = small_cfg(n_realizations=2 * CHUNK + 1, **overrides)
     grid = cfg.grid()
-    _, *columns = emit_figure(name, cfg)[2].columns
-    for column in columns:
-        periods = column.view(np.uint64).reshape(grid.n_periods, -1)
-        assert np.array_equal(periods, np.tile(periods[0], (grid.n_periods, 1)))
+    tables = [table for table in emit_figure(name, cfg) if table.header[0] == "t"]
+    assert len(tables) == (1 if name.startswith("fig1") else 2)
+    for table in tables:
+        _, *columns = table.columns
+        for column in columns:
+            periods = column.view(np.uint64).reshape(grid.n_periods, -1)
+            assert np.array_equal(periods, np.tile(periods[0], (grid.n_periods, 1)))
 
 
 def traced_outputs(name, cfg, dtype=np.float64, columns=16):
@@ -199,18 +207,12 @@ def test_output_tables_match_every_period_traced(name, chi3):
 def test_bright_kerr_output_band_matches_a_long_double_reference(amplitude):
     # traces of 1e10 (A = 1e4) to 1e16 (A = 1e6): a float64 f(E) less f(E0)
     # per trace left the std 1.7e-14 to 8.6e-13 off; the power sums take no
-    # such difference. The reference traces the first period: a later
-    # period's sampled cos(omega*t) differs from the first's by rounding,
-    # which the gain a_1 of about 3e6 to 3e10 lifts above the bound, and
-    # the tables repeat the first period by construction
+    # such difference
     cfg = small_cfg(A=amplitude, chi3=0.01)
-    mean, var, _ = traced_outputs("fig3", with_overrides(cfg, n_periods=1), np.longdouble)
+    mean, var, _ = traced_outputs("fig3", cfg, np.longdouble)
     std = np.sqrt(var)
     band = cfg.band_sigma * std
-    want = [
-        np.tile(column.astype(np.float64), cfg.n_periods)
-        for column in (mean, std, mean - band, mean + band)
-    ]
+    want = [column.astype(np.float64) for column in (mean, std, mean - band, mean + band)]
     _, *columns = emit_figure("fig3", cfg)[2].columns
     assert_close(columns, want)
 

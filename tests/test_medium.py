@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,17 @@ def test_profile_validation():
         SusceptibilityProfile(chi1=-0.5)
     # chi1 = 0 is allowed so single polarization orders can be isolated
     SusceptibilityProfile(chi1=0.0, chi2=1.0)
+
+
+def test_profile_needs_a_normal_eps0_and_divisor():
+    tiny = sys.float_info.min
+    SusceptibilityProfile(chi1=1.0, eps0=tiny)
+    SusceptibilityProfile(chi1=0.0, eps0=tiny)  # no divisor without chi1
+    with pytest.raises(ValueError, match="eps0 must be at least"):
+        SusceptibilityProfile(chi1=0.0, eps0=tiny / 2)
+    for eps0, chi1 in ((1e-160, 1e-162), (1e-200, 1e-200), (1e200, 1e200)):
+        with pytest.raises(ValueError, match=r"eps0\*chi1 must be at least .* and finite"):
+            SusceptibilityProfile(chi1=chi1, eps0=eps0)
 
 
 def test_quadratic_term_leaves_fundamental_of_pure_cosine():

@@ -85,20 +85,21 @@ GOLDEN = {
 # and the pipeline's spectrum to the last digit, so a change of order in any
 # sum the span engine or the lock-in makes shows here
 STDOUT_GOLDEN = {
-    # re-recorded when phases became periodic
-    ("validate",): "5dbaa9c85a3b7f8feea4ba0e63fac28a22650a90b58a15dc1814e79a8669b5bb",
-    # re-recorded when phases became periodic
+    # re-recorded when phases became periodic, then when one-period-lockin
+    # compared against one configured period (only its detail line changed)
+    ("validate",): "1479dc6303bf7901f152f47434484eb7f50127c86fe321758d11bc2e967bd6bd",
+    # re-recorded as the line above
     (
         "validate", "--chi3", "0.05", "--chi1", "0.7", "--eps0", "2.5",
         "--pump-phase-deg", "37",
-    ): "ee45a9b9b342824867e541f06cc4983df51937dbc9108bb9eb29d3e78a990310",
+    ): "4833254d91726e214930615fe4ca61a9a4e8292ec3df70743e987a316d311dc3",
     # the smallest alias-free grid, and 381 samples: the lock-in sums over
     # fewer and over more than 128 samples take different pairwise paths
     ("validate", "--samples-per-period", "9", "--n-periods", "1"):
     "61c79d2ea50db0c1b4b6c9e8b87d1a0abbaa3b48eafbdedc552906cd9dd407f6",
-    # re-recorded when phases became periodic
+    # re-recorded as the first line
     ("validate", "--samples-per-period", "127", "--n-periods", "3"):
-    "086bf14d6d75322ea2e996e3bfd7c998f1cdab38a554616beddbfbece83076cd",
+    "f6518469ab0b11a144e36219e716e74620259eb3d6c4ad19d46927abe2b167b7",
     # re-recorded when phases became periodic
     ("spectrum",): "befeb8f87b6ee9dd245602b273cba068ba103073fb17a72baf8d5dfa8408e43a",
 }

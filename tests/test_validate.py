@@ -8,10 +8,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from opasim import spectral, validate
-from opasim.config import RunConfig
+from opasim import ensemble, spectral, validate
+from opasim.config import RunConfig, with_overrides
 from opasim.fields import HarmonicComponent, TimeGrid, pump_carrier, synthesize
-from opasim.medium import SusceptibilityProfile, polarize
+from opasim.medium import (
+    SusceptibilityProfile,
+    alias_free_samples,
+    polarize,
+    polynomial_degree,
+)
 from opasim.spectral import full_spectrum, predict_spectrum
 
 # the default grid, the smallest alias-free period, and 381 samples: the
@@ -174,3 +179,30 @@ def test_an_infinite_closed_form_fails(monkeypatch):
     monkeypatch.setattr(validate, "closed_form_lines", _perturbed_lines(perturb))
     got = validate.check_closed_form_equivalence(RunConfig())
     assert got == (False, "bin k=2 deviation is not finite (inf)")
+
+
+@pytest.mark.parametrize("chi3", [0.0, 0.05])
+def test_one_period_lockin_catches_an_aliasing_period(chi3, monkeypatch):
+    # the channel traces a shorter period while require_alias_free still
+    # passes. A k = 1 lock-in on N samples reads every order j = +-1 mod N,
+    # and the pumped output of degree d stops at order 2d: so N = 2d + 1
+    # (the period of the fundamental's harmonics alone, without the 2*omega
+    # pump) folds order 2d onto k = 1, while N = 2d + 2 up to one sample
+    # short of the bound is still exact
+    cfg = with_overrides(RunConfig(), chi3=chi3)
+    degree = polynomial_degree(cfg.medium)
+    exact = range(2 * degree + 2, alias_free_samples(cfg.medium))
+    for samples in (2 * degree + 1, *exact):
+        monkeypatch.setattr(ensemble, "alias_free_samples", lambda medium: samples)
+        assert validate.check_one_period_lockin(cfg)[0] is (samples in exact)
+
+
+def test_one_period_lockin_keeps_the_span_buffers_short(monkeypatch):
+    # the reference runs on its own blocks: the held span buffers keep the
+    # height of the smallest alias-free period
+    cfg = RunConfig()
+    monkeypatch.delattr(ensemble._held, "buffers", raising=False)
+    assert validate.check_one_period_lockin(cfg)[0]
+    buffers = ensemble._held.buffers
+    assert len(buffers) == 3
+    assert all(buffer.shape[0] <= alias_free_samples(cfg.medium) for buffer in buffers)
