@@ -43,10 +43,9 @@ class TimeGrid:
             raise ValueError("samples_per_period must be a positive integer")
         if self.n_periods < 1:
             raise ValueError("n_periods must be a positive integer")
-        if not (0.0 < self.omega < math.inf and TWO_PI / self.omega < math.inf):
+        if not (self.omega > 0.0 and 0.0 < self.period < math.inf):
             raise ValueError(
-                "omega must be positive and finite, with a finite period, "
-                f"got {self.omega!r}"
+                f"omega must be positive with a finite period, got {self.omega!r}"
             )
 
     @property
@@ -63,10 +62,9 @@ class TimeGrid:
         return np.arange(self.n_samples) * step
 
     def phases(self) -> np.ndarray:
-        """Fundamental phases omega * t_n in radians, taken modulo one period.
+        """Fundamental phases omega * t_n in radians, modulo one period.
 
-        Sample n has phase (n mod samples_per_period) * 2*pi/samples_per_period,
-        so every period of the grid repeats the first bit for bit.
+        Every period of the grid repeats the first bit for bit.
         """
         spp = self.samples_per_period
         return (np.arange(self.n_samples) % spp) * (TWO_PI / spp)
@@ -83,30 +81,22 @@ class TimeGrid:
                 f"samples_per_period={self.samples_per_period}"
             )
 
+    @functools.lru_cache(maxsize=256)
     def harmonic(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """cos(k*omega*t_n) and sin(k*omega*t_n): the basis rows of order k.
 
         The one place the package samples its harmonic basis; synthesis,
         the lock-in, the pump and the propagation channel's references all
-        take it from here. They are taken of :meth:`phases`, so the rows of
-        an n-period grid are the one-period rows tiled n times, bit for
-        bit. The rows are read-only and shared: they are built once per
-        (samples_per_period, n_periods, k), which fix them.
+        take it from here. The rows are taken of :meth:`phases`, so an
+        n-period grid's rows are its one-period rows tiled n times, bit for
+        bit. They are read-only and shared: built once per grid and k.
         Raises ValueError for k < 0 or k at or above Nyquist.
         """
         self.require_harmonic(k)
-        return _harmonic_rows(self.samples_per_period, self.n_periods, k)
-
-
-@functools.lru_cache(maxsize=256)
-def _harmonic_rows(
-    samples_per_period: int, n_periods: int, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    phases = k * TimeGrid(samples_per_period, n_periods).phases()
-    rows = np.cos(phases), np.sin(phases)
-    for row in rows:
-        row.setflags(write=False)
-    return rows
+        rows = np.cos(k * self.phases()), np.sin(k * self.phases())
+        for row in rows:
+            row.setflags(write=False)
+        return rows
 
 
 @dataclass(frozen=True, eq=False)

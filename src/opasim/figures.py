@@ -3,9 +3,8 @@
 Every figure is emitted as one or more CSV tables. Time-domain tables
 carry the ensemble-mean trace plus a mean +- band_sigma*std envelope.
 Each is built on one fundamental period of the configured grid and
-repeated over the grid's periods (:func:`_trace_table`): the fundamental
-field, the pump and the medium's memoryless response all repeat every
-period, so ``n_periods`` sets only how often a table repeats.
+repeated over its periods (:func:`_trace_table`): the field, the pump
+and the memoryless medium's response repeat every period.
 An input band is the ensemble's sample covariance (n-1 divisor)
 projected at theta = omega*t, which is algebraically the pointwise
 sample variance of the input traces, so no input trace is synthesized
@@ -54,7 +53,6 @@ from .ensemble import (
 )
 from .fields import QuadraturePair, TimeGrid
 from .medium import (
-    SusceptibilityProfile,
     polarization_values,
     polynomial_degree,
     transfer_taylor,
@@ -133,7 +131,6 @@ def emit_figure(name: str, cfg: RunConfig) -> list[FigureTable]:
     """Build all tables for one figure."""
     if name not in FIGURE_NAMES:
         raise ValueError(f"unknown figure {name!r} (expected one of {FIGURE_NAMES})")
-    # every time-domain table is built on one period of the configured grid
     period = replace(cfg.grid(), n_periods=1)
     if name.startswith("fig1"):
         # the state itself: its pairs through the identity channel
@@ -144,13 +141,10 @@ def emit_figure(name: str, cfg: RunConfig) -> list[FigureTable]:
     return _pipeline_tables(name, cfg, period)
 
 
-def _trace_table(
-    name: str, cfg: RunConfig, mean: np.ndarray, var: np.ndarray
-) -> FigureTable:
+def _trace_table(name: str, cfg: RunConfig, mean, var) -> FigureTable:
     """t, mean, std and the mean -+ band_sigma*std band over the configured grid.
 
-    ``mean`` and ``var`` cover one period; every period of the grid
-    repeats it bit for bit.
+    ``mean`` and ``var`` cover one period, which every period repeats.
     """
     grid = cfg.grid()
     mean, var = np.tile((mean, var), grid.n_periods)
@@ -173,7 +167,6 @@ def _pipeline_tables(name: str, cfg: RunConfig, period: TimeGrid) -> list[Figure
     in_sums, out_sums = np.split(sums, [len(sums) - 5])
     band = sums_scan(in_sums[:5], n, center, period.phases())
     pump = pump_trace(cfg.B, cfg.pump_phase, period)
-    output = _output_band(in_sums, n, center, pump, period, cfg.medium)
 
     thetas = np.linspace(0.0, 2.0 * math.pi, 2 * cfg.thetas - 1)
     scan = sums_scan(out_sums, n, out_center, thetas)
@@ -185,35 +178,30 @@ def _pipeline_tables(name: str, cfg: RunConfig, period: TimeGrid) -> list[Figure
     return [
         _trace_table(f"{name}_input", cfg, band.means + pump, band.variances),
         FigureTable(f"{name}_characteristic", ("field", "polarization"), (e_axis, p_axis)),
-        _trace_table(f"{name}_output", cfg, *output),
+        _trace_table(f"{name}_output", cfg, *_output_band(in_sums, n, center, cfg, period)),
         scan_table(f"{name}_scan", scan, convention),
     ]
 
 
 def _output_band(
-    power_sums: np.ndarray,
-    n: int,
-    center: np.ndarray,
-    pump: np.ndarray,
-    period: TimeGrid,
-    medium: SusceptibilityProfile,
+    power_sums: np.ndarray, n: int, center: np.ndarray, cfg: RunConfig, period: TimeGrid
 ):
     """Pointwise mean and variance of the output traces over one period.
 
     An input trace is E0 + delta, with E0 the noiseless input (the center
-    pair plus the period's ``pump`` row) and delta = y1*cos + y2*sin for
-    y = pair - center. The medium is a polynomial of degree d, so its
-    output less the noiseless output f(E0) is exactly
-    y = sum_k a_k*delta^k (:func:`transfer_taylor`). Hence
-    sum y = sum_k a_k*M_k and sum y^2 = sum_{k,l} a_k*a_l*M_{k+l}, where
-    M_m = sum_i delta_i^m expands into the pairs' power sums T[p, m-p]
-    (:func:`pair_sums` of degree 2d) with binomial weights. No output
-    trace is synthesized, and about f(E0) the sums of squares of bright
-    traces do not cancel.
+    pair plus the pump) and delta = y1*cos + y2*sin for y = pair - center.
+    The medium is a polynomial of degree d, so its output less the
+    noiseless output f(E0) is exactly y = sum_k a_k*delta^k
+    (:func:`transfer_taylor`). Hence sum y = sum_k a_k*M_k and
+    sum y^2 = sum_{k,l} a_k*a_l*M_{k+l}, where M_m = sum_i delta_i^m
+    expands into the pairs' power sums T[p, m-p] (:func:`pair_sums` of
+    degree 2d) with binomial weights. No output trace is synthesized, and
+    about f(E0) the sums of squares of bright traces do not cancel.
     """
     cos1, sin1 = period.harmonic(1)
+    pump = pump_trace(cfg.B, cfg.pump_phase, period)
     e0 = synthesize_rows(center[None], pump, cos1, sin1)[:, 0]
-    a = transfer_taylor(e0, medium)
+    a = transfer_taylor(e0, cfg.medium)
     d = len(a)
     moments = []  # M_1 .. M_2d
     offset = 0
@@ -228,4 +216,4 @@ def _output_band(
     total = sum(a[k] * moments[k] for k in range(d))
     squares = sum(a[k] * a[l] * moments[k + l + 1] for k in range(d) for l in range(d))
     var = np.maximum((squares - total * total / n) / (n - 1), 0.0)
-    return transfer_values(e0, medium) + total / n, var
+    return transfer_values(e0, cfg.medium) + total / n, var

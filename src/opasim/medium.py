@@ -9,7 +9,6 @@ vacuum level.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -30,18 +29,14 @@ class SusceptibilityProfile:
     eps0: float = field(default=1.0, metadata={"help": "permittivity scale"})
 
     def __post_init__(self):
-        # eps0 scales the polarization and eps0*chi1 divides it back out; a
-        # subnormal one has lost bits, so each must be a normal float
+        # a subnormal eps0 or output divisor eps0*chi1 has lost bits
         tiny = sys.float_info.min
         if not self.eps0 >= tiny:
             raise ValueError(f"eps0 must be at least {tiny!r}, got {self.eps0!r}")
         if self.chi1 < 0.0:
             raise ValueError("chi1 must be non-negative")
-        if self.chi1 > 0.0 and not tiny <= self.eps0 * self.chi1 < math.inf:
-            raise ValueError(
-                f"eps0*chi1 must be at least {tiny!r} and finite, "
-                f"got {self.eps0 * self.chi1!r}"
-            )
+        if self.chi1 > 0.0 and not tiny <= self.eps0 * self.chi1 <= sys.float_info.max:
+            raise ValueError(f"eps0*chi1 must be at least {tiny!r} and finite")
 
 
 def polarization_values(

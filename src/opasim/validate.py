@@ -195,9 +195,8 @@ def check_one_period_lockin(cfg: RunConfig) -> tuple[bool, str]:
 
     The scan propagates on one period of the smallest alias-free grid
     (:func:`alias_free_samples`); that must give each vacuum realization
-    the k = 1 output of one period of the configured grid. Every later
-    period of that grid repeats the first bit for bit (its phases are
-    periodic), so one period's lock-in is the whole grid's.
+    the k = 1 output of one period of the configured grid, which every
+    later period repeats bit for bit.
     """
     ens, pairs = _vacuum_pairs(cfg)
     out = propagate_ensemble(pairs, cfg.B, cfg.pump_phase, cfg.medium, ens.grid)

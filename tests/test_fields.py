@@ -65,7 +65,7 @@ class TestTimeGrid:
     def test_rejects_an_omega_without_a_finite_period(self, omega):
         # an infinite omega gave times() of all zeros, a subnormal one an
         # infinite period
-        with pytest.raises(ValueError, match="omega must be positive and finite"):
+        with pytest.raises(ValueError, match="omega must be positive with a finite period"):
             TimeGrid(64, 4, omega)
 
     def test_harmonic_support(self):
