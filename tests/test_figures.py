@@ -139,8 +139,9 @@ def test_bright_output_band_keeps_its_variance():
     "name,overrides",
     [(name, {"A": 3.0, "chi3": 0.05}) for name in FIGURE_NAMES]
     + [("fig3", {"A": 1e4, "chi3": 0.01})],
+    ids=[*FIGURE_NAMES, "fig3-bright-kerr"],
 )
-def test_time_tables_repeat_the_first_period(name, overrides):
+def test_output_periods_repeat_the_first(name, overrides):
     # every time-domain table (fig1, *_input, *_output) is one period tiled
     cfg = small_cfg(n_realizations=2 * CHUNK + 1, **overrides)
     grid = cfg.grid()
