@@ -158,21 +158,22 @@ def sample_state_array(
 def map_pairs(pairs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Each row x of an (n, 2) array mapped to matrix @ x, as a new (n, 2) array.
 
-    Row r of the result is m[r, 0]*x1 + m[r, 1]*x2: numpy multiplies and
-    adds, which it never fuses, so the bits do not depend on the host's
-    BLAS or SIMD kernels. For a diagonal matrix they equal
+    Column r of the result is m[r, 0]*x1 + m[r, 1]*x2: numpy multiplies
+    and adds, which it never fuses, so the bits do not depend on the
+    host's BLAS or SIMD kernels. For a diagonal matrix they equal
     ``pairs @ matrix.T``; otherwise they can differ from it by an FMA's
-    rounding.
+    rounding. The result has contiguous columns, as
+    :func:`rng.standard_normal_pairs` does.
     """
-    out = np.empty(pairs.shape)
+    out = np.empty((2, len(pairs)))
     x1, x2 = pairs[:, 0], pairs[:, 1]
     scratch = np.empty(len(pairs))
     # column by column: a broadcast (2, 1) factor is a much slower loop
-    for row, column in zip(matrix, out.T):
+    for row, column in zip(matrix, out):
         np.multiply(x1, row[0], out=column)
         np.multiply(x2, row[1], out=scratch)
         column += scratch
-    return out
+    return out.T
 
 
 def pump_trace(pump_b: float, pump_phase: float, grid: TimeGrid) -> np.ndarray:
@@ -194,14 +195,14 @@ def synthesize_rows(
 
     ``pump``, ``cos1`` and ``sin1`` are rows of n_samples; the result is
     an (n_samples, len(pairs)) samples-major block. The quadratures are
-    copied to contiguous vectors and multiplied by the references taken
-    as columns, so each sample is the IEEE expression of that
-    realization's own trace.
+    taken as contiguous vectors (views of pairs with contiguous columns,
+    copies otherwise) and multiplied by the references taken as columns,
+    so each sample is the IEEE expression of that realization's own trace.
     """
     shape = (cos1.size, len(pairs))
     out = np.empty(shape) if out is None else out
     scratch = np.empty(shape) if scratch is None else scratch
-    x1, x2 = np.ascontiguousarray(pairs.T)
+    x1, x2 = (np.ascontiguousarray(column) for column in pairs.T)
     np.multiply(cos1[:, None], x1, out=out)
     np.multiply(sin1[:, None], x2, out=scratch)
     out += scratch
@@ -287,7 +288,7 @@ def medium_channel(
     refs = (pump, *period.harmonic(1))
 
     def channel(pairs):
-        out = np.empty_like(pairs)
+        out = np.empty((2, len(pairs))).T  # lockin_rows writes whole columns
         propagate_span(pairs, *refs, medium, out)
         return out
 
@@ -414,13 +415,18 @@ def pair_sums(pairs: np.ndarray, center: np.ndarray, degree: int = 2) -> np.ndar
     Elementwise products and ``sum``, not a BLAS dot, whose bits would
     depend on its blocking.
     """
-    y1, y2 = pairs[:, 0] - center[0], pairs[:, 1] - center[1]
-    powers = [y1, y2]  # y1^p * y2^(m-p) for p = m..0, here m = 1
-    sums = [y1.sum(), y2.sum()]
-    for _ in range(degree - 1):
-        powers = [power * y1 for power in powers] + [powers[-1] * y2]
-        sums.extend(power.sum() for power in powers)
-    return np.array(sums)
+    powers = np.empty((degree * (degree + 3) // 2, len(pairs)))
+    y1, y2 = powers[0], powers[1]
+    np.subtract(pairs[:, 0], center[0], out=y1)
+    np.subtract(pairs[:, 1], center[1], out=y2)
+    # rows lo:hi hold y1^p * y2^(m-p) for p = m..0, here m = 1
+    lo, hi = 0, 2
+    for m in range(2, degree + 1):
+        np.multiply(powers[lo:hi], y1, out=powers[hi : hi + m])
+        np.multiply(powers[hi - 1], y2, out=powers[hi + m])
+        lo, hi = hi, hi + m + 1
+    # each row of a C-ordered block is summed as its own contiguous series
+    return powers.sum(axis=1)
 
 
 def sums_scan(

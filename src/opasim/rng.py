@@ -206,7 +206,9 @@ def standard_normal_pairs(seed: int, start: int, count: int) -> np.ndarray:
     bits, times the cos and sin of the odd draw's angle
     (:func:`angle_cos_sin`). So row content depends only on (seed, i).
     Returns an array of shape (count, 2), filled _BLOCK rows at a time in
-    the calling thread's buffers with the same elementwise operations.
+    the calling thread's buffers with the same elementwise operations. It
+    is the transpose of a (2, count) array, so each quadrature is one
+    contiguous column.
     """
     _check_seed(seed)
     if count < 0:
@@ -214,7 +216,7 @@ def standard_normal_pairs(seed: int, start: int, count: int) -> np.ndarray:
     if start < 0:
         # the counters below are taken modulo 2**64 and would wrap
         raise ValueError("start must be non-negative")
-    out = np.empty((count, 2))
+    out = np.empty((2, count))
     for lo in range(0, count, _BLOCK):
         hi = min(lo + _BLOCK, count)
         draws, ints, floats = _buffers(hi - lo)
@@ -232,5 +234,5 @@ def standard_normal_pairs(seed: int, start: int, count: int) -> np.ndarray:
         radius *= -2.0
         np.sqrt(radius, out=radius)
         _angle(draws[1], cos_sin, ints[0], floats[3:])
-        np.multiply(cos_sin, radius, out=out[lo:hi].T)
-    return out
+        np.multiply(cos_sin, radius, out=out[:, lo:hi])
+    return out.T

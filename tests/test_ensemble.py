@@ -12,6 +12,7 @@ from opasim.ensemble import (
     VacuumConvention,
     default_thetas,
     map_pairs,
+    medium_channel,
     pair_sums,
     propagate_ensemble,
     pump_trace,
@@ -37,6 +38,7 @@ from opasim.medium import (
     transfer_values,
 )
 from opasim.oracle import PassGain, map_quadratures
+from opasim.rng import angle_cos_sin, raw_uint64, standard_normal_pairs
 from opasim.spectral import lockin_extract, lockin_rows
 
 GRID = TimeGrid(64, 4)
@@ -125,7 +127,8 @@ class TestSampling:
             want[:, r] = z[:, 0] * m[r, 0] + z[:, 1] * m[r, 1]
         got = map_pairs(z, m)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert got.flags.c_contiguous
+        # quadrature-major: each column is one contiguous run
+        assert got.T.flags.c_contiguous
         assert np.max(np.abs(got - z @ m.T)) <= 1e-15 * np.max(np.abs(got))
 
     def test_noise_map_of_a_diagonal_matrix_has_the_bits_of_the_product(self):
@@ -267,6 +270,70 @@ class TestOnePeriod:
         assert np.max(np.abs(out - map_quadratures(draws, gain, 0.4))) <= 1e-12
 
 
+def _bits(array: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+class TestQuadratureMajorLayout:
+    """Pairs keep their (n, 2) shape with each quadrature one contiguous column.
+
+    Every result below has the bits of the same expression written into a
+    C-ordered (n, 2) array; n spans more than one 4096-row block.
+    """
+
+    N = CHUNK + 5
+    SQUEEZED = GaussianState(QuadraturePair(0.4, -0.2), [[0.3, 0.2], [0.2, 1.7]])
+
+    def test_normal_pairs(self):
+        start = 123
+        rows = np.arange(start, start + self.N, dtype=np.uint64)
+        even = raw_uint64(7, rows * np.uint64(2)) >> np.uint64(11)
+        radius = np.sqrt(-2.0 * np.log((even.astype(np.float64) + 0.5) * 2.0**-53))
+        cos, sin = angle_cos_sin(raw_uint64(7, rows * np.uint64(2) + np.uint64(1)))
+        want = np.empty((self.N, 2))
+        want[:, 0] = cos * radius
+        want[:, 1] = sin * radius
+        got = standard_normal_pairs(7, start, self.N)
+        assert got.shape == (self.N, 2) and got.T.flags.c_contiguous
+        assert np.array_equal(_bits(got), want.view(np.uint64))
+
+    def test_state_samples(self):
+        state = self.SQUEEZED
+        z = np.ascontiguousarray(standard_normal_pairs(777, 0, self.N))
+        want = np.empty((self.N, 2))
+        for r in range(2):
+            want[:, r] = z[:, 0] * state.noise[r, 0] + z[:, 1] * state.noise[r, 1]
+            want[:, r] += state.mean.as_array()[r]
+        got = sample_state_array(state, cfg(self.N))
+        assert got.T.flags.c_contiguous
+        assert np.array_equal(_bits(got), want.view(np.uint64))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_map_of_either_layout(self, order):
+        z = np.asarray(np.random.default_rng(4).standard_normal((self.N, 2)), order=order)
+        m = np.array([[0.7, 0.2], [-0.3, 1.3]])
+        want = np.empty((self.N, 2))
+        for r in range(2):
+            want[:, r] = z[:, 0] * m[r, 0] + z[:, 1] * m[r, 1]
+        got = map_pairs(z, m)
+        assert got.T.flags.c_contiguous
+        assert np.array_equal(_bits(got), want.view(np.uint64))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_channel_of_either_layout(self, order):
+        medium = SusceptibilityProfile(chi1=1.1, chi2=0.4, chi3=0.05, eps0=1.6)
+        pairs = sample_state_array(self.SQUEEZED, cfg(self.N))
+        period = TimeGrid(alias_free_samples(medium), 1)
+        cos1, sin1 = period.harmonic(1)
+        c_pairs = np.ascontiguousarray(pairs)
+        traces = synthesize_rows(c_pairs, pump_trace(1.2, 0.4, period), cos1, sin1)
+        want = lockin_rows(transfer_values(traces, medium), cos1, sin1, period.n_samples)
+        assert want.flags.c_contiguous
+        got = medium_channel(1.2, 0.4, medium, GRID)(np.asarray(pairs, order=order))
+        assert got.T.flags.c_contiguous
+        assert np.array_equal(_bits(got), want.view(np.uint64))
+
+
 class TestSpanEngine:
     def test_spans_cover_the_rows_in_order(self):
         spans = run_spans(lambda start, count: (start, count), 2 * CHUNK + 1)
@@ -290,6 +357,24 @@ class TestPairSums:
         assert len(sums) == (degree * (degree + 3)) // 2
         assert np.array_equal(sums[:5].view(np.uint64), five.view(np.uint64))
         assert np.array_equal(pair_sums(pairs, center).view(np.uint64), five.view(np.uint64))
+
+    @pytest.mark.parametrize("width", [1, 7, 4096, 4097])
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_each_sum_has_the_bits_of_its_own_power_series(self, width, degree):
+        # one (terms, width) block summed along its rows, against one np.sum
+        # per power; -0.0 entries check the sign the sums start from
+        pairs = np.random.default_rng(width).normal(size=(width, 2)) * 2.0
+        pairs[::3, 0] = -0.0
+        pairs[1::4, 1] = -0.0
+        center = np.array([0.0, 0.0]) if width < 8 else np.array([0.25, -0.5])
+        y1, y2 = pairs[:, 0] - center[0], pairs[:, 1] - center[1]
+        powers = [y1, y2]
+        want = [y1.sum(), y2.sum()]
+        for _ in range(degree - 1):
+            powers = [power * y1 for power in powers] + [powers[-1] * y2]
+            want.extend(np.sum(power) for power in powers)
+        got = pair_sums(pairs, center, degree)
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
 
     def test_sums_run_by_degree_then_falling_power_of_y1(self, pairs):
         center = np.array([3.0, -0.5])
