@@ -26,7 +26,7 @@ from . import rng
 from .fields import QuadraturePair, TimeGrid, pump_carrier
 from .medium import (
     SusceptibilityProfile,
-    alias_free_samples,
+    channel_samples,
     require_alias_free,
     transfer_values,
 )
@@ -34,9 +34,9 @@ from .spectral import lockin_rows
 
 # rows per span: the kernel block and the group of the scan and figure
 # sums, whose bits depend on that grouping. The block is samples-major, one
-# column per realization: on the 9-sample period of a chi2 medium the three
-# (9, 4096) float64 kernel buffers take 864 KiB (1.2 MiB at the 13 samples
-# of chi3), inside one core's 2 MiB L2.
+# column per realization: on the 6-sample channel period of a chi2 medium
+# the three (6, 4096) float64 kernel buffers take 576 KiB (768 KiB at the 8
+# samples of chi3), inside one core's 2 MiB L2.
 CHUNK = 4096
 
 _PSD_SLACK = 1e-9
@@ -274,15 +274,15 @@ def medium_channel(
 
     ``grid`` is checked here (:func:`require_alias_free`), before anything
     is sampled. The channel then traces one period of
-    :func:`alias_free_samples` samples: the input field and the pump
-    repeat every period and the medium is memoryless, so every later
-    period of an output trace repeats the first, and the k = 1 lock-in is
-    exact on one period of any grid that resolves every harmonic the
-    medium radiates. The pump and the lock-in references are that
-    period's rows, read-only, as every span shares them.
+    :func:`channel_samples` samples: the input field and the pump repeat
+    every period and the medium is memoryless, so every later period of
+    an output trace repeats the first, and the k = 1 lock-in is exact on
+    one period on which no harmonic the medium radiates folds onto the
+    fundamental. The pump and the lock-in references are that period's
+    rows, read-only, as every span shares them.
     """
     require_alias_free(grid, medium)
-    period = TimeGrid(alias_free_samples(medium), 1, grid.omega)
+    period = TimeGrid(channel_samples(medium), 1, grid.omega)
     pump = pump_trace(pump_b, pump_phase, period)
     pump.setflags(write=False)
     refs = (pump, *period.harmonic(1))
@@ -334,8 +334,8 @@ def propagate_ensemble(
     """Propagate an (n, 2) ensemble through the medium, span by span.
 
     Each span goes through :func:`medium_channel`, which checks ``grid``
-    and traces one period of the smallest grid that resolves the medium
-    (:func:`alias_free_samples` samples: 9 for chi2, 13 for chi3). So the
+    and traces one period on which the k = 1 lock-in is exact
+    (:func:`channel_samples` samples: 6 for chi2, 8 for chi3). So the
     result is bitwise independent of ``grid.samples_per_period`` and
     ``grid.n_periods``. Spans run through :func:`run_spans` and each writes
     its own rows, so it is bitwise independent of CHUNK too.

@@ -100,15 +100,29 @@ def polynomial_degree(medium: SusceptibilityProfile) -> int:
 
 
 def alias_free_samples(medium: SusceptibilityProfile) -> int:
-    """Fewest samples per period that resolve the pumped medium's output.
+    """Fewest samples per period of a configured grid that resolve the output.
 
     Fields reach the medium with harmonics up to 2 (the 2*omega pump), so
     a polynomial of degree d radiates orders up to 2*d: 4 for chi2, 6 for
-    chi3. A grid resolves them above the Nyquist rate of that order, with
-    more than 4*d samples per period: 5 for a linear medium, 9 for chi2
-    and 13 for chi3.
+    chi3. A grid resolves every one of them above the Nyquist rate of that
+    order, with more than 4*d samples per period: 5 for a linear medium, 9
+    for chi2 and 13 for chi3. It bounds the configured grid
+    (:func:`require_alias_free`); the k = 1 channel needs fewer
+    (:func:`channel_samples`).
     """
     return 4 * polynomial_degree(medium) + 1
+
+
+def channel_samples(medium: SusceptibilityProfile) -> int:
+    """Samples of the one period on which the k = 1 channel is exact.
+
+    A k = 1 lock-in on N samples reads only the orders j = +-1 mod N, and
+    the pumped output of a degree-d medium stops at order 2*d, so N =
+    2*d + 2 already reads the fundamental alone (N = 2*d + 1 folds order 2*d
+    onto it). At least 5 samples keep the 2*omega pump below the Nyquist
+    order: 5 for a linear medium, 6 for chi2 and 8 for chi3.
+    """
+    return max(2 * polynomial_degree(medium) + 2, 5)
 
 
 def require_alias_free(grid: TimeGrid, medium: SusceptibilityProfile) -> None:

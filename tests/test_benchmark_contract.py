@@ -90,7 +90,9 @@ def test_traced_scan_reaches_every_kernel_layer(monkeypatch, tmp_path, capsys):
     # the kernel must call its layers through the names the tracer patches;
     # one that bypassed them would read 0 in the benchmark, not fail
     from opasim import cli
+    from opasim.config import RunConfig
     from opasim.ensemble import CHUNK
+    from opasim.medium import channel_samples
 
     tracing = _load(monkeypatch, "tracing")
     tracer = tracing.Tracer()
@@ -107,6 +109,7 @@ def test_traced_scan_reaches_every_kernel_layer(monkeypatch, tmp_path, capsys):
     blocks = -(-n // CHUNK) + 1
     assert metrics["ensemble.synthesize_rows.calls"] == blocks
     assert metrics["ensemble.lockin_rows.calls"] == blocks
-    # the 9-sample period of the default chi2 medium
-    assert metrics["medium.transfer_values.samples"] == 9 * (n + 1)
+    # the channel's period of the default chi2 medium
+    samples = channel_samples(RunConfig().medium)
+    assert metrics["medium.transfer_values.samples"] == samples * (n + 1)
     assert metrics["rng.standard_normal_pairs.rows"] == n

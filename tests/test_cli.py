@@ -343,7 +343,7 @@ class TestValidateCommand:
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert "PASS vacuum-scan-flat" in out
-        assert "PASS one-period-lockin: 13-sample period vs 64x1 grid" in out
+        assert "PASS one-period-lockin: 8-sample period vs 64x1 grid" in out
 
     def test_validate_passes_on_a_linear_medium(self, capsys):
         code, out, _ = run_cli(["validate", "--chi2", "0"], capsys)

@@ -25,6 +25,7 @@ from opasim.ensemble import (
 from opasim.fields import TimeGrid
 from opasim.medium import (
     SusceptibilityProfile,
+    channel_samples,
     polarization_values,
     polynomial_values,
     transfer_values,
@@ -208,8 +209,8 @@ def test_channel_references_are_read_only_period_rows(monkeypatch):
     monkeypatch.setattr(ensemble, "propagate_span", lambda *args: rows.extend(args[1:4]))
     medium = SusceptibilityProfile(chi1=1.0, chi2=0.5, chi3=0.05)
     medium_channel(1.0, 0.3, medium, GRID)(np.zeros((1, 2)))
-    # one period of the smallest alias-free grid, 13 samples for chi3
-    period = TimeGrid(13, 1)
+    # one period of the channel's samples, 8 for chi3
+    period = TimeGrid(channel_samples(medium), 1)
     want = (pump_trace(1.0, 0.3, period), *period.harmonic(1))
     for row, want_row in zip(rows, want, strict=True):
         assert not row.flags.writeable
@@ -219,13 +220,14 @@ def test_channel_references_are_read_only_period_rows(monkeypatch):
 def test_spans_reuse_the_thread_buffers(pairs, monkeypatch):
     monkeypatch.setattr(ensemble, "CHUNK", ROWS)
     channel = medium_channel(1.0, 0.3, MEDIA[0], GRID)
+    samples = channel_samples(MEDIA[0])
     with np.errstate(all="ignore"):
         want = channel(pairs)
-        held = [buffer.base for buffer in ensemble._block_buffers(9, ROWS)]
+        held = [buffer.base for buffer in ensemble._block_buffers(samples, ROWS)]
         # the centre row and a ragged span run in the same buffers
         for count in (1, ROWS - 3):
             assert same_bits(channel(pairs[:count]), want[:count])
-            views = ensemble._block_buffers(9, count)
+            views = ensemble._block_buffers(samples, count)
             assert all(view.base is base for view, base in zip(views, held, strict=True))
         # a block wider than a span runs too, in wider buffers
         assert same_bits(channel(np.tile(pairs, (2, 1))), np.tile(want, (2, 1)))

@@ -9,6 +9,7 @@ from opasim.fields import HarmonicComponent, TimeGrid, TimeSeries, synthesize
 from opasim.medium import (
     SusceptibilityProfile,
     alias_free_samples,
+    channel_samples,
     polarize,
     polynomial_degree,
     require_alias_free,
@@ -123,6 +124,17 @@ def test_alias_guard_needs_twice_the_highest_output_order(chi2, chi3, limit):
     message = str(excinfo.value)
     assert f"samples_per_period = {limit} " in message
     assert f"greater than {limit}" in message
+
+
+@pytest.mark.parametrize(
+    "chi2, chi3, samples", [(0.0, 0.0, 5), (0.5, 0.0, 6), (0.0, 0.1, 8), (0.5, 0.1, 8)]
+)
+def test_channel_period_is_2d_plus_2_and_holds_the_pump(chi2, chi3, samples):
+    medium = SusceptibilityProfile(chi1=1.0, chi2=chi2, chi3=chi3)
+    degree = polynomial_degree(medium)
+    assert channel_samples(medium) == max(2 * degree + 2, 5) == samples
+    assert channel_samples(medium) <= alias_free_samples(medium)
+    TimeGrid(samples, 1).require_harmonic(2)
 
 
 @pytest.mark.parametrize(

@@ -33,31 +33,30 @@ BLAS_N = 100_000
 # no samples. The sampling radius takes numpy's log, so these hold on
 # hosts with AVX-512 only
 GOLDEN = {
-    # re-recorded when scan summed its output pairs per span about the
-    # noiseless output pair
+    # re-recorded when the channel traced 2d + 2 samples, not 4d + 1
     ("scan",): {
-        "scan.csv": "a8360e6f94b352d492a5a04fdf141087eead24ee316fbb3f57b1845231aee275",
+        "scan.csv": "e9f77331ef6df3b12bbe350367c9691f0831c4f55c7adf02b8f289857856f8d3",
     },
     ("scan", "--A", "0.5", "--phi-deg", "30", "--chi3", "0.05"): {
-        "scan.csv": "59c12fedb75577883ccf6a2310473b851c9d28e43e7e024d827891e48180db35",
+        "scan.csv": "ea57851fd4d699066e14bbca8c6a8c86a6267d569a3eabd2a05e0b9c372ea225",
     },
     ("figure", "fig2"): {
         # re-recorded when phases became periodic
         "fig2_input.csv": "ff3d038c27a1ab455786ccdb55e487e7c31738b7b56e2bba8b75e042170c37b5",
         "fig2_characteristic.csv": "0ccd5c33334b0e9e7bffd09b77abf9e6b7663f258d2ab30d935970ac8c202af9",
         # re-recorded when the output band came from the pairs' power sums
-        # and the pairs were propagated on the smallest alias-free period
         "fig2_output.csv": "88e16a510a2c4a683c50d611a2f17a0c8c089cce766b4e47e4ea216de691c23b",
-        "fig2_scan.csv": "ac2f3e628aa1672c44c8d91d0e9080b7bb81381804b69aa78b8fd68b3d6ca70e",
+        # re-recorded when the channel traced 2d + 2 samples
+        "fig2_scan.csv": "e6cad90aafe73971b84e11ad25509588c56262355808227f5b1dce601483648e",
     },
     ("figure", "fig3", "--A", "0.8"): {
         # re-recorded when phases became periodic
         "fig3_input.csv": "35327bba55a2e3e5be3a6d47852d7613c57b02e6b042140e3736f171b7be182f",
         "fig3_characteristic.csv": "e549ace235f7d6509cde51cf2cff0f3ba1f7d91319166c12e8cef38fca54f332",
         # re-recorded when the output band came from the pairs' power sums
-        # and the pairs were propagated on the smallest alias-free period
         "fig3_output.csv": "864c68ba4dc35702fc90dcb005c0c51e89dae98d664fa373e1b60ebe0a005059",
-        "fig3_scan.csv": "799794f6386892df8cbec93f052314e8e3e8d2622da727c31ec3b5cb1eadab56",
+        # re-recorded when the channel traced 2d + 2 samples
+        "fig3_scan.csv": "60fd65f90726b7a9d8451823f79eb5ffb95ff7319263434c3f9b2e9a306f50db",
     },
     # re-recorded when phases became periodic
     ("figure", "fig1b"): {
@@ -85,21 +84,22 @@ GOLDEN = {
 # and the pipeline's spectrum to the last digit, so a change of order in any
 # sum the span engine or the lock-in makes shows here
 STDOUT_GOLDEN = {
-    # re-recorded when phases became periodic, then when one-period-lockin
-    # compared against one configured period (only its detail line changed)
-    ("validate",): "1479dc6303bf7901f152f47434484eb7f50127c86fe321758d11bc2e967bd6bd",
+    # re-recorded when phases became periodic, when one-period-lockin
+    # compared against one configured period, and when the channel traced
+    # 2d + 2 samples (only the one-period-lockin detail line changed)
+    ("validate",): "6b9a68440e459092d13da1124feb79b298fbd067a6d4bc69c0236127c6e18f7e",
     # re-recorded as the line above
     (
         "validate", "--chi3", "0.05", "--chi1", "0.7", "--eps0", "2.5",
         "--pump-phase-deg", "37",
-    ): "4833254d91726e214930615fe4ca61a9a4e8292ec3df70743e987a316d311dc3",
+    ): "439afef87b8fe76dfc05340fe2244a93d2445e8fc61b12e777cb6c500d4606da",
     # the smallest alias-free grid, and 381 samples: the lock-in sums over
-    # fewer and over more than 128 samples take different pairwise paths
+    # fewer and over more than 128 samples take different pairwise paths;
+    # both re-recorded as the first line
     ("validate", "--samples-per-period", "9", "--n-periods", "1"):
-    "61c79d2ea50db0c1b4b6c9e8b87d1a0abbaa3b48eafbdedc552906cd9dd407f6",
-    # re-recorded as the first line
+    "7e14243bded8f86ca6372aea71f00f7993d54ea2eb1b902ab92403fd3865b69c",
     ("validate", "--samples-per-period", "127", "--n-periods", "3"):
-    "f6518469ab0b11a144e36219e716e74620259eb3d6c4ad19d46927abe2b167b7",
+    "3c177523bc038e245a000c0fe54e4796ae99cf82acae76b1e5032173e4c42566",
     # re-recorded when phases became periodic
     ("spectrum",): "befeb8f87b6ee9dd245602b273cba068ba103073fb17a72baf8d5dfa8408e43a",
 }
@@ -158,7 +158,7 @@ def test_scan_bytes_do_not_depend_on_n_periods(command, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [("scan",), ("scan", "--chi3", "0.05")], ids=" ".join)
 def test_scan_bytes_do_not_depend_on_the_grid(command, tmp_path, capsys):
-    # the scan propagates on the smallest alias-free period, whatever the grid
+    # the scan propagates on the channel's own period, whatever the grid
     scans = set()
     for samples in ("16", "64", "256"):
         for periods in ("1", "4"):

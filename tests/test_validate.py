@@ -14,6 +14,7 @@ from opasim.fields import HarmonicComponent, TimeGrid, pump_carrier, synthesize
 from opasim.medium import (
     SusceptibilityProfile,
     alias_free_samples,
+    channel_samples,
     polarize,
     polynomial_degree,
 )
@@ -181,28 +182,36 @@ def test_an_infinite_closed_form_fails(monkeypatch):
     assert got == (False, "bin k=2 deviation is not finite (inf)")
 
 
-@pytest.mark.parametrize("chi3", [0.0, 0.05])
-def test_one_period_lockin_catches_an_aliasing_period(chi3, monkeypatch):
-    # the channel traces a shorter period while require_alias_free still
+@pytest.mark.parametrize(
+    "chi2, chi3", [(0.0, 0.0), (0.5, 0.0), (0.5, 0.05)], ids=["linear", "chi2", "chi3"]
+)
+def test_one_period_lockin_catches_an_aliasing_period(chi2, chi3, monkeypatch):
+    # the channel traces another period while require_alias_free still
     # passes. A k = 1 lock-in on N samples reads every order j = +-1 mod N,
     # and the pumped output of degree d stops at order 2d: so N = 2d + 1
     # (the period of the fundamental's harmonics alone, without the 2*omega
-    # pump) folds order 2d onto k = 1, while N = 2d + 2 up to one sample
-    # short of the bound is still exact
-    cfg = with_overrides(RunConfig(), chi3=chi3)
+    # pump) folds order 2d onto k = 1, while every N from channel_samples
+    # up to the configured grid's bound is exact
+    cfg = with_overrides(RunConfig(), chi2=chi2, chi3=chi3)
     degree = polynomial_degree(cfg.medium)
-    exact = range(2 * degree + 2, alias_free_samples(cfg.medium))
+    exact = range(channel_samples(cfg.medium), alias_free_samples(cfg.medium) + 1)
+    assert 2 * degree + 1 not in exact
     for samples in (2 * degree + 1, *exact):
-        monkeypatch.setattr(ensemble, "alias_free_samples", lambda medium: samples)
-        assert validate.check_one_period_lockin(cfg)[0] is (samples in exact)
+        monkeypatch.setattr(ensemble, "channel_samples", lambda medium: samples)
+        if samples < 5:
+            # a linear medium's 2d + 1 = 3 samples cannot hold the pump at all
+            with pytest.raises(ValueError, match="harmonic k=2 aliases"):
+                validate.check_one_period_lockin(cfg)
+        else:
+            assert validate.check_one_period_lockin(cfg)[0] is (samples in exact)
 
 
 def test_one_period_lockin_keeps_the_span_buffers_short(monkeypatch):
     # the reference runs on its own blocks: the held span buffers keep the
-    # height of the smallest alias-free period
+    # height of the channel's period
     cfg = RunConfig()
     monkeypatch.delattr(ensemble._held, "buffers", raising=False)
     assert validate.check_one_period_lockin(cfg)[0]
     buffers = ensemble._held.buffers
     assert len(buffers) == 3
-    assert all(buffer.shape[0] <= alias_free_samples(cfg.medium) for buffer in buffers)
+    assert all(buffer.shape[0] <= channel_samples(cfg.medium) for buffer in buffers)
