@@ -53,8 +53,10 @@ class RunConfig:
     def __post_init__(self):
         for f in RUN_FIELDS:
             f.check(f.get(self))
-        if self.thetas < 2:
-            raise ValueError("thetas must be at least 2")
+        # two phases span 0..pi as {0, pi}, one quadrature twice: the scan
+        # needs 0 and pi/2 to tell squeezing from antisqueezing
+        if self.thetas < 3:
+            raise ValueError(f"thetas must be at least 3, got {self.thetas}")
         if not self.band_sigma > 0.0:
             raise ValueError("band_sigma must be positive")
         # constructing the owned objects runs their validators

@@ -469,6 +469,28 @@ class TestRunGuards:
         assert f"samples_per_period = {spp} " in err
         assert f"greater than {limit}" in err
 
+    @pytest.mark.parametrize("argv", [["scan"], ["oracle"], ["figure", "fig2"]], ids=" ".join)
+    def test_two_phases_are_config_error(self, argv, tmp_path, capsys):
+        # two phases scan {0, pi} (fig2: {0, pi, 2 pi}), one quadrature read as
+        # both squeeze and antisqueeze with a sub-vacuum product v_min**2
+        if argv[0] == "figure":
+            argv = [*argv, "--outdir", str(tmp_path)]
+        elif argv[0] == "scan":
+            argv = [*argv, "-o", str(tmp_path / "scan.csv")]
+        code, out, err = run_cli([*argv, "--thetas", "2", "--n-realizations", "10"], capsys)
+        assert code == 2
+        assert out == "" and list(tmp_path.iterdir()) == []
+        assert "thetas must be at least 3, got 2" in err
+
+    def test_three_phases_resolve_both_quadratures(self, tmp_path, capsys):
+        target = tmp_path / "scan.csv"
+        argv = ["scan", "--thetas", "3", "--n-realizations", "10", "-o", str(target)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0
+        theta_deg = [line.split(",")[0] for line in target.read_text().splitlines()[1:]]
+        assert [float(theta) for theta in theta_deg] == [0.0, 90.0, 180.0]
+        assert "squeeze" in err
+
     @pytest.mark.parametrize("grid", [[], ["--samples-per-period", "9"]])
     def test_alias_free_grid_runs(self, grid, capsys):
         code, out, _ = run_cli(["scan", "--n-realizations", "2000", *grid], capsys)
