@@ -129,6 +129,8 @@ class TestSampling:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         # quadrature-major: each column is one contiguous run
         assert got.T.flags.c_contiguous
+        # from quadrature-major input too
+        assert np.array_equal(map_pairs(np.asfortranarray(z), m), got)
         assert np.max(np.abs(got - z @ m.T)) <= 1e-15 * np.max(np.abs(got))
 
     def test_noise_map_of_a_diagonal_matrix_has_the_bits_of_the_product(self):
@@ -278,7 +280,8 @@ class TestQuadratureMajorLayout:
     """Pairs keep their (n, 2) shape with each quadrature one contiguous column.
 
     Every result below has the bits of the same expression written into a
-    C-ordered (n, 2) array; n spans more than one 4096-row block.
+    C-ordered (n, 2) array; n spans more than one 4096-row block. The 2x2
+    map is checked in TestSampling.
     """
 
     N = CHUNK + 5
@@ -305,17 +308,6 @@ class TestQuadratureMajorLayout:
             want[:, r] = z[:, 0] * state.noise[r, 0] + z[:, 1] * state.noise[r, 1]
             want[:, r] += state.mean.as_array()[r]
         got = sample_state_array(state, cfg(self.N))
-        assert got.T.flags.c_contiguous
-        assert np.array_equal(_bits(got), want.view(np.uint64))
-
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_map_of_either_layout(self, order):
-        z = np.asarray(np.random.default_rng(4).standard_normal((self.N, 2)), order=order)
-        m = np.array([[0.7, 0.2], [-0.3, 1.3]])
-        want = np.empty((self.N, 2))
-        for r in range(2):
-            want[:, r] = z[:, 0] * m[r, 0] + z[:, 1] * m[r, 1]
-        got = map_pairs(z, m)
         assert got.T.flags.c_contiguous
         assert np.array_equal(_bits(got), want.view(np.uint64))
 

@@ -182,8 +182,14 @@ def test_an_infinite_closed_form_fails(monkeypatch):
     assert got == (False, "bin k=2 deviation is not finite (inf)")
 
 
+# the chi2 media are named by their chi3
 @pytest.mark.parametrize(
-    "chi2, chi3", [(0.0, 0.0), (0.5, 0.0), (0.5, 0.05)], ids=["linear", "chi2", "chi3"]
+    "chi2, chi3",
+    [
+        pytest.param(0.5, 0.0, id="0.0"),
+        pytest.param(0.5, 0.05, id="0.05"),
+        pytest.param(0.0, 0.0, id="linear"),
+    ],
 )
 def test_one_period_lockin_catches_an_aliasing_period(chi2, chi3, monkeypatch):
     # the channel traces another period while require_alias_free still
