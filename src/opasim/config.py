@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, get_type_hints
 
-from .ensemble import EnsembleConfig, VacuumConvention
+from .ensemble import EnsembleConfig, VacuumConvention, default_thetas
 from .fields import TimeGrid
 from .medium import SusceptibilityProfile
 from .oracle import MODES
@@ -53,10 +53,7 @@ class RunConfig:
     def __post_init__(self):
         for f in RUN_FIELDS:
             f.check(f.get(self))
-        # two phases span 0..pi as {0, pi}, one quadrature twice: the scan
-        # needs 0 and pi/2 to tell squeezing from antisqueezing
-        if self.thetas < 3:
-            raise ValueError(f"thetas must be at least 3, got {self.thetas}")
+        default_thetas(self.thetas)  # holds the bound on the phase count
         if not self.band_sigma > 0.0:
             raise ValueError("band_sigma must be positive")
         # constructing the owned objects runs their validators

@@ -255,12 +255,14 @@ def _block_buffers(n_samples: int, count: int) -> list[np.ndarray]:
     broadcast (n_samples, 1) reference along each row of such a view, but
     for a contiguous block it copies the reference through a buffer first
     (46 against 15 us for a (9, 4096) product, numpy 2.4 on a 2-vCPU
-    x86-64 VM).
+    x86-64 VM). Each buffer starts on a cache line
+    (:func:`opasim.rng.aligned_empty`), and at CHUNK + 8 columns every
+    row does.
     """
     held = getattr(_held, "buffers", None)
     if held is None or held[0].shape[0] < n_samples or held[0].shape[1] <= count:
         shape = (n_samples, max(count, CHUNK) + 8)
-        held = _held.buffers = [np.empty(shape) for _ in range(3)]
+        held = _held.buffers = [rng.aligned_empty(shape) for _ in range(3)]
     return [buffer[:n_samples, :count] for buffer in held]
 
 
@@ -383,9 +385,13 @@ class QuadratureScan:
 
 
 def default_thetas(count: int = 181) -> np.ndarray:
-    """Quadrature phases 0..pi inclusive (the statistic has period pi)."""
-    if count < 2:
-        raise ValueError("need at least two phases")
+    """Quadrature phases 0..pi inclusive (the statistic has period pi).
+
+    Two phases span 0..pi as {0, pi}, one quadrature twice: a scan needs
+    0 and pi/2 to tell squeezing from antisqueezing, so count >= 3.
+    """
+    if count < 3:
+        raise ValueError(f"thetas must be at least 3, got {count}")
     return np.linspace(0.0, math.pi, count)
 
 

@@ -10,6 +10,7 @@ tolerance enters anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -40,9 +41,7 @@ class HarmonicSpectrum:
 
     def mean_square(self) -> float:
         """Mean-square value of the originating series (Parseval)."""
-        dc = self.components[0].c
-        ac = sum(comp.c**2 + comp.s**2 for comp in self.components[1:])
-        return dc**2 + 0.5 * ac
+        return lines_mean_square([(comp.c, comp.s) for comp in self.components])
 
     def scaled(self, factor: float) -> "HarmonicSpectrum":
         return HarmonicSpectrum(
@@ -51,6 +50,22 @@ class HarmonicSpectrum:
                 for comp in self.components
             )
         )
+
+
+def lines_mean_square(lines: Sequence[tuple[float, float]]) -> float:
+    """Mean-square value of a series from its lines (c, s), k = 0, 1, ... (Parseval).
+
+    In Python floats: ``x**2`` is libm's ``pow``, which need not round as
+    ``x * x`` does, so a numpy square would not keep these bits.
+    """
+    dc = lines[0][0]
+    ac = sum(c**2 + s**2 for c, s in lines[1:])
+    return dc**2 + 0.5 * ac
+
+
+# elements of one stacked lock-in product: 256 KiB of float64, the size of
+# validate's other transient blocks; 512 KiB products raised peak RSS
+PRODUCT_ELEMENTS = 32 * 1024
 
 
 def lockin_rows(
@@ -65,38 +80,65 @@ def lockin_rows(
 
     ``block`` is (n_samples, m), one column per realization, and the
     references are rows of n_samples: c = (2/N) * sum block[n] * cos1[n]
-    and s likewise. The m pairs go to ``out`` and the products to
-    ``scratch`` when given. Each sum has the bits of ``np.sum`` on that
-    column alone (:func:`_column_sums`), whatever m.
+    and s likewise. The m pairs go to ``out``, and the products to
+    ``scratch`` when given, one reference at a time (:func:`_lockin`).
+    Each sum has the bits of ``np.sum`` on that column alone, whatever m.
     """
-    scale = 2.0 / n_samples
     out = np.empty((block.shape[1], 2)) if out is None else out
-    for column, reference in enumerate((cos1, sin1)):
-        scratch = np.multiply(block, reference[:, None], out=scratch)
-        np.multiply(scale, _column_sums(scratch), out=out[:, column])
-    return out
+    return _lockin(block, (cos1, sin1), 2.0 / n_samples, out, scratch)
 
 
 def spectrum_rows(
-    block: np.ndarray,
-    grid: TimeGrid,
-    k_max: int,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    block: np.ndarray, grid: TimeGrid, k_max: int, out: np.ndarray | None = None
 ) -> np.ndarray:
     """(c, s) of bins k = 0..k_max of each column of a samples-major block.
 
-    The result is (m, k_max + 1, 2), into ``out`` when given. Column j's
-    pairs have the bits of :func:`full_spectrum` on that column alone:
-    bins k >= 1 from :func:`lockin_rows`, and DC the column's ``np.mean``,
-    its :func:`_column_sums` over n_samples. Overwrites block.
+    The result is (m, k_max + 1, 2), into ``out`` when given. All 2*k_max
+    reference rows go through one :func:`_lockin`, a few at a time, and
+    column j's pairs have the bits of :func:`full_spectrum` on that column
+    alone: bins k >= 1 those of :func:`lockin_rows`, and DC the column's
+    ``np.mean``, its :func:`_column_sums` over n_samples. Overwrites block.
     """
-    out = np.empty((block.shape[1], k_max + 1, 2)) if out is None else out
-    for k in range(1, k_max + 1):
-        cos_k, sin_k = grid.harmonic(k)
-        lockin_rows(block, cos_k, sin_k, grid.n_samples, out=out[:, k], scratch=scratch)
+    m = block.shape[1]
+    out = np.empty((m, k_max + 1, 2)) if out is None else out
+    references = [row for k in range(1, k_max + 1) for row in grid.harmonic(k)]
+    # bins k >= 1 as (m, 2*k_max) columns: c1, s1, c2, s2, ...
+    lines = np.reshape(out[:, 1:], (m, 2 * k_max), copy=False)
+    _lockin(block, references, 2.0 / grid.n_samples, lines, None)
     np.divide(_column_sums(block), grid.n_samples, out=out[:, 0, 0])
     out[:, 0, 1] = 0.0
+    return out
+
+
+def _lockin(
+    block: np.ndarray,
+    references: Sequence[np.ndarray],
+    scale: float,
+    out: np.ndarray,
+    scratch: np.ndarray | None,
+) -> np.ndarray:
+    """out[j, i] = scale * sum_n block[n, j] * references[i][n]: the one lock-in.
+
+    ``block`` is (n_samples, m), ``references`` rows of n_samples and
+    ``out`` (m, len(references)). The products of g references at a time
+    fill g column blocks of an (n_samples, g*m) scratch, which
+    :func:`_column_sums` sums, so every column keeps the bits of its own
+    ``np.sum``. A given scratch is (n_samples, m) and takes one reference
+    at a time; without one, g fills up to PRODUCT_ELEMENTS.
+    """
+    n, m = block.shape
+    if scratch is None:
+        group = max(1, min(len(references), PRODUCT_ELEMENTS // max(block.size, 1)))
+        scratch = np.empty((n, group * m))
+    else:
+        group = 1
+    for lo in range(0, len(references), group):
+        refs = references[lo : lo + group]
+        product = scratch[:, : len(refs) * m]
+        for i, reference in enumerate(refs):
+            np.multiply(block, reference[:, None], out=product[:, i * m : (i + 1) * m])
+        sums = _column_sums(product).reshape(len(refs), m)
+        np.multiply(scale, sums.T, out=out[:, lo : lo + len(refs)])
     return out
 
 
@@ -107,11 +149,8 @@ def _column_sums(block: np.ndarray) -> np.ndarray:
     order (Higham, SIAM J. Sci. Comput. 14, 1993) to an initial +0.0. Over
     axis 0 of a wider block numpy adds in another order, which depends on
     the width, so those adds are made here as whole-row adds, and every
-    column gets the bits of its own series' sum. A width-1 block is such a
-    series already.
+    column, a lone one too, gets the bits of its own series' sum.
     """
-    if block.shape[1] == 1:
-        return block.sum(axis=0)
     row = _pairwise_rows(block)
     row += 0.0  # the initial +0.0, which turns a -0.0 sum into +0.0
     return row
@@ -162,8 +201,15 @@ def lockin_extract(e: TimeSeries, k: int) -> HarmonicComponent:
 
 
 def full_spectrum(e: TimeSeries, k_max: int = 6) -> HarmonicSpectrum:
-    """Extract all bins k = 0..k_max from a series."""
-    return HarmonicSpectrum(tuple(lockin_extract(e, k) for k in range(k_max + 1)))
+    """Extract all bins k = 0..k_max from a series: :func:`spectrum_rows` on one column.
+
+    Each bin has the bits of :func:`lockin_extract`.
+    """
+    # a copy: spectrum_rows consumes its block
+    lines = spectrum_rows(np.array(e.values)[:, None], e.grid, k_max)[0]
+    return HarmonicSpectrum(
+        tuple(HarmonicComponent(k, c, s) for k, (c, s) in enumerate(lines.tolist()))
+    )
 
 
 def predict_spectrum(

@@ -33,7 +33,6 @@ from .fields import (
     TimeGrid,
     cos_sin,
     pump_carrier,
-    synthesize,
     synthesize_values,
 )
 from .medium import (
@@ -44,9 +43,9 @@ from .medium import (
 )
 from .oracle import PassGain, map_quadratures, single_pass
 from .spectral import (
+    _column_sums,
     closed_form_lines,
-    full_spectrum,
-    lockin_extract,
+    lines_mean_square,
     lockin_rows,
     spectrum_rows,
 )
@@ -54,13 +53,29 @@ from .spectral import (
 Check = Callable[[RunConfig], tuple[bool, str]]
 
 
-def _random_carriers(rng: np.random.Generator, k_max: int) -> list[HarmonicComponent]:
-    comps = [HarmonicComponent(0, float(rng.uniform(-2, 2)))]
-    comps += [
-        HarmonicComponent(k, float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-        for k in range(1, k_max + 1)
-    ]
-    return comps
+# lockin-exactness and parseval: draws of spectral lines, one column each
+LINE_DRAWS = 25
+
+
+def _random_lines(rng: np.random.Generator, k_max: int) -> np.ndarray:
+    """(LINE_DRAWS, k_max + 1, 2) lines (c, s), uniform in [-2, 2), no DC sine.
+
+    Each draw takes its DC, then c and s of k = 1..k_max, from the
+    generator in that order: the values of one scalar draw per coefficient.
+    """
+    table = rng.uniform(-2, 2, size=(LINE_DRAWS, 2 * k_max + 1))
+    lines = np.zeros((LINE_DRAWS, k_max + 1, 2))
+    lines[:, 0, 0] = table[:, 0]
+    lines[:, 1:] = table[:, 1:].reshape(LINE_DRAWS, k_max, 2)
+    return lines
+
+
+def _synthesized_lines(lines: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """(n_samples, draws) block: column j is :func:`synthesize` of lines[j]."""
+    rows = np.ascontiguousarray(lines.transpose(1, 2, 0))  # (k, c/s, draw)
+    carriers = [HarmonicComponent(0, rows[0, 0])]
+    carriers += [HarmonicComponent(k, c, s) for k, (c, s) in enumerate(rows[1:], 1)]
+    return synthesize_values(carriers, grid, len(lines))
 
 
 def _bounded(worst: float, bound: float, what: str) -> tuple[bool, str]:
@@ -70,7 +85,7 @@ def _bounded(worst: float, bound: float, what: str) -> tuple[bool, str]:
     return worst <= bound, f"max {what} {worst:.3e} (bound {bound:g})"
 
 
-def _largest(deviations: list[float]) -> float:
+def _largest(deviations: np.ndarray) -> float:
     """The largest deviation, NaN if any is NaN (Python's max drops NaN)."""
     return float(np.max(deviations, initial=0.0))
 
@@ -78,28 +93,22 @@ def _largest(deviations: list[float]) -> float:
 def check_lockin_exactness(cfg: RunConfig) -> tuple[bool, str]:
     """Synthesis -> extraction recovers every coefficient to 1e-12."""
     grid = cfg.grid()
-    rng = np.random.default_rng(1)
-    errors = []
-    for _ in range(25):
-        carriers = _random_carriers(rng, grid.max_harmonic())
-        series = synthesize(carriers, grid)
-        for comp in carriers:
-            got = lockin_extract(series, comp.k)
-            errors += abs(got.c - comp.c), abs(got.s - comp.s)
-    return _bounded(_largest(errors), 1e-12, "coefficient error")
+    lines = _random_lines(np.random.default_rng(1), grid.max_harmonic())
+    got = spectrum_rows(_synthesized_lines(lines, grid), grid, grid.max_harmonic())
+    return _bounded(_largest(np.abs(got - lines)), 1e-12, "coefficient error")
 
 
 def check_parseval(cfg: RunConfig) -> tuple[bool, str]:
     """Spectrum power equals series mean-square power to 1e-10 relative."""
     grid = cfg.grid()
-    rng = np.random.default_rng(2)
-    errors = []
-    for _ in range(25):
-        carriers = _random_carriers(rng, grid.max_harmonic())
-        series = synthesize(carriers, grid)
-        spectrum = full_spectrum(series, grid.max_harmonic())
-        ms = series.mean_square()
-        errors.append(abs(spectrum.mean_square() - ms) / max(ms, 1e-30))
+    block = _synthesized_lines(
+        _random_lines(np.random.default_rng(2), grid.max_harmonic()), grid
+    )
+    # each column's np.mean(values**2), taken before the lock-in consumes it
+    ms = _column_sums(block * block) / grid.n_samples
+    spectra = spectrum_rows(block, grid, grid.max_harmonic())
+    power = np.array([lines_mean_square(lines) for lines in spectra.tolist()])
+    errors = np.abs(power - ms) / np.maximum(ms, 1e-30)
     return _bounded(_largest(errors), 1e-10, "relative Parseval error")
 
 
@@ -137,8 +146,7 @@ def _closed_form_block(
     carriers = [HarmonicComponent(1, a * cos_phi, -a * sin_phi), pump_carrier(b)]
     field = synthesize_values(carriers, grid, len(a))
     polarization = polynomial_values(field, chi1, chi2, 0.0, eps0)
-    # the field is spent: it is the lock-in's scratch
-    spectrum_rows(polarization, grid, 4, out=numeric, scratch=field)
+    spectrum_rows(polarization, grid, 4, out=numeric)
     numeric *= (1.0 / eps0)[:, None, None]
     for k, (c, s) in enumerate(closed_form_lines(a, b, phi, chi1, chi2)):
         predicted[:, k, 0] = c

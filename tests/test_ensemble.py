@@ -398,6 +398,12 @@ class TestVarianceScan:
         with pytest.raises(ValueError):
             variance_scan(np.array([[1.0, 0.0]]), default_thetas(5))
 
+    def test_two_phases_are_rejected(self):
+        # {0, pi} reads one quadrature twice, as the config rejects it
+        with pytest.raises(ValueError, match="thetas must be at least 3, got 2"):
+            default_thetas(2)
+        assert list(default_thetas(3)) == [0.0, math.pi / 2, math.pi]
+
     def test_matches_direct_projection_estimator(self):
         rng = np.random.default_rng(3)
         pairs = rng.normal(size=(500, 2)) @ np.array([[1.0, 0.2], [0.0, 0.7]])

@@ -13,7 +13,13 @@ from opasim.fields import (
     synthesize,
 )
 from opasim.medium import SusceptibilityProfile, polarize
-from opasim.spectral import full_spectrum, lockin_extract, predict_spectrum
+from opasim.spectral import (
+    HarmonicSpectrum,
+    full_spectrum,
+    lockin_extract,
+    predict_spectrum,
+    spectrum_rows,
+)
 
 GRID = TimeGrid(64, 4)
 
@@ -78,22 +84,48 @@ class TestLockin:
 
     @pytest.mark.parametrize(
         "grid",
-        [GRID, TimeGrid(9, 3), TimeGrid(200, 1)],
+        [GRID, TimeGrid(9, 3), TimeGrid(200, 1), TimeGrid(9, 1), TimeGrid(127, 3)],
         ids=lambda g: f"{g.samples_per_period}x{g.n_periods}",
     )
     def test_bins_equal_the_plain_projection_bit_for_bit(self, grid):
-        # the one-row lock-in must add the products in the same order as
-        # a sum over the series itself
+        # the one-row lock-in and the stacked spectrum must add the products
+        # in the same order as a sum over the series itself
         rng = np.random.default_rng(13)
         _, series = random_series(rng, grid, grid.max_harmonic())
         values = series.values * 1e3 + rng.normal(size=grid.n_samples)
         series = TimeSeries(grid, values)
         scale = 2.0 / grid.n_samples
-        for k in range(1, grid.max_harmonic() + 1):
+        k_max = grid.max_harmonic()
+        for k in range(1, k_max + 1):
             phases = k * grid.phases()
             got = lockin_extract(series, k)
             assert got.c == scale * float(np.sum(values * np.cos(phases)))
             assert got.s == scale * float(np.sum(values * np.sin(phases)))
+        assert full_spectrum(series, k_max) == HarmonicSpectrum(
+            tuple(lockin_extract(series, k) for k in range(k_max + 1))
+        )
+        # blocks of 1 to 128 columns, over 16 decades, with -0.0 entries
+        # and an all -0.0 column: every column is its own projection
+        n = grid.n_samples
+        for width in (1, 2, 25, 128):
+            block = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-8, 8, (n, width))
+            block[::7, 0] = -0.0
+            block[:, 1::5] = -0.0
+            want = np.array(
+                [
+                    [(np.mean(column), 0.0)]
+                    + [
+                        (
+                            scale * np.sum(column * np.cos(k * grid.phases())),
+                            scale * np.sum(column * np.sin(k * grid.phases())),
+                        )
+                        for k in range(1, k_max + 1)
+                    ]
+                    for column in block.T
+                ]
+            )
+            got = spectrum_rows(block.copy(), grid, k_max)
+            assert got.tobytes() == want.tobytes()
 
     def test_phase_covariance_under_delay(self):
         # delaying by tau advances bin k's phase by k*omega*tau; an

@@ -1,5 +1,6 @@
-"""The validate checks: the batched closed-form check against the scalar
-pipeline, bit for bit, and failing verdicts for wrong or non-finite results."""
+"""The validate checks: the batched closed-form and lock-in checks against
+their scalar loops, bit for bit, and failing verdicts for wrong or
+non-finite results."""
 
 import itertools
 import math
@@ -18,7 +19,7 @@ from opasim.medium import (
     polarize,
     polynomial_degree,
 )
-from opasim.spectral import full_spectrum, predict_spectrum
+from opasim.spectral import full_spectrum, lockin_extract, predict_spectrum
 
 # the default grid, the smallest alias-free period, and 381 samples: the
 # lock-in sums over fewer and over more than 128 samples take different
@@ -151,15 +152,15 @@ def test_the_first_reported_failure_is_pinned(monkeypatch):
 
 @pytest.fixture
 def nan_lockin(monkeypatch):
-    """Every lock-in coefficient of bins k >= 1 is NaN."""
-    lockin_rows = spectral.lockin_rows
+    """Every lock-in coefficient of bins k >= 1 is NaN, stacked passes too."""
+    lockin = spectral._lockin
 
-    def nan_rows(block, cos1, sin1, n_samples, out=None, scratch=None):
-        out = lockin_rows(block, cos1, sin1, n_samples, out, scratch)
+    def nan_lockin(block, references, scale, out, scratch):
+        out = lockin(block, references, scale, out, scratch)
         out[...] = np.nan
         return out
 
-    monkeypatch.setattr(spectral, "lockin_rows", nan_rows)
+    monkeypatch.setattr(spectral, "_lockin", nan_lockin)
 
 
 @pytest.mark.parametrize(
@@ -173,6 +174,84 @@ def nan_lockin(monkeypatch):
 )
 def test_a_nan_deviation_fails(check, detail, nan_lockin):
     assert check(RunConfig()) == (False, detail)
+
+
+def _per_draw_worst(grid):
+    """Worst values of lockin-exactness and parseval, one draw at a time.
+
+    The loops the stacked checks replaced: scalar draws, synthesize, then
+    lockin_extract per bin, or full_spectrum and the two mean squares.
+    """
+    k_max = grid.max_harmonic()
+
+    def carriers(rng):
+        comps = [HarmonicComponent(0, float(rng.uniform(-2, 2)))]
+        comps += [
+            HarmonicComponent(k, float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
+            for k in range(1, k_max + 1)
+        ]
+        return comps
+
+    rng = np.random.default_rng(1)
+    errors = []
+    for _ in range(validate.LINE_DRAWS):
+        comps = carriers(rng)
+        series = synthesize(comps, grid)
+        for comp in comps:
+            got = lockin_extract(series, comp.k)
+            errors += abs(got.c - comp.c), abs(got.s - comp.s)
+    rng = np.random.default_rng(2)
+    relative = []
+    for _ in range(validate.LINE_DRAWS):
+        series = synthesize(carriers(rng), grid)
+        ms = series.mean_square()
+        power = full_spectrum(series, k_max).mean_square()
+        relative.append(abs(power - ms) / max(ms, 1e-30))
+    return max(errors), max(relative)
+
+
+def _stacked_worst(grid, monkeypatch):
+    """Worst values of the two checks as run, at full precision."""
+    worst = []
+    monkeypatch.setattr(validate, "_bounded", lambda value, *_: worst.append(value))
+    cfg = RunConfig(samples_per_period=grid.samples_per_period, n_periods=grid.n_periods)
+    validate.check_lockin_exactness(cfg)
+    validate.check_parseval(cfg)
+    return tuple(worst)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=_grid_id)
+def test_stacked_lockin_checks_have_the_per_draw_worst_values(grid, monkeypatch):
+    # the (draws, 2 k_max + 1) table holds the scalar draws, value for value
+    k_max = grid.max_harmonic()
+    rng = np.random.default_rng(1)
+    scalar = [rng.uniform(-2, 2) for _ in range(validate.LINE_DRAWS * (2 * k_max + 1))]
+    lines = validate._random_lines(np.random.default_rng(1), k_max)
+    table = np.concatenate([lines[:, :1, 0], lines[:, 1:].reshape(len(lines), -1)], axis=1)
+    assert _bits(table) == _bits(scalar)
+    want = [value.hex() for value in _per_draw_worst(grid)]
+    assert [value.hex() for value in _stacked_worst(grid, monkeypatch)] == want
+
+
+@pytest.mark.parametrize(
+    "check",
+    [validate.check_lockin_exactness, validate.check_parseval],
+    ids=lambda check: check.__name__,
+)
+def test_lockin_checks_do_not_sum_per_draw(check, monkeypatch):
+    # each check sums its columns in a few stacked passes; a loop over its
+    # draws would make at least one pass per draw
+    calls = itertools.count()
+    column_sums = spectral._column_sums
+
+    def counted(block):
+        next(calls)
+        return column_sums(block)
+
+    monkeypatch.setattr(spectral, "_column_sums", counted)
+    monkeypatch.setattr(validate, "_column_sums", counted)
+    assert check(RunConfig())[0]
+    assert next(calls) < validate.LINE_DRAWS
 
 
 def test_an_infinite_closed_form_fails(monkeypatch):
