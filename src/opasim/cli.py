@@ -52,8 +52,10 @@ def _fmt(x: float) -> str:
 
 def write_csv(stream, header, columns) -> None:
     stream.write(",".join(header) + "\n")
+    # one %-template per row: % and format share the float-to-string path
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
     for row in zip(*columns):
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+        stream.write(row_format % row)
 
 
 def write_tables(tables: list[FigureTable], outdir: Path, suffix: str = "") -> None:

@@ -6,11 +6,15 @@ output is computable directly from its index, realizations can be
 generated in any order and in any chunking, and the ensemble is always
 bitwise identical. Standard normals come from the Box-Muller transform
 (Box & Muller, Ann. Math. Stat. 29, 1958) on pairs of consecutive
-outputs.
+outputs; :func:`uniforms` gives the outputs' uniforms in (0, 1].
 
-The generator uses no library RNG stream. Which bits depend on the host:
+Every random number in the package comes from this one stream, the
+sampled ensembles and the check inputs of :mod:`opasim.validate` alike;
+no library RNG is loaded. Which bits depend on the host:
 
-- :func:`raw_uint64` is integer arithmetic; its outputs are frozen.
+- :func:`raw_uint64` is integer arithmetic; its outputs are frozen. So
+  are the uniforms of :func:`uniforms`: a shift, an exact conversion, an
+  add and a multiply.
 - The Box-Muller angle (:func:`angle_cos_sin`) is built from integer
   shifts and masks, a 256-entry table lookup and IEEE multiplies and
   adds, which numpy never fuses. Its bits are the same at every SIMD
@@ -113,9 +117,44 @@ def raw_uint64(seed: int, index: np.ndarray | int) -> np.ndarray:
     return _mix64(z, np.empty_like(z)).reshape(idx.shape)
 
 
+def _check_rows(seed: int, start: int, count: int) -> None:
+    _check_seed(seed)
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    if start < 0:
+        # the counters are taken modulo 2**64 and would wrap
+        raise ValueError("start must be non-negative")
+
+
 def _check_seed(seed: int) -> None:
     if not 0 <= seed < 2**64:
         raise ValueError("seed must be a 64-bit unsigned integer")
+
+
+def _unit(draws: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """u = (k + 1/2)/2**53 of each uint64 draw into out, k its top 53 bits.
+
+    The one map from the stream's integers to (0, 1]: k + 1/2 rounds to
+    even above 2**52, so the largest k gives exactly 1. ``scratch`` is
+    uint64 and as wide as draws.
+    """
+    np.right_shift(draws, _K_SHIFT, out=scratch)
+    out[...] = scratch.view(np.int64)  # exact: under 2**53
+    out += 0.5
+    out *= _U53_SCALE
+    return out
+
+
+def uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """Uniforms u of draws ``start .. start+count-1`` of stream ``seed``.
+
+    u = (k + 1/2)/2**53 with k a draw's top 53 bits, in (0, 1]: the u
+    whose log gives :func:`standard_normal_pairs` its radius. Each value
+    depends only on (seed, index).
+    """
+    _check_rows(seed, start, count)
+    draws = raw_uint64(seed, np.arange(start, start + count, dtype=np.uint64))
+    return _unit(draws, np.empty(count), np.empty_like(draws))
 
 
 _held = threading.local()
@@ -220,20 +259,15 @@ def standard_normal_pairs(seed: int, start: int, count: int) -> np.ndarray:
     """Rows ``start .. start+count-1`` of the stream's N(0,1) pair table.
 
     Row i is Box-Muller applied to draws (2i, 2i+1): the radius
-    sqrt(-2 log u) of the even draw's u = (k + 1/2)/2**53, k its top 53
-    bits, times the cos and sin of the odd draw's angle
-    (:func:`angle_cos_sin`). So row content depends only on (seed, i).
+    sqrt(-2 log u) of the even draw's uniform u (:func:`uniforms`) times
+    the cos and sin of the odd draw's angle (:func:`angle_cos_sin`). So
+    row content depends only on (seed, i).
     Returns an array of shape (count, 2), filled _BLOCK rows at a time in
     the calling thread's buffers with the same elementwise operations. It
     is the transpose of a (2, count) array, so each quadrature is one
     contiguous column.
     """
-    _check_seed(seed)
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if start < 0:
-        # the counters below are taken modulo 2**64 and would wrap
-        raise ValueError("start must be non-negative")
+    _check_rows(seed, start, count)
     out = np.empty((2, count))
     for lo in range(0, count, _BLOCK):
         hi = min(lo + _BLOCK, count)
@@ -244,11 +278,7 @@ def standard_normal_pairs(seed: int, start: int, count: int) -> np.ndarray:
         np.add(draws[0], _GOLDEN, out=draws[1])
         _mix64(draws, ints)
         radius, cos_sin = floats[0], floats[1:3]
-        np.right_shift(draws[0], _K_SHIFT, out=ints[0])
-        radius[...] = ints[0].view(np.int64)  # exact: under 2**53
-        radius += 0.5
-        radius *= _U53_SCALE
-        np.log(radius, out=radius)
+        np.log(_unit(draws[0], radius, ints[0]), out=radius)
         radius *= -2.0
         np.sqrt(radius, out=radius)
         _angle(draws[1], cos_sin, ints[0], floats[3:])

@@ -42,6 +42,7 @@ from .medium import (
     transfer_values,
 )
 from .oracle import PassGain, map_quadratures, single_pass
+from .rng import uniforms
 from .spectral import (
     _column_sums,
     closed_form_lines,
@@ -57,13 +58,23 @@ Check = Callable[[RunConfig], tuple[bool, str]]
 LINE_DRAWS = 25
 
 
-def _random_lines(rng: np.random.Generator, k_max: int) -> np.ndarray:
-    """(LINE_DRAWS, k_max + 1, 2) lines (c, s), uniform in [-2, 2), no DC sine.
+def _uniform_table(seed: int, shape: tuple[int, int], low, high) -> np.ndarray:
+    """low + (high - low)*u, u stream seed's uniforms filling shape row by row.
 
-    Each draw takes its DC, then c and s of k = 1..k_max, from the
-    generator in that order: the values of one scalar draw per coefficient.
+    The uniforms (:func:`uniforms`) are in (0, 1] and start at draw 0; low
+    and high are scalars or one bound per column.
     """
-    table = rng.uniform(-2, 2, size=(LINE_DRAWS, 2 * k_max + 1))
+    low, high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
+    return low + (high - low) * uniforms(seed, 0, math.prod(shape)).reshape(shape)
+
+
+def _random_lines(seed: int, k_max: int) -> np.ndarray:
+    """(LINE_DRAWS, k_max + 1, 2) lines (c, s), uniform in (-2, 2], no DC sine.
+
+    Each draw takes its DC, then c and s of k = 1..k_max, from stream
+    ``seed`` in that order: -2 + 4u of one uniform per coefficient.
+    """
+    table = _uniform_table(seed, (LINE_DRAWS, 2 * k_max + 1), -2.0, 2.0)
     lines = np.zeros((LINE_DRAWS, k_max + 1, 2))
     lines[:, 0, 0] = table[:, 0]
     lines[:, 1:] = table[:, 1:].reshape(LINE_DRAWS, k_max, 2)
@@ -93,7 +104,7 @@ def _largest(deviations: np.ndarray) -> float:
 def check_lockin_exactness(cfg: RunConfig) -> tuple[bool, str]:
     """Synthesis -> extraction recovers every coefficient to 1e-12."""
     grid = cfg.grid()
-    lines = _random_lines(np.random.default_rng(1), grid.max_harmonic())
+    lines = _random_lines(1, grid.max_harmonic())
     got = spectrum_rows(_synthesized_lines(lines, grid), grid, grid.max_harmonic())
     return _bounded(_largest(np.abs(got - lines)), 1e-12, "coefficient error")
 
@@ -101,9 +112,7 @@ def check_lockin_exactness(cfg: RunConfig) -> tuple[bool, str]:
 def check_parseval(cfg: RunConfig) -> tuple[bool, str]:
     """Spectrum power equals series mean-square power to 1e-10 relative."""
     grid = cfg.grid()
-    block = _synthesized_lines(
-        _random_lines(np.random.default_rng(2), grid.max_harmonic()), grid
-    )
+    block = _synthesized_lines(_random_lines(2, grid.max_harmonic()), grid)
     # each column's np.mean(values**2), taken before the lock-in consumes it
     ms = _column_sums(block * block) / grid.n_samples
     spectra = spectrum_rows(block, grid, grid.max_harmonic())
@@ -113,7 +122,8 @@ def check_parseval(cfg: RunConfig) -> tuple[bool, str]:
 
 
 # closed-form-equivalence: draws of (a, b, phi, chi1, chi2, eps0), uniform
-# between these rows, run as samples-major blocks of at most BLOCK columns
+# between these rows on stream 3, run as samples-major blocks of at most
+# BLOCK columns
 DRAWS = 1000
 BLOCK = 128
 LOW = (0.0, 0.0, 0.0, 0.5, -1.0, 0.5)
@@ -128,7 +138,7 @@ def _closed_form_spectra(grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.nda
     spectrum over eps0, and the closed form. Each row has the bits of
     that draw's scalar pipeline and :func:`predict_spectrum`.
     """
-    draws = np.random.default_rng(3).uniform(LOW, HIGH, size=(DRAWS, 6))
+    draws = _uniform_table(3, (DRAWS, 6), LOW, HIGH)
     numeric = np.empty((DRAWS, 5, 2))
     predicted = np.empty((DRAWS, 5, 2))
     for lo in range(0, DRAWS, BLOCK):

@@ -409,6 +409,31 @@ class TestEntryPoint:
         )
         assert result.returncode == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate"],
+            ["scan", "--n-realizations", "2000", "-o", "{out}/scan.csv"],
+            ["figure", "fig2", "--n-realizations", "2000", "--outdir", "{out}"],
+            ["spectrum"],
+            ["oracle"],
+        ],
+        ids=["validate", "scan", "figure fig2", "spectrum", "oracle"],
+    )
+    def test_no_command_loads_numpy_random(self, argv, tmp_path):
+        # every random number comes from opasim.rng; importing numpy.random
+        # alone would add about 6 MB to the process's RSS
+        child = (
+            "import sys; from opasim.cli import main; code = main(sys.argv[1:]); "
+            "print('numpy.random' in sys.modules, file=sys.stderr); sys.exit(code)"
+        )
+        argv = [arg.format(out=tmp_path) for arg in argv]
+        result = subprocess.run(
+            [sys.executable, "-c", child, *argv], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.splitlines()[-1] == "False"
+
 
 class TestRunGuards:
     @pytest.mark.parametrize("command", [["scan"], ["figure", "fig2"]])

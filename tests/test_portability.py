@@ -4,11 +4,11 @@ Each case starts a child process with one environment variable set on
 that child only: ``NPY_DISABLE_CPU_FEATURES`` turns off numpy's AVX-512
 loops, as on a host without them, and ``OPENBLAS_CORETYPE=Nehalem`` makes
 OpenBLAS use its pre-AVX kernels, which do not fuse multiply-adds. The
-child must reproduce this process's bits for the Box-Muller angle and
-the 2x2 maps of a squeezed state. The Box-Muller radius is left out: it
-takes numpy's ``log``, whose AVX-512 loop differs from the others by one
-rounding on a small share of arguments, so sampled values still depend
-on the host's SIMD level.
+child must reproduce this process's bits for the stream's uniforms, the
+Box-Muller angle and the 2x2 maps of a squeezed state. The Box-Muller
+radius is left out: it takes numpy's ``log``, whose AVX-512 loop differs
+from the others by one rounding on a small share of arguments, so
+sampled values still depend on the host's SIMD level.
 """
 
 import hashlib
@@ -26,7 +26,7 @@ from opasim.config import RunConfig, with_overrides
 from opasim.ensemble import map_pairs
 from opasim.figures import figure_state
 from opasim.oracle import PassGain, map_quadratures
-from opasim.rng import angle_cos_sin, raw_uint64
+from opasim.rng import angle_cos_sin, raw_uint64, uniforms
 
 N_ANGLES = 100_000
 
@@ -53,6 +53,7 @@ def digests() -> dict:
     state = figure_state("fig1b", with_overrides(RunConfig(), pump_phase_deg=37.0))
     return {
         "angle": _sha(angle_cos_sin(odd)),
+        "uniforms": _sha(uniforms(20260811, 0, N_ANGLES)),
         "state": _sha(np.stack([state.cov, state.noise])),
         "noise_map": _sha(map_pairs(z, state.noise)),
         "gain_map": _sha(map_quadratures(z, PassGain(0.5, "symplectic"), 0.6)),

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opasim import rng
-from opasim.rng import angle_cos_sin, raw_uint64, standard_normal_pairs
+from opasim.rng import angle_cos_sin, raw_uint64, standard_normal_pairs, uniforms
 
 
 def _odd_draws(seed, count):
@@ -66,10 +66,11 @@ def test_blocked_draws_equal_single_row_draws():
 
 
 def test_negative_rows_are_rejected():
-    with pytest.raises(ValueError, match="start"):
-        standard_normal_pairs(1, -3, 5)
-    with pytest.raises(ValueError, match="count"):
-        standard_normal_pairs(1, 0, -1)
+    for draw in (standard_normal_pairs, uniforms):
+        with pytest.raises(ValueError, match="start"):
+            draw(1, -3, 5)
+        with pytest.raises(ValueError, match="count"):
+            draw(1, 0, -1)
 
 
 def test_empty_draw_keeps_the_pair_shape():
@@ -110,6 +111,51 @@ def test_pairs_are_the_radius_times_the_angle():
     z = standard_normal_pairs(3, start, count)
     assert np.array_equal(z[:, 0], radius * cos)
     assert np.array_equal(z[:, 1], radius * sin)
+
+
+def test_uniforms_are_the_samplers_radius_u():
+    # the even draws of rows straddling a sampling block boundary
+    start, count = 4000, 200
+    u = uniforms(3, 2 * start, 2 * count)[::2]
+    even = raw_uint64(3, np.arange(2 * start, 2 * (start + count), 2, dtype=np.uint64))
+    want = ((even >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    assert np.array_equal(u.view(np.uint64), want.view(np.uint64))
+    cos, _ = angle_cos_sin(_odd_draws(3, start + count)[start:])
+    z = standard_normal_pairs(3, start, count)
+    assert np.array_equal(z[:, 0], np.sqrt(-2.0 * np.log(u)) * cos)
+
+
+def test_uniforms_lie_in_the_half_open_unit_interval():
+    u = uniforms(9, 0, 100_000)
+    assert np.all((u > 0.0) & (u <= 1.0))
+    # the smallest and largest top 53 bits: k + 1/2 rounds to even above
+    # 2**52, so the largest k gives exactly 1
+    edges = np.array([0, 2**11 - 1, 2**64 - 2**11, 2**64 - 1], dtype=np.uint64)
+    got = rng._unit(edges, np.empty(4), np.empty_like(edges))
+    assert got.tolist() == [2.0**-54, 2.0**-54, 1.0, 1.0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 10_000), st.integers(0, 500))
+def test_uniform_slices_never_change_values(seed, start, count):
+    whole = uniforms(seed, start, count)
+    cut = count // 3
+    parts = np.concatenate(
+        [uniforms(seed, start, cut), uniforms(seed, start + cut, count - cut)]
+    )
+    assert np.array_equal(whole, parts)
+    singles = [uniforms(seed, start + i, 1)[0] for i in range(min(count, 5))]
+    assert whole[:5].tolist() == singles
+
+
+def test_uniforms_are_frozen():
+    # pinned values, as the raw outputs are: check inputs are drawn from them
+    assert uniforms(0, 0, 3).tolist() == [
+        0.8833108082136427, 0.43152799704851, 0.0264337715925978,
+    ]
+    assert uniforms(42, 0, 3).tolist() == [
+        0.7415648787718234, 0.15991039287692016, 0.2786011302551387,
+    ]
 
 
 # SHA-256 of angle_cos_sin of the first 10 000 odd draws of stream 11

@@ -85,21 +85,23 @@ GOLDEN = {
 # sum the span engine or the lock-in makes shows here
 STDOUT_GOLDEN = {
     # re-recorded when phases became periodic, when one-period-lockin
-    # compared against one configured period, and when the channel traced
-    # 2d + 2 samples (only the one-period-lockin detail line changed)
-    ("validate",): "6b9a68440e459092d13da1124feb79b298fbd067a6d4bc69c0236127c6e18f7e",
+    # compared against one configured period, when the channel traced
+    # 2d + 2 samples (only the one-period-lockin detail line changed), and
+    # when the check inputs came from opasim.rng's uniforms (the detail
+    # lines of lockin-exactness, parseval and closed-form-equivalence)
+    ("validate",): "37fa1f33fca5953ff98b3c95c8f709ba7f97c20662597a11fefdd45e1e4b971a",
     # re-recorded as the line above
     (
         "validate", "--chi3", "0.05", "--chi1", "0.7", "--eps0", "2.5",
         "--pump-phase-deg", "37",
-    ): "439afef87b8fe76dfc05340fe2244a93d2445e8fc61b12e777cb6c500d4606da",
+    ): "7f0b78349a869a669646f23438460e329b73a4a71b6cc66ef2b06fdb89452489",
     # the smallest alias-free grid, and 381 samples: the lock-in sums over
     # fewer and over more than 128 samples take different pairwise paths;
     # both re-recorded as the first line
     ("validate", "--samples-per-period", "9", "--n-periods", "1"):
-    "7e14243bded8f86ca6372aea71f00f7993d54ea2eb1b902ab92403fd3865b69c",
+    "c1dd315b2f979e0d0765ed2474418edf5e84e98cda044a5e8b188ea761c671ec",
     ("validate", "--samples-per-period", "127", "--n-periods", "3"):
-    "3c177523bc038e245a000c0fe54e4796ae99cf82acae76b1e5032173e4c42566",
+    "fe80172309435191d9a5ef9378b00c46b19c0297091aa4f34782295ae00ce5d0",
     # re-recorded when phases became periodic
     ("spectrum",): "befeb8f87b6ee9dd245602b273cba068ba103073fb17a72baf8d5dfa8408e43a",
 }
