@@ -46,14 +46,18 @@ from .validate import run_all
 SPECTRUM_GATE = 1e-9
 
 
+# every number the CLI prints: 17 significant digits round-trip a double
+FLOAT_FORMAT = "%.17g"
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+    return FLOAT_FORMAT % x
 
 
 def write_csv(stream, header, columns) -> None:
     stream.write(",".join(header) + "\n")
-    # one %-template per row: % and format share the float-to-string path
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    # one template per row instead of one _fmt call per value
+    row_format = ",".join([FLOAT_FORMAT] * len(columns)) + "\n"
     for row in zip(*columns):
         stream.write(row_format % row)
 

@@ -40,7 +40,6 @@ from .spectral import lockin_rows
 CHUNK = 4096
 
 _PSD_SLACK = 1e-9
-_IDENTITY = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -143,19 +142,16 @@ def sample_state_array(
 
     Row i is mean + L @ z_i with z_i the i-th standard-normal pair of the
     seed's stream and L the symmetric square root of cov, so any slice of
-    the ensemble can be produced independently. An identity L and a zero
-    mean component are skipped: x*1 + y*0 = x and x + 0 = x for every
-    nonzero x, and a zero x needs the stream's u = 1, one draw in 2**53.
+    the ensemble can be produced independently.
     """
     if count is None:
         count = cfg.n_realizations - start
-    draws = rng.standard_normal_pairs(cfg.seed, start, count)
-    if not np.array_equal(state.noise, _IDENTITY):
-        draws = map_pairs(draws, state.noise)
+    z = rng.standard_normal_pairs(cfg.seed, start, count)
+    draws = map_pairs(z, state.noise)
     # a scalar add per column: broadcasting the (2,) mean is a slower loop
-    for column, mean in zip(draws.T, state.mean.as_array()):
-        if mean != 0.0:
-            column += mean
+    mean = state.mean.as_array()
+    draws[:, 0] += mean[0]
+    draws[:, 1] += mean[1]
     return draws
 
 
