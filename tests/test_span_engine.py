@@ -104,6 +104,19 @@ STDOUT_GOLDEN = {
     "fe80172309435191d9a5ef9378b00c46b19c0297091aa4f34782295ae00ce5d0",
     # re-recorded when phases became periodic
     ("spectrum",): "befeb8f87b6ee9dd245602b273cba068ba103073fb17a72baf8d5dfa8408e43a",
+    # a non-unit medium, where the 1/eps0 scale and the chi1 product enter
+    (
+        "spectrum", "--A", "0.7", "--phi-deg", "33", "--B", "1.3", "--chi1", "0.7",
+        "--chi2", "-0.4", "--eps0", "2.5",
+    ): "ce6ff57fad1f5c565a6018a2b58d48130a870be24a076a641d162dd4bfb15f09",
+    # a lock-in over more than 128 samples
+    (
+        "spectrum", "--samples-per-period", "127", "--n-periods", "3", "--A", "1.5",
+        "--phi-deg", "200",
+    ): "7b5654c675d8fb0c85e5705e24e559b719a8d1130324330d5ec86fa50d3db4e0",
+    # sin(radians(360)) is not 0: the pump line keeps a sine part
+    ("spectrum", "--pump-phase-deg", "360", "--A", "0.5"):
+    "75bda08ac998163ac06f62f405f5e7b135595021c805b48b692a590bd955a210",
 }
 
 
