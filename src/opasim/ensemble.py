@@ -230,8 +230,8 @@ def propagate_span(
     realization, in the kernel buffers of :func:`_block_buffers`. Every
     operation is elementwise or a per-column sum in a fixed order
     (:func:`lockin_rows`), so each row of out equals running that
-    realization through synthesize -> polarize -> normalize -> lock-in on
-    its own, whatever the span.
+    realization alone through synthesis, the medium's polarization over
+    eps0*chi1 (:func:`transfer_values`) and the lock-in, whatever the span.
     """
     n_samples = cos1.size
     e_in, e_out, scratch = _block_buffers(n_samples, len(pairs))

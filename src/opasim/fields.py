@@ -116,9 +116,6 @@ class TimeSeries:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    def mean_square(self) -> float:
-        return float(np.mean(self.values**2))
-
 
 @dataclass(frozen=True)
 class HarmonicComponent:

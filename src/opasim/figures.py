@@ -194,9 +194,10 @@ def _output_band(
     noiseless output f(E0) is exactly y = sum_k a_k*delta^k
     (:func:`transfer_taylor`). Hence sum y = sum_k a_k*M_k and
     sum y^2 = sum_{k,l} a_k*a_l*M_{k+l}, where M_m = sum_i delta_i^m
-    expands into the pairs' power sums T[p, m-p] (:func:`pair_sums` of
-    degree 2d) with binomial weights. No output trace is synthesized, and
-    about f(E0) the sums of squares of bright traces do not cancel.
+    expands into the pairs' power sums T[p, m-p]
+    (:func:`~opasim.ensemble.pair_sums` of degree 2d) with binomial
+    weights. No output trace is synthesized, and about f(E0) the sums of
+    squares of bright traces do not cancel.
     """
     cos1, sin1 = period.harmonic(1)
     pump = pump_trace(cfg.B, cfg.pump_phase, period)

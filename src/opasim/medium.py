@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import TimeGrid, TimeSeries
+from .fields import TimeGrid
 
 
 @dataclass(frozen=True)
@@ -137,11 +137,6 @@ def require_alias_free(grid: TimeGrid, medium: SusceptibilityProfile) -> None:
             f"samples_per_period = {grid.samples_per_period} aliases the medium's "
             f"output (harmonics up to {limit // 2}): it must be greater than {limit}"
         )
-
-
-def polarize(e: TimeSeries, medium: SusceptibilityProfile) -> TimeSeries:
-    """Pointwise polarization of a sampled field."""
-    return TimeSeries(e.grid, polarization_values(e.values, medium))
 
 
 def transfer_values(

@@ -1,4 +1,8 @@
-"""Exact harmonic decomposition and the closed-form second-order spectrum.
+"""Exact harmonic decomposition, and the pumped quadratic medium's spectrum.
+
+The medium's spectrum has one numeric pipeline, :func:`pumped_spectrum`,
+and one closed form, :func:`predict_spectrum`; the ``spectrum`` command
+and the ``closed-form-equivalence`` check both compare the two.
 
 Extraction is a plain Riemann projection onto cos(k*omega*t) and
 sin(k*omega*t) over the integer number of periods held by the grid. On a
@@ -9,47 +13,19 @@ tolerance enters anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .fields import HarmonicComponent, TimeGrid, TimeSeries, cos_sin
-from .medium import SusceptibilityProfile
-
-
-@dataclass(frozen=True)
-class HarmonicSpectrum:
-    """Components for k = 0..k_max, one entry per order, in order."""
-
-    components: tuple[HarmonicComponent, ...]
-
-    def __post_init__(self):
-        for k, comp in enumerate(self.components):
-            if comp.k != k:
-                raise ValueError("components must be ordered k = 0..k_max")
-
-    @property
-    def k_max(self) -> int:
-        return len(self.components) - 1
-
-    def component(self, k: int) -> HarmonicComponent:
-        return self.components[k]
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def mean_square(self) -> float:
-        """Mean-square value of the originating series (Parseval)."""
-        return lines_mean_square([(comp.c, comp.s) for comp in self.components])
-
-    def scaled(self, factor: float) -> "HarmonicSpectrum":
-        return HarmonicSpectrum(
-            tuple(
-                HarmonicComponent(comp.k, factor * comp.c, factor * comp.s)
-                for comp in self.components
-            )
-        )
+from .fields import (
+    HarmonicComponent,
+    TimeGrid,
+    TimeSeries,
+    cos_sin,
+    pump_carrier,
+    synthesize_values,
+)
+from .medium import polynomial_values
 
 
 def lines_mean_square(lines: Sequence[tuple[float, float]]) -> float:
@@ -95,7 +71,7 @@ def spectrum_rows(
 
     The result is (m, k_max + 1, 2), into ``out`` when given. All 2*k_max
     reference rows go through one :func:`_lockin`, a few at a time, and
-    column j's pairs have the bits of :func:`full_spectrum` on that column
+    column j's pairs have the bits of :func:`lockin_extract` on that column
     alone: bins k >= 1 those of :func:`lockin_rows`, and DC the column's
     ``np.mean``, its :func:`_column_sums` over n_samples. Overwrites block.
     """
@@ -200,46 +176,51 @@ def lockin_extract(e: TimeSeries, k: int) -> HarmonicComponent:
     return HarmonicComponent(k=k, c=float(pair[0, 0]), s=float(pair[0, 1]))
 
 
-def full_spectrum(e: TimeSeries, k_max: int = 6) -> HarmonicSpectrum:
-    """Extract all bins k = 0..k_max from a series: :func:`spectrum_rows` on one column.
+def pumped_spectrum(
+    a,
+    b,
+    phi,
+    pump_phase: float,
+    chi1,
+    chi2,
+    eps0,
+    grid: TimeGrid,
+    k_max: int,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Numeric spectrum of the pumped quadratic medium's polarization, over eps0.
 
-    Each bin has the bits of :func:`lockin_extract`.
+    Column j carries the field a[j]*cos(omega*t + phi[j]) -
+    b[j]*cos(2*omega*t + pump_phase) through the medium (chi1[j], chi2[j],
+    chi3 = 0, eps0[j]): :func:`~opasim.fields.synthesize_values`,
+    :func:`~opasim.medium.polynomial_values` and :func:`spectrum_rows`,
+    then each column's lines divided by its eps0. The arguments but
+    pump_phase are rows of m draws; the result is (m, k_max + 1, 2), into
+    ``out`` when given. Each row has the bits of its draw alone, and
+    :func:`predict_spectrum` is its closed form.
     """
-    # a copy: spectrum_rows consumes its block
-    lines = spectrum_rows(np.array(e.values)[:, None], e.grid, k_max)[0]
-    return HarmonicSpectrum(
-        tuple(HarmonicComponent(k, c, s) for k, (c, s) in enumerate(lines.tolist()))
-    )
+    cos_phi, sin_phi = cos_sin(phi)
+    carriers = [
+        HarmonicComponent(1, a * cos_phi, -a * sin_phi),
+        pump_carrier(b, pump_phase),
+    ]
+    field = synthesize_values(carriers, grid, len(a))
+    polarization = polynomial_values(field, chi1, chi2, 0.0, eps0)
+    out = spectrum_rows(polarization, grid, k_max, out=out)
+    out *= (1.0 / eps0)[:, None, None]
+    return out
 
 
-def predict_spectrum(
-    a: float,
-    b: float,
-    phi: float,
-    medium: SusceptibilityProfile,
-) -> HarmonicSpectrum:
-    """Closed-form spectrum of the polarization response, divided by eps0.
+def predict_spectrum(a, b, phi, chi1, chi2) -> tuple[tuple, ...]:
+    """Closed-form (c, s) of bins k = 0..4 of the polarization over eps0, for chi3 = 0.
 
     The input field is A*cos(omega*t + phi) - B*cos(2*omega*t). The
     quadratic response of the medium redistributes the two input lines
     over DC, omega, 2*omega, 3*omega and 4*omega; the linear response
     keeps the input lines in place. Both orders are summed (the omega bin
     is their interference, which is what parametric amplification acts
-    on). Only defined for chi3 = 0.
-    """
-    if medium.chi3 != 0.0:
-        raise ValueError("closed-form spectrum is only maintained for chi3 = 0")
-    lines = closed_form_lines(a, b, phi, medium.chi1, medium.chi2)
-    return HarmonicSpectrum(
-        tuple(HarmonicComponent(k, c, s) for k, (c, s) in enumerate(lines))
-    )
-
-
-def closed_form_lines(a, b, phi, chi1, chi2) -> tuple[tuple, ...]:
-    """(c, s) of bins k = 0..4 of :func:`predict_spectrum`, for chi3 = 0.
-
-    The arguments are scalars or rows of draws, and the lines broadcast
-    over them; each entry has the bits of its own scalar call.
+    on). The arguments are scalars or rows of draws, and the lines
+    broadcast over them; each entry has the bits of its own scalar call.
     """
     cos_phi, sin_phi = cos_sin(phi)
     cos_2phi, sin_2phi = cos_sin(2.0 * phi)

@@ -28,26 +28,16 @@ from .ensemble import (
     sums_scan,
     synthesize_rows,
 )
-from .fields import (
-    HarmonicComponent,
-    TimeGrid,
-    cos_sin,
-    pump_carrier,
-    synthesize_values,
-)
-from .medium import (
-    SusceptibilityProfile,
-    channel_samples,
-    polynomial_values,
-    transfer_values,
-)
+from .fields import HarmonicComponent, TimeGrid, synthesize_values
+from .medium import SusceptibilityProfile, channel_samples, transfer_values
 from .oracle import PassGain, map_quadratures, single_pass
 from .rng import uniforms
 from .spectral import (
     _column_sums,
-    closed_form_lines,
     lines_mean_square,
     lockin_rows,
+    predict_spectrum,
+    pumped_spectrum,
     spectrum_rows,
 )
 
@@ -82,7 +72,11 @@ def _random_lines(seed: int, k_max: int) -> np.ndarray:
 
 
 def _synthesized_lines(lines: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """(n_samples, draws) block: column j is :func:`synthesize` of lines[j]."""
+    """(n_samples, draws) block: column j synthesizes lines[j].
+
+    Each column has the bits of :func:`~opasim.fields.synthesize` on its
+    draw's lines alone.
+    """
     rows = np.ascontiguousarray(lines.transpose(1, 2, 0))  # (k, c/s, draw)
     carriers = [HarmonicComponent(0, rows[0, 0])]
     carriers += [HarmonicComponent(k, c, s) for k, (c, s) in enumerate(rows[1:], 1)]
@@ -134,33 +128,22 @@ def _closed_form_spectra(grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.nda
     """(draws, numeric, predicted) of the closed-form check, one row per draw.
 
     draws is (DRAWS, 6). numeric and predicted are (DRAWS, 5, 2), the
-    (c, s) of bins k = 0..4: the pipeline synthesize -> polarize ->
-    spectrum over eps0, and the closed form. Each row has the bits of
-    that draw's scalar pipeline and :func:`predict_spectrum`.
+    (c, s) of bins k = 0..4: :func:`~opasim.spectral.pumped_spectrum` at
+    pump phase 0, one block of draws at a time, and the closed form
+    :func:`~opasim.spectral.predict_spectrum`. Each row has the bits of
+    that draw's scalar pipeline and closed form.
     """
     draws = _uniform_table(3, (DRAWS, 6), LOW, HIGH)
     numeric = np.empty((DRAWS, 5, 2))
     predicted = np.empty((DRAWS, 5, 2))
     for lo in range(0, DRAWS, BLOCK):
         rows = slice(lo, lo + BLOCK)
-        _closed_form_block(grid, draws[rows], numeric[rows], predicted[rows])
+        a, b, phi, chi1, chi2, eps0 = np.ascontiguousarray(draws[rows].T)
+        pumped_spectrum(a, b, phi, 0.0, chi1, chi2, eps0, grid, 4, out=numeric[rows])
+        for k, (c, s) in enumerate(predict_spectrum(a, b, phi, chi1, chi2)):
+            predicted[rows, k, 0] = c
+            predicted[rows, k, 1] = s
     return draws, numeric, predicted
-
-
-def _closed_form_block(
-    grid: TimeGrid, draws: np.ndarray, numeric: np.ndarray, predicted: np.ndarray
-) -> None:
-    """Both spectra of a block of draws, one samples-major column per draw."""
-    a, b, phi, chi1, chi2, eps0 = np.ascontiguousarray(draws.T)
-    cos_phi, sin_phi = cos_sin(phi)
-    carriers = [HarmonicComponent(1, a * cos_phi, -a * sin_phi), pump_carrier(b)]
-    field = synthesize_values(carriers, grid, len(a))
-    polarization = polynomial_values(field, chi1, chi2, 0.0, eps0)
-    spectrum_rows(polarization, grid, 4, out=numeric)
-    numeric *= (1.0 / eps0)[:, None, None]
-    for k, (c, s) in enumerate(closed_form_lines(a, b, phi, chi1, chi2)):
-        predicted[:, k, 0] = c
-        predicted[:, k, 1] = s
 
 
 def _closed_form_worst(numeric: np.ndarray, predicted: np.ndarray) -> tuple[float, str | None]:

@@ -97,6 +97,16 @@ class TestSpectrumCommand:
         for row in out.strip().splitlines()[1:-1]:
             assert abs(float(row.split()[1])) < 1e-14
 
+    # spectrum reads bins 0..min(6, max_harmonic): 9 samples resolve k <= 4
+    @pytest.mark.parametrize("spp, k_max", [(9, 4), (12, 5), (13, 6)])
+    def test_reads_every_bin_the_grid_resolves(self, spp, k_max, capsys):
+        argv = ["spectrum", "--samples-per-period", str(spp), "--n-periods", "1"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        rows = out.strip().splitlines()
+        assert [int(row.split()[0]) for row in rows[1:-1]] == list(range(k_max + 1))
+        assert float(rows[-1].split()[3]) <= 1e-9
+
     def test_pump_phase_rejected(self, capsys):
         code, _, err = run_cli(["spectrum", "--pump-phase-deg", "90"], capsys)
         assert code == 2
@@ -493,6 +503,29 @@ class TestRunGuards:
         assert out == "" and list(tmp_path.iterdir()) == []
         assert f"samples_per_period = {spp} " in err
         assert f"greater than {limit}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--n-realizations", "2000"],
+            ["scan", "--mode", "symplectic", "--n-realizations", "2000"],
+            ["figure", "fig2", "--n-realizations", "2000"],
+            ["figure", "fig3", "--A", "1", "--n-realizations", "2000"],
+            ["figure", "fig1a", "--n-realizations", "2000"],
+            ["spectrum"],
+            ["validate"],
+            ["oracle"],
+            ["config"],
+        ],
+        ids=" ".join,
+    )
+    def test_smallest_alias_free_grid_is_accepted(self, argv, tmp_path, capsys):
+        # 9 samples per period resolve the quadratic medium's k <= 4 output
+        if argv[0] == "figure":
+            argv = [*argv, "--outdir", str(tmp_path)]
+        code, out, err = run_cli([*argv, "--samples-per-period", "9"], capsys)
+        assert code == 0, err
+        assert out
 
     @pytest.mark.parametrize("argv", [["scan"], ["oracle"], ["figure", "fig2"]], ids=" ".join)
     def test_two_phases_are_config_error(self, argv, tmp_path, capsys):

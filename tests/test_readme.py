@@ -48,3 +48,56 @@ def test_every_qualified_name_resolves():
         for attr in attrs:
             assert hasattr(target, attr), name
             target = getattr(target, attr)
+
+
+SRC = Path(opasim.__file__).resolve().parent
+# a Sphinx cross-reference role; a leading ~ only shortens the rendered name
+ROLE = re.compile(r":(?:func|meth|class|mod|data):`~?([\w.]+)`")
+
+
+def _lookup(target, attrs) -> bool:
+    for attr in attrs:
+        if not hasattr(target, attr):
+            return False
+        target = getattr(target, attr)
+    return True
+
+
+def _resolves(module, name: str) -> bool:
+    """Whether a reference made in module names something that exists.
+
+    An ``opasim.``-qualified name is looked up from its longest importable
+    module; any other name in the module's namespace or in a class the
+    module defines.
+    """
+    parts = name.split(".")
+    if parts[0] == "opasim":
+        for cut in range(len(parts), 0, -1):
+            try:
+                target = importlib.import_module(".".join(parts[:cut]))
+            except ImportError:
+                continue
+            return _lookup(target, parts[cut:])
+        return False
+    classes = [
+        value
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == module.__name__
+    ]
+    return any(_lookup(scope, parts) for scope in (module, *classes))
+
+
+def test_every_docstring_reference_resolves():
+    references = []
+    for path in sorted(SRC.glob("*.py")):
+        names = ROLE.findall(path.read_text())
+        if names:
+            module = importlib.import_module(f"opasim.{path.stem}")
+            references += [(module, name) for name in names]
+    assert len(references) >= 50
+    dangling = [
+        f"{module.__name__}: {name}"
+        for module, name in references
+        if not _resolves(module, name)
+    ]
+    assert dangling == []

@@ -12,18 +12,28 @@ from opasim.fields import (
     pump_carrier,
     synthesize,
 )
-from opasim.medium import SusceptibilityProfile, polarize
+from opasim.medium import SusceptibilityProfile, polarization_values
 from opasim.spectral import (
-    HarmonicSpectrum,
-    full_spectrum,
+    lines_mean_square,
     lockin_extract,
     predict_spectrum,
+    pumped_spectrum,
     spectrum_rows,
 )
 
 GRID = TimeGrid(64, 4)
 
 amplitudes = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
+
+
+def polarized(series, medium):
+    """The medium's polarization of a sampled field, as a series."""
+    return TimeSeries(series.grid, polarization_values(series.values, medium))
+
+
+def lines(series, k_max):
+    """Bins k = 0..k_max of a series, one lock-in per bin."""
+    return [lockin_extract(series, k) for k in range(k_max + 1)]
 
 
 def random_series(rng, grid, k_max):
@@ -49,7 +59,7 @@ class TestLockin:
         series = synthesize(
             [HarmonicComponent(1, 1.0, 0.0), pump_carrier(1.0)], GRID
         )
-        out = polarize(series, medium)
+        out = polarized(series, medium)
         comp = lockin_extract(out, 1)
         assert comp.c == pytest.approx(-1.0, abs=1e-12)
         assert comp.s == pytest.approx(0.0, abs=1e-12)
@@ -101,9 +111,8 @@ class TestLockin:
             got = lockin_extract(series, k)
             assert got.c == scale * float(np.sum(values * np.cos(phases)))
             assert got.s == scale * float(np.sum(values * np.sin(phases)))
-        assert full_spectrum(series, k_max) == HarmonicSpectrum(
-            tuple(lockin_extract(series, k) for k in range(k_max + 1))
-        )
+        column = spectrum_rows(np.array(values)[:, None], grid, k_max)[0]
+        assert column.tolist() == [[comp.c, comp.s] for comp in lines(series, k_max)]
         # blocks of 1 to 128 columns, over 16 decades, with -0.0 entries
         # and an all -0.0 column: every column is its own projection
         n = grid.n_samples
@@ -149,7 +158,7 @@ class TestLockin:
 
 class TestFullSpectrum:
     def test_zero_series(self):
-        spectrum = full_spectrum(TimeSeries(GRID, np.zeros(GRID.n_samples)), 6)
+        spectrum = lines(TimeSeries(GRID, np.zeros(GRID.n_samples)), 6)
         for comp in spectrum:
             assert comp.c == 0.0 and comp.s == 0.0
 
@@ -157,56 +166,62 @@ class TestFullSpectrum:
         # B = 2 through a pure quadratic medium: DC and 4-omega at B^2/2 = 2
         medium = SusceptibilityProfile(chi1=0.0, chi2=1.0)
         series = synthesize([pump_carrier(2.0)], GRID)
-        spectrum = full_spectrum(polarize(series, medium), 6)
-        assert spectrum.component(0).c == pytest.approx(2.0, abs=1e-12)
-        assert spectrum.component(4).magnitude == pytest.approx(2.0, abs=1e-12)
+        spectrum = lines(polarized(series, medium), 6)
+        assert spectrum[0].c == pytest.approx(2.0, abs=1e-12)
+        assert spectrum[4].magnitude == pytest.approx(2.0, abs=1e-12)
         for k in (1, 3, 5, 6):
-            assert spectrum.component(k).magnitude == pytest.approx(0.0, abs=1e-12)
+            assert spectrum[k].magnitude == pytest.approx(0.0, abs=1e-12)
 
     def test_parseval(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             _, series = random_series(rng, GRID, GRID.max_harmonic())
-            spectrum = full_spectrum(series, GRID.max_harmonic())
-            ms = series.mean_square()
-            assert spectrum.mean_square() == pytest.approx(ms, rel=1e-10)
+            spectrum = lines(series, GRID.max_harmonic())
+            ms = float(np.mean(series.values**2))
+            power = lines_mean_square([(comp.c, comp.s) for comp in spectrum])
+            assert power == pytest.approx(ms, rel=1e-10)
 
     def test_band_limit_of_quadratic_response(self):
         medium = SusceptibilityProfile(chi1=1.0, chi2=0.8)
         series = synthesize(
             [HarmonicComponent(1, 1.0, -0.4), pump_carrier(1.3)], GRID
         )
-        spectrum = full_spectrum(polarize(series, medium), 10)
+        spectrum = lines(polarized(series, medium), 10)
         for k in range(5, 11):
-            assert spectrum.component(k).magnitude < 1e-12
+            assert spectrum[k].magnitude < 1e-12
+
+
+def predicted(a, b, phi, chi1, chi2):
+    """predict_spectrum's lines as components, k = 0..4."""
+    return [
+        HarmonicComponent(k, c, s)
+        for k, (c, s) in enumerate(predict_spectrum(a, b, phi, chi1, chi2))
+    ]
+
+
+def row(x):
+    return np.array([x])
 
 
 class TestPredictSpectrum:
-    def test_rejects_cubic_medium(self):
-        with pytest.raises(ValueError):
-            predict_spectrum(1.0, 1.0, 0.0, SusceptibilityProfile(chi1=1, chi3=0.1))
-
     def test_pump_only(self):
-        medium = SusceptibilityProfile(chi1=1.0, chi2=0.6)
-        spectrum = predict_spectrum(0.0, 2.0, 0.0, medium)
-        assert spectrum.component(0).c == pytest.approx(0.5 * 0.6 * 4.0)
-        assert spectrum.component(2).c == pytest.approx(-2.0)
-        assert spectrum.component(4).c == pytest.approx(0.5 * 0.6 * 4.0)
-        assert spectrum.component(1).magnitude == 0.0
-        assert spectrum.component(3).magnitude == 0.0
+        spectrum = predicted(0.0, 2.0, 0.0, 1.0, 0.6)
+        assert spectrum[0].c == pytest.approx(0.5 * 0.6 * 4.0)
+        assert spectrum[2].c == pytest.approx(-2.0)
+        assert spectrum[4].c == pytest.approx(0.5 * 0.6 * 4.0)
+        assert spectrum[1].magnitude == 0.0
+        assert spectrum[3].magnitude == 0.0
 
     def test_fundamental_only(self):
-        medium = SusceptibilityProfile(chi1=1.0, chi2=1.0)
-        spectrum = predict_spectrum(1.0, 0.0, 0.0, medium)
-        assert spectrum.component(0).c == pytest.approx(0.5)
-        assert spectrum.component(1).c == pytest.approx(1.0)
-        assert spectrum.component(2).c == pytest.approx(0.5)
+        spectrum = predicted(1.0, 0.0, 0.0, 1.0, 1.0)
+        assert spectrum[0].c == pytest.approx(0.5)
+        assert spectrum[1].c == pytest.approx(1.0)
+        assert spectrum[2].c == pytest.approx(0.5)
 
     def test_full_deamplification_point(self):
         # chi1*A = chi2*A*B: the omega bin interferes to zero
-        medium = SusceptibilityProfile(chi1=1.0, chi2=1.0)
-        spectrum = predict_spectrum(1.0, 1.0, 0.0, medium)
-        assert spectrum.component(1).magnitude == pytest.approx(0.0, abs=1e-15)
+        spectrum = predicted(1.0, 1.0, 0.0, 1.0, 1.0)
+        assert spectrum[1].magnitude == pytest.approx(0.0, abs=1e-15)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -218,19 +233,45 @@ class TestPredictSpectrum:
         st.floats(0.5, 2),
     )
     def test_matches_numeric_pipeline(self, a, b, phi, chi1, chi2, eps0):
-        medium = SusceptibilityProfile(chi1=chi1, chi2=chi2, eps0=eps0)
-        series = synthesize(
-            [
-                HarmonicComponent(1, a * math.cos(phi), -a * math.sin(phi)),
-                pump_carrier(b),
-            ],
-            GRID,
-        )
-        numeric = full_spectrum(polarize(series, medium), 4).scaled(1.0 / eps0)
-        predicted = predict_spectrum(a, b, phi, medium)
-        for num, pred in zip(numeric, predicted):
-            for got, want in ((num.c, pred.c), (num.s, pred.s)):
+        numeric = pumped_spectrum(
+            row(a), row(b), row(phi), 0.0, row(chi1), row(chi2), row(eps0), GRID, 4
+        )[0]
+        for num, pred in zip(numeric.tolist(), predict_spectrum(a, b, phi, chi1, chi2)):
+            for got, want in zip(num, pred):
                 if want == 0.0:
                     assert abs(got) <= 1e-12
                 else:
                     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+class TestPumpedSpectrum:
+    @pytest.mark.parametrize(
+        "grid",
+        [GRID, TimeGrid(9, 1), TimeGrid(127, 3)],
+        ids=lambda g: f"{g.samples_per_period}x{g.n_periods}",
+    )
+    @pytest.mark.parametrize("pump_phase", [0.0, 0.7, math.radians(360.0)])
+    def test_each_draw_has_the_bits_of_its_scalar_pipeline(self, grid, pump_phase):
+        # a block of draws against synthesize, the polarization and one
+        # lock-in per bin on each draw alone, over eps0
+        rng = np.random.default_rng(17)
+        m = 25
+        a, b = rng.uniform(0.0, 2.0, (2, m))
+        phi = rng.uniform(0.0, 2.0 * math.pi, m)
+        chi1, eps0 = rng.uniform(0.5, 2.0, (2, m))
+        chi2 = rng.uniform(-1.0, 1.0, m)
+        k_max = grid.max_harmonic()
+        got = pumped_spectrum(a, b, phi, pump_phase, chi1, chi2, eps0, grid, k_max)
+        assert got.shape == (m, k_max + 1, 2)
+        for j in range(m):
+            aj, phij, scale = float(a[j]), float(phi[j]), 1.0 / float(eps0[j])
+            carriers = [
+                HarmonicComponent(1, aj * math.cos(phij), -aj * math.sin(phij)),
+                pump_carrier(float(b[j]), pump_phase),
+            ]
+            medium = SusceptibilityProfile(
+                chi1=float(chi1[j]), chi2=float(chi2[j]), eps0=float(eps0[j])
+            )
+            series = polarized(synthesize(carriers, grid), medium)
+            want = [(comp.c * scale, comp.s * scale) for comp in lines(series, k_max)]
+            assert got[j].tobytes() == np.array(want).tobytes()

@@ -11,15 +11,21 @@ import pytest
 
 from opasim import ensemble, rng, spectral, validate
 from opasim.config import RunConfig, with_overrides
-from opasim.fields import HarmonicComponent, TimeGrid, pump_carrier, synthesize
+from opasim.fields import (
+    HarmonicComponent,
+    TimeGrid,
+    TimeSeries,
+    pump_carrier,
+    synthesize,
+)
 from opasim.medium import (
     SusceptibilityProfile,
     alias_free_samples,
     channel_samples,
-    polarize,
+    polarization_values,
     polynomial_degree,
 )
-from opasim.spectral import full_spectrum, lockin_extract, predict_spectrum
+from opasim.spectral import lines_mean_square, lockin_extract, predict_spectrum
 
 # the default grid, the smallest alias-free period, and 381 samples: the
 # lock-in sums over fewer and over more than 128 samples take different
@@ -66,8 +72,12 @@ def _scalar_check(grid, perturb=()):
             ],
             grid,
         )
-        num = full_spectrum(polarize(series, medium), 4).scaled(1.0 / medium.eps0)
-        pred = list(predict_spectrum(a, b, phi, medium))
+        polarization = TimeSeries(grid, polarization_values(series.values, medium))
+        scale = 1.0 / medium.eps0
+        num = [lockin_extract(polarization, k) for k in range(5)]
+        num = [HarmonicComponent(n.k, scale * n.c, scale * n.s) for n in num]
+        lines = predict_spectrum(a, b, phi, medium.chi1, medium.chi2)
+        pred = [HarmonicComponent(k, c, s) for k, (c, s) in enumerate(lines)]
         for at, k, part, delta in perturb:
             if at == draw:
                 pred[k] = replace(pred[k], **{part: getattr(pred[k], part) + delta})
@@ -118,14 +128,14 @@ def test_batched_check_does_not_depend_on_the_block_width(block, monkeypatch):
 
 
 def _perturbed_lines(perturb):
-    """closed_form_lines with deltas added, each at (draw, k, part, delta)."""
+    """predict_spectrum with deltas added, each at (draw, k, part, delta)."""
     calls = itertools.count()
 
     def lines(a, b, phi, chi1, chi2):
         lo = next(calls) * validate.BLOCK
         out = [
             [np.array(np.broadcast_to(x, a.shape)) for x in line]
-            for line in spectral.closed_form_lines(a, b, phi, chi1, chi2)
+            for line in spectral.predict_spectrum(a, b, phi, chi1, chi2)
         ]
         for draw, k, part, delta in perturb:
             if lo <= draw < lo + len(a):
@@ -150,7 +160,7 @@ def _perturbed_lines(perturb):
 def test_a_perturbed_closed_form_fails_as_the_scalar_loop_does(perturb, monkeypatch):
     grid = GRIDS[0]
     want = _scalar_check(grid, perturb)[4]
-    monkeypatch.setattr(validate, "closed_form_lines", _perturbed_lines(perturb))
+    monkeypatch.setattr(validate, "predict_spectrum", _perturbed_lines(perturb))
     got = validate.check_closed_form_equivalence(RunConfig())
     assert not got[0]
     assert got == want
@@ -158,7 +168,7 @@ def test_a_perturbed_closed_form_fails_as_the_scalar_loop_does(perturb, monkeypa
 
 def test_the_first_reported_failure_is_pinned(monkeypatch):
     perturb = [(637, 3, "s", 1e-6)]
-    monkeypatch.setattr(validate, "closed_form_lines", _perturbed_lines(perturb))
+    monkeypatch.setattr(validate, "predict_spectrum", _perturbed_lines(perturb))
     got = validate.check_closed_form_equivalence(RunConfig())
     # draw 637's closed-form s of bin 3 is 0.03153..., so tol 3.253e-11
     assert got == (False, "bin k=3 off by 1.000e-06 (tol 3.253e-11)")
@@ -194,7 +204,8 @@ def _per_draw_worst(grid):
     """Worst values of lockin-exactness and parseval, one draw at a time.
 
     The loops the stacked checks replaced: scalar draws, synthesize, then
-    lockin_extract per bin, or full_spectrum and the two mean squares.
+    lockin_extract per bin, or every bin's lockin_extract and the two mean
+    squares.
     """
     k_max = grid.max_harmonic()
 
@@ -218,8 +229,9 @@ def _per_draw_worst(grid):
     relative = []
     for _ in range(validate.LINE_DRAWS):
         series = synthesize(carriers(uniform), grid)
-        ms = series.mean_square()
-        power = full_spectrum(series, k_max).mean_square()
+        ms = float(np.mean(series.values**2))
+        spectrum = [lockin_extract(series, k) for k in range(k_max + 1)]
+        power = lines_mean_square([(comp.c, comp.s) for comp in spectrum])
         relative.append(abs(power - ms) / max(ms, 1e-30))
     return max(errors), max(relative)
 
@@ -270,7 +282,7 @@ def test_lockin_checks_do_not_sum_per_draw(check, monkeypatch):
 
 def test_an_infinite_closed_form_fails(monkeypatch):
     perturb = [(3, 2, "c", math.inf)]
-    monkeypatch.setattr(validate, "closed_form_lines", _perturbed_lines(perturb))
+    monkeypatch.setattr(validate, "predict_spectrum", _perturbed_lines(perturb))
     got = validate.check_closed_form_equivalence(RunConfig())
     assert got == (False, "bin k=2 deviation is not finite (inf)")
 
