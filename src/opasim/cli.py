@@ -138,27 +138,16 @@ def _require_quadratic(cfg: RunConfig, command: str) -> None:
 
 def cmd_spectrum(args) -> int:
     cfg = _load_config(args)
-    if cfg.pump_phase_deg % 360.0 != 0.0:
-        raise ConfigError(
-            "spectrum compares against the closed form, which is defined "
-            "for pump_phase_deg = 0"
-        )
-    _require_quadratic(cfg, "spectrum")
+    medium, grid = cfg.medium, cfg.grid()
+    # one draw through the pipeline, every bin the grid resolves up to k = 6
+    draw = (cfg.A, cfg.B, cfg.phi, cfg.pump_phase, medium.chi1, medium.chi2)
+    a, b, phi, psi, chi1, chi2, eps0 = np.array([*draw, medium.eps0])[:, None]
+    k_max = min(6, grid.max_harmonic())
     # an overflowing input reaches the gate as NaN, which fails it; numpy's
     # own warnings would only repeat that on stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        return _spectrum_table(cfg)
-
-
-def _spectrum_table(cfg: RunConfig) -> int:
-    medium, grid = cfg.medium, cfg.grid()
-    # one draw through the pipeline, every bin the grid resolves up to k = 6
-    a, b, phi, chi1, chi2, eps0 = np.array(
-        [[cfg.A], [cfg.B], [cfg.phi], [medium.chi1], [medium.chi2], [medium.eps0]]
-    )
-    k_max = min(6, grid.max_harmonic())
-    numeric = pumped_spectrum(a, b, phi, cfg.pump_phase, chi1, chi2, eps0, grid, k_max)
-    predicted = predict_spectrum(cfg.A, cfg.B, cfg.phi, medium.chi1, medium.chi2)
+        numeric = pumped_spectrum(a, b, phi, psi, chi1, chi2, medium.chi3, eps0, grid, k_max)
+        predicted = predict_spectrum(*draw, medium.chi3)
 
     out = sys.stdout
     out.write(
@@ -166,9 +155,8 @@ def _spectrum_table(cfg: RunConfig) -> int:
         f"{'phase_deg':>12} {'c_predicted':>24} {'s_predicted':>24} {'deviation':>12}\n"
     )
     worst = 0.0
-    for k, (c, s) in enumerate(numeric[0].tolist()):
-        comp = HarmonicComponent(k, c, s)
-        pred_c, pred_s = predicted[k] if k < len(predicted) else (0.0, 0.0)
+    for k, (line, (pred_c, pred_s)) in enumerate(zip(numeric[0].tolist(), predicted)):
+        comp = HarmonicComponent(k, *line)
         # np.maximum propagates NaN where the builtin max would drop it
         dev = np.maximum(
             abs(comp.c - pred_c) / max(1.0, abs(pred_c)),

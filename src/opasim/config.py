@@ -60,13 +60,14 @@ class RunConfig:
         self.grid()
         self.ensemble()
 
+    # fmod is exact: whole turns are phase 0, and |degrees| < 360 keeps its bits
     @property
     def phi(self) -> float:
-        return math.radians(self.phi_deg)
+        return math.radians(math.fmod(self.phi_deg, 360.0))
 
     @property
     def pump_phase(self) -> float:
-        return math.radians(self.pump_phase_deg)
+        return math.radians(math.fmod(self.pump_phase_deg, 360.0))
 
     @property
     def pump_ratio(self) -> float:

@@ -174,11 +174,10 @@ class QuadraturePair:
         return np.array([self.x1, self.x2])
 
 
-def pump_carrier(amplitude: float, phase: float = 0.0) -> HarmonicComponent:
-    """Second-harmonic pump line -B*cos(2*omega*t + phase) with B = amplitude."""
-    return HarmonicComponent(
-        k=2, c=-amplitude * math.cos(phase), s=amplitude * math.sin(phase)
-    )
+def pump_carrier(amplitude, phase=0.0) -> HarmonicComponent:
+    """Second-harmonic pump line -B*cos(2*omega*t + phase), B = amplitude; either may be a row."""
+    cos_phase, sin_phase = cos_sin(phase)
+    return HarmonicComponent(k=2, c=-amplitude * cos_phase, s=amplitude * sin_phase)
 
 
 def cos_sin(phase):

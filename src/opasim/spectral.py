@@ -1,4 +1,4 @@
-"""Exact harmonic decomposition, and the pumped quadratic medium's spectrum.
+"""Exact harmonic decomposition, and the pumped medium's spectrum.
 
 The medium's spectrum has one numeric pipeline, :func:`pumped_spectrum`,
 and one closed form, :func:`predict_spectrum`; the ``spectrum`` command
@@ -180,24 +180,24 @@ def pumped_spectrum(
     a,
     b,
     phi,
-    pump_phase: float,
+    pump_phase,
     chi1,
     chi2,
+    chi3,
     eps0,
     grid: TimeGrid,
     k_max: int,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Numeric spectrum of the pumped quadratic medium's polarization, over eps0.
+    """Numeric spectrum of the pumped medium's polarization, over eps0.
 
     Column j carries the field a[j]*cos(omega*t + phi[j]) -
-    b[j]*cos(2*omega*t + pump_phase) through the medium (chi1[j], chi2[j],
-    chi3 = 0, eps0[j]): :func:`~opasim.fields.synthesize_values`,
+    b[j]*cos(2*omega*t + pump_phase[j]) through the medium (chi1[j], chi2[j],
+    chi3, eps0[j]; chi3 a row or a scalar): :func:`~opasim.fields.synthesize_values`,
     :func:`~opasim.medium.polynomial_values` and :func:`spectrum_rows`,
-    then each column's lines divided by its eps0. The arguments but
-    pump_phase are rows of m draws; the result is (m, k_max + 1, 2), into
-    ``out`` when given. Each row has the bits of its draw alone, and
-    :func:`predict_spectrum` is its closed form.
+    then each column's lines divided by its eps0. The result is
+    (m, k_max + 1, 2), into ``out`` when given. Each row has the bits of
+    its draw alone, and :func:`predict_spectrum` is its closed form.
     """
     cos_phi, sin_phi = cos_sin(phi)
     carriers = [
@@ -205,36 +205,48 @@ def pumped_spectrum(
         pump_carrier(b, pump_phase),
     ]
     field = synthesize_values(carriers, grid, len(a))
-    polarization = polynomial_values(field, chi1, chi2, 0.0, eps0)
+    polarization = polynomial_values(field, chi1, chi2, chi3, eps0)
     out = spectrum_rows(polarization, grid, k_max, out=out)
     out *= (1.0 / eps0)[:, None, None]
     return out
 
 
-def predict_spectrum(a, b, phi, chi1, chi2) -> tuple[tuple, ...]:
-    """Closed-form (c, s) of bins k = 0..4 of the polarization over eps0, for chi3 = 0.
+def predict_spectrum(a, b, phi, pump_phase, chi1, chi2, chi3) -> list[list]:
+    """Closed-form (c, s) of bins k = 0..6 of the polarization over eps0.
 
-    The input field is A*cos(omega*t + phi) - B*cos(2*omega*t). The
-    quadratic response of the medium redistributes the two input lines
-    over DC, omega, 2*omega, 3*omega and 4*omega; the linear response
-    keeps the input lines in place. Both orders are summed (the omega bin
-    is their interference, which is what parametric amplification acts
-    on). The arguments are scalars or rows of draws, and the lines
-    broadcast over them; each entry has the bits of its own scalar call.
+    The medium's polynomial ((chi3*E + chi2)*E + chi1)*E in Horner form on
+    the lines of the field a*cos(omega*t + phi) - b*cos(2*omega*t +
+    pump_phase) (:func:`_line_product`); bins 5 and 6 are +0 at chi3 = 0.
+    The arguments are scalars or rows of draws, and each entry has the
+    bits of its own scalar call.
     """
     cos_phi, sin_phi = cos_sin(phi)
-    cos_2phi, sin_2phi = cos_sin(2.0 * phi)
-    ab = a * b
-    return (
-        (0.5 * chi2 * (a * a + b * b), 0.0),
-        (
-            chi1 * a * cos_phi - chi2 * ab * cos_phi,
-            -chi1 * a * sin_phi - chi2 * ab * sin_phi,
-        ),
-        (
-            -chi1 * b + 0.5 * chi2 * a * a * cos_2phi,
-            -0.5 * chi2 * a * a * sin_2phi,
-        ),
-        (-chi2 * ab * cos_phi, chi2 * ab * sin_phi),
-        (0.5 * chi2 * b * b, 0.0),
-    )
+    pump = pump_carrier(b, pump_phase)
+    field = [(0.0, 0.0), (a * cos_phi, -a * sin_phi), (pump.c, pump.s)]
+    lines = [[chi3 * c, chi3 * s] for c, s in field]
+    for chi in (chi2, chi1):
+        lines[0][0] = lines[0][0] + chi
+        lines = _line_product(lines, field)
+    return lines
+
+
+def _line_product(p: Sequence, q: Sequence) -> list[list]:
+    """Lines (c, s), k = 0, 1, ..., of the product of two series given by theirs.
+
+    Line j times line k feeds only orders j + k and |j - k|, a DC line
+    too (the product-to-sum identities; Boyd, *Nonlinear Optics*, 3rd ed.,
+    sec. 1.2). Elementwise multiplies and adds only: they round alike on
+    every host, where a convolution would go through BLAS ``dot``.
+    """
+    out = [[0.0, 0.0] for _ in range(len(p) + len(q) - 1)]
+    for j, (cj, sj) in enumerate(p):
+        for k, (ck, sk) in enumerate(q):
+            cc, ss = 0.5 * cj * ck, 0.5 * sj * sk
+            cs, sc = 0.5 * cj * sk, 0.5 * sj * ck
+            out[j + k][0] += cc - ss
+            out[abs(j - k)][0] += cc + ss
+            if j + k:  # no sine at order 0
+                out[j + k][1] += cs + sc
+            if j != k:
+                out[abs(j - k)][1] += sc - cs if j > k else cs - sc
+    return out

@@ -115,34 +115,33 @@ def check_parseval(cfg: RunConfig) -> tuple[bool, str]:
     return _bounded(_largest(errors), 1e-10, "relative Parseval error")
 
 
-# closed-form-equivalence: draws of (a, b, phi, chi1, chi2, eps0), uniform
-# between these rows on stream 3, run as samples-major blocks of at most
-# BLOCK columns
+# closed-form-equivalence: draws of (a, b, phi, pump_phase, chi1, chi2,
+# eps0), uniform between these rows on stream 3, piped as samples-major
+# blocks of at most BLOCK columns
 DRAWS = 1000
 BLOCK = 128
-LOW = (0.0, 0.0, 0.0, 0.5, -1.0, 0.5)
-HIGH = (2.0, 2.0, 2 * math.pi, 2.0, 1.0, 2.0)
+LOW = (0.0, 0.0, 0.0, 0.0, 0.5, -1.0, 0.5)
+HIGH = (2.0, 2.0, 2 * math.pi, 2 * math.pi, 2.0, 1.0, 2.0)
 
 
 def _closed_form_spectra(grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(draws, numeric, predicted) of the closed-form check, one row per draw.
 
-    draws is (DRAWS, 6). numeric and predicted are (DRAWS, 5, 2), the
-    (c, s) of bins k = 0..4: :func:`~opasim.spectral.pumped_spectrum` at
-    pump phase 0, one block of draws at a time, and the closed form
-    :func:`~opasim.spectral.predict_spectrum`. Each row has the bits of
-    that draw's scalar pipeline and closed form.
+    draws is (DRAWS, 7). numeric and predicted are (DRAWS, 5, 2), bins
+    k = 0..4 at chi3 = 0: :func:`~opasim.spectral.pumped_spectrum` one block
+    at a time, and :func:`~opasim.spectral.predict_spectrum` on all draws.
+    Each row has the bits of that draw's scalar pipeline and closed form.
     """
-    draws = _uniform_table(3, (DRAWS, 6), LOW, HIGH)
+    draws = _uniform_table(3, (DRAWS, 7), LOW, HIGH)
     numeric = np.empty((DRAWS, 5, 2))
-    predicted = np.empty((DRAWS, 5, 2))
     for lo in range(0, DRAWS, BLOCK):
         rows = slice(lo, lo + BLOCK)
-        a, b, phi, chi1, chi2, eps0 = np.ascontiguousarray(draws[rows].T)
-        pumped_spectrum(a, b, phi, 0.0, chi1, chi2, eps0, grid, 4, out=numeric[rows])
-        for k, (c, s) in enumerate(predict_spectrum(a, b, phi, chi1, chi2)):
-            predicted[rows, k, 0] = c
-            predicted[rows, k, 1] = s
+        a, b, phi, psi, chi1, chi2, eps0 = np.ascontiguousarray(draws[rows].T)
+        pumped_spectrum(a, b, phi, psi, chi1, chi2, 0.0, eps0, grid, 4, out=numeric[rows])
+    a, b, phi, psi, chi1, chi2, _ = np.ascontiguousarray(draws.T)
+    predicted = np.empty((DRAWS, 5, 2))
+    for k, line in enumerate(predict_spectrum(a, b, phi, psi, chi1, chi2, 0.0)[:5]):
+        predicted[:, k, 0], predicted[:, k, 1] = line
     return draws, numeric, predicted
 
 

@@ -82,7 +82,7 @@ def test_c1_closed_form_equivalence():
             GRID,
         )
         scale = 1.0 / medium.eps0
-        predicted = predict_spectrum(a, b, phi, medium.chi1, medium.chi2)
+        predicted = predict_spectrum(a, b, phi, 0.0, medium.chi1, medium.chi2, 0.0)
         for num, pred in zip(_lines(series, medium, 4), predicted):
             for got, want in zip((scale * num.c, scale * num.s), pred):
                 # 1e-9 relative, 1e-12 absolute floor for zero bins

@@ -107,14 +107,45 @@ class TestSpectrumCommand:
         assert [int(row.split()[0]) for row in rows[1:-1]] == list(range(k_max + 1))
         assert float(rows[-1].split()[3]) <= 1e-9
 
-    def test_pump_phase_rejected(self, capsys):
-        code, _, err = run_cli(["spectrum", "--pump-phase-deg", "90"], capsys)
-        assert code == 2
-        assert "pump_phase" in err
+    def test_kerr_medium_at_any_pump_phase(self, capsys):
+        argv = ["spectrum", "--chi3", "0.1", "--pump-phase-deg", "90"]
+        argv += ["--samples-per-period", "13", "--A", "0.7"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        rows = out.strip().splitlines()
+        assert [int(row.split()[0]) for row in rows[1:-1]] == list(range(7))
+        assert float(rows[-1].split()[3]) <= 1e-9
 
-    def test_cubic_medium_rejected(self, capsys):
-        code, _, err = run_cli(["spectrum", "--chi3", "0.1"], capsys)
-        assert code == 2
+    # whole turns are phase 0, however many: the phase is reduced before radians
+    @pytest.mark.parametrize("degrees", ["360", "-720", "3.6e12"])
+    def test_whole_turns_of_pump_phase_are_phase_0(self, degrees, tmp_path, capsys):
+        base = ["spectrum", "--A", "0.5"]
+        assert run_cli([*base, "--pump-phase-deg", degrees], capsys) == run_cli(base, capsys)
+        scans = []
+        for phase in ("0", degrees):
+            target = tmp_path / f"{phase}.csv"
+            argv = ["scan", "--n-realizations", "9000", "--pump-phase-deg", phase]
+            assert run_cli([*argv, "-o", str(target)], capsys)[0] == 0
+            scans.append(target.read_bytes())
+        assert scans[0] == scans[1]
+
+    # spectrum has the bounds every subcommand has, and no bound of its own
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--chi3", "0.1"],
+            ["--pump-phase-deg", "90"],
+            ["--pump-phase-deg", "3.6e12"],
+            ["--chi3", "0.1", "--samples-per-period", "12"],
+            ["--chi3", "0.1", "--samples-per-period", "13"],
+            ["--samples-per-period", "9"],
+        ],
+        ids=" ".join,
+    )
+    def test_exits_2_exactly_where_config_does(self, flags, capsys):
+        code = run_cli(["spectrum", *flags], capsys)[0]
+        assert code == run_cli(["config", *flags], capsys)[0]
+        assert code in (0, 2)
 
     def test_overflow_fails_the_gate(self, capsys):
         code, out, _ = run_cli(["spectrum", "--A", "1e200", "--B", "1"], capsys)

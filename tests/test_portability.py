@@ -5,7 +5,8 @@ that child only: ``NPY_DISABLE_CPU_FEATURES`` turns off numpy's AVX-512
 loops, as on a host without them, and ``OPENBLAS_CORETYPE=Nehalem`` makes
 OpenBLAS use its pre-AVX kernels, which do not fuse multiply-adds. The
 child must reproduce this process's bits for the stream's uniforms, the
-Box-Muller angle and the 2x2 maps of a squeezed state. The Box-Muller
+Box-Muller angle, the 2x2 maps of a squeezed state and the closed-form
+spectrum of a pumped Kerr medium. The Box-Muller
 radius is left out: it takes numpy's ``log``, whose AVX-512 loop differs
 from the others by one rounding on a small share of arguments, so
 sampled values still depend on the host's SIMD level.
@@ -27,6 +28,7 @@ from opasim.ensemble import map_pairs
 from opasim.figures import figure_state
 from opasim.oracle import PassGain, map_quadratures
 from opasim.rng import angle_cos_sin, raw_uint64, uniforms
+from opasim.spectral import predict_spectrum
 
 N_ANGLES = 100_000
 
@@ -51,12 +53,17 @@ def digests() -> dict:
     # pump phase 37 degrees: the squeezed axis is tilted, so the maps
     # have off-diagonal terms
     state = figure_state("fig1b", with_overrides(RunConfig(), pump_phase_deg=37.0))
+    # draws of (a, b, phi, pump_phase, chi1, chi2, chi3) up to these highs
+    high = np.array([2.0, 2.0, 2 * np.pi, 2 * np.pi, 2.0, 1.0, 0.3])
+    draws = high[:, None] * uniforms(7, 0, 7 * 4096).reshape(7, -1)
+    lines = [x for line in predict_spectrum(*draws) for x in line]
     return {
         "angle": _sha(angle_cos_sin(odd)),
         "uniforms": _sha(uniforms(20260811, 0, N_ANGLES)),
         "state": _sha(np.stack([state.cov, state.noise])),
         "noise_map": _sha(map_pairs(z, state.noise)),
         "gain_map": _sha(map_quadratures(z, PassGain(0.5, "symplectic"), 0.6)),
+        "closed_form": _sha(np.stack(np.broadcast_arrays(*lines))),
         "x86_v4": bool(__cpu_features__.get("X86_V4", False)),
     }
 

@@ -97,26 +97,36 @@ STDOUT_GOLDEN = {
     ): "7f0b78349a869a669646f23438460e329b73a4a71b6cc66ef2b06fdb89452489",
     # the smallest alias-free grid, and 381 samples: the lock-in sums over
     # fewer and over more than 128 samples take different pairwise paths;
-    # both re-recorded as the first line
+    # both re-recorded as the first line, and the first again when the
+    # closed-form draws took a pump phase (its closed-form detail line)
     ("validate", "--samples-per-period", "9", "--n-periods", "1"):
-    "c1dd315b2f979e0d0765ed2474418edf5e84e98cda044a5e8b188ea761c671ec",
+    "f0be6283cdea9d175cbbb3c35f57494d32714bc887c2591b004df8bc52bc34ce",
     ("validate", "--samples-per-period", "127", "--n-periods", "3"):
     "fe80172309435191d9a5ef9378b00c46b19c0297091aa4f34782295ae00ce5d0",
-    # re-recorded when phases became periodic
-    ("spectrum",): "befeb8f87b6ee9dd245602b273cba068ba103073fb17a72baf8d5dfa8408e43a",
+    # re-recorded when phases became periodic; the spectrum entries were
+    # all re-recorded when the closed form became the line algebra (only
+    # the predicted and deviation columns moved)
+    ("spectrum",): "9f29669a1fb508ba317fc912d57ce62672c0ed859d867b81bfb41d8602c0eeec",
     # a non-unit medium, where the 1/eps0 scale and the chi1 product enter
     (
         "spectrum", "--A", "0.7", "--phi-deg", "33", "--B", "1.3", "--chi1", "0.7",
         "--chi2", "-0.4", "--eps0", "2.5",
-    ): "ce6ff57fad1f5c565a6018a2b58d48130a870be24a076a641d162dd4bfb15f09",
+    ): "b45ee61035a497ab1111dda57d5fef08a07e4c5ecd72118a23dead2c12dbf358",
     # a lock-in over more than 128 samples
     (
         "spectrum", "--samples-per-period", "127", "--n-periods", "3", "--A", "1.5",
         "--phi-deg", "200",
-    ): "7b5654c675d8fb0c85e5705e24e559b719a8d1130324330d5ec86fa50d3db4e0",
-    # sin(radians(360)) is not 0: the pump line keeps a sine part
+    ): "2954742f31f610c57da4c2bf110e484f9b876433d277a187472bde8a4b423f12",
+    # a full turn is reduced to phase 0 before radians, so this prints the
+    # bytes of ("spectrum", "--A", "0.5") (test_cli checks that)
     ("spectrum", "--pump-phase-deg", "360", "--A", "0.5"):
-    "75bda08ac998163ac06f62f405f5e7b135595021c805b48b692a590bd955a210",
+    "e3c140812e803fc381ae76c6ccf9b86f53bb47cff3e7c4d1fa78041b9ed3572d",
+    # a Kerr medium at a pump phase, on the fewest samples that resolve k <= 6
+    (
+        "spectrum", "--chi3", "0.05", "--chi1", "0.7", "--eps0", "2.5",
+        "--pump-phase-deg", "37", "--A", "0.5", "--samples-per-period", "13",
+        "--n-periods", "1",
+    ): "26c65f7d770bbd4a5f5a5d6f473b53a564477c44b3b8bc9776f8db2e853e0259",
 }
 
 

@@ -192,15 +192,46 @@ class TestFullSpectrum:
 
 
 def predicted(a, b, phi, chi1, chi2):
-    """predict_spectrum's lines as components, k = 0..4."""
+    """predict_spectrum's lines as components, k = 0..6, at pump phase 0 and chi3 = 0."""
     return [
         HarmonicComponent(k, c, s)
-        for k, (c, s) in enumerate(predict_spectrum(a, b, phi, chi1, chi2))
+        for k, (c, s) in enumerate(predict_spectrum(a, b, phi, 0.0, chi1, chi2, 0.0))
     ]
 
 
 def row(x):
     return np.array([x])
+
+
+def hand_written_bins(a, b, phi, chi1, chi2):
+    """Bins 0..4 of the quadratic medium at pump phase 0, each product written out.
+
+    The closed form before it was derived from the line algebra; kept as
+    the reference the derived lines must reproduce.
+    """
+    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+    cos_2phi, sin_2phi = math.cos(2.0 * phi), math.sin(2.0 * phi)
+    ab = a * b
+    return (
+        (0.5 * chi2 * (a * a + b * b), 0.0),
+        (
+            chi1 * a * cos_phi - chi2 * ab * cos_phi,
+            -chi1 * a * sin_phi - chi2 * ab * sin_phi,
+        ),
+        (
+            -chi1 * b + 0.5 * chi2 * a * a * cos_2phi,
+            -0.5 * chi2 * a * a * sin_2phi,
+        ),
+        (-chi2 * ab * cos_phi, chi2 * ab * sin_phi),
+        (0.5 * chi2 * b * b, 0.0),
+    )
+
+
+def kerr_draws(rng, m):
+    """m draws of (a, b, phi, pump_phase, chi1, chi2, chi3, eps0), one row each."""
+    low = (0.0, 0.0, 0.0, 0.0, 0.5, -1.0, -0.3, 0.5)
+    high = (2.0, 2.0, 2 * math.pi, 2 * math.pi, 2.0, 1.0, 0.3, 2.0)
+    return rng.uniform(low, high, (m, len(low))).T.copy()
 
 
 class TestPredictSpectrum:
@@ -223,6 +254,51 @@ class TestPredictSpectrum:
         spectrum = predicted(1.0, 1.0, 0.0, 1.0, 1.0)
         assert spectrum[1].magnitude == pytest.approx(0.0, abs=1e-15)
 
+    def test_quadratic_medium_has_the_hand_written_bins(self):
+        rng = np.random.default_rng(23)
+        for a, b, phi, _, chi1, chi2, _, _ in kerr_draws(rng, 1000).T.tolist():
+            lines = predict_spectrum(a, b, phi, 0.0, chi1, chi2, 0.0)
+            for got, want in zip(lines, hand_written_bins(a, b, phi, chi1, chi2)):
+                for x, y in zip(got, want):
+                    assert abs(x - y) <= 1e-15 * max(1.0, abs(y))
+            # the quadratic radiates nothing above k = 4
+            for c, s in lines[5:]:
+                assert math.copysign(1.0, c) == math.copysign(1.0, s) == 1.0
+                assert c == s == 0.0
+
+    def test_bin_6_is_the_cubed_pump(self):
+        # chi3*(-B*cos(2wt + psi))^3 holds -chi3*B^3/4*cos(6wt + 3psi), and
+        # nothing else reaches k = 6
+        rng = np.random.default_rng(29)
+        a, b, phi, psi, chi1, chi2, chi3, _ = kerr_draws(rng, 300)
+        c, s = predict_spectrum(a, b, phi, psi, chi1, chi2, chi3)[6]
+        scale = chi3 * b * b * b / 4.0
+        want_c, want_s = -scale * np.cos(3.0 * psi), scale * np.sin(3.0 * psi)
+        assert np.all(np.abs(c - want_c) <= 1e-15 * np.maximum(1.0, np.abs(want_c)))
+        assert np.all(np.abs(s - want_s) <= 1e-15 * np.maximum(1.0, np.abs(want_s)))
+
+    @pytest.mark.parametrize("grid", [TimeGrid(64, 1), TimeGrid(13, 1)], ids=["64x1", "13x1"])
+    def test_matches_the_pipeline_for_any_medium_and_pump_phase(self, grid):
+        # 13 samples are the fewest that resolve the cubic's k <= 6 output
+        rng = np.random.default_rng(31)
+        a, b, phi, psi, chi1, chi2, chi3, eps0 = kerr_draws(rng, 300)
+        numeric = pumped_spectrum(a, b, phi, psi, chi1, chi2, chi3, eps0, grid, 6)
+        lines = predict_spectrum(a, b, phi, psi, chi1, chi2, chi3)
+        want = np.empty_like(numeric)
+        for k, (c, s) in enumerate(lines):
+            want[:, k, 0], want[:, k, 1] = c, s
+        # the closed-form-equivalence tolerance
+        assert np.all(np.abs(numeric - want) <= 1e-9 * np.abs(want) + 1e-12)
+
+    def test_rows_have_the_bits_of_their_scalar_calls(self):
+        rng = np.random.default_rng(37)
+        draws = kerr_draws(rng, 50)[:7]
+        lines = predict_spectrum(*draws)
+        for j, draw in enumerate(draws.T.tolist()):
+            for got, want in zip(lines, predict_spectrum(*draw)):
+                got = [float(np.broadcast_to(x, 50)[j]).hex() for x in got]
+                assert got == [float(x).hex() for x in want]
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.floats(0, 2),
@@ -234,9 +310,10 @@ class TestPredictSpectrum:
     )
     def test_matches_numeric_pipeline(self, a, b, phi, chi1, chi2, eps0):
         numeric = pumped_spectrum(
-            row(a), row(b), row(phi), 0.0, row(chi1), row(chi2), row(eps0), GRID, 4
+            row(a), row(b), row(phi), 0.0, row(chi1), row(chi2), 0.0, row(eps0), GRID, 4
         )[0]
-        for num, pred in zip(numeric.tolist(), predict_spectrum(a, b, phi, chi1, chi2)):
+        lines = predict_spectrum(a, b, phi, 0.0, chi1, chi2, 0.0)
+        for num, pred in zip(numeric.tolist(), lines):
             for got, want in zip(num, pred):
                 if want == 0.0:
                     assert abs(got) <= 1e-12
@@ -261,7 +338,7 @@ class TestPumpedSpectrum:
         chi1, eps0 = rng.uniform(0.5, 2.0, (2, m))
         chi2 = rng.uniform(-1.0, 1.0, m)
         k_max = grid.max_harmonic()
-        got = pumped_spectrum(a, b, phi, pump_phase, chi1, chi2, eps0, grid, k_max)
+        got = pumped_spectrum(a, b, phi, pump_phase, chi1, chi2, 0.0, eps0, grid, k_max)
         assert got.shape == (m, k_max + 1, 2)
         for j in range(m):
             aj, phij, scale = float(a[j]), float(phi[j]), 1.0 / float(eps0[j])
