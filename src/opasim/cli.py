@@ -10,8 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failure, 2 usage or config error.
 All numeric output uses 17 significant digits and '.' decimals so runs
-are reproducible byte for byte. scan and figure run on one thread; they
-still accept --workers N (N >= 1) and ignore it.
+are reproducible byte for byte. scan and figure run their span loop on
+up to --workers N processes (forked, capped at the spans and at the CPUs
+this process may use); every output byte is the same for every N.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from . import config as config_mod
 from .config import ConfigError, RunConfig
 from .ensemble import (
+    CHUNK,
     GaussianState,
     QuadratureScan,
     channel_sums,
@@ -90,7 +92,11 @@ def worker_count(text: str) -> int:
     return _integer(text, 1)
 
 
-WORKERS_HELP = "accepted for compatibility and ignored: the span loop runs on one thread"
+WORKERS_HELP = (
+    "run the span loop on up to N forked processes (default 1), capped at the "
+    f"number of {CHUNK}-row spans and at the CPUs this process may use; the output "
+    "bytes do not depend on N"
+)
 
 
 def realization_count(text: str) -> int:
@@ -172,8 +178,11 @@ def cmd_spectrum(args) -> int:
     return 0 if worst <= SPECTRUM_GATE else 1
 
 
-def run_scan(cfg: RunConfig) -> QuadratureScan:
-    """Scan of the configured input state sent through the configured channel."""
+def run_scan(cfg: RunConfig, workers: int = 1) -> QuadratureScan:
+    """Scan of the configured input state sent through the configured channel.
+
+    The span loop runs on up to ``workers`` processes (:func:`channel_sums`).
+    """
     ens = cfg.ensemble()
     n = ens.n_realizations
     state = GaussianState.coherent(
@@ -186,7 +195,7 @@ def run_scan(cfg: RunConfig) -> QuadratureScan:
         channel = partial(map_quadratures, gain=gain, pump_phase=cfg.pump_phase)
     else:
         channel = medium_channel(cfg.B, cfg.pump_phase, cfg.medium, ens.grid)
-    sums, out_center = channel_sums(state, ens, channel)
+    sums, out_center = channel_sums(state, ens, channel, workers=workers)
     return sums_scan(sums, n, out_center, default_thetas(cfg.thetas))
 
 
@@ -203,7 +212,7 @@ def cmd_scan(args) -> int:
     # a non-finite table exits 2 naming its column; numpy's own warnings
     # would only print ahead of that message
     with np.errstate(over="ignore", invalid="ignore"):
-        scan = run_scan(cfg)
+        scan = run_scan(cfg, args.workers)
         convention = cfg.convention()
         table = scan_table("scan", scan, convention)
     if args.output:
@@ -226,7 +235,7 @@ def cmd_figure(args) -> int:
         )
     # as in cmd_scan, a non-finite table is reported by its own error
     with np.errstate(over="ignore", invalid="ignore"):
-        tables = emit_figure(args.name, cfg)
+        tables = emit_figure(args.name, cfg, workers=args.workers)
     write_tables(tables, Path(args.outdir))
     return 0
 

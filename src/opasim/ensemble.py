@@ -14,11 +14,14 @@ reproducible regardless of chunking or evaluation order.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 import sys
 import threading
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable, NamedTuple
+from typing import BinaryIO, Callable, NamedTuple
 
 import numpy as np
 
@@ -210,9 +213,116 @@ def synthesize_rows(
     return out
 
 
-def run_spans(work, n: int) -> list:
-    """Ordered map of ``work(start, count)`` over the CHUNK-row spans of n rows."""
-    return [work(start, min(CHUNK, n - start)) for start in range(0, n, CHUNK)]
+def usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def span_groups(n_spans: int, groups: int) -> list[tuple[int, int]]:
+    """Bounds [lo, hi) of min(groups, n_spans) contiguous runs of n_spans spans.
+
+    The runs are in order, cover every span and are non-empty (one empty
+    run when there is no span); their sizes differ by at most one, and
+    the first is the smallest.
+    """
+    k = max(1, min(groups, n_spans))
+    return [(g * n_spans // k, (g + 1) * n_spans // k) for g in range(k)]
+
+
+def run_spans(work, n: int, workers: int = 1) -> list:
+    """Ordered map of ``work(start, count)`` over the CHUNK-row spans of n rows.
+
+    The spans are cut into contiguous groups (:func:`span_groups`), at
+    most ``workers`` and :func:`usable_cpus` of them. The first group runs
+    in this process, and each later one in a forked child that sends
+    ``np.stack`` of its results back through a pipe; the results come
+    back in span order, so whatever the caller reduces from them does not
+    depend on ``workers``. With ``workers > 1``, ``work`` must return a
+    float array of the same shape for every span, anything else it does
+    in a child is lost with the child, and no other thread of this
+    process may hold a lock that ``work`` takes. An exception raised in a
+    child is raised here with its own type and message; a child that dies
+    without a result raises ChildProcessError. No child outlives the
+    call, whether it returns or raises.
+    """
+    spans = [(start, min(CHUNK, n - start)) for start in range(0, n, CHUNK)]
+    (_, head), *rest = span_groups(len(spans), min(workers, usable_cpus()))
+    children = []
+    try:
+        for lo, hi in rest:
+            children.append(_fork_group(work, spans[lo:hi]))
+        results = [work(*span) for span in spans[:head]]
+        while children:
+            pid, stream = children[0]
+            with stream:
+                message = stream.read()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            results.extend(_group_results(pid, status, message))
+        return results
+    finally:
+        for pid, stream in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            stream.close()
+
+
+def _fork_group(work, spans: list) -> tuple[int, BinaryIO]:
+    """Fork a child that runs work over spans; (its pid, the pipe it answers on)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                message = b"\0" + pickle.dumps(np.stack([work(*span) for span in spans]))
+            except BaseException as exc:  # sent back, and raised in the parent
+                message = b"\1" + _pickled_exception(exc)
+            with open(write_fd, "wb") as stream:
+                stream.write(message)
+            code = 0
+        finally:
+            # no inherited buffer is flushed twice and no atexit handler runs
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _pickled_exception(exc: BaseException) -> bytes:
+    """exc pickled, or a ChildProcessError naming it if it does not round-trip."""
+    try:
+        message = pickle.dumps(exc)
+        pickle.loads(message)
+    except Exception:
+        message = pickle.dumps(
+            ChildProcessError(f"span worker raised {type(exc).__name__}: {exc}")
+        )
+    return message
+
+
+def _group_results(pid: int, status: int, message: bytes) -> np.ndarray:
+    """The stacked results a child sent, or the error it sent or died of."""
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        raise ChildProcessError(
+            f"span worker {pid} was killed by {signal.Signals(-code).name}"
+        )
+    if code or not message:
+        raise ChildProcessError(f"span worker {pid} exited with status {code}")
+    payload = pickle.loads(message[1:])
+    if message[:1] == b"\1":
+        raise payload
+    return payload
 
 
 def propagate_span(
@@ -302,6 +412,7 @@ def channel_sums(
     cfg: EnsembleConfig,
     channel: Callable[[np.ndarray], np.ndarray],
     in_degree: int = 0,
+    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Power sums of the state's samples sent through channel, and their center.
 
@@ -309,9 +420,10 @@ def channel_sums(
     through ``channel`` and returns their :func:`pair_sums` about
     ``out_center``, the channel's output for the state's mean as one row;
     with ``in_degree``, the input pairs' sums about the mean to that degree
-    come first. The spans' sums are added in span order
-    (:func:`run_spans`), so nothing of size O(n) is held. Returns
-    (sums, out_center).
+    come first. The spans run on up to ``workers`` processes
+    (:func:`run_spans`) and their sums are added in span order, so the
+    bits do not depend on ``workers`` and nothing of size O(n) is held.
+    Returns (sums, out_center).
     """
     center = state.mean.as_array()
     out_center = channel(center[None])[0]
@@ -323,7 +435,7 @@ def channel_sums(
             return out_sums
         return np.concatenate((pair_sums(pairs, center, in_degree), out_sums))
 
-    return reduce(np.add, run_spans(work, cfg.n_realizations)), out_center
+    return reduce(np.add, run_spans(work, cfg.n_realizations, workers)), out_center
 
 
 def propagate_ensemble(
@@ -340,7 +452,8 @@ def propagate_ensemble(
     (:func:`channel_samples` samples: 6 for chi2, 8 for chi3). So the
     result is bitwise independent of ``grid.samples_per_period`` and
     ``grid.n_periods``. Spans run through :func:`run_spans` and each writes
-    its own rows, so it is bitwise independent of CHUNK too.
+    its own rows, so it is bitwise independent of CHUNK too; they write
+    into ``out``, so they run on one worker.
     """
     pairs = _as_pair_array(pairs)
     channel = medium_channel(pump_b, pump_phase, medium, grid)

@@ -127,18 +127,20 @@ def _coherent(cfg: RunConfig, mean: QuadraturePair) -> GaussianState:
     return GaussianState.coherent(mean, cfg.convention())
 
 
-def emit_figure(name: str, cfg: RunConfig) -> list[FigureTable]:
-    """Build all tables for one figure."""
+def emit_figure(name: str, cfg: RunConfig, workers: int = 1) -> list[FigureTable]:
+    """Build all tables for one figure, its span loop on up to ``workers`` processes."""
     if name not in FIGURE_NAMES:
         raise ValueError(f"unknown figure {name!r} (expected one of {FIGURE_NAMES})")
     period = replace(cfg.grid(), n_periods=1)
     if name.startswith("fig1"):
         # the state itself: its pairs through the identity channel
         state = figure_state(name, cfg)
-        sums, center = channel_sums(state, cfg.ensemble(), lambda pairs: pairs)
+        sums, center = channel_sums(
+            state, cfg.ensemble(), lambda pairs: pairs, workers=workers
+        )
         band = sums_scan(sums, cfg.n_realizations, center, period.phases())
         return [_trace_table(name, cfg, band.means, band.variances)]
-    return _pipeline_tables(name, cfg, period)
+    return _pipeline_tables(name, cfg, period, workers)
 
 
 def _trace_table(name: str, cfg: RunConfig, mean, var) -> FigureTable:
@@ -154,7 +156,9 @@ def _trace_table(name: str, cfg: RunConfig, mean, var) -> FigureTable:
     return FigureTable(name, ("t", "mean", "std", "lower", "upper"), columns)
 
 
-def _pipeline_tables(name: str, cfg: RunConfig, period: TimeGrid) -> list[FigureTable]:
+def _pipeline_tables(
+    name: str, cfg: RunConfig, period: TimeGrid, workers: int
+) -> list[FigureTable]:
     PassGain(cfg.pump_ratio, cfg.mode)  # the threshold check every subcommand makes
     state = figure_state(name, cfg)
     convention = cfg.convention()
@@ -163,7 +167,7 @@ def _pipeline_tables(name: str, cfg: RunConfig, period: TimeGrid) -> list[Figure
     # the output band reads the pairs' power sums up to twice the medium's degree
     degree = 2 * polynomial_degree(cfg.medium)
     channel = medium_channel(cfg.B, cfg.pump_phase, cfg.medium, period)
-    sums, out_center = channel_sums(state, cfg.ensemble(), channel, degree)
+    sums, out_center = channel_sums(state, cfg.ensemble(), channel, degree, workers)
     in_sums, out_sums = np.split(sums, [len(sums) - 5])
     band = sums_scan(in_sums[:5], n, center, period.phases())
     pump = pump_trace(cfg.B, cfg.pump_phase, period)

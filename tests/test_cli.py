@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -477,6 +478,32 @@ class TestEntryPoint:
 
 
 class TestRunGuards:
+    @pytest.mark.parametrize("command", [["scan"], ["figure", "fig2"], ["figure", "fig1b"]])
+    def test_error_in_a_forked_span_is_the_serial_error(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        # fork whatever this host's CPU count; the third span runs in a child
+        monkeypatch.setattr(ensemble, "usable_cpus", lambda: 2)
+        sample = ensemble.sample_state_array
+
+        def failing(state, cfg, start=0, count=None):
+            if start >= 2 * ensemble.CHUNK:
+                raise ValueError(f"no pairs at row {start}")
+            return sample(state, cfg, start, count)
+
+        monkeypatch.setattr(ensemble, "sample_state_array", failing)
+        errors = []
+        for workers in ("1", "2"):
+            outdir = tmp_path / workers
+            target = ["-o" if command[0] == "scan" else "--outdir", str(outdir)]
+            argv = [*command, "--n-realizations", str(3 * ensemble.CHUNK)]
+            code, out, err = run_cli([*argv, "--workers", workers, *target], capsys)
+            assert code == 2 and out == "" and not outdir.exists()
+            errors.append(err)
+        assert errors[0] == errors[1] == f"error: no pairs at row {2 * ensemble.CHUNK}\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("command", [["scan"], ["figure", "fig2"]])
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_fewer_than_one_worker_is_usage_error(self, command, workers, capsys):
@@ -613,7 +640,9 @@ class TestRunGuards:
         "argv",
         [
             ["figure", "fig2", "--band-sigma", "1e308"],
-            # overflows in the span loop, under cmd_scan's errstate; --workers is ignored
+            # overflows in the span loop under cmd_scan's errstate: of 3 spans
+            # on 2 workers, the last two overflow in a forked child (on a
+            # host with 2 or more CPUs)
             ["scan", "--A", "1e200", "--workers", "2"],
         ],
         ids=" ".join,
@@ -624,8 +653,9 @@ class TestRunGuards:
             target = ["-o", str(tmp_path / "x.csv")]
         else:
             target = ["--outdir", str(tmp_path)]
+        n = str(2 * ensemble.CHUNK + 1)
         result = subprocess.run(
-            [sys.executable, "-m", "opasim", *argv, "--n-realizations", "10000", *target],
+            [sys.executable, "-m", "opasim", *argv, "--n-realizations", n, *target],
             capture_output=True,
             text=True,
         )

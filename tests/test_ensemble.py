@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from opasim.ensemble import (
     run_spans,
     sample_state_array,
     scan_state,
+    span_groups,
     squeezing_report,
     synthesize_rows,
     variance_scan,
@@ -326,10 +331,139 @@ class TestQuadratureMajorLayout:
         assert np.array_equal(_bits(got), want.view(np.uint64))
 
 
+def _span_array(start, count):
+    return np.array([start, count, math.sqrt(start + count)])
+
+
+def _assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestSpanEngine:
     def test_spans_cover_the_rows_in_order(self):
         spans = run_spans(lambda start, count: (start, count), 2 * CHUNK + 1)
         assert spans == [(0, CHUNK), (CHUNK, CHUNK), (2 * CHUNK, 1)]
+
+    # pure bounds: nothing here forks, whatever the group count
+    @pytest.mark.parametrize("n_spans", [0, 1, 2, 3, 7, 245, 1000])
+    @pytest.mark.parametrize("groups", [1, 2, 3, 8, 244, 10**6])
+    def test_span_groups_are_contiguous_non_empty_and_cover_every_span(
+        self, n_spans, groups
+    ):
+        bounds = span_groups(n_spans, groups)
+        assert len(bounds) == max(1, min(groups, n_spans))
+        assert bounds[0][0] == 0 and bounds[-1][1] == n_spans
+        for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
+            assert hi == lo
+        sizes = [hi - lo for lo, hi in bounds]
+        assert min(sizes) >= (1 if n_spans else 0)
+        assert max(sizes) - min(sizes) <= 1
+
+    def test_span_groups_of_a_million_spans(self):
+        bounds = span_groups(10**6, 10**6)
+        assert bounds == [(i, i + 1) for i in range(10**6)]
+        assert span_groups(10**6, 3) == [(0, 333333), (333333, 666666), (666666, 10**6)]
+
+    def test_usable_cpus(self, monkeypatch):
+        assert ensemble.usable_cpus() >= 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert ensemble.usable_cpus() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert ensemble.usable_cpus() == 6
+        # without fork, the spans run in this process
+        monkeypatch.delattr(os, "fork")
+        assert ensemble.usable_cpus() == 1
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_forked_spans_return_the_serial_results_in_order(self, workers, monkeypatch):
+        # fork whatever this host's CPU count: the bounds do not depend on it
+        monkeypatch.setattr(ensemble, "usable_cpus", lambda: workers)
+        n = 5 * CHUNK + 7
+        want = run_spans(_span_array, n)
+        got = run_spans(_span_array, n, workers)
+        assert len(got) == len(want) == 6
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        _assert_no_child_is_left()
+
+    def test_workers_are_capped_at_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(ensemble, "usable_cpus", lambda: 1)
+        parent = os.getpid()
+        pids = run_spans(lambda start, count: np.array([os.getpid()]), 4 * CHUNK, 4)
+        assert [int(pid[0]) for pid in pids] == [parent] * 4
+
+    @pytest.mark.parametrize("failing_span", [0, 2], ids=["group 0", "child group"])
+    def test_exception_comes_back_with_its_serial_type_and_message(
+        self, failing_span, monkeypatch
+    ):
+        monkeypatch.setattr(ensemble, "usable_cpus", lambda: 2)
+
+        def work(start, count):
+            if start == failing_span * CHUNK:
+                raise ValueError(f"span at row {start} failed")
+            return _span_array(start, count)
+
+        raised = []
+        for workers in (1, 2):
+            with pytest.raises(ValueError) as excinfo:
+                run_spans(work, 3 * CHUNK, workers)
+            raised.append((type(excinfo.value), str(excinfo.value)))
+            _assert_no_child_is_left()
+        message = f"span at row {failing_span * CHUNK} failed"
+        assert raised[0] == raised[1] == (ValueError, message)
+
+    def test_unpicklable_exception_is_named_in_a_child_process_error(self, monkeypatch):
+        monkeypatch.setattr(ensemble, "usable_cpus", lambda: 2)
+
+        class Unpicklable(Exception):
+            def __init__(self, a, b):
+                super().__init__(f"{a} and {b}")
+
+        def work(start, count):
+            if start:
+                raise Unpicklable("this", "that")
+            return _span_array(start, count)
+
+        with pytest.raises(ChildProcessError, match="Unpicklable: this and that"):
+            run_spans(work, 2 * CHUNK, 2)
+        _assert_no_child_is_left()
+
+    def test_child_killed_by_a_signal_is_a_child_process_error(self, monkeypatch):
+        monkeypatch.setattr(ensemble, "usable_cpus", lambda: 2)
+        parent = os.getpid()
+
+        def work(start, count):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return _span_array(start, count)
+
+        with pytest.raises(ChildProcessError, match="SIGKILL"):
+            run_spans(work, 2 * CHUNK, 2)
+        _assert_no_child_is_left()
+
+    def test_children_flush_no_inherited_buffer(self):
+        # a line still in this process's stdout buffer when the child forks
+        # must be written once, by this process
+        child = (
+            "import sys, numpy as np\n"
+            "from opasim import ensemble\n"
+            "ensemble.usable_cpus = lambda: 2\n"
+            "sys.stdout.write('before the fork\\n')\n"
+            "out = ensemble.run_spans(lambda s, c: np.array([s]), 2 * ensemble.CHUNK, 2)\n"
+            "print(len(out))\n"
+        )
+        # stdout buffered, as to any pipe unless PYTHONUNBUFFERED is set
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        result = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        assert result.stdout == "before the fork\n2\n"
 
 
 

@@ -144,7 +144,9 @@ def _target(command, directory):
     return ["--outdir", str(directory)]
 
 
-# --workers is parsed and ignored, so each value must give the golden bytes
+# --workers 1 runs every span in this process, and --workers 3 forks the
+# later groups of N's 3 spans (as many as the CPUs allow) and adds their
+# sums in span order: each must give the golden bytes
 @pytest.mark.parametrize("workers", ["1", "3"])
 @pytest.mark.parametrize("command", list(GOLDEN), ids=" ".join)
 def test_golden_csv_bytes(command, workers, tmp_path, capsys):
@@ -208,12 +210,14 @@ def test_scan_bytes_do_not_depend_on_the_grid(command, tmp_path, capsys):
 )
 def test_bytes_do_not_depend_on_blas_threads_or_workers(command, tmp_path):
     # at 37 degrees fig1b samples through a non-diagonal noise matrix, and
-    # the symplectic scan maps each span through a non-diagonal gain matrix
+    # the symplectic scan maps each span through a non-diagonal gain matrix.
+    # BLAS_N rows are 25 spans, so --workers 2 forks a child, at 2 threads
+    # from a process that runs an OpenBLAS thread pool
     outputs = []
     for threads in ("1", "2"):
         outdir = tmp_path / threads
         outdir.mkdir()
-        argv = [*command, "--n-realizations", str(BLAS_N)]
+        argv = [*command, "--n-realizations", str(BLAS_N), "--workers", "2"]
         subprocess.run(
             [sys.executable, "-m", "opasim", *argv, *_target(command, outdir)],
             env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
