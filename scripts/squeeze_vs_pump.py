@@ -10,19 +10,9 @@ squeezes the other quadrature by the same amount.
 import argparse
 import math
 
-from opasim.cli import realization_count, seed_value
-from opasim.ensemble import (
-    EnsembleConfig,
-    GaussianState,
-    VacuumConvention,
-    default_thetas,
-    propagate_ensemble,
-    sample_state_array,
-    squeezing_report,
-    variance_scan,
-)
-from opasim.fields import TimeGrid
-from opasim.medium import SusceptibilityProfile
+from opasim.cli import realization_count, run_scan, seed_value
+from opasim.config import RunConfig, with_overrides
+from opasim.ensemble import GaussianState, squeezing_report
 from opasim.oracle import PassGain, single_pass
 
 
@@ -43,20 +33,18 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    vac = VacuumConvention()
-    grid = TimeGrid()
-    ens = EnsembleConfig(args.n_realizations, args.seed, grid, vac)
-    pairs = sample_state_array(GaussianState.vacuum(vac), ens)
-    thetas = default_thetas()
+    base = with_overrides(
+        RunConfig(), n_realizations=args.n_realizations, seed=args.seed
+    )
+    vac = base.convention()
 
     print(
         f"{'r':>5} {'mc_sqz_db':>10} {'raw_sqz_db':>11} {'mc_anti_db':>11} "
         f"{'raw_anti_db':>12} {'raw_product':>12} {'symp_anti_db':>13}"
     )
     for r in args.r:
-        medium = SusceptibilityProfile(chi1=1.0, chi2=r)
-        out = propagate_ensemble(pairs, 1.0, 0.0, medium, grid)
-        rep = squeezing_report(variance_scan(out, thetas), vac)
+        # the default medium (chi1 = 1) and pump (B = 1), so chi2 is the ratio
+        rep = squeezing_report(run_scan(with_overrides(base, chi2=r)), vac)
         # the closed forms of |r|, whose sine quadrature is the anti-squeezed one
         a = abs(r)
         raw = single_pass(GaussianState.vacuum(vac), PassGain(a))

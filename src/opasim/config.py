@@ -46,7 +46,7 @@ class RunConfig:
     n_realizations: int = _run_field(100_000, section="ensemble")
     seed: int = _run_field(20260811, section="ensemble")
     var_zp: float = _run_field(1.0, "vacuum quadrature variance", section="ensemble")
-    thetas: int = _run_field(181, "quadrature phases per scan")
+    thetas: int = _run_field(181, "quadrature phases per scan table")
     mode: str = _run_field("raw", choices=MODES)
     band_sigma: float = _run_field(1.0, "envelope width in stds")
 

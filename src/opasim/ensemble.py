@@ -451,20 +451,18 @@ def propagate_ensemble(
     and traces one period on which the k = 1 lock-in is exact
     (:func:`channel_samples` samples: 6 for chi2, 8 for chi3). So the
     result is bitwise independent of ``grid.samples_per_period`` and
-    ``grid.n_periods``. Spans run through :func:`run_spans` and each writes
-    its own rows, so it is bitwise independent of CHUNK too; they write
-    into ``out``, so they run on one worker.
+    ``grid.n_periods``. The result is the concatenation of the spans'
+    outputs (:func:`run_spans`), each row its own realization's, so it is
+    bitwise independent of CHUNK too.
     """
     pairs = _as_pair_array(pairs)
     channel = medium_channel(pump_b, pump_phase, medium, grid)
-    out = np.empty_like(pairs)
 
     def work(start, count):
-        rows = slice(start, start + count)
-        out[rows] = channel(pairs[rows])
+        return channel(pairs[start : start + count])
 
-    run_spans(work, len(pairs))
-    return out
+    # an empty ensemble has no span; pairs[:0] makes its result (0, 2)
+    return np.concatenate([pairs[:0], *run_spans(work, len(pairs))])
 
 
 def _as_pair_array(pairs) -> np.ndarray:
@@ -476,32 +474,25 @@ def _as_pair_array(pairs) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureScan:
-    """Ensemble mean and variance of X(theta) = x1 cos(theta) + x2 sin(theta)."""
+    """Mean and variance of X(theta) = x1 cos(theta) + x2 sin(theta) at each theta.
+
+    Made by :func:`_project` alone, which keeps the pair mean and covariance.
+    """
 
     thetas: np.ndarray = field(repr=False)
     variances: np.ndarray = field(repr=False)
     means: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        thetas = np.array(self.thetas, dtype=float)
-        variances = np.array(self.variances, dtype=float)
-        means = np.array(self.means, dtype=float)
-        if not (thetas.shape == variances.shape == means.shape) or thetas.ndim != 1:
-            raise ValueError("thetas, variances and means must be 1-d and equal length")
-        if thetas.size == 0:
-            raise ValueError("scan must contain at least one phase")
-        if np.any(variances < 0.0):
-            raise ValueError("variances must be non-negative")
-        for name, arr in (("thetas", thetas), ("variances", variances), ("means", means)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    mean: np.ndarray = field(repr=False)
+    cov: np.ndarray = field(repr=False)
 
 
 def default_thetas(count: int = 181) -> np.ndarray:
     """Quadrature phases 0..pi inclusive (the statistic has period pi).
 
-    Two phases span 0..pi as {0, pi}, one quadrature twice: a scan needs
-    0 and pi/2 to tell squeezing from antisqueezing, so count >= 3.
+    They set the rows of the scan tables only; :func:`squeezing_report`
+    reads no phase grid. Two phases span 0..pi as {0, pi}, one quadrature
+    twice: a table needs 0 and pi/2 to show squeezing and antisqueezing,
+    so count >= 3.
     """
     if count < 3:
         raise ValueError(f"thetas must be at least 3, got {count}")
@@ -570,13 +561,17 @@ def scan_state(state: GaussianState, thetas: np.ndarray) -> QuadratureScan:
 
 def _project(mean, cov, thetas: np.ndarray) -> QuadratureScan:
     """Mean u(theta)'m and variance u(theta)' S u(theta), u = (cos, sin) theta."""
-    thetas = np.asarray(thetas, dtype=float)
+    mean, cov = np.array(mean, dtype=float), np.array(cov, dtype=float)
+    thetas = np.array(thetas, dtype=float)
     cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     variances = (
-        cov[0][0] * cos_t**2 + 2.0 * cov[0][1] * cos_t * sin_t + cov[1][1] * sin_t**2
+        cov[0, 0] * cos_t**2 + 2.0 * cov[0, 1] * cos_t * sin_t + cov[1, 1] * sin_t**2
     )
     means = mean[0] * cos_t + mean[1] * sin_t
-    return QuadratureScan(thetas, np.maximum(variances, 0.0), means)
+    arrays = (thetas, np.maximum(variances, 0.0), means, mean, cov)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return QuadratureScan(*arrays)
 
 
 class SqueezingReport(NamedTuple):
@@ -594,29 +589,29 @@ class SqueezingReport(NamedTuple):
 def squeezing_report(
     scan: QuadratureScan, convention: VacuumConvention
 ) -> SqueezingReport:
-    """Locate the scan extrema and express them relative to the vacuum.
+    """The extrema of the scan's variance, from its covariance, against the vacuum.
 
-    Negative squeeze_db means squeezing. The uncertainty product pairs
-    the minimum with the scan point nearest to theta_min + pi/2 (mod pi);
-    on the default 1-degree grid that offset lands exactly on a grid
-    point.
+    For cov [[a, c], [c, b]], Var X(theta) = mid - R cos 2(theta - theta_min)
+    with mid = (a + b)/2 and R = hypot((a - b)/2, c), whatever the thetas.
+    v_max = mid + R, and v_min = (a*b - c^2)/v_max by Vieta, as mid - R
+    cancels (0.24999999999999978 for 0.25 rotated by half a degree).
+    theta_min is in (-pi/2, pi/2], 0 for a round state, and theta_max =
+    theta_min + pi/2. Negative squeeze_db means squeezing.
     """
-    i_min = int(np.argmin(scan.variances))
-    i_max = int(np.argmax(scan.variances))
-    v_min = float(scan.variances[i_min])
-    v_max = float(scan.variances[i_max])
-    theta_min = float(scan.thetas[i_min])
-    theta_max = float(scan.thetas[i_max])
-    target = theta_min + 0.5 * math.pi
-    delta = np.abs(np.mod(scan.thetas - target + 0.5 * math.pi, math.pi) - 0.5 * math.pi)
-    v_orth = float(scan.variances[int(np.argmin(delta))])
+    (a, c), (_, b) = scan.cov.tolist()
+    half = 0.5 * (a - b)
+    v_max = 0.5 * (a + b) + math.hypot(half, c)
+    # each product scaled by v_max first, so that no product overflows
+    v_min = max(a * (b / v_max) - c * (c / v_max), 0.0)
+    # 0.0 - x is +0.0 for either zero: theta_min is never -0.0 or -pi/2
+    theta_min = 0.5 * math.atan2(0.0 - c, 0.0 - half)
     var_zp = convention.var_zp
     return SqueezingReport(
         v_min=v_min,
         theta_min=theta_min,
         v_max=v_max,
-        theta_max=theta_max,
+        theta_max=theta_min + 0.5 * math.pi,
         squeeze_db=10.0 * math.log10(v_min / var_zp) if v_min > 0.0 else -math.inf,
         antisqueeze_db=10.0 * math.log10(v_max / var_zp),
-        uncertainty_product=v_min * v_orth,
+        uncertainty_product=v_min * v_max,
     )

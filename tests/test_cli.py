@@ -187,6 +187,15 @@ class TestScanCommand:
         assert v0 == pytest.approx(0.25, rel=0.1)
         assert v90 == pytest.approx(2.25, rel=0.1)
 
+    def test_summary_does_not_depend_on_thetas(self, capsys):
+        argv = ["scan", "--n-realizations", "20000", "--seed", "5"]
+        code, out, want = run_cli([*argv, "--thetas", "181"], capsys)
+        assert code == 0 and len(out.splitlines()) == 182
+        code, out, err = run_cli([*argv, "--thetas", "4"], capsys)
+        assert code == 0 and len(out.splitlines()) == 5
+        assert err == want
+        assert want.startswith("squeeze -")
+
     def test_coherent_mean_column(self, capsys):
         code, out, _ = run_cli(
             ["scan", "--A", "3", "--n-realizations", "20000", "--seed", "2"],
@@ -378,6 +387,16 @@ class TestValidateCommand:
         assert len(lines) == 8
         assert all(line.startswith("PASS") for line in lines)
 
+    @pytest.mark.parametrize("thetas", ["4", "6"])
+    def test_validate_does_not_depend_on_thetas(self, thetas, capsys):
+        # both scan checks read the covariance, not the thetas grid: four
+        # and six phases miss the antisqueezed quadrature
+        code, want, _ = run_cli(["validate"], capsys)
+        assert code == 0
+        code, out, _ = run_cli(["validate", "--thetas", thetas], capsys)
+        assert code == 0
+        assert out == want
+
     def test_validate_passes_on_a_kerr_medium(self, capsys):
         # the pumpless scan runs without the cubic self-term, which lifts
         # every variance of an unpumped Kerr medium above the vacuum
@@ -420,11 +439,18 @@ class TestOracleCommand:
         # between the points of the 1 degree theta grid
         code, out, _ = run_cli(["oracle", "--pump-phase-deg", "1"], capsys)
         assert code == 0
-        assert "v_min, v_max        = 0.25015230484360873, " in out
-        line = next(row for row in out.splitlines() if row.startswith("v_min, v_max exact"))
-        v_min, v_max = (float(v) for v in line.split("=")[1].split(","))
-        assert v_min == pytest.approx(0.25, abs=1e-15)
-        assert v_max == pytest.approx(2.25, abs=1e-15)
+        assert "v_min, v_max        = 0.25, 2.25 (theta -0.5, 89.5 deg)\n" in out
+        assert "uncertainty product = 0.5625\n" in out
+        assert "exact" not in out
+
+    @pytest.mark.parametrize("thetas", ["3", "4", "181"])
+    def test_extrema_do_not_depend_on_thetas(self, thetas, capsys):
+        # four phases at 0, 60, 120 and 180 degrees miss the antisqueezed 90
+        code, out, _ = run_cli(["oracle", "--thetas", thetas], capsys)
+        assert code == 0
+        assert "v_min, v_max        = 0.25, 2.25 (theta 0.0, 90.0 deg)\n" in out
+        assert "squeeze, antisqueeze = -6.0206 dB, +3.5218 dB\n" in out
+        assert "uncertainty product = 0.5625\n" in out
 
     @pytest.mark.parametrize("phase", ["0", "1"])
     def test_vacuum_mean_prints_unsigned_zeros(self, phase, capsys):

@@ -12,7 +12,6 @@ from opasim.ensemble import (
     CHUNK,
     EnsembleConfig,
     GaussianState,
-    QuadratureScan,
     VacuumConvention,
     default_thetas,
     map_pairs,
@@ -25,6 +24,7 @@ from opasim.ensemble import (
     scan_state,
     span_groups,
     squeezing_report,
+    sums_scan,
     synthesize_rows,
     variance_scan,
 )
@@ -43,7 +43,7 @@ from opasim.medium import (
     transfer_values,
 )
 from opasim.oracle import PassGain, map_quadratures
-from opasim.rng import angle_cos_sin, raw_uint64, standard_normal_pairs
+from opasim.rng import angle_cos_sin, raw_uint64, standard_normal_pairs, uniforms
 from opasim.spectral import lockin_extract, lockin_rows
 
 GRID = TimeGrid(64, 4)
@@ -155,6 +155,10 @@ class TestPropagation:
         out = propagate_ensemble(np.array([[0.7, -1.1]]), 0.0, 0.0, MEDIUM_R05, GRID)
         assert out[0, 0] == pytest.approx(0.7, abs=1e-12)
         assert out[0, 1] == pytest.approx(-1.1, abs=1e-12)
+
+    def test_empty_ensemble_gives_an_empty_pair_array(self):
+        out = propagate_ensemble(np.empty((0, 2)), 1.0, 0.0, MEDIUM_R05, GRID)
+        assert out.shape == (0, 2)
 
     def test_known_gain_point(self):
         # r = chi2*B/chi1 = 0.5 deamplifies x1 and amplifies x2
@@ -554,11 +558,17 @@ class TestVarianceScan:
         scan = scan_state(state, thetas)
         np.testing.assert_allclose(scan.variances[:36], scan.variances[36:72], atol=1e-12)
 
-    def test_scan_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureScan(np.array([0.0, 1.0]), np.array([1.0]), np.array([0.0]))
-        with pytest.raises(ValueError):
-            QuadratureScan(np.array([0.0]), np.array([-1.0]), np.array([0.0]))
+    def test_scan_arrays_are_read_only_copies(self):
+        # the mean and covariance it was projected from are kept on the scan
+        cov = np.array([[0.7, 0.2], [0.2, 1.9]])
+        thetas = default_thetas(5)
+        scan = scan_state(GaussianState(QuadraturePair(0.3, -1.0), cov), thetas)
+        assert scan.mean.tolist() == [0.3, -1.0]
+        assert np.array_equal(scan.cov, cov)
+        assert thetas.flags.writeable and np.array_equal(scan.thetas, thetas)
+        for arr in (scan.thetas, scan.variances, scan.means, scan.mean, scan.cov):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestSqueezingReport:
@@ -586,16 +596,86 @@ class TestSqueezingReport:
         assert report.squeeze_db == pytest.approx(0.0, abs=1e-12)
         assert report.uncertainty_product == pytest.approx(1.0, rel=1e-12)
 
-    def test_product_uses_orthogonal_grid_point(self):
-        # rotated squeezed state: minimum away from zero
-        cov = np.array([[1.3, -0.6], [-0.6, 1.3]])
-        state = GaussianState(QuadraturePair(0, 0), cov)
-        report = squeezing_report(scan_state(state, default_thetas(181)), VAC)
-        eigvals = np.linalg.eigvalsh(cov)
-        assert report.v_min == pytest.approx(eigvals[0], rel=1e-4)
-        assert report.uncertainty_product == pytest.approx(
-            eigvals[0] * eigvals[1], rel=1e-3
-        )
+    @staticmethod
+    def _report(cov, thetas=default_thetas(3), convention=VAC):
+        """The report of a scan whose covariance is cov, bit for bit."""
+        # two pairs with zero sums about the center: cov = (s11, s12, s22)
+        (a, c), (_, b) = cov
+        scan = sums_scan(np.array([0.0, 0.0, a, c, b]), 2, np.zeros(2), thetas)
+        assert np.array_equal(scan.cov, [[a, c], [c, b]])
+        return squeezing_report(scan, convention)
+
+    @staticmethod
+    def _drawn_covariances():
+        """Covariances drawn from rng.uniforms, symmetric up to rounding.
+
+        Rotated ellipses, round states (v_small = v_large) and rank-1
+        states (v_small = 0), each rotated by an angle in (-pi, pi].
+        """
+        u = uniforms(41, 0, 3 * 60).reshape(60, 3)
+        for k, (u_small, u_large, u_angle) in enumerate(u.tolist()):
+            v_large = 4.0 * u_large
+            v_small = (0.0, v_large, v_large * u_small)[k % 3]
+            angle = math.pi * (2.0 * u_angle - 1.0)
+            c, s = math.cos(angle), math.sin(angle)
+            rot = np.array([[c, -s], [s, c]])
+            yield rot @ np.diag([v_small, v_large]) @ rot.T
+
+    def test_extrema_match_the_eigenvalues(self):
+        for cov in self._drawn_covariances():
+            cov[1, 0] = cov[0, 1]
+            report = self._report(cov)
+            low, high = np.linalg.eigvalsh(cov)
+            tol = 1e-12 * high
+            assert report.v_min == pytest.approx(max(low, 0.0), abs=tol)
+            assert report.v_max == pytest.approx(high, abs=tol)
+            assert report.uncertainty_product == report.v_min * report.v_max
+            # the variance at the reported angles is the extremum
+            for theta, v in ((report.theta_min, low), (report.theta_max, high)):
+                u = np.array([math.cos(theta), math.sin(theta)])
+                assert u @ cov @ u == pytest.approx(v, abs=tol)
+
+    def test_report_reads_no_theta_grid(self):
+        for cov in self._drawn_covariances():
+            reports = {
+                self._report(cov, thetas)
+                for thetas in (default_thetas(3), default_thetas(181), np.array([0.1]))
+            }
+            assert len(reports) == 1
+
+    def test_theta_range_convention(self):
+        # theta_min in (-pi/2, pi/2], theta_max a quarter turn above it: a
+        # minimum just below 0 reads as -0.5 degrees, not 179.5
+        for cov in self._drawn_covariances():
+            report = self._report(cov)
+            assert -math.pi / 2 < report.theta_min <= math.pi / 2
+            assert report.theta_max == report.theta_min + math.pi / 2
+        for theta, want in ((-0.5, -0.5), (0.5, 0.5), (89.5, 89.5), (90.5, -89.5)):
+            c, s = math.cos(math.radians(theta)), math.sin(math.radians(theta))
+            rot = np.array([[c, -s], [s, c]])
+            report = self._report(rot @ np.diag([0.25, 2.25]) @ rot.T)
+            assert math.degrees(report.theta_min) == pytest.approx(want, abs=1e-9)
+        # a squeezed x2 lies at the top of the range, not at -pi/2
+        report = self._report(np.diag([2.25, 0.25]))
+        assert (report.theta_min, report.theta_max) == (math.pi / 2, math.pi)
+
+    @pytest.mark.parametrize("c", [0.0, -0.0])
+    def test_round_state_convention(self, c):
+        # every theta is an extremum; the report reads theta_min = +0
+        report = self._report(np.array([[1.5, c], [c, 1.5]]))
+        assert report.v_min == report.v_max == 1.5
+        assert math.copysign(1.0, report.theta_min) == 1.0
+        assert (report.theta_min, report.theta_max) == (0.0, math.pi / 2)
+
+    def test_no_product_overflows_near_the_largest_var_zp(self):
+        # a*b is 2.6e308 here, past the largest double
+        big = VacuumConvention(1.3e154)
+        cov = 1.3e154 * np.array([[1.25, 1.0], [1.0, 1.25]])
+        report = self._report(cov, convention=big)
+        assert report.v_min == pytest.approx(0.25 * 1.3e154, rel=1e-14)
+        assert report.v_max == pytest.approx(2.25 * 1.3e154, rel=1e-14)
+        product = report.uncertainty_product / 1.3e154**2
+        assert product == pytest.approx(0.5625, rel=1e-14)
 
     def test_rejects_bad_convention(self):
         scan = scan_state(GaussianState.vacuum(VAC), default_thetas(5))

@@ -1,4 +1,4 @@
-"""The README's library example runs, and the names it gives resolve in the package."""
+"""The README's library example runs, and the names and labels it gives exist."""
 
 import contextlib
 import importlib
@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import opasim
+from opasim.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -48,6 +49,21 @@ def test_every_qualified_name_resolves():
         for attr in attrs:
             assert hasattr(target, attr), name
             target = getattr(target, attr)
+
+
+def _oracle_labels() -> list[str]:
+    """The labels of the README's "`oracle` prints" paragraph, in its order."""
+    paragraph = re.search(r"^`oracle` prints .*?\n\n", README.read_text(), re.M | re.S)
+    return re.findall(r"`([^`]+)`", paragraph.group(0))[1:]
+
+
+def test_every_oracle_label_the_readme_quotes_is_printed(capsys):
+    # A > 0 prints the amplitude gain line too; each line is "label = values"
+    assert main(["oracle", "--A", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    labels = _oracle_labels()
+    assert "v_min, v_max" in labels
+    assert labels == [line.split(" =", 1)[0].rstrip() for line in lines]
 
 
 SRC = Path(opasim.__file__).resolve().parent

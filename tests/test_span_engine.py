@@ -144,10 +144,10 @@ def _target(command, directory):
     return ["--outdir", str(directory)]
 
 
-# --workers 1 runs every span in this process, and --workers 3 forks the
-# later groups of N's 3 spans (as many as the CPUs allow) and adds their
+# --workers 1 runs every span in this process, and --workers 2 and 3 fork
+# the later groups of N's 3 spans (as many as the CPUs allow) and add their
 # sums in span order: each must give the golden bytes
-@pytest.mark.parametrize("workers", ["1", "3"])
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
 @pytest.mark.parametrize("command", list(GOLDEN), ids=" ".join)
 def test_golden_csv_bytes(command, workers, tmp_path, capsys):
     target = _target(command, tmp_path)
