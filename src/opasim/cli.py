@@ -33,6 +33,7 @@ from .ensemble import (
     QuadratureScan,
     channel_sums,
     default_thetas,
+    det2,
     medium_channel,
     scan_state,
     squeezing_report,
@@ -250,9 +251,7 @@ def cmd_oracle(args) -> int:
         QuadraturePair.from_amplitude_phase(cfg.A, cfg.phi), convention
     )
     state_out = single_pass(state_in, gain, cfg.pump_phase)
-    report = squeezing_report(
-        scan_state(state_out, default_thetas(cfg.thetas)), convention
-    )
+    report = squeezing_report(scan_state(state_out, default_thetas(cfg.thetas)), convention)
     matrix = gain_matrix(gain, cfg.pump_phase)
     out = sys.stdout
     out.write(f"mode                = {cfg.mode}\n")
@@ -269,8 +268,7 @@ def cmd_oracle(args) -> int:
         f"cov out             = [[{_fmt(state_out.cov[0, 0])}, {_fmt(state_out.cov[0, 1])}], "
         f"[{_fmt(state_out.cov[1, 0])}, {_fmt(state_out.cov[1, 1])}]]\n"
     )
-    (a, c), (_, b) = (state_out.cov / convention.var_zp).tolist()
-    out.write(f"det cov / var_zp^2  = {_fmt(a * b - c * c)}\n")
+    out.write(f"det cov / var_zp^2  = {_fmt(det2(state_out.cov / convention.var_zp))}\n")
     if cfg.A > 0.0:
         out.write(
             f"amplitude gain      = {_fmt(gain_of_phase(cfg.A, cfg.phi, gain))}"

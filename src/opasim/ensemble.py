@@ -96,15 +96,11 @@ class GaussianState:
         if not np.all(np.isfinite(cov)):
             raise ValueError("cov must be finite")
         scale = max(1.0, float(np.max(np.abs(cov))))
-        if abs(cov[0, 1] - cov[1, 0]) > _PSD_SLACK * scale:
+        slack = _PSD_SLACK * scale
+        if abs(cov[0, 1] - cov[1, 0]) > slack:
             raise ValueError("cov must be symmetric")
-        # PSD for 2x2: non-negative diagonal and determinant
-        det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-        if (
-            cov[0, 0] < -_PSD_SLACK * scale
-            or cov[1, 1] < -_PSD_SLACK * scale
-            or det < -_PSD_SLACK * scale * scale  # inf, not OverflowError
-        ):
+        # PSD for 2x2: non-negative diagonal and determinant (-slack * scale may be -inf)
+        if min(cov[0, 0], cov[1, 1]) < -slack or det2(cov) < -slack * scale:
             raise ValueError("cov must be positive semi-definite")
         cov.setflags(write=False)
         object.__setattr__(self, "cov", cov)
@@ -126,12 +122,24 @@ class GaussianState:
         return cls(mean, convention.var_zp * np.eye(2))
 
 
+def det2(cov) -> float:
+    """Determinant a*b - c*d of a 2x2 [[a, c], [d, b]], written out in floats.
+
+    The entries are scaled by 2**-e, the largest into [1, 2), and the
+    result by 2**e twice: exact scalings, so the bits are a*b - c*d's
+    unless that overflows or underflows, and a*b cannot overflow alone.
+    """
+    (a, c), (d, b) = np.asarray(cov, dtype=float).tolist()
+    e = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1] - 1
+    a, b, c, d = (math.ldexp(x, -e) for x in (a, b, c, d))
+    power = math.ldexp(1.0, e)
+    return (a * b - c * d) * power * power
+
+
 def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root L of a 2x2 PSD cov (L @ L = cov), closed form."""
-    a, b, c = cov[0, 0], cov[1, 1], cov[0, 1]
-    det = max(a * b - c * c, 0.0)
-    sq = math.sqrt(det)
-    trace_term = a + b + 2.0 * sq
+    sq = math.sqrt(max(det2(cov), 0.0))
+    trace_term = cov[0, 0] + cov[1, 1] + 2.0 * sq
     if trace_term <= 0.0:
         return np.zeros((2, 2))
     denom = math.sqrt(trace_term)
@@ -453,7 +461,8 @@ def propagate_ensemble(
     result is bitwise independent of ``grid.samples_per_period`` and
     ``grid.n_periods``. The result is the concatenation of the spans'
     outputs (:func:`run_spans`), each row its own realization's, so it is
-    bitwise independent of CHUNK too.
+    bitwise independent of CHUNK too. It holds the outputs and the result
+    at once, and runs on one process, as the last span's output is short.
     """
     pairs = _as_pair_array(pairs)
     channel = medium_channel(pump_b, pump_phase, medium, grid)
@@ -476,13 +485,12 @@ def _as_pair_array(pairs) -> np.ndarray:
 class QuadratureScan:
     """Mean and variance of X(theta) = x1 cos(theta) + x2 sin(theta) at each theta.
 
-    Made by :func:`_project` alone, which keeps the pair mean and covariance.
+    Made by :func:`_project` alone, which keeps the pair covariance.
     """
 
     thetas: np.ndarray = field(repr=False)
     variances: np.ndarray = field(repr=False)
     means: np.ndarray = field(repr=False)
-    mean: np.ndarray = field(repr=False)
     cov: np.ndarray = field(repr=False)
 
 
@@ -568,7 +576,7 @@ def _project(mean, cov, thetas: np.ndarray) -> QuadratureScan:
         cov[0, 0] * cos_t**2 + 2.0 * cov[0, 1] * cos_t * sin_t + cov[1, 1] * sin_t**2
     )
     means = mean[0] * cos_t + mean[1] * sin_t
-    arrays = (thetas, np.maximum(variances, 0.0), means, mean, cov)
+    arrays = (thetas, np.maximum(variances, 0.0), means, cov)
     for arr in arrays:
         arr.setflags(write=False)
     return QuadratureScan(*arrays)
@@ -591,12 +599,11 @@ def squeezing_report(
 ) -> SqueezingReport:
     """The extrema of the scan's variance, from its covariance, against the vacuum.
 
-    For cov [[a, c], [c, b]], Var X(theta) = mid - R cos 2(theta - theta_min)
-    with mid = (a + b)/2 and R = hypot((a - b)/2, c), whatever the thetas.
-    v_max = mid + R, and v_min = (a*b - c^2)/v_max by Vieta, as mid - R
-    cancels (0.24999999999999978 for 0.25 rotated by half a degree).
-    theta_min is in (-pi/2, pi/2], 0 for a round state, and theta_max =
-    theta_min + pi/2. Negative squeeze_db means squeezing.
+    For cov [[a, c], [c, b]], Var X(theta) = mid - R cos 2(theta - theta_min),
+    mid = (a + b)/2 and R = hypot((a - b)/2, c), whatever the thetas: v_max
+    = mid + R, and v_min = (a*b - c^2)/v_max, as mid - R cancels. theta_min
+    is in (-pi/2, pi/2], 0 for a round state; theta_max = theta_min + pi/2.
+    Negative squeeze_db means squeezing.
     """
     (a, c), (_, b) = scan.cov.tolist()
     half = 0.5 * (a - b)

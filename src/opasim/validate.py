@@ -20,6 +20,7 @@ from .ensemble import (
     GaussianState,
     channel_sums,
     default_thetas,
+    det2,
     medium_channel,
     propagate_ensemble,
     pump_trace,
@@ -241,9 +242,8 @@ def check_vacuum_scan_flat(cfg: RunConfig) -> tuple[bool, str]:
     report = squeezing_report(scan, ens.convention)
     bound = 4.0 * math.sqrt(2.0 / (ens.n_realizations - 1))
     worst = max(abs(report.v_min / var_zp - 1.0), abs(report.v_max / var_zp - 1.0))
-    return worst <= bound, (
-        f"max |V/var_zp - 1| = {worst:.4f} (4-sigma bound {bound:.4f})"
-    )
+    detail = f"max |V/var_zp - 1| = {worst:.4f} (4-sigma bound {bound:.4f})"
+    return worst <= bound, detail
 
 
 def check_heisenberg_symplectic(cfg: RunConfig) -> tuple[bool, str]:
@@ -252,8 +252,7 @@ def check_heisenberg_symplectic(cfg: RunConfig) -> tuple[bool, str]:
     var_zp = convention.var_zp
     gain = PassGain(0.5, "symplectic")
     state = single_pass(GaussianState.vacuum(convention), gain)
-    (a, c), (_, b) = state.cov.tolist()
-    det = a * b - c * c
+    det = det2(state.cov)
     if abs(det - var_zp**2) > 1e-10:
         return False, f"oracle determinant off by {abs(det - var_zp**2):.3e}"
     # the vacuum through the map, as scan --mode symplectic samples it
@@ -263,9 +262,7 @@ def check_heisenberg_symplectic(cfg: RunConfig) -> tuple[bool, str]:
     scan = sums_scan(sums, ens.n_realizations, out_center, default_thetas(cfg.thetas))
     report = squeezing_report(scan, convention)
     rel = abs(report.uncertainty_product / var_zp**2 - 1.0)
-    return rel <= 0.03, (
-        f"oracle det exact; sampled product off by {rel:.4f} (bound 0.03)"
-    )
+    return rel <= 0.03, f"oracle det exact; sampled product off by {rel:.4f} (bound 0.03)"
 
 
 def check_determinism(cfg: RunConfig) -> tuple[bool, str]:

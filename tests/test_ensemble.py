@@ -14,6 +14,7 @@ from opasim.ensemble import (
     GaussianState,
     VacuumConvention,
     default_thetas,
+    det2,
     map_pairs,
     medium_channel,
     pair_sums,
@@ -116,6 +117,26 @@ class TestSampling:
         state = GaussianState(QuadraturePair(1.5, -2.5), np.zeros((2, 2)))
         draws = sample_state_array(state, cfg(100))
         assert np.all(draws == np.array([1.5, -2.5]))
+
+    def test_determinant_is_written_out(self):
+        # the bits of a*b - c*d, whatever power of two scales the entries
+        rows = np.random.default_rng(5).normal(size=(200, 4))
+        rows *= 2.0 ** np.random.default_rng(6).integers(-60, 60, size=(200, 1))
+        for a, b, c, d in rows.tolist():
+            assert det2(np.array([[a, c], [d, b]])) == a * b - c * d
+        assert det2(np.zeros((2, 2))) == 0.0
+
+    def test_rotated_state_near_the_largest_var_zp(self, recwarn):
+        # a*b = 2.6e308 is past the largest double; the determinant,
+        # 0.5625 * var_zp**2, is not
+        var_zp = 1.34e154
+        cov = var_zp * np.array([[1.25, 1.0], [1.0, 1.25]])
+        state = GaussianState(QuadraturePair(0.0, 0.0), cov)
+        assert det2(cov) / var_zp**2 == pytest.approx(0.5625, rel=1e-15)
+        np.testing.assert_allclose(
+            state.noise / math.sqrt(var_zp), [[1.0, 0.5], [0.5, 1.0]], rtol=1e-15
+        )
+        assert not recwarn.list
 
     def test_correlated_covariance_reproduced(self):
         cov = np.array([[2.0, 0.8], [0.8, 0.5]])
@@ -558,15 +579,27 @@ class TestVarianceScan:
         scan = scan_state(state, thetas)
         np.testing.assert_allclose(scan.variances[:36], scan.variances[36:72], atol=1e-12)
 
+    def test_scan_validation(self):
+        # a rank-1 covariance projected on its null direction rounds to
+        # -2.2e-16; the scan clamps it, so no variance is negative
+        a, c, b = 1.4276239728125713, 1.1310697259761868, 0.8961174296474245
+        theta = 2.2408086663149382
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        assert a * cos_t**2 + 2.0 * c * cos_t * sin_t + b * sin_t**2 < 0.0
+        thetas = np.array([theta, 0.0, 1.0])
+        scan = sums_scan(np.array([0.0, 0.0, a, c, b]), 2, np.zeros(2), thetas)
+        assert scan.thetas.shape == scan.variances.shape == scan.means.shape == (3,)
+        assert scan.variances[0] == 0.0
+        assert scan.variances.min() >= 0.0
+
     def test_scan_arrays_are_read_only_copies(self):
-        # the mean and covariance it was projected from are kept on the scan
+        # the covariance it was projected from is kept on the scan
         cov = np.array([[0.7, 0.2], [0.2, 1.9]])
         thetas = default_thetas(5)
         scan = scan_state(GaussianState(QuadraturePair(0.3, -1.0), cov), thetas)
-        assert scan.mean.tolist() == [0.3, -1.0]
         assert np.array_equal(scan.cov, cov)
         assert thetas.flags.writeable and np.array_equal(scan.thetas, thetas)
-        for arr in (scan.thetas, scan.variances, scan.means, scan.mean, scan.cov):
+        for arr in (scan.thetas, scan.variances, scan.means, scan.cov):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
