@@ -324,3 +324,14 @@ def test_one_period_lockin_keeps_the_span_buffers_short(monkeypatch):
     buffers = ensemble._held.buffers
     assert len(buffers) == 3
     assert all(buffer.shape[0] <= channel_samples(cfg.medium) for buffer in buffers)
+
+
+@pytest.mark.parametrize(
+    "check", [validate.check_oracle_equivalence, validate.check_one_period_lockin],
+    ids=lambda check: check.__name__,
+)
+def test_lockin_checks_pass_at_a_large_var_zp(check):
+    # the traces' E^2 term sets the lock-in's rounding, far above 1e-10
+    # and above 1e-13 of the k = 1 output at var_zp = 1e10
+    ok, detail = check(with_overrides(RunConfig(), var_zp=1e10))
+    assert ok, detail
