@@ -196,7 +196,7 @@ def run_scan(cfg: RunConfig, workers: int = 1) -> QuadratureScan:
         channel = partial(map_quadratures, gain=gain, pump_phase=cfg.pump_phase)
     else:
         channel = medium_channel(cfg.B, cfg.pump_phase, cfg.medium, ens.grid)
-    sums, out_center = channel_sums(state, ens, channel, workers=workers)
+    [(sums, out_center)] = channel_sums(state, ens, [(channel, 2)], workers)
     return sums_scan(sums, n, out_center, default_thetas(cfg.thetas))
 
 

@@ -21,7 +21,7 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import BinaryIO, Callable, NamedTuple
+from typing import BinaryIO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -418,32 +418,37 @@ def medium_channel(
 def channel_sums(
     state: GaussianState,
     cfg: EnsembleConfig,
-    channel: Callable[[np.ndarray], np.ndarray],
-    in_degree: int = 0,
+    channels: Sequence[tuple[Callable[[np.ndarray], np.ndarray], int]],
     workers: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Power sums of the state's samples sent through channel, and their center.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Power sums of the state's samples sent through each channel, and their centers.
 
-    Each span samples its pairs (:func:`sample_state_array`), sends them
-    through ``channel`` and returns their :func:`pair_sums` about
-    ``out_center``, the channel's output for the state's mean as one row;
-    with ``in_degree``, the input pairs' sums about the mean to that degree
-    come first. The spans run on up to ``workers`` processes
+    ``channels`` holds (channel, degree) pairs. Each span samples its
+    pairs once (:func:`sample_state_array`) and sends them through every
+    channel; a channel's output pairs are summed to its degree
+    (:func:`pair_sums`) about its center, its output for the state's mean
+    as one row. The identity channel's sums are the input pairs' own,
+    about the mean. The spans run on up to ``workers`` processes
     (:func:`run_spans`) and their sums are added in span order, so the
     bits do not depend on ``workers`` and nothing of size O(n) is held.
-    Returns (sums, out_center).
+    Returns one (sums, center) per channel, in order, each with the bits
+    of a call that passes that channel alone.
     """
-    center = state.mean.as_array()
-    out_center = channel(center[None])[0]
+    mean = state.mean.as_array()[None]
+    centers = [channel(mean)[0] for channel, _ in channels]
 
     def work(start, count):
         pairs = sample_state_array(state, cfg, start, count)
-        out_sums = pair_sums(channel(pairs), out_center)
-        if not in_degree:
-            return out_sums
-        return np.concatenate((pair_sums(pairs, center, in_degree), out_sums))
+        return np.concatenate(
+            [
+                pair_sums(channel(pairs), center, degree)
+                for (channel, degree), center in zip(channels, centers)
+            ]
+        )
 
-    return reduce(np.add, run_spans(work, cfg.n_realizations, workers)), out_center
+    sums = reduce(np.add, run_spans(work, cfg.n_realizations, workers))
+    ends = np.cumsum([degree * (degree + 3) // 2 for _, degree in channels])
+    return list(zip(np.split(sums, ends[:-1]), centers))
 
 
 def propagate_ensemble(

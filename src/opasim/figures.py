@@ -135,12 +135,15 @@ def emit_figure(name: str, cfg: RunConfig, workers: int = 1) -> list[FigureTable
     if name.startswith("fig1"):
         # the state itself: its pairs through the identity channel
         state = figure_state(name, cfg)
-        sums, center = channel_sums(
-            state, cfg.ensemble(), lambda pairs: pairs, workers=workers
-        )
+        [(sums, center)] = channel_sums(state, cfg.ensemble(), [(_identity, 2)], workers)
         band = sums_scan(sums, cfg.n_realizations, center, period.phases())
         return [_trace_table(name, cfg, band.means, band.variances)]
     return _pipeline_tables(name, cfg, period, workers)
+
+
+def _identity(pairs: np.ndarray) -> np.ndarray:
+    """The channel whose output pairs are its input pairs."""
+    return pairs
 
 
 def _trace_table(name: str, cfg: RunConfig, mean, var) -> FigureTable:
@@ -163,12 +166,12 @@ def _pipeline_tables(
     state = figure_state(name, cfg)
     convention = cfg.convention()
     n = cfg.n_realizations
-    center = state.mean.as_array()
     # the output band reads the pairs' power sums up to twice the medium's degree
     degree = 2 * polynomial_degree(cfg.medium)
     channel = medium_channel(cfg.B, cfg.pump_phase, cfg.medium, period)
-    sums, out_center = channel_sums(state, cfg.ensemble(), channel, degree, workers)
-    in_sums, out_sums = np.split(sums, [len(sums) - 5])
+    (in_sums, center), (out_sums, out_center) = channel_sums(
+        state, cfg.ensemble(), [(_identity, degree), (channel, 2)], workers
+    )
     band = sums_scan(in_sums[:5], n, center, period.phases())
     pump = pump_trace(cfg.B, cfg.pump_phase, period)
 

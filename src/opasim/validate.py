@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -18,6 +18,7 @@ from .config import RunConfig
 from .ensemble import (
     EnsembleConfig,
     GaussianState,
+    QuadratureScan,
     channel_sums,
     default_thetas,
     det2,
@@ -42,7 +43,8 @@ from .spectral import (
     spectrum_rows,
 )
 
-Check = Callable[[RunConfig], tuple[bool, str]]
+# every check takes the run's shared inputs, which only the sampling checks read
+Check = Callable[[RunConfig, "SharedInputs | None"], tuple[bool, str]]
 
 
 # lockin-exactness and parseval: draws of spectral lines, one column each
@@ -96,7 +98,7 @@ def _largest(deviations: np.ndarray) -> float:
     return float(np.max(deviations, initial=0.0))
 
 
-def check_lockin_exactness(cfg: RunConfig) -> tuple[bool, str]:
+def check_lockin_exactness(cfg: RunConfig, shared=None) -> tuple[bool, str]:
     """Synthesis -> extraction recovers every coefficient to 1e-12."""
     grid = cfg.grid()
     lines = _random_lines(1, grid.max_harmonic())
@@ -104,7 +106,7 @@ def check_lockin_exactness(cfg: RunConfig) -> tuple[bool, str]:
     return _bounded(_largest(np.abs(got - lines)), 1e-12, "coefficient error")
 
 
-def check_parseval(cfg: RunConfig) -> tuple[bool, str]:
+def check_parseval(cfg: RunConfig, shared=None) -> tuple[bool, str]:
     """Spectrum power equals series mean-square power to 1e-10 relative."""
     grid = cfg.grid()
     block = _synthesized_lines(_random_lines(2, grid.max_harmonic()), grid)
@@ -165,7 +167,7 @@ def _closed_form_worst(numeric: np.ndarray, predicted: np.ndarray) -> tuple[floa
     return math.nan, f"bin k={k} off by {dev:.3e} (tol {bound:.3e})"
 
 
-def check_closed_form_equivalence(cfg: RunConfig) -> tuple[bool, str]:
+def check_closed_form_equivalence(cfg: RunConfig, shared=None) -> tuple[bool, str]:
     """Numeric pipeline spectrum matches the closed form on one configured period.
 
     Phases are periodic, so every later period of a draw's trace repeats
@@ -179,10 +181,57 @@ def check_closed_form_equivalence(cfg: RunConfig) -> tuple[bool, str]:
     return True, f"{DRAWS} draws, worst deviation at {worst:.3f} of tolerance"
 
 
-def _vacuum_pairs(cfg: RunConfig) -> tuple[EnsembleConfig, np.ndarray]:
-    """10 000 vacuum draws on the configured seed, grid and convention."""
-    ens = EnsembleConfig(10_000, cfg.seed, cfg.grid(), cfg.convention())
-    return ens, sample_state_array(GaussianState.vacuum(ens.convention), ens)
+# the fixed medium of oracle-pipeline-equivalence and determinism: at B = 1
+# its pump ratio is r = chi2*B/chi1 = 0.5
+FIXED_MEDIUM = SusceptibilityProfile(chi1=1.0, chi2=0.5)
+FIXED_R = 0.5
+SYMPLECTIC = PassGain(0.5, "symplectic")
+
+
+class SharedInputs:
+    """The sampled inputs that the checks of one validate run share.
+
+    Each is made the first time a check reads it, so its cost lands in
+    that check, and is kept as long as this object. :func:`run_all` makes
+    one per call and drops it on return, so nothing outlives the call; a
+    check called without one makes its own from its ``cfg``.
+    """
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+
+    @cached_property
+    def vacuum(self) -> tuple[EnsembleConfig, np.ndarray]:
+        """10 000 vacuum draws on the configured seed, grid and convention."""
+        cfg = self.cfg
+        ens = EnsembleConfig(10_000, cfg.seed, cfg.grid(), cfg.convention())
+        return ens, sample_state_array(GaussianState.vacuum(ens.convention), ens)
+
+    @cached_property
+    def fixed_output(self) -> np.ndarray:
+        """The vacuum draws propagated through FIXED_MEDIUM at B = 1."""
+        ens, pairs = self.vacuum
+        return propagate_ensemble(pairs, 1.0, 0.0, FIXED_MEDIUM, ens.grid)
+
+    @cached_property
+    def scans(self) -> tuple[QuadratureScan, QuadratureScan]:
+        """Scans of the configured vacuum ensemble, from one pass over its spans.
+
+        The first is through the unpumped configured medium without its
+        cubic term, the second through the SYMPLECTIC map, as ``scan
+        --mode symplectic`` samples it.
+        """
+        cfg = self.cfg
+        ens = cfg.ensemble()
+        flat = medium_channel(0.0, 0.0, replace(cfg.medium, chi3=0.0), ens.grid)
+        symplectic = partial(map_quadratures, gain=SYMPLECTIC)
+        vacuum = GaussianState.vacuum(ens.convention)
+        results = channel_sums(vacuum, ens, [(flat, 2), (symplectic, 2)])
+        thetas = default_thetas(cfg.thetas)
+        flat_scan, symplectic_scan = (
+            sums_scan(sums, ens.n_realizations, center, thetas) for sums, center in results
+        )
+        return flat_scan, symplectic_scan
 
 
 def _rounding_floor(pairs: np.ndarray, pump_b: float, medium: SusceptibilityProfile) -> float:
@@ -199,19 +248,21 @@ def _rounding_floor(pairs: np.ndarray, pump_b: float, medium: SusceptibilityProf
     return 8.0 * np.finfo(float).eps * sum(abs(r) * e**k for k, r in enumerate(ratios, 1))
 
 
-def check_oracle_equivalence(cfg: RunConfig) -> tuple[bool, str]:
+def check_oracle_equivalence(
+    cfg: RunConfig, shared: SharedInputs | None = None
+) -> tuple[bool, str]:
     """Pipeline equals the closed-form gain map on every vacuum realization."""
-    medium = SusceptibilityProfile(chi1=1.0, chi2=0.5)
-    r = 0.5
-    ens, pairs = _vacuum_pairs(cfg)
-    out = propagate_ensemble(pairs, 1.0, 0.0, medium, ens.grid)
-    expected = pairs * np.array([1.0 - r, 1.0 + r])
-    worst = float(np.max(np.abs(out - expected)))
-    bound = max(1e-10, _rounding_floor(pairs, 1.0, medium))
+    shared = shared or SharedInputs(cfg)
+    _, pairs = shared.vacuum
+    expected = pairs * np.array([1.0 - FIXED_R, 1.0 + FIXED_R])
+    worst = float(np.max(np.abs(shared.fixed_output - expected)))
+    bound = max(1e-10, _rounding_floor(pairs, 1.0, FIXED_MEDIUM))
     return worst <= bound, f"max per-realization deviation {worst:.3e} (bound {bound:g})"
 
 
-def check_one_period_lockin(cfg: RunConfig) -> tuple[bool, str]:
+def check_one_period_lockin(
+    cfg: RunConfig, shared: SharedInputs | None = None
+) -> tuple[bool, str]:
     """Minimal-period ensemble propagation equals one configured period's lock-in.
 
     The scan propagates on one period of :func:`channel_samples` samples,
@@ -219,7 +270,7 @@ def check_one_period_lockin(cfg: RunConfig) -> tuple[bool, str]:
     realization the k = 1 output of one period of the configured grid,
     which every later period repeats bit for bit.
     """
-    ens, pairs = _vacuum_pairs(cfg)
+    ens, pairs = (shared or SharedInputs(cfg)).vacuum
     out = propagate_ensemble(pairs, cfg.B, cfg.pump_phase, cfg.medium, ens.grid)
     # one configured period's own lock-in, 512 realizations at a time
     period = replace(ens.grid, n_periods=1)
@@ -242,7 +293,9 @@ def check_one_period_lockin(cfg: RunConfig) -> tuple[bool, str]:
     )
 
 
-def check_vacuum_scan_flat(cfg: RunConfig) -> tuple[bool, str]:
+def check_vacuum_scan_flat(
+    cfg: RunConfig, shared: SharedInputs | None = None
+) -> tuple[bool, str]:
     """With the pump off the variance scan is flat at the vacuum level.
 
     Runs on the configured medium without its cubic term. The cubic
@@ -251,45 +304,44 @@ def check_vacuum_scan_flat(cfg: RunConfig) -> tuple[bool, str]:
     the whole scan above var_zp (by about 0.33 at chi3 = 0.05): that is
     the medium's physics, not a fault of the pipeline this check guards.
     """
-    ens = cfg.ensemble()
-    var_zp = ens.convention.var_zp
-    medium = replace(cfg.medium, chi3=0.0)
-    channel = medium_channel(0.0, 0.0, medium, ens.grid)
-    sums, out_center = channel_sums(GaussianState.vacuum(ens.convention), ens, channel)
-    scan = sums_scan(sums, ens.n_realizations, out_center, default_thetas(cfg.thetas))
-    report = squeezing_report(scan, ens.convention)
-    bound = 4.0 * math.sqrt(2.0 / (ens.n_realizations - 1))
+    convention = cfg.convention()
+    var_zp = convention.var_zp
+    report = squeezing_report((shared or SharedInputs(cfg)).scans[0], convention)
+    bound = 4.0 * math.sqrt(2.0 / (cfg.n_realizations - 1))
     worst = max(abs(report.v_min / var_zp - 1.0), abs(report.v_max / var_zp - 1.0))
     detail = f"max |V/var_zp - 1| = {worst:.4f} (4-sigma bound {bound:.4f})"
     return worst <= bound, detail
 
 
-def check_heisenberg_symplectic(cfg: RunConfig) -> tuple[bool, str]:
+def check_heisenberg_symplectic(
+    cfg: RunConfig, shared: SharedInputs | None = None
+) -> tuple[bool, str]:
     """Symplectic-mode uncertainty product stays at the vacuum bound."""
     convention = cfg.convention()
     var_zp = convention.var_zp
-    gain = PassGain(0.5, "symplectic")
-    state = single_pass(GaussianState.vacuum(convention), gain)
+    state = single_pass(GaussianState.vacuum(convention), SYMPLECTIC)
     det = det2(state.cov)
     if abs(det - var_zp**2) > 1e-10:
         return False, f"oracle determinant off by {abs(det - var_zp**2):.3e}"
-    # the vacuum through the map, as scan --mode symplectic samples it
-    ens = cfg.ensemble()
-    channel = partial(map_quadratures, gain=gain)
-    sums, out_center = channel_sums(GaussianState.vacuum(convention), ens, channel)
-    scan = sums_scan(sums, ens.n_realizations, out_center, default_thetas(cfg.thetas))
-    report = squeezing_report(scan, convention)
+    report = squeezing_report((shared or SharedInputs(cfg)).scans[1], convention)
     rel = abs(report.uncertainty_product / var_zp**2 - 1.0)
     return rel <= 0.03, f"oracle det exact; sampled product off by {rel:.4f} (bound 0.03)"
 
 
-def check_determinism(cfg: RunConfig) -> tuple[bool, str]:
-    """Span cuts and sampling order do not change the ensemble bitwise."""
-    medium = SusceptibilityProfile(chi1=1.0, chi2=0.5)
-    ens, pairs = _vacuum_pairs(cfg)
-    whole = propagate_ensemble(pairs, 1.0, 0.0, medium, ens.grid)
+def check_determinism(
+    cfg: RunConfig, shared: SharedInputs | None = None
+) -> tuple[bool, str]:
+    """Span cuts and sampling order do not change the ensemble bitwise.
+
+    The shared vacuum draws and their propagation are the reference; the
+    shuffled slices are sampled again here, as that resampling is what
+    this check tests.
+    """
+    shared = shared or SharedInputs(cfg)
+    ens, pairs = shared.vacuum
+    whole = shared.fixed_output
     # uneven slices in shuffled order, so the spans start off the CHUNK grid
-    channel = medium_channel(1.0, 0.0, medium, ens.grid)
+    channel = medium_channel(1.0, 0.0, FIXED_MEDIUM, ens.grid)
     cut = np.empty_like(pairs)
     for rows in (slice(7000, None), slice(0, 3000), slice(3000, 7000)):
         cut[rows] = channel(pairs[rows])
@@ -320,4 +372,6 @@ CHECKS: tuple[tuple[str, Check], ...] = (
 
 
 def run_all(cfg: RunConfig) -> list[tuple[str, bool, str]]:
-    return [(name, *check(cfg)) for name, check in CHECKS]
+    """(name, ok, detail) of every check, in order, on one run's shared inputs."""
+    shared = SharedInputs(cfg)
+    return [(name, *check(cfg, shared)) for name, check in CHECKS]
