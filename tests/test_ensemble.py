@@ -716,3 +716,54 @@ class TestSqueezingReport:
         object.__setattr__(bad, "var_zp", -1.0)
         with pytest.raises(ValueError):
             squeezing_report(scan, bad)
+
+
+def _span_by_span(state, cfg, channel, degree):
+    """A channel's (sums, center), summed span by span in order, in this process."""
+    center = channel(state.mean.as_array()[None])[0]
+    sums = 0.0
+    for start in range(0, cfg.n_realizations, CHUNK):
+        pairs = sample_state_array(state, cfg, start, min(CHUNK, cfg.n_realizations - start))
+        sums = sums + pair_sums(channel(pairs), center, degree)
+    return sums, center
+
+
+def _identity(pairs):
+    return pairs
+
+
+def _channel_layouts():
+    grid = TimeGrid(64, 1)
+    chi2 = SusceptibilityProfile(chi1=1.0, chi2=0.5)
+    kerr = SusceptibilityProfile(chi1=0.7, chi2=-0.3, chi3=0.05, eps0=2.5)
+    vacuum = GaussianState.vacuum()
+    coherent = GaussianState.coherent(QuadraturePair.from_amplitude_phase(0.8, 0.5))
+    return {
+        # fig2's layout: the input pairs to twice the medium's degree, then the output
+        "fig2": (vacuum, [(_identity, 4), (medium_channel(1.0, 0.0, chi2, grid), 2)]),
+        "two media": (
+            coherent,
+            [
+                (medium_channel(1.0, 0.3, chi2, grid), 2),
+                (medium_channel(0.6, 2.0, kerr, grid), 2),
+            ],
+        ),
+    }
+
+
+# 2 * CHUNK + 1 rows: the last span is one row
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("layout", ["fig2", "two media"])
+def test_channel_sums_of_many_channels_are_each_channels_own(layout, workers):
+    state, channels = _channel_layouts()[layout]
+    cfg = EnsembleConfig(2 * CHUNK + 1, 11)
+    got = ensemble.channel_sums(state, cfg, channels, workers)
+    assert len(got) == len(channels)
+    for (sums, center), (channel, degree) in zip(got, channels):
+        [(alone, alone_center)] = ensemble.channel_sums(state, cfg, [(channel, degree)], workers)
+        want, want_center = _span_by_span(state, cfg, channel, degree)
+        assert len(sums) == degree * (degree + 3) // 2
+        for array in (sums, alone):
+            assert array.tobytes() == want.tobytes()
+        for array in (center, alone_center):
+            assert array.tobytes() == want_center.tobytes()

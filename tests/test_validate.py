@@ -2,8 +2,10 @@
 their scalar loops, bit for bit, and failing verdicts for wrong or
 non-finite results."""
 
+import gc
 import itertools
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -335,3 +337,51 @@ def test_lockin_checks_pass_at_a_large_var_zp(check):
     # and above 1e-13 of the k = 1 output at var_zp = 1e10
     ok, detail = check(with_overrides(RunConfig(), var_zp=1e10))
     assert ok, detail
+
+
+RUN_CONFIGS = [
+    {},
+    {"chi3": 0.05, "samples_per_period": 64},
+    {"pump_phase_deg": 37.0},
+    {"var_zp": 2.5, "seed": 9},
+]
+
+
+def _standalone(cfg):
+    return [(name, *check(cfg)) for name, check in validate.CHECKS]
+
+
+@pytest.mark.parametrize("overrides", RUN_CONFIGS, ids=str)
+def test_run_all_matches_each_check_called_alone(overrides):
+    cfg = with_overrides(RunConfig(), **overrides)
+    assert validate.run_all(cfg) == _standalone(cfg)
+
+
+def _owner(array):
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+def test_run_all_keeps_nothing_it_sampled(monkeypatch):
+    # back-to-back runs on two seeds each give their own results, and no
+    # sampled or propagated array outlives its run
+    made = []
+    for name in ("sample_state_array", "propagate_ensemble"):
+        original = getattr(validate, name)
+
+        def recorded(*args, original=original, **kwargs):
+            out = original(*args, **kwargs)
+            made.append(weakref.ref(_owner(out)))
+            return out
+
+        monkeypatch.setattr(validate, name, recorded)
+    cfgs = [with_overrides(RunConfig(), seed=seed) for seed in (5, 6)]
+    got = [validate.run_all(cfg) for cfg in cfgs]
+    # per run: the shared draws, determinism's three slices, and two propagations
+    assert len(made) == 6 * len(cfgs)
+    gc.collect()
+    assert [ref() for ref in made] == [None] * len(made)
+    monkeypatch.undo()
+    assert got[0] != got[1]
+    assert got == [_standalone(cfg) for cfg in cfgs]
