@@ -15,11 +15,13 @@ noiseless output is a polynomial in the input's deviation from the
 noiseless input, and its pointwise sums follow exactly from the pairs'
 power sums up to degree 2d (see :func:`_output_band`). Every figure
 reads its ensemble through the span loop that ``scan`` runs,
-:func:`~opasim.ensemble.channel_sums`: fig1 sends the pairs through the
-identity, fig2/fig3 through the pumped medium on one period of the
-smallest alias-free grid, and each span's output pairs are summed about
-the noiseless output pair, so a bright state keeps its output variance
-in the fundamental-bin scan.
+:func:`~opasim.ensemble.channel_sums`. fig1 passes the identity channel
+alone. fig2/fig3 pass two channels over the same sampled pairs: the
+identity at degree 2d, whose sums about the state's mean are the input
+sums of both bands, and the pumped medium on one period of the smallest
+alias-free grid at degree 2, whose output pairs are summed about the
+noiseless output pair, so a bright state keeps its output variance in
+the fundamental-bin scan.
 
 Figures
 -------

@@ -3,6 +3,17 @@
 Each check returns (ok, detail). They are intentionally redundant with
 the unit-test suite so that an installed copy can be validated from the
 command line without a test runner.
+
+One :func:`run_all` call shares its sampled inputs among the checks
+(:class:`SharedInputs`): the 10 000 vacuum draws of
+oracle-pipeline-equivalence, one-period-lockin and determinism are drawn
+once, and propagated through the fixed medium once for
+oracle-pipeline-equivalence and determinism; vacuum-scan-flat and
+heisenberg-symplectic read their two scans from one span loop over the
+configured ensemble. Each input is made by the first check that reads
+it, and none outlives the call. determinism resamples its shuffled
+slices itself: that sampling in another order is what it checks. A
+check called alone makes its own inputs, with the same bits.
 """
 
 from __future__ import annotations
@@ -98,7 +109,9 @@ def _largest(deviations: np.ndarray) -> float:
     return float(np.max(deviations, initial=0.0))
 
 
-def check_lockin_exactness(cfg: RunConfig, shared=None) -> tuple[bool, str]:
+def check_lockin_exactness(
+    cfg: RunConfig, shared: SharedInputs | None = None
+) -> tuple[bool, str]:
     """Synthesis -> extraction recovers every coefficient to 1e-12."""
     grid = cfg.grid()
     lines = _random_lines(1, grid.max_harmonic())
@@ -106,7 +119,9 @@ def check_lockin_exactness(cfg: RunConfig, shared=None) -> tuple[bool, str]:
     return _bounded(_largest(np.abs(got - lines)), 1e-12, "coefficient error")
 
 
-def check_parseval(cfg: RunConfig, shared=None) -> tuple[bool, str]:
+def check_parseval(
+    cfg: RunConfig, shared: SharedInputs | None = None
+) -> tuple[bool, str]:
     """Spectrum power equals series mean-square power to 1e-10 relative."""
     grid = cfg.grid()
     block = _synthesized_lines(_random_lines(2, grid.max_harmonic()), grid)
@@ -167,7 +182,9 @@ def _closed_form_worst(numeric: np.ndarray, predicted: np.ndarray) -> tuple[floa
     return math.nan, f"bin k={k} off by {dev:.3e} (tol {bound:.3e})"
 
 
-def check_closed_form_equivalence(cfg: RunConfig, shared=None) -> tuple[bool, str]:
+def check_closed_form_equivalence(
+    cfg: RunConfig, shared: SharedInputs | None = None
+) -> tuple[bool, str]:
     """Numeric pipeline spectrum matches the closed form on one configured period.
 
     Phases are periodic, so every later period of a draw's trace repeats
@@ -228,10 +245,9 @@ class SharedInputs:
         vacuum = GaussianState.vacuum(ens.convention)
         results = channel_sums(vacuum, ens, [(flat, 2), (symplectic, 2)])
         thetas = default_thetas(cfg.thetas)
-        flat_scan, symplectic_scan = (
+        return tuple(
             sums_scan(sums, ens.n_realizations, center, thetas) for sums, center in results
         )
-        return flat_scan, symplectic_scan
 
 
 def _rounding_floor(pairs: np.ndarray, pump_b: float, medium: SusceptibilityProfile) -> float:
