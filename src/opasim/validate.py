@@ -269,8 +269,9 @@ def check_oracle_equivalence(
     r = 0.5
     shared = shared or SharedInputs(cfg)
     _, pairs = shared.vacuum
-    expected = pairs * np.array([1.0 - r, 1.0 + r])
-    worst = float(np.max(np.abs(shared.fixed_output - expected)))
+    deviation = pairs * np.array([1.0 - r, 1.0 + r])
+    deviation -= shared.fixed_output
+    worst = float(np.max(np.abs(deviation, out=deviation)))
     bound = max(1e-10, _rounding_floor(pairs, 1.0, FIXED_MEDIUM))
     return worst <= bound, f"max per-realization deviation {worst:.3e} (bound {bound:g})"
 
@@ -287,23 +288,22 @@ def check_one_period_lockin(
     """
     ens, pairs = (shared or SharedInputs(cfg)).vacuum
     out = propagate_ensemble(pairs, cfg.B, cfg.pump_phase, cfg.medium, ens.grid)
-    # one configured period's own lock-in, 512 realizations at a time, each
-    # block compared as it is made: no third O(n) array beside the shared ones
+    # one configured period's own lock-in, 512 realizations at a time
     period = replace(ens.grid, n_periods=1)
     pump = pump_trace(cfg.B, cfg.pump_phase, period)
     cos1, sin1 = period.harmonic(1)
-    worst = 0.0
+    full = np.empty_like(pairs)
     for lo in range(0, len(pairs), 512):
         rows = slice(lo, lo + 512)
         traces = transfer_values(synthesize_rows(pairs[rows], pump, cos1, sin1), cfg.medium)
-        full = lockin_rows(traces, cos1, sin1, period.n_samples)
-        # np.maximum keeps a NaN, which Python's max would drop
-        worst = np.maximum(worst, np.max(np.abs(out[rows] - full)))
+        lockin_rows(traces, cos1, sin1, period.n_samples, out=full[rows])
     bound = max(
         1e-13 * max(1.0, float(np.max(np.abs(out)))),
         _rounding_floor(pairs, cfg.B, cfg.medium),
     )
-    worst = float(worst)
+    # |full - out| in place: no further O(n) array while the shared ones are held
+    full -= out
+    worst = float(np.max(np.abs(full, out=full)))
     return worst <= bound, (
         f"{channel_samples(cfg.medium)}-sample period vs "
         f"{period.samples_per_period}x{period.n_periods} grid: max per-realization "
