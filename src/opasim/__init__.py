@@ -9,33 +9,16 @@ The package exports the names of the README's library example; everything
 else is imported from its module.
 """
 
-from .ensemble import (
-    EnsembleConfig,
-    GaussianState,
-    VacuumConvention,
-    default_thetas,
-    propagate_ensemble,
-    sample_state_array,
-    squeezing_report,
-    variance_scan,
-)
-from .fields import TimeGrid
+from .cli import run_scan
+from .config import RunConfig
+from .ensemble import squeezing_report
 from .medium import SusceptibilityProfile
-from .oracle import PassGain, single_pass
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EnsembleConfig",
-    "GaussianState",
-    "PassGain",
+    "RunConfig",
     "SusceptibilityProfile",
-    "TimeGrid",
-    "VacuumConvention",
-    "default_thetas",
-    "propagate_ensemble",
-    "sample_state_array",
-    "single_pass",
+    "run_scan",
     "squeezing_report",
-    "variance_scan",
 ]

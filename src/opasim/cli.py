@@ -42,7 +42,7 @@ from .ensemble import (
 from .fields import HarmonicComponent, QuadraturePair
 from .figures import FIGURE_NAMES, FigureTable, emit_figure, scan_table
 from .medium import require_alias_free
-from .oracle import PassGain, gain_matrix, gain_of_phase, map_quadratures, single_pass
+from .oracle import PassGain, gain_matrix, map_quadratures, single_pass
 from .spectral import predict_spectrum, pumped_spectrum
 from .validate import run_all
 
@@ -184,10 +184,8 @@ def run_scan(cfg: RunConfig, workers: int = 1) -> QuadratureScan:
 
     The span loop runs on up to ``workers`` processes (:func:`channel_sums`).
     """
-    ens = cfg.ensemble()
-    n = ens.n_realizations
     state = GaussianState.coherent(
-        QuadraturePair.from_amplitude_phase(cfg.A, cfg.phi), ens.convention
+        QuadraturePair.from_amplitude_phase(cfg.A, cfg.phi), cfg.convention()
     )
     # both modes share the map's validity bound |r| < 1
     gain = PassGain(cfg.pump_ratio, cfg.mode)
@@ -195,9 +193,9 @@ def run_scan(cfg: RunConfig, workers: int = 1) -> QuadratureScan:
         _require_quadratic(cfg, "scan --mode symplectic")
         channel = partial(map_quadratures, gain=gain, pump_phase=cfg.pump_phase)
     else:
-        channel = medium_channel(cfg.B, cfg.pump_phase, cfg.medium, ens.grid)
-    [(sums, out_center)] = channel_sums(state, ens, [(channel, 2)], workers)
-    return sums_scan(sums, n, out_center, default_thetas(cfg.thetas))
+        channel = medium_channel(cfg.B, cfg.pump_phase, cfg.medium, cfg.grid())
+    [(sums, out_center)] = channel_sums(state, cfg.ensemble(), [(channel, 2)], workers)
+    return sums_scan(sums, cfg.n_realizations, out_center, default_thetas(cfg.thetas))
 
 
 def _summary_line(report) -> str:
@@ -270,8 +268,9 @@ def cmd_oracle(args) -> int:
     )
     out.write(f"det cov / var_zp^2  = {_fmt(det2(state_out.cov / convention.var_zp))}\n")
     if cfg.A > 0.0:
+        amplitude_gain = math.hypot(state_out.mean.x1, state_out.mean.x2) / cfg.A
         out.write(
-            f"amplitude gain      = {_fmt(gain_of_phase(cfg.A, cfg.phi, gain))}"
+            f"amplitude gain      = {_fmt(amplitude_gain)}"
             f" (at phi = {_fmt(cfg.phi_deg)} deg)\n"
         )
     out.write(

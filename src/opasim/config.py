@@ -58,6 +58,7 @@ class RunConfig:
             raise ValueError("band_sigma must be positive")
         # constructing the owned objects runs their validators
         self.grid()
+        self.convention()
         self.ensemble()
 
     # fmod is exact: whole turns are phase 0, and |degrees| < 360 keeps its bits
@@ -83,12 +84,7 @@ class RunConfig:
         return VacuumConvention(self.var_zp)
 
     def ensemble(self) -> EnsembleConfig:
-        return EnsembleConfig(
-            n_realizations=self.n_realizations,
-            seed=self.seed,
-            grid=self.grid(),
-            convention=self.convention(),
-        )
+        return EnsembleConfig(self.n_realizations, self.seed)
 
     def to_json(self) -> str:
         doc = {}

@@ -63,12 +63,10 @@ class VacuumConvention:
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Size, seed and conventions of a Monte-Carlo run."""
+    """Size and seed of a Monte-Carlo run."""
 
     n_realizations: int
     seed: int
-    grid: TimeGrid = TimeGrid()
-    convention: VacuumConvention = VacuumConvention()
 
     def __post_init__(self):
         if self.n_realizations < 2:
@@ -402,7 +400,7 @@ def medium_channel(
     rows, read-only, as every span shares them.
     """
     require_alias_free(grid, medium)
-    period = TimeGrid(channel_samples(medium), 1, grid.omega)
+    period = TimeGrid(channel_samples(medium), 1)
     pump = pump_trace(pump_b, pump_phase, period)
     pump.setflags(write=False)
     refs = (pump, *period.harmonic(1))

@@ -1,10 +1,11 @@
 """Canonical field representations: time grids, spectral lines, quadratures.
 
-All fields are dimensionless (normalized units). The fundamental angular
-frequency defaults to ``2*pi`` so that one fundamental period equals one
-time unit. Sampling is uniform and left-aligned with the endpoint of the
-last period excluded, which makes discrete trigonometric orthogonality
-exact and lock-in extraction leakage-free for band-limited signals.
+All fields are dimensionless (normalized units): one fundamental period
+is one time unit, so the fundamental angular frequency omega is 2*pi on
+every grid and is not a setting. Sampling is uniform and left-aligned
+with the endpoint of the last period excluded, which makes discrete
+trigonometric orthogonality exact and lock-in extraction leakage-free
+for band-limited signals.
 """
 
 from __future__ import annotations
@@ -29,37 +30,26 @@ class TimeGrid:
         Samples per fundamental period. Harmonic order k can only be
         represented without aliasing for k < samples_per_period / 2.
     n_periods : int
-        Number of fundamental periods covered by the grid.
-    omega : float
-        Fundamental angular frequency. Defaults to 2*pi (period = 1).
+        Number of fundamental periods covered by the grid, each one time
+        unit long.
     """
 
     samples_per_period: int = 64
     n_periods: int = 4
-    omega: float = TWO_PI
 
     def __post_init__(self):
         if self.samples_per_period < 1:
             raise ValueError("samples_per_period must be a positive integer")
         if self.n_periods < 1:
             raise ValueError("n_periods must be a positive integer")
-        if not (self.omega > 0.0 and 0.0 < self.period < math.inf):
-            raise ValueError(
-                f"omega must be positive with a finite period, got {self.omega!r}"
-            )
 
     @property
     def n_samples(self) -> int:
         return self.samples_per_period * self.n_periods
 
-    @property
-    def period(self) -> float:
-        return TWO_PI / self.omega
-
     def times(self) -> np.ndarray:
-        """Sample times t_n = n * period / samples_per_period, last endpoint excluded."""
-        step = self.period / self.samples_per_period
-        return np.arange(self.n_samples) * step
+        """Sample times t_n = n / samples_per_period, last endpoint excluded."""
+        return np.arange(self.n_samples) * (1.0 / self.samples_per_period)
 
     def phases(self) -> np.ndarray:
         """Fundamental phases omega * t_n in radians, modulo one period.
@@ -160,15 +150,6 @@ class QuadraturePair:
     @classmethod
     def from_amplitude_phase(cls, amplitude: float, phi: float) -> "QuadraturePair":
         return cls(amplitude * math.cos(phi), -amplitude * math.sin(phi))
-
-    @property
-    def amplitude(self) -> float:
-        return math.hypot(self.x1, self.x2)
-
-    @property
-    def phi(self) -> float:
-        """Carrier phase phi with x1 = A*cos(phi), x2 = -A*sin(phi)."""
-        return math.atan2(-self.x2, self.x1)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2])

@@ -86,19 +86,6 @@ def single_pass(
     return GaussianState(QuadraturePair(*mean), cov_t.T)
 
 
-def gain_of_phase(amplitude: float, phi: float, gain: PassGain) -> float:
-    """Output/input fundamental amplitude ratio for a carrier at phase phi.
-
-    Deamplified at phi = 0 (and 180 deg), amplified at phi = +-90 deg
-    when r > 0.
-    """
-    if not amplitude > 0.0:
-        raise ValueError("amplitude must be positive")
-    g1, g2 = gain.gains()
-    q_in = QuadraturePair.from_amplitude_phase(amplitude, phi)
-    return math.hypot(g1 * q_in.x1, g2 * q_in.x2) / amplitude
-
-
 def map_quadratures(
     pairs: np.ndarray, gain: PassGain, pump_phase: float = 0.0
 ) -> np.ndarray:

