@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +61,9 @@ def write_csv(stream, header, columns) -> None:
     stream.write(",".join(header) + "\n")
     # one template per row instead of one _fmt call per value
     row_format = ",".join([FLOAT_FORMAT] * len(columns)) + "\n"
-    for row in zip(*columns):
+    # tolist() makes every value a Python float in one call; iterating an
+    # array would box each one as a numpy scalar
+    for row in zip(*(column.tolist() for column in columns)):
         stream.write(row_format % row)
 
 
@@ -306,7 +308,15 @@ def cmd_config(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The opasim parser, built once per process.
+
+    It depends on nothing but the code, and parsing neither changes it nor
+    keeps a parsed value, so every :func:`main` call shares it. A parser
+    built per call would leave its ~100 actions behind as reference cycles
+    until the garbage collector's oldest generation runs.
+    """
     parser = argparse.ArgumentParser(
         prog="opasim",
         description="Simulator of optical parametric generation of squeezed light",

@@ -373,7 +373,12 @@ def _block_buffers(n_samples: int, count: int) -> list[np.ndarray]:
     (46 against 15 us for a (9, 4096) product, numpy 2.4 on a 2-vCPU
     x86-64 VM). Each buffer starts on a cache line
     (:func:`opasim.rng.aligned_empty`), and at CHUNK + 8 columns every
-    row does.
+    row does. Views 2048 columns wide or narrower run on a slower numpy
+    loop: an add on (6, w) views of the (6, 4104) buffers costs 1.2-1.3
+    ns per element for w <= 2048 against 0.27-0.31 ns for w >= 2049
+    (same VM), and a 2048-row span costs about 3.7 times as much per row
+    as a 4096-row one. The ragged last span takes that path (576 rows at
+    1e6), as does every ensemble of 2048 rows or fewer.
     """
     held = getattr(_held, "buffers", None)
     if held is None or held[0].shape[0] < n_samples or held[0].shape[1] <= count:

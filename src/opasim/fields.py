@@ -194,14 +194,16 @@ def synthesize_values(
     and the result is an (n_samples, m) samples-major block, one column per
     entry, summed by the same elementwise expressions on the harmonic rows
     taken as columns; each column has the bits of its own scalar call.
+    Each line is made in two buffers that every carrier reuses.
     """
     shape = grid.n_samples if width is None else (grid.n_samples, width)
     values = np.zeros(shape)
+    line, term = np.empty(shape), np.empty(shape)
     for comp in carriers:
         cos_k, sin_k = grid.harmonic(comp.k)
         if width is not None:
-            cos_k, sin_k = (np.broadcast_to(row[:, None], shape) for row in (cos_k, sin_k))
-        line = comp.c * cos_k
-        line += comp.s * sin_k
+            cos_k, sin_k = cos_k[:, None], sin_k[:, None]
+        np.multiply(comp.c, cos_k, out=line)
+        line += np.multiply(comp.s, sin_k, out=term)
         values += line
     return values

@@ -12,7 +12,8 @@ oracle-pipeline-equivalence and determinism; vacuum-scan-flat and
 heisenberg-symplectic read their two scans from one span loop over the
 configured ensemble. Each input is made by the first check that reads
 it, and none outlives the call. determinism resamples its shuffled
-slices itself: that sampling in another order is what it checks.
+slices, and the draws once more through channel_sums, itself: that
+sampling in another order, and that summing, is what it checks.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ from .ensemble import (
     default_thetas,
     det2,
     medium_channel,
+    pair_sums,
     propagate_ensemble,
     pump_trace,
+    run_spans,
     sample_state_array,
     squeezing_report,
     sums_scan,
@@ -120,7 +123,7 @@ def check_parseval(shared: SharedInputs) -> tuple[bool, str]:
     """Spectrum power equals series mean-square power to 1e-10 relative."""
     grid = shared.cfg.grid()
     block = _synthesized_lines(_random_lines(2, grid.max_harmonic()), grid)
-    # each column's np.mean(values**2), taken before the lock-in consumes it
+    # each column's np.mean(values**2)
     ms = _column_sums(block * block) / grid.n_samples
     spectra = spectrum_rows(block, grid, grid.max_harmonic())
     power = np.array([lines_mean_square(lines) for lines in spectra.tolist()])
@@ -342,11 +345,13 @@ def check_heisenberg_symplectic(shared: SharedInputs) -> tuple[bool, str]:
 
 
 def check_determinism(shared: SharedInputs) -> tuple[bool, str]:
-    """Span cuts and sampling order do not change the ensemble bitwise.
+    """Span cuts, sampling order and span order do not change the ensemble bitwise.
 
     The shared vacuum draws and their propagation are the reference; the
     shuffled slices are sampled again here, as that resampling is what
-    this check tests.
+    this check tests. Last, the draws' power sums from :func:`channel_sums`
+    must equal their spans' :func:`pair_sums` added here in span order:
+    the scan's bits depend on that order, which no statistical bound sees.
     """
     ens, pairs = shared.vacuum
     whole = shared.fixed_output
@@ -358,14 +363,25 @@ def check_determinism(shared: SharedInputs) -> tuple[bool, str]:
     if not np.array_equal(whole, cut):
         return False, "span cuts changed the propagated ensemble"
     # resampling a shuffled index set must reproduce the same rows
+    vacuum = GaussianState.vacuum(shared.cfg.convention())
     resampled = np.empty_like(pairs)
     for start in (7000, 0, 3000):
         count = min(4000, ens.n_realizations - start)
-        resampled[start : start + count] = sample_state_array(
-            GaussianState.vacuum(shared.cfg.convention()), ens, start, count
-        )
+        resampled[start : start + count] = sample_state_array(vacuum, ens, start, count)
     if not np.array_equal(pairs, resampled):
         return False, "sampling depends on evaluation order"
+    # the identity channel's sums to degree 4: 14 sums, where the 5 of
+    # degree 2 can all round alike in both orders (they do at var_zp = 1e10
+    # on the default seed)
+    [(sums, center)] = channel_sums(vacuum, ens, [(lambda span: span, 4)])
+    spans = run_spans(
+        lambda start, count: pair_sums(pairs[start : start + count], center, 4), len(pairs)
+    )
+    added = spans[0]
+    for span_sums in spans[1:]:  # in span order, one add at a time
+        added = added + span_sums
+    if not np.array_equal(sums, added):
+        return False, "channel_sums does not add the spans' sums in span order"
     return True, "bitwise identical across span cuts and shuffled sampling"
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -480,6 +481,55 @@ class TestOracleCommand:
         code, out, _ = run_cli(["oracle", "--A", "0", "--pump-phase-deg", phase], capsys)
         assert code == 0
         assert "mean out (x1, x2)   = 0, 0\n" in out
+
+
+class TestInProcessCalls:
+    """Many main() calls in one process, as scripts and the benchmark make them."""
+
+    N = ("--n-realizations", "1000")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", *N],
+            ["figure", "fig2", *N, "--outdir", "{tmp}"],
+            ["validate", "--n-realizations", "2000"],
+            ["spectrum"],
+            ["oracle"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_call_leaves_no_cyclic_garbage(self, argv, tmp_path, capsys):
+        # the parser is built once, so a call leaves nothing for the
+        # collector. config is left out: the indenting encoder of the
+        # standard json module leaves its own closures in cycles
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(argv) == 0  # warm-up: imports, caches, the parser
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        capsys.readouterr()
+
+    def test_a_seed_does_not_reach_the_next_call(self, tmp_path, capsys):
+        default = str(RunConfig().seed)
+        for name, seed in (("a", ["--seed", "5"]), ("b", []), ("c", ["--seed", default])):
+            assert main(["scan", *self.N, *seed, "-o", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        a, b, c = ((tmp_path / name).read_bytes() for name in "abc")
+        assert b == c != a
+
+    def test_an_outdir_does_not_reach_the_next_call(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        outdir = tmp_path / "x"
+        assert main(["figure", "fig2", *self.N, "--outdir", str(outdir)]) == 0
+        assert main(["figure", "fig1a", *self.N]) == 0
+        assert (tmp_path / "fig1a.csv").exists()
+        assert not (outdir / "fig1a.csv").exists()
+        capsys.readouterr()
 
 
 class TestEntryPoint:

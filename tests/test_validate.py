@@ -266,19 +266,18 @@ def test_stacked_lockin_checks_have_the_per_draw_worst_values(grid, monkeypatch)
     ids=lambda check: check.__name__,
 )
 def test_lockin_checks_do_not_sum_per_draw(check, monkeypatch):
-    # each check sums its columns in a few stacked passes; a loop over its
-    # draws would make at least one pass per draw
+    # each check locks in on all its draws in a few stacked passes; a loop
+    # over its draws would make at least one lock-in pass per draw
     calls = itertools.count()
-    column_sums = spectral._column_sums
+    lockin = spectral._lockin
 
-    def counted(block):
+    def counted(*args):
         next(calls)
-        return column_sums(block)
+        return lockin(*args)
 
-    monkeypatch.setattr(spectral, "_column_sums", counted)
-    monkeypatch.setattr(validate, "_column_sums", counted)
+    monkeypatch.setattr(spectral, "_lockin", counted)
     assert check(SharedInputs(RunConfig()))[0]
-    assert next(calls) < validate.LINE_DRAWS
+    assert 0 < next(calls) < validate.LINE_DRAWS
 
 
 def test_an_infinite_closed_form_fails(monkeypatch):
