@@ -57,12 +57,10 @@ def lockin_rows(
     ``block`` is (n_samples, m), one column per realization, and the
     references are rows of n_samples: c = (2/N) * sum block[n] * cos1[n]
     and s likewise. The m pairs go to ``out``, and the products to
-    ``scratch`` (a new one when not given), one reference at a time, summed
-    by whole-row adds (:func:`_lockin`). Each sum has the bits of
-    ``np.sum`` on that column alone, whatever m.
+    ``scratch`` when given, one reference at a time (:func:`_lockin`).
+    Each sum has the bits of ``np.sum`` on that column alone, whatever m.
     """
     out = np.empty((block.shape[1], 2)) if out is None else out
-    scratch = np.empty(block.shape) if scratch is None else scratch
     return _lockin(block, (cos1, sin1), 2.0 / n_samples, out, scratch)
 
 
@@ -71,22 +69,19 @@ def spectrum_rows(
 ) -> np.ndarray:
     """(c, s) of bins k = 0..k_max of each column of a samples-major block.
 
-    The result is (m, k_max + 1, 2), into ``out`` when given. The block is
-    copied once, transposed, so that each column is one contiguous trace:
-    DC is each trace's ``np.sum`` over n_samples, and the 2*k_max
-    reference rows go through one :func:`_lockin` on that copy, which
-    numpy's contiguous reduce sums. Column j's pairs have the bits of
-    :func:`lockin_extract` on that column alone: bins k >= 1 those of
-    :func:`lockin_rows`, and DC the column's ``np.mean``.
+    The result is (m, k_max + 1, 2), into ``out`` when given. All 2*k_max
+    reference rows go through one :func:`_lockin`, a few at a time, and
+    column j's pairs have the bits of :func:`lockin_extract` on that column
+    alone: bins k >= 1 those of :func:`lockin_rows`, and DC the column's
+    ``np.mean``, its :func:`_column_sums` over n_samples. Overwrites block.
     """
     m = block.shape[1]
     out = np.empty((m, k_max + 1, 2)) if out is None else out
-    traces = np.ascontiguousarray(block.T)
     references = [row for k in range(1, k_max + 1) for row in grid.harmonic(k)]
     # bins k >= 1 as (m, 2*k_max) columns: c1, s1, c2, s2, ...
     lines = np.reshape(out[:, 1:], (m, 2 * k_max), copy=False)
-    _lockin(traces.T, references, 2.0 / grid.n_samples, lines, None)
-    np.divide(traces.sum(axis=1), grid.n_samples, out=out[:, 0, 0])
+    _lockin(block, references, 2.0 / grid.n_samples, lines, None)
+    np.divide(_column_sums(block), grid.n_samples, out=out[:, 0, 0])
     out[:, 0, 1] = 0.0
     return out
 
@@ -101,36 +96,25 @@ def _lockin(
     """out[j, i] = scale * sum_n block[n, j] * references[i][n]: the one lock-in.
 
     ``block`` is (n_samples, m), ``references`` rows of n_samples and
-    ``out`` (m, len(references)); every sum has the bits of its own
-    column's ``np.sum``, whatever m. A given scratch is (n_samples, m), as
-    :func:`lockin_rows` passes. It takes one reference's products at a
-    time, which :func:`_column_sums` adds as whole rows, so the span
-    kernel's narrow 6- or 8-sample blocks need no copy. Without one, as
-    :func:`spectrum_rows` calls it, the block is taken as
-    (m, n_samples) traces, one contiguous copy unless its transpose is
-    already one, and each group of references that fits PRODUCT_ELEMENTS
-    multiplies them in one (m, g, n_samples) product, which numpy's
-    ``add.reduce`` sums along its contiguous last axis. That is the
-    pairwise order of ``np.sum`` on each trace by construction; it is not
-    numpy's sum over axis 0 of a samples-major block, whose order depends
-    on the width.
+    ``out`` (m, len(references)). The products of g references at a time
+    fill g column blocks of an (n_samples, g*m) scratch, which
+    :func:`_column_sums` sums, so every column keeps the bits of its own
+    ``np.sum``. A given scratch is (n_samples, m) and takes one reference
+    at a time; without one, g fills up to PRODUCT_ELEMENTS.
     """
-    if scratch is not None:
-        for i, reference in enumerate(references):
-            np.multiply(block, reference[:, None], out=scratch)
-            np.multiply(scale, _column_sums(scratch), out=out[:, i])
-        return out
-    traces = np.ascontiguousarray(block.T)
-    m, n = traces.shape
-    group = max(1, min(len(references), PRODUCT_ELEMENTS // max(traces.size, 1)))
-    stacked = np.array(references)
-    product = np.empty((m, group, n))
+    n, m = block.shape
+    if scratch is None:
+        group = max(1, min(len(references), PRODUCT_ELEMENTS // max(block.size, 1)))
+        scratch = np.empty((n, group * m))
+    else:
+        group = 1
     for lo in range(0, len(references), group):
-        refs = stacked[lo : lo + group]
-        step = product[:, : len(refs)]
-        np.multiply(traces[:, None], refs, out=step)
-        np.add.reduce(step, axis=2, out=out[:, lo : lo + len(refs)])
-    np.multiply(scale, out, out=out)
+        refs = references[lo : lo + group]
+        product = scratch[:, : len(refs) * m]
+        for i, reference in enumerate(refs):
+            np.multiply(block, reference[:, None], out=product[:, i * m : (i + 1) * m])
+        sums = _column_sums(product).reshape(len(refs), m)
+        np.multiply(scale, sums.T, out=out[:, lo : lo + len(refs)])
     return out
 
 
@@ -142,10 +126,6 @@ def _column_sums(block: np.ndarray) -> np.ndarray:
     axis 0 of a wider block numpy adds in another order, which depends on
     the width, so those adds are made here as whole-row adds, and every
     column, a lone one too, gets the bits of its own series' sum.
-    :func:`lockin_rows`' products (the span kernel's narrow blocks and
-    one-period-lockin's) and parseval's squares are summed here;
-    :func:`spectrum_rows` copies its block to contiguous traces, which
-    numpy's own reduce sums in this order (:func:`_lockin`).
     """
     row = _pairwise_rows(block)
     row += 0.0  # the initial +0.0, which turns a -0.0 sum into +0.0

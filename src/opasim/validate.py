@@ -123,7 +123,7 @@ def check_parseval(shared: SharedInputs) -> tuple[bool, str]:
     """Spectrum power equals series mean-square power to 1e-10 relative."""
     grid = shared.cfg.grid()
     block = _synthesized_lines(_random_lines(2, grid.max_harmonic()), grid)
-    # each column's np.mean(values**2)
+    # each column's np.mean(values**2), taken before the lock-in consumes it
     ms = _column_sums(block * block) / grid.n_samples
     spectra = spectrum_rows(block, grid, grid.max_harmonic())
     power = np.array([lines_mean_square(lines) for lines in spectra.tolist()])

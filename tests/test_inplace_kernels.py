@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
-from opasim import ensemble, spectral
+from opasim import ensemble
 from opasim.ensemble import (
     lockin_rows,
     medium_channel,
@@ -30,7 +30,6 @@ from opasim.medium import (
     polynomial_values,
     transfer_values,
 )
-from opasim.spectral import spectrum_rows
 
 GRID = TimeGrid(64, 4)
 ROWS = 131
@@ -192,29 +191,6 @@ def test_lockin_rows_sums_each_column_as_np_sum(n_samples, width):
     wide = np.empty((n_samples, width + 8))
     wide[:, :width] = block
     assert same_bits(lockin_rows(wide[:, :width], cos1, sin1, n_samples), want)
-
-
-@pytest.mark.parametrize("n_samples", [9, 13, 64, 127, 128, 129, 256, 381, 1024])
-@pytest.mark.parametrize("width", [1, 25, 128, 512])
-def test_transposed_lockin_sums_each_trace_as_np_sum(n_samples, width):
-    # spectrum_rows' path: without a scratch, _lockin copies the block to
-    # contiguous traces and numpy's add.reduce sums each along its last axis
-    rng = np.random.default_rng(n_samples * 10_000 + width)
-    block = rng.normal(size=(n_samples, width)) * 10.0 ** rng.integers(-5, 5, (n_samples, width))
-    if width > 1:
-        block[:, 0] = 0.0
-        block[:, 1] = -0.0
-    references = list(rng.normal(size=(7, n_samples)))
-    scale = 2.0 / n_samples
-    want = np.array([[scale * np.sum(trace * ref) for ref in references] for trace in block.T])
-    got = spectral._lockin(block, references, scale, np.empty((width, 7)), None)
-    assert same_bits(got, want)
-    # a -0.0 trace sums to +0.0 in both orders, as np.sum's initial +0.0 makes it
-    assert width == 1 or got[1].view(np.uint64).tolist() == [0] * 7
-    # and DC, the traces' own sums, as spectrum_rows takes it
-    grid = TimeGrid(n_samples, 1)
-    dc = spectrum_rows(block, grid, 1)[:, 0, 0]
-    assert same_bits(dc, np.array([np.sum(trace) / n_samples for trace in block.T]))
 
 
 @pytest.mark.parametrize("medium", MEDIA, ids=_medium_id)

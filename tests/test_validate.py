@@ -266,16 +266,17 @@ def test_stacked_lockin_checks_have_the_per_draw_worst_values(grid, monkeypatch)
     ids=lambda check: check.__name__,
 )
 def test_lockin_checks_do_not_sum_per_draw(check, monkeypatch):
-    # each check locks in on all its draws in a few stacked passes; a loop
-    # over its draws would make at least one lock-in pass per draw
+    # each check sums its columns in a few stacked passes; a loop over its
+    # draws would make at least one pass per draw
     calls = itertools.count()
-    lockin = spectral._lockin
+    column_sums = spectral._column_sums
 
-    def counted(*args):
+    def counted(block):
         next(calls)
-        return lockin(*args)
+        return column_sums(block)
 
-    monkeypatch.setattr(spectral, "_lockin", counted)
+    monkeypatch.setattr(spectral, "_column_sums", counted)
+    monkeypatch.setattr(validate, "_column_sums", counted)
     assert check(SharedInputs(RunConfig()))[0]
     assert 0 < next(calls) < validate.LINE_DRAWS
 
