@@ -484,7 +484,7 @@ class TestOracleCommand:
 
 
 class TestInProcessCalls:
-    """Many main() calls in one process, as scripts and the benchmark make them."""
+    """Many main() calls in one process, as perfbench's closed loop makes them."""
 
     N = ("--n-realizations", "1000")
 
