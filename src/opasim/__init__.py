@@ -12,13 +12,11 @@ else is imported from its module.
 from .cli import run_scan
 from .config import RunConfig
 from .ensemble import squeezing_report
-from .medium import SusceptibilityProfile
 
 __version__ = "0.1.0"
 
 __all__ = [
     "RunConfig",
-    "SusceptibilityProfile",
     "run_scan",
     "squeezing_report",
 ]

@@ -1,12 +1,13 @@
 """Run configuration: one JSON document describes a complete experiment.
 
-The fields of :class:`RunConfig` (with the medium constants of
-:class:`SusceptibilityProfile`) are the only list of run values; the JSON
-document, :func:`with_overrides` and the CLI flags are derived from them
-through :data:`RUN_FIELDS`. Unknown keys are rejected at every level so
-that a typo cannot silently fall back to a default, and every value is
-type-checked strictly. All state flows through the config (plus explicit
-CLI overrides) - there are no environment variables.
+The fields of :class:`RunConfig`, the medium constants among them, are
+the only list of run values; the JSON document, :func:`with_overrides`
+and the CLI flags are derived from them through :data:`RUN_FIELDS`.
+Unknown keys are rejected at every level so that a typo cannot silently
+fall back to a default. A RunConfig checks itself when it is built,
+however it is built: every value's type first, then every bound,
+the grid's alias bound for the medium last. All state flows through the
+config (plus explicit CLI overrides) - there are no environment variables.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import NamedTuple, get_type_hints
 
 from .ensemble import EnsembleConfig, VacuumConvention, default_thetas
 from .fields import TimeGrid
-from .medium import SusceptibilityProfile
+from .medium import SusceptibilityProfile, require_alias_free
 from .oracle import MODES
 
 
@@ -36,7 +37,10 @@ def _run_field(default, help=None, *, section=None, choices=None):
 
 @dataclass(frozen=True)
 class RunConfig:
-    medium: SusceptibilityProfile = SusceptibilityProfile(chi1=1.0, chi2=0.5)
+    chi1: float = _run_field(1.0, "linear susceptibility", section="medium")
+    chi2: float = _run_field(0.5, "quadratic susceptibility", section="medium")
+    chi3: float = _run_field(0.0, "cubic susceptibility", section="medium")
+    eps0: float = _run_field(1.0, "permittivity scale", section="medium")
     A: float = _run_field(0.0, "fundamental amplitude")
     phi_deg: float = _run_field(0.0, "fundamental phase (degrees)")
     B: float = _run_field(1.0, "pump amplitude")
@@ -52,14 +56,17 @@ class RunConfig:
 
     def __post_init__(self):
         for f in RUN_FIELDS:
-            f.check(f.get(self))
+            f.check(getattr(self, f.name))
+        # constructing the owned objects runs their validators
+        medium = self.medium
         default_thetas(self.thetas)  # holds the bound on the phase count
         if not self.band_sigma > 0.0:
             raise ValueError("band_sigma must be positive")
-        # constructing the owned objects runs their validators
-        self.grid()
+        grid = self.grid()
         self.convention()
         self.ensemble()
+        # one bound for every subcommand, whether or not it traces the medium
+        require_alias_free(grid, medium)
 
     # fmod is exact: whole turns are phase 0, and |degrees| < 360 keeps its bits
     @property
@@ -73,9 +80,14 @@ class RunConfig:
     @property
     def pump_ratio(self) -> float:
         """Normalized pump strength r = chi2 * B / chi1."""
-        if self.medium.chi1 <= 0.0:
+        if self.chi1 <= 0.0:
             raise ValueError("pump ratio requires chi1 > 0")
-        return self.medium.chi2 * self.B / self.medium.chi1
+        return self.chi2 * self.B / self.chi1
+
+    @property
+    def medium(self) -> SusceptibilityProfile:
+        """The medium constants as one profile, built anew like :meth:`grid`."""
+        return SusceptibilityProfile(self.chi1, self.chi2, self.chi3, self.eps0)
 
     def grid(self) -> TimeGrid:
         return TimeGrid(self.samples_per_period, self.n_periods)
@@ -90,24 +102,18 @@ class RunConfig:
         doc = {}
         for f in RUN_FIELDS:
             section = doc if f.section is None else doc.setdefault(f.section, {})
-            section[f.name] = f.type(f.get(self))
+            section[f.name] = f.type(getattr(self, f.name))
         return json.dumps(doc, indent=2) + "\n"
 
 
 class RunField(NamedTuple):
-    """One settable run value: a leaf of the JSON document and a CLI flag.
-
-    Leaves of the "medium" section are held by ``RunConfig.medium``.
-    """
+    """One settable run value: a leaf of the JSON document and a CLI flag."""
 
     name: str
     type: type  # int, float or str
     section: str | None  # enclosing JSON object; None for the top level
     help: str | None
     choices: tuple[str, ...] | None  # required for str fields
-
-    def get(self, cfg: RunConfig):
-        return getattr(cfg.medium if self.section == "medium" else cfg, self.name)
 
     def check(self, value) -> None:
         """Raise ConfigError unless value has exactly this field's type.
@@ -130,33 +136,16 @@ class RunField(NamedTuple):
             raise ConfigError(f"{self.name} must be finite, got {value!r}")
 
 
-def _run_fields():
-    """RunConfig's fields in order, the medium expanded into its constants."""
-    hints = {**get_type_hints(RunConfig), **get_type_hints(SusceptibilityProfile)}
-    for f in fields(RunConfig):
-        if f.name == "medium":
-            for m in fields(SusceptibilityProfile):
-                help_text = m.metadata["help"]
-                yield RunField(m.name, hints[m.name], "medium", help_text, None)
-        else:
-            meta = f.metadata
-            yield RunField(
-                f.name, hints[f.name], meta["section"], meta["help"], meta["choices"]
-            )
-
-
-RUN_FIELDS = tuple(_run_fields())
+_HINTS = get_type_hints(RunConfig)
+RUN_FIELDS = tuple(
+    RunField(f.name, _HINTS[f.name], **f.metadata) for f in fields(RunConfig)
+)
 
 
 def _replace(cfg: RunConfig, values: dict) -> RunConfig:
     """cfg with the run fields named in values replaced, validated."""
-    top, medium = {}, {}
-    for f in RUN_FIELDS:
-        if f.name in values:
-            f.check(values[f.name])  # before the medium's range checks see it
-            (medium if f.section == "medium" else top)[f.name] = values[f.name]
     try:
-        return replace(cfg, medium=replace(cfg.medium, **medium), **top)
+        return replace(cfg, **values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -193,11 +182,7 @@ def from_json(text: str) -> RunConfig:
 
 
 def with_overrides(cfg: RunConfig, **overrides) -> RunConfig:
-    """Rebuild a config with selected fields replaced (None means keep).
-
-    Fields are named as in RUN_FIELDS, so medium constants are addressed
-    as chi1/chi2/chi3/eps0.
-    """
+    """Rebuild a config with selected fields replaced (None means keep)."""
     unknown = set(overrides) - {f.name for f in RUN_FIELDS}
     if unknown:
         raise ConfigError(f"unknown override: {', '.join(sorted(unknown))}")

@@ -27,12 +27,7 @@ import numpy as np
 
 from . import rng
 from .fields import QuadraturePair, TimeGrid, pump_carrier
-from .medium import (
-    SusceptibilityProfile,
-    channel_samples,
-    require_alias_free,
-    transfer_values,
-)
+from .medium import SusceptibilityProfile, channel_samples, transfer_values
 from .spectral import lockin_rows
 
 # rows per span: the kernel block and the group of the scan and figure
@@ -388,23 +383,20 @@ def _block_buffers(n_samples: int, count: int) -> list[np.ndarray]:
 
 
 def medium_channel(
-    pump_b: float,
-    pump_phase: float,
-    medium: SusceptibilityProfile,
-    grid: TimeGrid,
+    pump_b: float, pump_phase: float, medium: SusceptibilityProfile
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The k = 1 output pairs of the pumped medium for a span of input pairs.
 
-    ``grid`` is checked here (:func:`require_alias_free`), before anything
-    is sampled. The channel then traces one period of
-    :func:`channel_samples` samples: the input field and the pump repeat
-    every period and the medium is memoryless, so every later period of
-    an output trace repeats the first, and the k = 1 lock-in is exact on
-    one period on which no harmonic the medium radiates folds onto the
-    fundamental. The pump and the lock-in references are that period's
-    rows, read-only, as every span shares them.
+    The channel traces one period of :func:`channel_samples` samples: the
+    input field and the pump repeat every period and the medium is
+    memoryless, so every later period of an output trace repeats the
+    first, and the k = 1 lock-in is exact on one period on which no
+    harmonic the medium radiates folds onto the fundamental. So its
+    output is the k = 1 bin of any alias-free grid's trace (a
+    :class:`~opasim.config.RunConfig` checks its own grid). The pump and
+    the lock-in references are that period's rows, read-only, as every
+    span shares them.
     """
-    require_alias_free(grid, medium)
     period = TimeGrid(channel_samples(medium), 1)
     pump = pump_trace(pump_b, pump_phase, period)
     pump.setflags(write=False)
@@ -459,21 +451,19 @@ def propagate_ensemble(
     pump_b: float,
     pump_phase: float,
     medium: SusceptibilityProfile,
-    grid: TimeGrid,
 ) -> np.ndarray:
     """Propagate an (n, 2) ensemble through the medium, span by span.
 
-    Each span goes through :func:`medium_channel`, which checks ``grid``
-    and traces one period on which the k = 1 lock-in is exact
-    (:func:`channel_samples` samples: 6 for chi2, 8 for chi3). So the
-    result is bitwise independent of ``grid.samples_per_period`` and
-    ``grid.n_periods``. The result is the concatenation of the spans'
-    outputs (:func:`run_spans`), each row its own realization's, so it is
-    bitwise independent of CHUNK too. It holds the outputs and the result
-    at once, and runs on one process, as the last span's output is short.
+    Each span goes through :func:`medium_channel`, which traces one period
+    on which the k = 1 lock-in is exact (:func:`channel_samples` samples:
+    6 for chi2, 8 for chi3). The result is the concatenation of the
+    spans' outputs (:func:`run_spans`), each row its own realization's, so
+    it is bitwise independent of CHUNK. It holds the outputs and the
+    result at once, and runs on one process, as the last span's output is
+    short.
     """
     pairs = _as_pair_array(pairs)
-    channel = medium_channel(pump_b, pump_phase, medium, grid)
+    channel = medium_channel(pump_b, pump_phase, medium)
 
     def work(start, count):
         return channel(pairs[start : start + count])
@@ -611,16 +601,22 @@ def squeezing_report(
     mid = (a + b)/2 and R = hypot((a - b)/2, c), whatever the thetas: v_max
     = mid + R, and v_min = (a*b - c^2)/v_max, as mid - R cancels. theta_min
     is in (-pi/2, pi/2], 0 for a round state; theta_max = theta_min + pi/2.
-    Negative squeeze_db means squeezing.
+    Negative squeeze_db means squeezing. An all-zero covariance (v_max =
+    0) has no extrema to report and raises ValueError.
     """
     (a, c), (_, b) = scan.cov.tolist()
     half = 0.5 * (a - b)
     v_max = 0.5 * (a + b) + math.hypot(half, c)
+    var_zp = convention.var_zp
+    if not v_max > 0.0:
+        raise ValueError(
+            f"the scan's covariance is all zero: its noise (var_zp = {var_zp!r}) "
+            "is lost below the rounding of the field"
+        )
     # each product scaled by v_max first, so that no product overflows
     v_min = max(a * (b / v_max) - c * (c / v_max), 0.0)
     # 0.0 - x is +0.0 for either zero: theta_min is never -0.0 or -pi/2
     theta_min = 0.5 * math.atan2(0.0 - c, 0.0 - half)
-    var_zp = convention.var_zp
     return SqueezingReport(
         v_min=v_min,
         theta_min=theta_min,

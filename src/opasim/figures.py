@@ -164,13 +164,14 @@ def _trace_table(name: str, cfg: RunConfig, mean, var) -> FigureTable:
 def _pipeline_tables(
     name: str, cfg: RunConfig, period: TimeGrid, workers: int
 ) -> list[FigureTable]:
-    PassGain(cfg.pump_ratio, cfg.mode)  # the threshold check every subcommand makes
+    # the threshold check that scan, oracle and the pumped fig1 states make
+    PassGain(cfg.pump_ratio, cfg.mode)
     state = figure_state(name, cfg)
     convention = cfg.convention()
     n = cfg.n_realizations
     # the output band reads the pairs' power sums up to twice the medium's degree
     degree = 2 * polynomial_degree(cfg.medium)
-    channel = medium_channel(cfg.B, cfg.pump_phase, cfg.medium, period)
+    channel = medium_channel(cfg.B, cfg.pump_phase, cfg.medium)
     (in_sums, center), (out_sums, out_center) = channel_sums(
         state, cfg.ensemble(), [(_identity, degree), (channel, 2)], workers
     )

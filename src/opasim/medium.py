@@ -10,7 +10,7 @@ vacuum level.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +23,10 @@ class SusceptibilityProfile:
     polarization orders can be isolated in analysis runs, but output
     normalization then becomes undefined and is rejected."""
 
-    chi1: float = field(default=1.0, metadata={"help": "linear susceptibility"})
-    chi2: float = field(default=0.0, metadata={"help": "quadratic susceptibility"})
-    chi3: float = field(default=0.0, metadata={"help": "cubic susceptibility"})
-    eps0: float = field(default=1.0, metadata={"help": "permittivity scale"})
+    chi1: float = 1.0
+    chi2: float = 0.0
+    chi3: float = 0.0
+    eps0: float = 1.0
 
     def __post_init__(self):
         # a subnormal eps0 or output divisor eps0*chi1 has lost bits

@@ -44,7 +44,12 @@ from .ensemble import (
     synthesize_rows,
 )
 from .fields import HarmonicComponent, TimeGrid, synthesize_values
-from .medium import SusceptibilityProfile, channel_samples, transfer_values
+from .medium import (
+    SusceptibilityProfile,
+    channel_samples,
+    require_alias_free,
+    transfer_values,
+)
 from .oracle import PassGain, map_quadratures, single_pass
 from .rng import uniforms
 from .spectral import (
@@ -140,11 +145,10 @@ LOW = (0.0, 0.0, 0.0, 0.0, 0.5, -1.0, 0.5)
 HIGH = (2.0, 2.0, 2 * math.pi, 2 * math.pi, 2.0, 1.0, 2.0)
 
 
-def _closed_form_spectra(grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(draws, numeric, predicted) of the closed-form check, one row per draw.
+def _closed_form_spectra(grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(numeric, predicted) of the closed-form check, one row per draw.
 
-    draws is (DRAWS, 7). numeric and predicted are (DRAWS, 5, 2), bins
-    k = 0..4 at chi3 = 0: :func:`~opasim.spectral.pumped_spectrum` one block
+    Both are (DRAWS, 5, 2), bins k = 0..4 at chi3 = 0: :func:`~opasim.spectral.pumped_spectrum` one block
     at a time, and :func:`~opasim.spectral.predict_spectrum` on all draws.
     Each row has the bits of that draw's scalar pipeline and closed form.
     """
@@ -158,7 +162,7 @@ def _closed_form_spectra(grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.nda
     predicted = np.empty((DRAWS, 5, 2))
     for k, line in enumerate(predict_spectrum(a, b, phi, psi, chi1, chi2, 0.0)[:5]):
         predicted[:, k, 0], predicted[:, k, 1] = line
-    return draws, numeric, predicted
+    return numeric, predicted
 
 
 def _closed_form_worst(numeric: np.ndarray, predicted: np.ndarray) -> tuple[float, str | None]:
@@ -187,7 +191,7 @@ def check_closed_form_equivalence(shared: SharedInputs) -> tuple[bool, str]:
     the first; multi-period extraction is checked by lockin-exactness and
     parseval on the whole grid.
     """
-    _, numeric, predicted = _closed_form_spectra(replace(shared.cfg.grid(), n_periods=1))
+    numeric, predicted = _closed_form_spectra(replace(shared.cfg.grid(), n_periods=1))
     worst, failure = _closed_form_worst(numeric, predicted)
     if failure is not None:
         return False, failure
@@ -221,7 +225,7 @@ class SharedInputs:
     def fixed_output(self) -> np.ndarray:
         """The vacuum draws propagated through FIXED_MEDIUM at B = 1."""
         _, pairs = self.vacuum
-        return propagate_ensemble(pairs, 1.0, 0.0, FIXED_MEDIUM, self.cfg.grid())
+        return propagate_ensemble(pairs, 1.0, 0.0, FIXED_MEDIUM)
 
     @cached_property
     def scans(self) -> tuple[QuadratureScan, QuadratureScan]:
@@ -232,7 +236,7 @@ class SharedInputs:
         --mode symplectic`` samples it.
         """
         cfg = self.cfg
-        flat = medium_channel(0.0, 0.0, replace(cfg.medium, chi3=0.0), cfg.grid())
+        flat = medium_channel(0.0, 0.0, replace(cfg.medium, chi3=0.0))
         symplectic = partial(map_quadratures, gain=SYMPLECTIC)
         vacuum = GaussianState.vacuum(cfg.convention())
         results = channel_sums(vacuum, cfg.ensemble(), [(flat, 2), (symplectic, 2)])
@@ -277,10 +281,9 @@ def check_one_period_lockin(shared: SharedInputs) -> tuple[bool, str]:
     """
     cfg = shared.cfg
     _, pairs = shared.vacuum
-    grid = cfg.grid()
-    out = propagate_ensemble(pairs, cfg.B, cfg.pump_phase, cfg.medium, grid)
+    out = propagate_ensemble(pairs, cfg.B, cfg.pump_phase, cfg.medium)
     # one configured period's own lock-in, 512 realizations at a time
-    period = replace(grid, n_periods=1)
+    period = replace(cfg.grid(), n_periods=1)
     pump = pump_trace(cfg.B, cfg.pump_phase, period)
     cos1, sin1 = period.harmonic(1)
     full = np.empty_like(pairs)
@@ -356,7 +359,7 @@ def check_determinism(shared: SharedInputs) -> tuple[bool, str]:
     ens, pairs = shared.vacuum
     whole = shared.fixed_output
     # uneven slices in shuffled order, so the spans start off the CHUNK grid
-    channel = medium_channel(1.0, 0.0, FIXED_MEDIUM, shared.cfg.grid())
+    channel = medium_channel(1.0, 0.0, FIXED_MEDIUM)
     cut = np.empty_like(pairs)
     for rows in (slice(7000, None), slice(0, 3000), slice(3000, 7000)):
         cut[rows] = channel(pairs[rows])
@@ -398,6 +401,15 @@ CHECKS: tuple[tuple[str, Check], ...] = (
 
 
 def run_all(cfg: RunConfig) -> list[tuple[str, bool, str]]:
-    """(name, ok, detail) of every check, in order, on one run's shared inputs."""
+    """(name, ok, detail) of every check, in order, on one run's shared inputs.
+
+    The checks pump chi2 media (FIXED_MEDIUM and the closed-form draws) on
+    the configured grid and read its bins up to k = 4, whatever medium it
+    is configured for, so the grid must resolve a chi2 medium's output.
+    """
+    try:
+        require_alias_free(cfg.grid(), FIXED_MEDIUM)
+    except ValueError as exc:
+        raise ValueError(f"validate's checks pump a chi2 medium: {exc}") from None
     shared = SharedInputs(cfg)
     return [(name, *check(shared)) for name, check in CHECKS]

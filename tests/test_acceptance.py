@@ -126,7 +126,7 @@ def test_c3_per_realization_oracle_equivalence():
     medium = SusceptibilityProfile(chi1=1.0, chi2=0.5)  # r = 0.5 with B = 1
     ens = EnsembleConfig(10_000, SEED)
     pairs = sample_state_array(GaussianState.vacuum(VAC), ens)
-    out = propagate_ensemble(pairs, 1.0, 0.0, medium, GRID)
+    out = propagate_ensemble(pairs, 1.0, 0.0, medium)
     expected = pairs * np.array([0.5, 1.5])
     worst = float(np.max(np.abs(out - expected)))
     report(
@@ -147,9 +147,7 @@ def test_c4_phase_rule():
             q = QuadraturePair.from_amplitude_phase(1.0, phi)
             mean = single_pass(GaussianState.coherent(q, VAC), gain).mean
             analytic = math.hypot(mean.x1, mean.x2)
-            out = propagate_ensemble(
-                np.array([[q.x1, q.x2]]), 1.0, 0.0, medium, GRID
-            )[0]
+            out = propagate_ensemble(np.array([[q.x1, q.x2]]), 1.0, 0.0, medium)[0]
             numeric = math.hypot(out[0], out[1])
             worst = max(worst, abs(analytic - expected), abs(numeric - expected))
     report(
@@ -167,14 +165,14 @@ def test_c5_squeezing_statistics():
     ens = EnsembleConfig(n, SEED)
     pairs = sample_state_array(GaussianState.vacuum(VAC), ens)
 
-    out = propagate_ensemble(pairs, 1.0, 0.0, medium, GRID)
+    out = propagate_ensemble(pairs, 1.0, 0.0, medium)
     scan = variance_scan(out, default_thetas(181))
     rep = squeezing_report(scan, VAC)
     ok_min = abs(rep.v_min / VAC.var_zp - 0.25) <= 0.25 * 0.02
     ok_max = abs(rep.v_max / VAC.var_zp - 2.25) <= 2.25 * 0.02
     ok_db = abs(rep.squeeze_db - (-6.0206)) <= 0.09
 
-    control = propagate_ensemble(pairs, 0.0, 0.0, medium, GRID)
+    control = propagate_ensemble(pairs, 0.0, 0.0, medium)
     rep0 = squeezing_report(variance_scan(control, default_thetas(181)), VAC)
     ok_flat = abs(rep0.squeeze_db) <= 0.09 and abs(rep0.antisqueeze_db) <= 0.09
 

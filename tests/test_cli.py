@@ -49,7 +49,7 @@ class TestConfigCommand:
 
     @pytest.mark.parametrize("run_field", RUN_FIELDS, ids=lambda f: f.name)
     def test_every_field_has_a_json_key_and_a_flag(self, run_field, capsys):
-        default = run_field.get(RunConfig())
+        default = getattr(RunConfig(), run_field.name)
         if run_field.choices:
             value = next(c for c in run_field.choices if c != default)
         else:
@@ -176,6 +176,16 @@ class TestScanCommand:
         variances = [float(line.split(",")[1]) for line in lines[1:]]
         assert max(abs(v - 1.0) for v in variances) < 0.1
         assert "squeeze" in err
+
+    @pytest.mark.parametrize("var_zp", ["1e-150", "1e-40"])
+    def test_noise_lost_to_rounding_is_config_error(self, var_zp, tmp_path, capsys):
+        # the noise vanishes when it is added to the unit pump
+        target = tmp_path / "scan.csv"
+        argv = ["scan", "--var-zp", var_zp, "--n-realizations", "2000", "-o", str(target)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert "error: the scan's covariance is all zero" in err
+        assert not target.exists()
 
     def test_squeezed_scan_summary(self, capsys):
         code, out, err = run_cli(
@@ -407,6 +417,15 @@ class TestValidateCommand:
         assert code == 0
         assert "PASS vacuum-scan-flat" in out
         assert "PASS one-period-lockin: 8-sample period vs 64x1 grid" in out
+
+    @pytest.mark.parametrize("samples", ["5", "6", "7", "8"])
+    def test_grid_below_the_checks_floor_is_config_error(self, samples, capsys):
+        # a linear medium accepts these grids, but the checks pump chi2 media
+        argv = ["validate", "--chi2", "0", "--samples-per-period", samples]
+        code, out, err = run_cli([*argv, "--n-periods", "1"], capsys)
+        assert code == 2 and out == ""
+        assert "error: validate's checks pump a chi2 medium: " in err
+        assert f"samples_per_period = {samples} aliases" in err and "greater than 8" in err
 
     def test_validate_passes_on_a_linear_medium(self, capsys):
         code, out, _ = run_cli(["validate", "--chi2", "0"], capsys)
@@ -660,6 +679,22 @@ class TestRunGuards:
         assert out == "" and list(tmp_path.iterdir()) == []
         assert f"samples_per_period = {spp} " in err
         assert f"greater than {limit}" in err
+
+    def test_aliasing_config_document_is_config_error(self, tmp_path, capsys):
+        # the document is a RunConfig of its own, checked before any flag, as
+        # every bound is: --chi2 0 would make its grid alias-free
+        path = tmp_path / "run.json"
+        path.write_text('{"grid": {"samples_per_period": 6}}')
+        code, out, err = run_cli(["config", "--config", str(path), "--chi2", "0"], capsys)
+        assert code == 2 and out == ""
+        assert "samples_per_period = 6 aliases" in err
+        path.write_text('{"band_sigma": -1}')
+        code, out, err = run_cli(["config", "--config", str(path), "--band-sigma", "1"], capsys)
+        assert code == 2 and out == ""
+        assert "band_sigma must be positive" in err
+        # the same values as flags alone are one config
+        code, out, _ = run_cli(["config", "--samples-per-period", "6", "--chi2", "0"], capsys)
+        assert code == 0 and json.loads(out)["grid"]["samples_per_period"] == 6
 
     @pytest.mark.parametrize(
         "argv",

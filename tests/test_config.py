@@ -128,6 +128,19 @@ def test_pump_ratio():
     assert cfg.pump_ratio == pytest.approx(0.5)
 
 
+def test_python_built_config_checks_its_grid():
+    # the default chi2 medium radiates up to k = 4, which 6 samples alias
+    with pytest.raises(ValueError, match="samples_per_period = 6 aliases"):
+        RunConfig(samples_per_period=6)
+    assert RunConfig(samples_per_period=6, chi2=0.0).medium.chi2 == 0.0
+
+
+def test_medium_is_built_from_the_run_fields():
+    cfg = RunConfig(chi1=1.5, chi2=0.25, chi3=0.125, eps0=2.0, samples_per_period=13)
+    medium = cfg.medium
+    assert (medium.chi1, medium.chi2, medium.chi3, medium.eps0) == (1.5, 0.25, 0.125, 2.0)
+
+
 def test_derived_objects():
     cfg = RunConfig()
     assert cfg.grid().n_samples == 64 * 4

@@ -208,7 +208,7 @@ def test_channel_references_are_read_only_period_rows(monkeypatch):
     rows = []
     monkeypatch.setattr(ensemble, "propagate_span", lambda *args: rows.extend(args[1:4]))
     medium = SusceptibilityProfile(chi1=1.0, chi2=0.5, chi3=0.05)
-    medium_channel(1.0, 0.3, medium, GRID)(np.zeros((1, 2)))
+    medium_channel(1.0, 0.3, medium)(np.zeros((1, 2)))
     # one period of the channel's samples, 8 for chi3
     period = TimeGrid(channel_samples(medium), 1)
     want = (pump_trace(1.0, 0.3, period), *period.harmonic(1))
@@ -219,7 +219,7 @@ def test_channel_references_are_read_only_period_rows(monkeypatch):
 
 def test_spans_reuse_the_thread_buffers(pairs, monkeypatch):
     monkeypatch.setattr(ensemble, "CHUNK", ROWS)
-    channel = medium_channel(1.0, 0.3, MEDIA[0], GRID)
+    channel = medium_channel(1.0, 0.3, MEDIA[0])
     samples = channel_samples(MEDIA[0])
     with np.errstate(all="ignore"):
         want = channel(pairs)

@@ -234,7 +234,7 @@ def _propagated():
     cfg = with_overrides(RunConfig(), n_realizations=N)
     # a squeezed state has a non-diagonal noise matrix
     pairs = sample_state_array(figure_state("fig1b", cfg), cfg.ensemble())
-    return propagate_ensemble(pairs, cfg.B, cfg.pump_phase, cfg.medium, cfg.grid())
+    return propagate_ensemble(pairs, cfg.B, cfg.pump_phase, cfg.medium)
 
 
 def _on_threads(run, workers):

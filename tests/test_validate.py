@@ -110,12 +110,11 @@ def _grid_id(grid):
 
 @pytest.mark.parametrize("grid", GRIDS, ids=_grid_id)
 def test_batched_check_has_the_scalar_pipelines_bits(grid):
-    draws, numeric, predicted, worst, verdict = _scalar_check(grid)
+    _, numeric, predicted, worst, verdict = _scalar_check(grid)
     got = validate._closed_form_spectra(grid)
-    assert _bits(got[0]) == _bits(draws)
-    assert _bits(got[1]) == _bits(numeric)
-    assert _bits(got[2]) == _bits(predicted)
-    assert validate._closed_form_worst(got[1], got[2]) == (worst, None)
+    assert _bits(got[0]) == _bits(numeric)
+    assert _bits(got[1]) == _bits(predicted)
+    assert validate._closed_form_worst(*got) == (worst, None)
     cfg = RunConfig(samples_per_period=grid.samples_per_period, n_periods=grid.n_periods)
     assert verdict[0]
     assert validate.check_closed_form_equivalence(SharedInputs(cfg)) == verdict
