@@ -141,18 +141,15 @@ def _require_quadratic(cfg: RunConfig, command: str) -> None:
         raise ConfigError(f"{command} requires chi3 = 0 (no closed form kept)")
 
 
-def cmd_spectrum(args) -> int:
-    cfg = _load_config(args)
+def cmd_spectrum(cfg: RunConfig, args) -> int:
     medium, grid = cfg.medium, cfg.grid()
     # one draw through the pipeline, every bin the grid resolves up to k = 6
     draw = (cfg.A, cfg.B, cfg.phi, cfg.pump_phase, medium.chi1, medium.chi2)
     a, b, phi, psi, chi1, chi2, eps0 = np.array([*draw, medium.eps0])[:, None]
     k_max = min(6, grid.max_harmonic())
-    # an overflowing input reaches the gate as NaN, which fails it; numpy's
-    # own warnings would only repeat that on stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        numeric = pumped_spectrum(a, b, phi, psi, chi1, chi2, medium.chi3, eps0, grid, k_max)
-        predicted = predict_spectrum(*draw, medium.chi3)
+    # an overflowing input reaches the gate as NaN, which fails it
+    numeric = pumped_spectrum(a, b, phi, psi, chi1, chi2, medium.chi3, eps0, grid, k_max)
+    predicted = predict_spectrum(*draw, medium.chi3)
 
     out = sys.stdout
     out.write(
@@ -204,14 +201,11 @@ def _summary_line(report) -> str:
     )
 
 
-def cmd_scan(args) -> int:
-    cfg = _load_config(args)
-    # a non-finite table exits 2 naming its column; numpy's own warnings
-    # would only print ahead of that message
-    with np.errstate(over="ignore", invalid="ignore"):
-        scan = run_scan(cfg, args.workers)
-        convention = cfg.convention()
-        table = scan_table("scan", scan, convention)
+def cmd_scan(cfg: RunConfig, args) -> int:
+    scan = run_scan(cfg, args.workers)
+    convention = cfg.convention()
+    # a non-finite table exits 2 naming its column
+    table = scan_table("scan", scan, convention)
     # an all-zero covariance exits 2 here, before any output
     report = squeezing_report(scan, convention)
     if args.output:
@@ -223,23 +217,18 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def cmd_figure(args) -> int:
-    cfg = _load_config(args)
+def cmd_figure(cfg: RunConfig, args) -> int:
     if cfg.mode == "symplectic" and not args.name.startswith("fig1"):
         # fig2/fig3 trace the polynomial medium itself, which has no such mode
         raise ConfigError(
             f"figure {args.name} sends its traces through the raw medium and has "
             "no symplectic mode: use --mode raw"
         )
-    # as in cmd_scan, a non-finite table is reported by its own error
-    with np.errstate(over="ignore", invalid="ignore"):
-        tables = emit_figure(args.name, cfg, workers=args.workers)
-    write_tables(tables, Path(args.outdir))
+    write_tables(emit_figure(args.name, cfg, workers=args.workers), Path(args.outdir))
     return 0
 
 
-def cmd_oracle(args) -> int:
-    cfg = _load_config(args)
+def cmd_oracle(cfg: RunConfig, args) -> int:
     _require_quadratic(cfg, "oracle")
     gain = PassGain(cfg.pump_ratio, cfg.mode)
     g1, g2 = gain.gains()
@@ -283,8 +272,7 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    cfg = _load_config(args)
+def cmd_validate(cfg: RunConfig, args) -> int:
     failures = 0
     for name, ok, detail in run_all(cfg):
         status = "PASS" if ok else "FAIL"
@@ -296,12 +284,8 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_config(args) -> int:
-    if args.print_defaults:
-        sys.stdout.write(RunConfig().to_json())
-        return 0
-    cfg = _load_config(args)
-    sys.stdout.write(cfg.to_json())
+def cmd_config(cfg: RunConfig, args) -> int:
+    sys.stdout.write((RunConfig() if args.print_defaults else cfg).to_json())
     return 0
 
 
@@ -358,11 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command on its config, loaded once, with numpy's warnings off."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+        cfg = _load_config(args)
+        # each command reports an overflow or NaN by its own check, in one line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(cfg, args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

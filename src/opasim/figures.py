@@ -50,6 +50,7 @@ from .ensemble import (
     channel_sums,
     medium_channel,
     pump_trace,
+    squeezing_report,
     sums_scan,
     synthesize_rows,
 )
@@ -185,12 +186,15 @@ def _pipeline_tables(
     e_axis = np.linspace(-e_max, e_max, CHARACTERISTIC_POINTS)
     p_axis = polarization_values(e_axis, cfg.medium)
 
-    return [
+    tables = [
         _trace_table(f"{name}_input", cfg, band.means + pump, band.variances),
         FigureTable(f"{name}_characteristic", ("field", "polarization"), (e_axis, p_axis)),
         _trace_table(f"{name}_output", cfg, *_output_band(in_sums, n, center, cfg, period)),
         scan_table(f"{name}_scan", scan, convention),
     ]
+    # as in scan, after the tables' finiteness checks: noise lost to rounding exits 2
+    squeezing_report(scan, convention)
+    return tables
 
 
 def _output_band(

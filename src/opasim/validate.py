@@ -13,7 +13,8 @@ heisenberg-symplectic read their two scans from one span loop over the
 configured ensemble. Each input is made by the first check that reads
 it, and none outlives the call. determinism resamples its shuffled
 slices, and the draws once more through channel_sums, itself: that
-sampling in another order, and that summing, is what it checks.
+sampling in another order, that summing, and the n-1 sample covariance
+sums_scan takes from those sums (against a two-pass one) are what it checks.
 """
 
 from __future__ import annotations
@@ -268,7 +269,7 @@ def check_oracle_equivalence(shared: SharedInputs) -> tuple[bool, str]:
     deviation -= shared.fixed_output
     worst = float(np.max(np.abs(deviation, out=deviation)))
     bound = max(1e-10, _rounding_floor(pairs, 1.0, FIXED_MEDIUM))
-    return worst <= bound, f"max per-realization deviation {worst:.3e} (bound {bound:g})"
+    return _bounded(worst, bound, "per-realization deviation")
 
 
 def check_one_period_lockin(shared: SharedInputs) -> tuple[bool, str]:
@@ -352,9 +353,11 @@ def check_determinism(shared: SharedInputs) -> tuple[bool, str]:
 
     The shared vacuum draws and their propagation are the reference; the
     shuffled slices are sampled again here, as that resampling is what
-    this check tests. Last, the draws' power sums from :func:`channel_sums`
+    this check tests. Then the draws' power sums from :func:`channel_sums`
     must equal their spans' :func:`pair_sums` added here in span order:
     the scan's bits depend on that order, which no statistical bound sees.
+    Last, :func:`sums_scan` of those sums must give the draws' two-pass
+    sample covariance (n-1 divisor) to 1e-12 of its largest entry.
     """
     ens, pairs = shared.vacuum
     whole = shared.fixed_output
@@ -385,6 +388,12 @@ def check_determinism(shared: SharedInputs) -> tuple[bool, str]:
         added = added + span_sums
     if not np.array_equal(sums, added):
         return False, "channel_sums does not add the spans' sums in span order"
+    # a divisor of n for n-1 is off by 1/n, here 1e-4
+    cov = sums_scan(sums[:5], len(pairs), center, default_thetas(3)).cov
+    reference = np.cov(pairs, rowvar=False)
+    worst = float(np.max(np.abs(cov - reference)))
+    if not worst <= 1e-12 * float(np.max(np.abs(reference))):
+        return False, f"scan covariance off the n-1 sample covariance by {worst:.3e}"
     return True, "bitwise identical across span cuts and shuffled sampling"
 
 

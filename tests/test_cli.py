@@ -69,6 +69,18 @@ class TestConfigCommand:
         assert code == 2
         assert "unknown" in err
 
+    @pytest.mark.parametrize(
+        "flags", [["--var-zp", "0"], ["--config", "{bad}"]], ids=" ".join
+    )
+    def test_print_defaults_checks_its_flags(self, flags, tmp_path, capsys):
+        # the defaults are printed only once every flag has loaded, as for any command
+        path = tmp_path / "bad.json"
+        path.write_text('{"unknown_key": 1}')
+        flags = [flag.format(bad=path) for flag in flags]
+        code, out, err = run_cli(["config", "--print-defaults", *flags], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
 
 class TestSpectrumCommand:
     def test_destructive_interference_row(self, capsys):
@@ -388,6 +400,16 @@ class TestFigureCommand:
         assert code == 2
         assert "coherent" in err
 
+    @pytest.mark.parametrize("argv", [["fig2"], ["fig3", "--A", "1"]], ids=" ".join)
+    def test_noise_lost_to_rounding_is_config_error(self, argv, tmp_path, capsys):
+        # as in scan: the noise vanishes when it is added to the unit pump
+        outdir = tmp_path / "out"
+        argv = [*argv, "--var-zp", "1e-40", "--n-realizations", "2000"]
+        code, out, err = run_cli(["figure", *argv, "--outdir", str(outdir)], capsys)
+        assert code == 2 and out == ""
+        assert "error: the scan's covariance is all zero" in err
+        assert not outdir.exists()
+
 
 class TestValidateCommand:
     def test_validate_passes(self, capsys):
@@ -464,6 +486,16 @@ class TestOracleCommand:
         x1, x2 = map(float, values["mean out (x1, x2)"].split(", "))
         gain = float(values["amplitude gain"].split(" (")[0])
         assert gain == math.hypot(x1, x2) / float(flags[1])
+
+    def test_overflow_prints_only_the_error(self):
+        # pytest collects warnings itself, so stderr is read from a fresh process
+        result = subprocess.run(
+            [sys.executable, "-m", "opasim", "oracle", "--A", "1.5e308", "--phi-deg", "90"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.splitlines() == ["error: mean must be finite"]
 
     def test_gain_out_of_range_is_config_error(self, capsys):
         code, _, err = run_cli(["oracle", "--chi2", "1.5"], capsys)
@@ -756,6 +788,8 @@ class TestRunGuards:
             # at any A; std = 2 makes the envelope overflow
             ["figure", "fig1c", "--A", "1", "--var-zp", "4", "--band-sigma", "1e308"],
             ["figure", "fig2", "--A", "1e200"],  # the characteristic overflows
+            # and so does fig3's scan, whose covariance is NaN, not all zero
+            ["figure", "fig3", "--A", "1e200"],
             ["figure", "fig2", "--band-sigma", "1e308"],
         ],
         ids=" ".join,
@@ -774,7 +808,7 @@ class TestRunGuards:
         "argv",
         [
             ["figure", "fig2", "--band-sigma", "1e308"],
-            # overflows in the span loop under cmd_scan's errstate: of 3 spans
+            # overflows in the span loop under main's errstate: of 3 spans
             # on 2 workers, the last two overflow in a forked child (on a
             # host with 2 or more CPUs)
             ["scan", "--A", "1e200", "--workers", "2"],

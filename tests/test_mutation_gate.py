@@ -93,7 +93,7 @@ MUTANTS = [
     pytest.param(
         ensemble, "pump_trace", _pump_phase_sign, id="pump-phase-sign", marks=_survivor(3)
     ),
-    pytest.param(ensemble, "sums_scan", _n_divisor, id="n-divisor", marks=_survivor(4)),
+    pytest.param(ensemble, "sums_scan", _n_divisor, id="n-divisor"),
     pytest.param(spectral, "lockin_rows", _lockin_one_over_n, id="lockin-1/N"),
     pytest.param(rng, "standard_normal_pairs", _radius_scale, id="radius-scale"),
     pytest.param(ensemble, "reduce", _spans_out_of_order, id="spans-out-of-order"),

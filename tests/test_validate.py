@@ -193,6 +193,10 @@ def nan_lockin(monkeypatch):
         (validate.check_lockin_exactness, "coefficient error is not finite (nan)"),
         (validate.check_parseval, "relative Parseval error is not finite (nan)"),
         (validate.check_closed_form_equivalence, "bin k=1 deviation is not finite (nan)"),
+        (
+            validate.check_oracle_equivalence,
+            "per-realization deviation is not finite (nan)",
+        ),
     ],
     ids=lambda x: getattr(x, "__name__", ""),
 )
