@@ -9,13 +9,15 @@ output directory (default ./figure_data).
 import argparse
 from pathlib import Path
 
-from opasim.cli import realization_count, seed_value, write_tables
+from opasim.cli import numpy_frame, realization_count, seed_value, write_tables
 from opasim.config import RunConfig, with_overrides
 from opasim.figures import FIGURE_NAMES, emit_figure
 
 NEEDS_DISPLACEMENT = {"fig1c", "fig1d", "fig1e", "fig3"}
 
 
+# the numpy settings every opasim command runs under
+@numpy_frame()
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("outdir", nargs="?", default="figure_data")

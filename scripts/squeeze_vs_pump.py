@@ -10,7 +10,7 @@ squeezes the other quadrature by the same amount.
 import argparse
 import math
 
-from opasim.cli import realization_count, run_scan, seed_value
+from opasim.cli import numpy_frame, realization_count, run_scan, seed_value
 from opasim.config import RunConfig, with_overrides
 from opasim.ensemble import GaussianState, squeezing_report
 from opasim.oracle import PassGain, single_pass
@@ -24,6 +24,8 @@ def pump_ratio(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+# the numpy settings every opasim command runs under
+@numpy_frame()
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-realizations", type=realization_count, default=50_000)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from functools import cache, partial
 from pathlib import Path
 
@@ -341,13 +342,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# elements in numpy's ufunc buffer while a command runs (numpy's default
+# is 8192). numpy copies an elementwise op on a strided (r, w) block
+# through this buffer when r >= 4 and w <= size / 4, and a broadcast
+# (r, 1) column on a contiguous block too: at the default, every kernel
+# block of 2048 columns or fewer, the ragged last span among them. At 128
+# only blocks of 32 columns or fewer are copied. No output bit depends on it
+UFUNC_BUFFER = 128
+
+
+@contextmanager
+def numpy_frame():
+    """numpy's settings for a run: overflow and invalid-value warnings off,
+    and a ufunc buffer of UFUNC_BUFFER elements; both are restored on exit.
+
+    Each command reports an overflow or NaN by its own check, in one line.
+    Forked span workers inherit the settings.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.setbufsize(UFUNC_BUFFER)
+        yield
+
+
 def main(argv=None) -> int:
-    """Run one command on its config, loaded once, with numpy's warnings off."""
+    """Run one command on its config, loaded once, in :func:`numpy_frame`."""
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        # each command reports an overflow or NaN by its own check, in one line
-        with np.errstate(over="ignore", invalid="ignore"):
+        with numpy_frame():
             return args.func(cfg, args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -152,7 +152,8 @@ def sample_state_array(
         count = cfg.n_realizations - start
     z = rng.standard_normal_pairs(cfg.seed, start, count)
     draws = map_pairs(z, state.noise)
-    # a scalar add per column: broadcasting the (2,) mean is a slower loop
+    # a scalar add per column: an add of the broadcast (2,) mean goes through
+    # numpy's ufunc buffer at its default size, outside cli.numpy_frame
     mean = state.mean.as_array()
     draws[:, 0] += mean[0]
     draws[:, 1] += mean[1]
@@ -172,7 +173,8 @@ def map_pairs(pairs: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     out = np.empty((2, len(pairs)))
     x1, x2 = pairs[:, 0], pairs[:, 1]
     scratch = np.empty(len(pairs))
-    # column by column: a broadcast (2, 1) factor is a much slower loop
+    # column by column: a broadcast (2, 1) factor is 3-4 times slower from
+    # 3e4 rows up, at any size of numpy's ufunc buffer
     for row, column in zip(matrix, out):
         np.multiply(x1, row[0], out=column)
         np.multiply(x2, row[1], out=scratch)
@@ -361,19 +363,22 @@ def _block_buffers(n_samples: int, count: int) -> list[np.ndarray]:
     a block needs more rows or columns, so a span, the ragged last span
     and the centre row all reuse them. Block-sized arrays freed after
     every span would go back to the system, and the next span would fault
-    their pages in again. The buffers' rows are 8 elements longer than
-    the widest block, so no view is one contiguous run: numpy streams a
-    broadcast (n_samples, 1) reference along each row of such a view, but
-    for a contiguous block it copies the reference through a buffer first
-    (46 against 15 us for a (9, 4096) product, numpy 2.4 on a 2-vCPU
-    x86-64 VM). Each buffer starts on a cache line
+    their pages in again. Each buffer starts on a cache line
     (:func:`opasim.rng.aligned_empty`), and at CHUNK + 8 columns every
-    row does. Views 2048 columns wide or narrower run on a slower numpy
-    loop: an add on (6, w) views of the (6, 4104) buffers costs 1.2-1.3
-    ns per element for w <= 2048 against 0.27-0.31 ns for w >= 2049
-    (same VM), and a 2048-row span costs about 3.7 times as much per row
-    as a 4096-row one. The ragged last span takes that path (576 rows at
-    1e6), as does every ensemble of 2048 rows or fewer.
+    row does.
+
+    At its default size of 8192 elements, numpy's ufunc buffer slows two
+    kinds of block: it copies a broadcast (n_samples, 1) reference on a
+    contiguous block through the buffer (46 against 15 us for a
+    (9, 4096) product, numpy 2.4 on a 2-vCPU x86-64 VM), and it copies
+    an op on strided (n_samples, w) views through it for w <= 2048
+    (1.2-1.3 ns per element against 0.27-0.31 ns for w >= 2049). The
+    buffers' rows are 8 elements longer than the widest block, so no
+    full-width view is one contiguous run; the ragged last span (576
+    rows at 1e6) and every ensemble of 2048 rows or fewer stay narrow.
+    :func:`opasim.cli.numpy_frame`, which every command and script runs
+    in, sets a buffer small enough that neither copy is made. The rows'
+    extra 8 elements still matter to a library caller outside it.
     """
     held = getattr(_held, "buffers", None)
     if held is None or held[0].shape[0] < n_samples or held[0].shape[1] <= count:
@@ -601,10 +606,14 @@ def squeezing_report(
     mid = (a + b)/2 and R = hypot((a - b)/2, c), whatever the thetas: v_max
     = mid + R, and v_min = (a*b - c^2)/v_max, as mid - R cancels. theta_min
     is in (-pi/2, pi/2], 0 for a round state; theta_max = theta_min + pi/2.
-    Negative squeeze_db means squeezing. An all-zero covariance (v_max =
-    0) has no extrema to report and raises ValueError.
+    Negative squeeze_db means squeezing. A NaN or infinite covariance, or
+    an all-zero one (v_max = 0), has no extrema to report and raises
+    ValueError.
     """
     (a, c), (_, b) = scan.cov.tolist()
+    # tested first: NaN fails the v_max > 0 test too, and is no lost noise
+    if not all(math.isfinite(x) for x in (a, b, c)):
+        raise ValueError(f"the scan's covariance is not finite ({[[a, c], [c, b]]})")
     half = 0.5 * (a - b)
     v_max = 0.5 * (a + b) + math.hypot(half, c)
     var_zp = convention.var_zp

@@ -299,10 +299,14 @@ def check_one_period_lockin(shared: SharedInputs) -> tuple[bool, str]:
     # |full - out| in place: no further O(n) array while the shared ones are held
     full -= out
     worst = float(np.max(np.abs(full, out=full)))
-    return worst <= bound, (
+    compared = (
         f"{channel_samples(cfg.medium)}-sample period vs "
-        f"{period.samples_per_period}x{period.n_periods} grid: max per-realization "
-        f"deviation {worst:.3e} (bound {bound:.3e})"
+        f"{period.samples_per_period}x{period.n_periods} grid:"
+    )
+    if not math.isfinite(worst):
+        return False, f"{compared} per-realization deviation is not finite ({worst})"
+    return worst <= bound, (
+        f"{compared} max per-realization deviation {worst:.3e} (bound {bound:.3e})"
     )
 
 
@@ -318,7 +322,11 @@ def check_vacuum_scan_flat(shared: SharedInputs) -> tuple[bool, str]:
     cfg = shared.cfg
     convention = cfg.convention()
     var_zp = convention.var_zp
-    report = squeezing_report(shared.scans[0], convention)
+    scan = shared.scans[0]
+    # squeezing_report raises on a NaN or infinite covariance; here it fails
+    if not np.isfinite(scan.cov).all():
+        return False, f"scan covariance is not finite ({scan.cov.tolist()})"
+    report = squeezing_report(scan, convention)
     bound = 4.0 * math.sqrt(2.0 / (cfg.n_realizations - 1))
     worst = max(abs(report.v_min / var_zp - 1.0), abs(report.v_max / var_zp - 1.0))
     detail = f"max |V/var_zp - 1| = {worst:.4f} (4-sigma bound {bound:.4f})"
@@ -341,7 +349,10 @@ def check_heisenberg_symplectic(shared: SharedInputs) -> tuple[bool, str]:
     det = det2(state.cov)
     if abs(det - var_zp**2) > 1e-10:
         return False, f"oracle determinant off by {abs(det - var_zp**2):.3e}"
-    report = squeezing_report(shared.scans[1], convention)
+    scan = shared.scans[1]
+    if not np.isfinite(scan.cov).all():
+        return False, f"scan covariance is not finite ({scan.cov.tolist()})"
+    report = squeezing_report(scan, convention)
     rel = abs(report.uncertainty_product / var_zp**2 - 1.0)
     bound = 5.0 * 2.0 / math.sqrt(cfg.n_realizations - 1)
     detail = f"oracle det exact; sampled product off by {rel:.4f} (5-sigma bound {bound:.4f})"

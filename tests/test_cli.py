@@ -7,10 +7,11 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from opasim import ensemble, rng
-from opasim.cli import main
+from opasim import cli, ensemble, rng
+from opasim.cli import UFUNC_BUFFER, main
 from opasim.config import RUN_FIELDS, RunConfig, from_json, with_overrides
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -580,6 +581,36 @@ class TestInProcessCalls:
         assert main(["figure", "fig1a", *self.N]) == 0
         assert (tmp_path / "fig1a.csv").exists()
         assert not (outdir / "fig1a.csv").exists()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [(["config"], 0), (["scan", "--config", "{tmp}/missing.json"], 2)],
+        ids=["returns 0", "exits 2"],
+    )
+    def test_the_frame_does_not_outlive_the_call(self, argv, want, tmp_path, capsys):
+        default = np.getbufsize()
+        assert default != UFUNC_BUFFER
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == want
+        assert np.getbufsize() == default
+        capsys.readouterr()
+
+    def test_forked_span_workers_run_in_the_frame(self, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def buffer_sizes(cfg, workers):
+            def work(start, count):
+                return np.array([np.getbufsize()], dtype=float)
+
+            # three spans on two workers: the last two run in a forked child
+            seen.extend(ensemble.run_spans(work, 2 * ensemble.CHUNK + 1, workers))
+            vacuum = ensemble.GaussianState.vacuum()
+            return ensemble.scan_state(vacuum, ensemble.default_thetas(3))
+
+        monkeypatch.setattr(cli, "run_scan", buffer_sizes)
+        monkeypatch.setattr(ensemble, "usable_cpus", lambda: 2)
+        assert main(["scan", "--workers", "2", "-o", str(tmp_path / "x.csv")]) == 0
+        assert [float(size) for size, in seen] == [UFUNC_BUFFER] * 3
         capsys.readouterr()
 
 

@@ -704,6 +704,16 @@ class TestSqueezingReport:
         with pytest.raises(ValueError, match="covariance is all zero"):
             self._report(np.array([[0.0, c], [c, 0.0]]))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", ["a", "c"])
+    def test_non_finite_covariance_is_rejected(self, entry, value):
+        # NaN fails the all-zero test too; it must not be read as lost noise
+        sums = {"a": [0.0, 0.0, value, 0.5, 1.0], "c": [0.0, 0.0, 1.0, value, 1.0]}
+        scan = sums_scan(np.array(sums[entry]), 2, np.zeros(2), default_thetas(3))
+        with pytest.raises(ValueError, match="covariance is not finite"):
+            squeezing_report(scan, VAC)
+
     def test_rejects_bad_convention(self):
         scan = scan_state(GaussianState.vacuum(VAC), default_thetas(5))
         bad = object.__new__(VacuumConvention)

@@ -1,5 +1,8 @@
 """The span engine keeps every output byte: golden CSV and stdout hashes, span invariance.
 
+The kernels' bits are also the same at numpy's default ufunc buffer size
+and at the one of cli's numpy frame, which every golden is made in.
+
 A span of CHUNK rows is the kernel block and the group of the scan and
 figure sums. n = 2 * CHUNK + 1 makes the last span a single row, so the
 ragged tail is exercised.
@@ -15,10 +18,20 @@ import numpy as np
 import pytest
 
 from opasim import ensemble
-from opasim.cli import main
+from opasim.cli import UFUNC_BUFFER, main, numpy_frame
 from opasim.config import RunConfig, with_overrides
-from opasim.ensemble import CHUNK, propagate_ensemble, sample_state_array
+from opasim.ensemble import (
+    CHUNK,
+    channel_sums,
+    medium_channel,
+    propagate_ensemble,
+    sample_state_array,
+)
+from opasim.fields import TimeGrid
 from opasim.figures import figure_state
+from opasim.medium import SusceptibilityProfile
+from opasim.rng import uniforms
+from opasim.spectral import spectrum_rows
 from opasim.validate import SharedInputs, check_one_period_lockin
 
 N = 2 * CHUNK + 1
@@ -228,6 +241,58 @@ def test_bytes_do_not_depend_on_blas_threads_or_workers(command, tmp_path):
         outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
     assert outputs[0]
     assert outputs[1] == outputs[0]
+
+
+def _at_default_and_in_frame(run):
+    """run()'s result bytes at numpy's default ufunc buffer and in cli's frame."""
+    assert np.getbufsize() != UFUNC_BUFFER
+    want = run()
+    with numpy_frame():
+        assert np.getbufsize() == UFUNC_BUFFER
+        got = run()
+    return [np.asarray(x).tobytes() for x in want], [np.asarray(x).tobytes() for x in got]
+
+
+# a medium with no factor of 1.0, so every pass runs
+FRAME_MEDIA = {
+    "chi2": SusceptibilityProfile(chi1=0.7, chi2=-0.4, eps0=2.5),
+    "chi3": SusceptibilityProfile(chi1=0.7, chi2=-0.4, chi3=0.05, eps0=2.5),
+}
+
+
+# spans at and below the 2048 columns that numpy's default buffer copies,
+# and one above; the buffer size decides only which loop numpy runs, so
+# the frame can never move a golden
+@pytest.mark.parametrize("medium", FRAME_MEDIA)
+@pytest.mark.parametrize("rows", [576, 1808, 2048, 2049])
+def test_channel_bits_do_not_depend_on_the_ufunc_buffer(rows, medium):
+    cfg = with_overrides(RunConfig(), n_realizations=rows)
+    pairs = sample_state_array(figure_state("fig1b", cfg), cfg.ensemble())
+    channel = medium_channel(1.3, 0.6, FRAME_MEDIA[medium])
+    want, got = _at_default_and_in_frame(lambda: [channel(pairs)])
+    assert got == want
+
+
+def test_channel_sums_bits_do_not_depend_on_the_ufunc_buffer():
+    # a whole span and a 1808-row one, summed to degree 4
+    cfg = with_overrides(RunConfig(), n_realizations=CHUNK + 1808)
+    state = figure_state("fig1b", cfg)
+    channel = medium_channel(1.3, 0.6, FRAME_MEDIA["chi3"])
+    want, got = _at_default_and_in_frame(
+        lambda: channel_sums(state, cfg.ensemble(), [(channel, 4)])[0]
+    )
+    assert got == want
+
+
+# the blocks of lockin-exactness (25 draws on the 64x4 grid) and of
+# closed-form-equivalence (128 draws on one 64-sample period)
+@pytest.mark.parametrize("grid, draws", [(TimeGrid(64, 4), 25), (TimeGrid(64, 1), 128)])
+def test_spectrum_bits_do_not_depend_on_the_ufunc_buffer(grid, draws):
+    block = uniforms(5, 0, grid.n_samples * draws).reshape(grid.n_samples, draws)
+    want, got = _at_default_and_in_frame(
+        lambda: [spectrum_rows(block.copy(), grid, grid.max_harmonic())]
+    )
+    assert got == want
 
 
 def _propagated():

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from opasim import ensemble, rng, spectral, validate
+from opasim.cli import main
 from opasim.config import RunConfig, with_overrides
+from opasim.ensemble import default_thetas, sums_scan
 from opasim.fields import (
     HarmonicComponent,
     TimeGrid,
@@ -202,6 +204,36 @@ def nan_lockin(monkeypatch):
 )
 def test_a_nan_deviation_fails(check, detail, nan_lockin):
     assert check(SharedInputs(RunConfig())) == (False, detail)
+
+
+def test_a_nan_one_period_deviation_keeps_the_sample_counts(nan_lockin):
+    got = validate.check_one_period_lockin(SharedInputs(RunConfig()))
+    want = "6-sample period vs 64x1 grid: per-realization deviation is not finite (nan)"
+    assert got == (False, want)
+
+
+@pytest.mark.parametrize(
+    "check", [validate.check_vacuum_scan_flat, validate.check_heisenberg_symplectic]
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_non_finite_scan_covariance_fails(check, value):
+    # squeezing_report raises on it; the check fails and names it instead
+    shared = SharedInputs(RunConfig())
+    sums = np.array([0.0, 0.0, value, 0.0, 1.0])
+    scan = sums_scan(sums, 2, np.zeros(2), default_thetas(3))
+    shared.scans = (scan, scan)
+    ok, detail = check(shared)
+    assert not ok
+    assert detail == f"scan covariance is not finite ({scan.cov.tolist()})"
+
+
+def test_a_nan_lockin_fails_validate_and_scan(nan_lockin, tmp_path, capsys):
+    # validate fails its checks with exit 1, where the scan's report raised
+    assert main(["validate"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL vacuum-scan-flat: scan covariance is not finite" in out
+    assert main(["scan", "-o", str(tmp_path / "scan.csv")]) == 2
+    assert "is not finite" in capsys.readouterr().err
 
 
 def _per_draw_worst(grid):
