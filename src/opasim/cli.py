@@ -103,8 +103,8 @@ WORKERS_HELP = (
 
 
 def realization_count(text: str) -> int:
-    """argparse type of a script's --n-realizations: at least 2, as EnsembleConfig."""
-    return _integer(text, 2)
+    """argparse type of a script's --n-realizations: at least 3, as EnsembleConfig."""
+    return _integer(text, 3)
 
 
 def seed_value(text: str) -> int:

@@ -64,8 +64,9 @@ class EnsembleConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_realizations < 2:
-            raise ValueError("n_realizations must be at least 2")
+        # the 2x2 sample covariance of two pairs is singular whatever they are
+        if self.n_realizations < 3:
+            raise ValueError("n_realizations must be at least 3")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
@@ -146,12 +147,22 @@ def sample_state_array(
 
     Row i is mean + L @ z_i with z_i the i-th standard-normal pair of the
     seed's stream and L the symmetric square root of cov, so any slice of
-    the ensemble can be produced independently.
+    the ensemble can be produced independently. A diagonal L (every
+    vacuum and coherent state) scales each column of z in place by its
+    entry, skipping a factor of exactly 1.0, where :func:`map_pairs` would
+    add l*x1 + 0*x2; the two differ only in the sign of an exactly-zero
+    draw under a -0.0 mean, which no output reads.
     """
     if count is None:
         count = cfg.n_realizations - start
-    z = rng.standard_normal_pairs(cfg.seed, start, count)
-    draws = map_pairs(z, state.noise)
+    draws = rng.standard_normal_pairs(cfg.seed, start, count)
+    noise = state.noise
+    if noise[0, 1] == 0.0 and noise[1, 0] == 0.0:
+        for column, factor in zip(draws.T, noise.diagonal().tolist()):
+            if factor != 1.0:
+                column *= factor
+    else:
+        draws = map_pairs(draws, noise)
     # a scalar add per column: an add of the broadcast (2,) mean goes through
     # numpy's ufunc buffer at its default size, outside cli.numpy_frame
     mean = state.mean.as_array()

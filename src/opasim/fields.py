@@ -185,6 +185,19 @@ def synthesize(carriers: Iterable[HarmonicComponent], grid: TimeGrid) -> TimeSer
     return TimeSeries(grid, synthesize_values(carriers, grid))
 
 
+def series_major(n_samples: int, width: int) -> bool:
+    """Whether an (n_samples, width) block is built and summed series-major.
+
+    A block narrower than its series (width < n_samples) is held as
+    ``width`` contiguous series of n_samples, so numpy sums each one along
+    its row with its own pairwise ``np.sum``; a wider one keeps whole rows
+    of samples, on which a column's sum is made of whole-row adds. The
+    synthesis and the lock-in choose their layouts by this one test, from
+    the shape alone.
+    """
+    return width < n_samples
+
+
 def synthesize_values(
     carriers: Iterable[HarmonicComponent], grid: TimeGrid, width: int | None = None
 ) -> np.ndarray:
@@ -192,18 +205,27 @@ def synthesize_values(
 
     With ``width`` m, each coefficient is a scalar or a row of m entries
     and the result is an (n_samples, m) samples-major block, one column per
-    entry, summed by the same elementwise expressions on the harmonic rows
-    taken as columns; each column has the bits of its own scalar call.
-    Each line is made in two buffers that every carrier reuses.
+    entry; each column has the bits of its own scalar call, as every
+    sample is the same elementwise expression. A block narrower than the
+    grid (:func:`series_major`) is built as (m, n_samples), one row per
+    entry with the coefficients taken as columns, and returned as its
+    transpose view, so each column is one contiguous series; a wider one
+    takes the harmonic rows as columns. Each line is made in two buffers
+    that every carrier reuses.
     """
-    shape = grid.n_samples if width is None else (grid.n_samples, width)
+    n = grid.n_samples
+    series = width is not None and series_major(n, width)
+    shape = n if width is None else (width, n) if series else (n, width)
     values = np.zeros(shape)
     line, term = np.empty(shape), np.empty(shape)
     for comp in carriers:
+        c, s = comp.c, comp.s
         cos_k, sin_k = grid.harmonic(comp.k)
-        if width is not None:
+        if series:
+            c, s = np.reshape(c, (-1, 1)), np.reshape(s, (-1, 1))
+        elif width is not None:
             cos_k, sin_k = cos_k[:, None], sin_k[:, None]
-        np.multiply(comp.c, cos_k, out=line)
-        line += np.multiply(comp.s, sin_k, out=term)
+        np.multiply(c, cos_k, out=line)
+        line += np.multiply(s, sin_k, out=term)
         values += line
-    return values
+    return values.T if series else values

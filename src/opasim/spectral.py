@@ -23,6 +23,7 @@ from .fields import (
     TimeSeries,
     cos_sin,
     pump_carrier,
+    series_major,
     synthesize_values,
 )
 from .medium import polynomial_values
@@ -56,9 +57,11 @@ def lockin_rows(
 
     ``block`` is (n_samples, m), one column per realization, and the
     references are rows of n_samples: c = (2/N) * sum block[n] * cos1[n]
-    and s likewise. The m pairs go to ``out``, and the products to
-    ``scratch`` when given, one reference at a time (:func:`_lockin`).
-    Each sum has the bits of ``np.sum`` on that column alone, whatever m.
+    and s likewise. The m pairs go to ``out`` (:func:`_lockin`). A block
+    at least as wide as n_samples puts its products in ``scratch`` when
+    given, one reference at a time, and overwrites it; a narrower one is
+    summed series-major and leaves ``scratch`` alone. Each sum has the
+    bits of ``np.sum`` on that column alone, whatever m.
     """
     out = np.empty((block.shape[1], 2)) if out is None else out
     return _lockin(block, (cos1, sin1), 2.0 / n_samples, out, scratch)
@@ -73,7 +76,8 @@ def spectrum_rows(
     reference rows go through one :func:`_lockin`, a few at a time, and
     column j's pairs have the bits of :func:`lockin_extract` on that column
     alone: bins k >= 1 those of :func:`lockin_rows`, and DC the column's
-    ``np.mean``, its :func:`_column_sums` over n_samples. Overwrites block.
+    ``np.mean``, its :func:`_column_sums` over n_samples. A block at least
+    as wide as n_samples is overwritten; a narrower one is read only.
     """
     m = block.shape[1]
     out = np.empty((m, k_max + 1, 2)) if out is None else out
@@ -96,37 +100,57 @@ def _lockin(
     """out[j, i] = scale * sum_n block[n, j] * references[i][n]: the one lock-in.
 
     ``block`` is (n_samples, m), ``references`` rows of n_samples and
-    ``out`` (m, len(references)). The products of g references at a time
-    fill g column blocks of an (n_samples, g*m) scratch, which
-    :func:`_column_sums` sums, so every column keeps the bits of its own
-    ``np.sum``. A given scratch is (n_samples, m) and takes one reference
-    at a time; without one, g fills up to PRODUCT_ELEMENTS.
+    ``out`` (m, len(references)). Every column keeps the bits of its own
+    ``np.sum``, in one of two layouts chosen by the block's shape
+    (:func:`~opasim.fields.series_major`). Narrower than n_samples, the
+    block is read as m contiguous series (a view of a series-major block,
+    a copy otherwise); the products of g references at a time fill a (g,
+    m, n_samples) product, whose rows numpy sums with its own pairwise
+    sum. Otherwise they fill g column blocks of an (n_samples, g*m)
+    scratch, which :func:`_pairwise_rows` sums as whole-row adds: a given
+    scratch is (n_samples, m) and takes one reference at a time. Without
+    one, and on the series path, g fills up to PRODUCT_ELEMENTS.
     """
     n, m = block.shape
-    if scratch is None:
+    series = series_major(n, m)
+    if series:
+        block = np.ascontiguousarray(block.T)
+    if scratch is None or series:
         group = max(1, min(len(references), PRODUCT_ELEMENTS // max(block.size, 1)))
-        scratch = np.empty((n, group * m))
+        scratch = np.empty((group, m, n) if series else (n, group * m))
     else:
         group = 1
     for lo in range(0, len(references), group):
         refs = references[lo : lo + group]
-        product = scratch[:, : len(refs) * m]
-        for i, reference in enumerate(refs):
-            np.multiply(block, reference[:, None], out=product[:, i * m : (i + 1) * m])
-        sums = _column_sums(product).reshape(len(refs), m)
+        if series:
+            product = scratch[: len(refs)]
+            for row, reference in zip(product, refs):
+                np.multiply(block, reference, out=row)
+            sums = np.add.reduce(product, axis=-1)
+        else:
+            product = scratch[:, : len(refs) * m]
+            for i, reference in enumerate(refs):
+                np.multiply(block, reference[:, None], out=product[:, i * m : (i + 1) * m])
+            sums = _column_sums(product).reshape(len(refs), m)
         np.multiply(scale, sums.T, out=out[:, lo : lo + len(refs)])
     return out
 
 
 def _column_sums(block: np.ndarray) -> np.ndarray:
-    """Sum of each column of a 2-d block, overwriting the block.
+    """Sum of each column of a 2-d block, each with the bits of its own ``np.sum``.
 
     ``np.sum`` of one contiguous series adds its terms in numpy's pairwise
-    order (Higham, SIAM J. Sci. Comput. 14, 1993) to an initial +0.0. Over
-    axis 0 of a wider block numpy adds in another order, which depends on
-    the width, so those adds are made here as whole-row adds, and every
-    column, a lone one too, gets the bits of its own series' sum.
+    order (Higham, SIAM J. Sci. Comput. 14, 1993) to an initial +0.0. A
+    block with fewer columns than rows (:func:`~opasim.fields.series_major`)
+    is summed so: ``np.add.reduce`` along the rows of its contiguous
+    transpose, a view of a series-major block. Over axis 0 of a wider
+    block numpy adds in another order, which depends on the width, so
+    those adds are made here as whole-row adds (:func:`_pairwise_rows`),
+    overwriting the block.
     """
+    n, m = block.shape
+    if series_major(n, m):
+        return np.add.reduce(np.ascontiguousarray(block.T), axis=-1)
     row = _pairwise_rows(block)
     row += 0.0  # the initial +0.0, which turns a -0.0 sum into +0.0
     return row

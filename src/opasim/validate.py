@@ -7,14 +7,16 @@ command line without a test runner.
 One :func:`run_all` call shares its sampled inputs among the checks
 (:class:`SharedInputs`): the 10 000 vacuum draws of
 oracle-pipeline-equivalence, one-period-lockin and determinism are drawn
-once, and propagated through the fixed medium once for
-oracle-pipeline-equivalence and determinism; vacuum-scan-flat and
-heisenberg-symplectic read their two scans from one span loop over the
-configured ensemble. Each input is made by the first check that reads
-it, and none outlives the call. determinism resamples its shuffled
-slices, and the draws once more through channel_sums, itself: that
-sampling in another order, that summing, and the n-1 sample covariance
-sums_scan takes from those sums (against a two-pass one) are what it checks.
+once, and propagated once per pumped channel: the fixed medium of
+oracle-pipeline-equivalence and determinism, and the configured one of
+one-period-lockin, which at the defaults is the same channel;
+vacuum-scan-flat and heisenberg-symplectic read their two scans from one
+span loop over the configured ensemble. Each input is made by the first
+check that reads it, and none outlives the call. determinism resamples
+its shuffled slices, and the draws once more through channel_sums,
+itself: that sampling in another order, that summing, and the n-1
+sample covariance sums_scan takes from those sums (against a two-pass
+one) are what it checks.
 """
 
 from __future__ import annotations
@@ -215,6 +217,7 @@ class SharedInputs:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
+        self._outputs = {}
 
     @cached_property
     def vacuum(self) -> tuple[EnsembleConfig, np.ndarray]:
@@ -223,10 +226,24 @@ class SharedInputs:
         return ens, sample_state_array(GaussianState.vacuum(self.cfg.convention()), ens)
 
     @cached_property
-    def fixed_output(self) -> np.ndarray:
-        """The vacuum draws propagated through FIXED_MEDIUM at B = 1."""
+    def radius(self) -> float:
+        """The largest hypot(x1, x2) of the vacuum draws (:func:`_rounding_floor`)."""
         _, pairs = self.vacuum
-        return propagate_ensemble(pairs, 1.0, 0.0, FIXED_MEDIUM)
+        return float(np.max(np.hypot(pairs[:, 0], pairs[:, 1]), initial=0.0))
+
+    def propagated(
+        self, pump_b: float, pump_phase: float, medium: SusceptibilityProfile
+    ) -> np.ndarray:
+        """The vacuum draws propagated through the medium pumped at (pump_b, pump_phase).
+
+        Kept per channel, so checks that read an equal channel (compared
+        as floats, the medium as its frozen dataclass) share one propagation.
+        """
+        key = (pump_b, pump_phase, medium)
+        if key not in self._outputs:
+            _, pairs = self.vacuum
+            self._outputs[key] = propagate_ensemble(pairs, *key)
+        return self._outputs[key]
 
     @cached_property
     def scans(self) -> tuple[QuadratureScan, QuadratureScan]:
@@ -247,16 +264,16 @@ class SharedInputs:
         )
 
 
-def _rounding_floor(pairs: np.ndarray, pump_b: float, medium: SusceptibilityProfile) -> float:
+def _rounding_floor(radius: float, pump_b: float, medium: SusceptibilityProfile) -> float:
     """8*eps*sum_k |r_k|*e^k: the rounding a trace's lock-in may carry.
 
-    e = max hypot(x1, x2) + |pump_b| bounds |E| on every realization's
-    trace, and r_k = chi_k/chi1 are the coefficients of the output field
-    E + r2*E^2 + r3*E^3. The lock-in sums the medium's terms, so its
+    e = radius + |pump_b|, with radius the largest hypot(x1, x2) of the
+    input pairs, bounds |E| on every realization's trace, and r_k =
+    chi_k/chi1 are the coefficients of the output field E + r2*E^2 + r3*E^3. The lock-in sums the medium's terms, so its
     rounding grows with the largest of them, not with the k = 1 output:
     at a large var_zp the r2*E^2 term is far above the output's scale.
     """
-    e = float(np.max(np.hypot(pairs[:, 0], pairs[:, 1]), initial=0.0)) + abs(pump_b)
+    e = radius + abs(pump_b)
     ratios = (1.0, medium.chi2 / medium.chi1, medium.chi3 / medium.chi1)
     return 8.0 * np.finfo(float).eps * sum(abs(r) * e**k for k, r in enumerate(ratios, 1))
 
@@ -266,9 +283,9 @@ def check_oracle_equivalence(shared: SharedInputs) -> tuple[bool, str]:
     r = 0.5
     _, pairs = shared.vacuum
     deviation = pairs * np.array([1.0 - r, 1.0 + r])
-    deviation -= shared.fixed_output
+    deviation -= shared.propagated(1.0, 0.0, FIXED_MEDIUM)
     worst = float(np.max(np.abs(deviation, out=deviation)))
-    bound = max(1e-10, _rounding_floor(pairs, 1.0, FIXED_MEDIUM))
+    bound = max(1e-10, _rounding_floor(shared.radius, 1.0, FIXED_MEDIUM))
     return _bounded(worst, bound, "per-realization deviation")
 
 
@@ -282,7 +299,7 @@ def check_one_period_lockin(shared: SharedInputs) -> tuple[bool, str]:
     """
     cfg = shared.cfg
     _, pairs = shared.vacuum
-    out = propagate_ensemble(pairs, cfg.B, cfg.pump_phase, cfg.medium)
+    out = shared.propagated(cfg.B, cfg.pump_phase, cfg.medium)
     # one configured period's own lock-in, 512 realizations at a time
     period = replace(cfg.grid(), n_periods=1)
     pump = pump_trace(cfg.B, cfg.pump_phase, period)
@@ -294,7 +311,7 @@ def check_one_period_lockin(shared: SharedInputs) -> tuple[bool, str]:
         lockin_rows(traces, cos1, sin1, period.n_samples, out=full[rows])
     bound = max(
         1e-13 * max(1.0, float(np.max(np.abs(out)))),
-        _rounding_floor(pairs, cfg.B, cfg.medium),
+        _rounding_floor(shared.radius, cfg.B, cfg.medium),
     )
     # |full - out| in place: no further O(n) array while the shared ones are held
     full -= out
@@ -371,7 +388,7 @@ def check_determinism(shared: SharedInputs) -> tuple[bool, str]:
     sample covariance (n-1 divisor) to 1e-12 of its largest entry.
     """
     ens, pairs = shared.vacuum
-    whole = shared.fixed_output
+    whole = shared.propagated(1.0, 0.0, FIXED_MEDIUM)
     # uneven slices in shuffled order, so the spans start off the CHUNK grid
     channel = medium_channel(1.0, 0.0, FIXED_MEDIUM)
     cut = np.empty_like(pairs)

@@ -659,6 +659,23 @@ class TestEntryPoint:
 
 
 class TestRunGuards:
+    # two pairs have a singular 2x2 sample covariance, and a zero-degree
+    # chi-square for heisenberg-symplectic, whatever they are
+    @pytest.mark.parametrize(
+        "argv", [["scan", "--seed", "5"], ["figure", "fig2"], ["validate"]], ids=" ".join
+    )
+    def test_two_realizations_are_config_error(self, argv, tmp_path, capsys):
+        if argv[0] == "scan":
+            target = ["-o", str(tmp_path / "x.csv")]
+        elif argv[0] == "figure":
+            target = ["--outdir", str(tmp_path / "out")]
+        else:
+            target = []
+        code, out, err = run_cli([*argv, "--n-realizations", "2", *target], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: n_realizations must be at least 3\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", [["scan"], ["figure", "fig2"], ["figure", "fig1b"]])
     def test_error_in_a_forked_span_is_the_serial_error(
         self, command, tmp_path, monkeypatch, capsys
@@ -697,9 +714,9 @@ class TestRunGuards:
         "script, argv, message",
         [
             ("squeeze_vs_pump.py", ["--r", "0.5", "1.0"], "--r: |r| must be < 1"),
-            ("squeeze_vs_pump.py", ["--n-realizations", "1"], "must be at least 2, got 1"),
+            ("squeeze_vs_pump.py", ["--n-realizations", "1"], "must be at least 3, got 1"),
             ("squeeze_vs_pump.py", ["--seed", "-1"], "--seed: must be at least 0"),
-            ("make_figure_data.py", ["--n-realizations", "1"], "must be at least 2, got 1"),
+            ("make_figure_data.py", ["--n-realizations", "1"], "must be at least 3, got 1"),
             ("make_figure_data.py", ["--seed", "-1"], "--seed: must be at least 0"),
         ],
         ids=["squeeze-r", "squeeze-n", "squeeze-seed", "figures-n", "figures-seed"],

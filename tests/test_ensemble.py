@@ -86,6 +86,12 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="mean must be finite"):
             GaussianState(QuadraturePair(*mean), np.eye(2))
 
+    def test_two_realizations_are_rejected(self):
+        # the sample covariance of two pairs has rank at most 1
+        with pytest.raises(ValueError, match="n_realizations must be at least 3"):
+            EnsembleConfig(2, 0)
+        assert EnsembleConfig(3, 0).n_realizations == 3
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EnsembleConfig(1, 0)
@@ -163,6 +169,37 @@ class TestSampling:
         z = np.random.default_rng(5).standard_normal((1000, 2))
         m = np.diag([0.5, 1.7])
         assert np.array_equal(map_pairs(z, m), z @ m.T)
+
+    # a diagonal noise root scales each column of z; every other one maps
+    # the pairs through map_pairs. Either way the draws are map_pairs' and
+    # the mean's, bit for bit: they differ only in the sign of an exactly
+    # zero draw under a -0.0 mean, and none is drawn here
+    @pytest.mark.parametrize("var_zp", [1.0, 1e-20, 1e10])
+    def test_diagonal_noise_roots_scale_the_columns(self, var_zp, monkeypatch):
+        mapped = []
+        monkeypatch.setattr(
+            ensemble, "map_pairs", lambda *args: mapped.append(args) or map_pairs(*args)
+        )
+        convention = VacuumConvention(var_zp)
+        mean = QuadraturePair(-0.0, 2.5)
+        states = [
+            GaussianState.vacuum(convention),
+            GaussianState.coherent(mean, convention),
+            GaussianState(mean, np.diag([var_zp, 4.0 * var_zp])),
+        ]
+        for state in states:
+            for seed in range(12):
+                ens = EnsembleConfig(3000, seed)
+                z = ensemble.rng.standard_normal_pairs(seed, 1000, 2000)
+                want = map_pairs(z, state.noise)
+                want[:, 0] += state.mean.x1
+                want[:, 1] += state.mean.x2
+                got = sample_state_array(state, ens, 1000, 2000)
+                assert got.tobytes() == want.tobytes()
+        assert mapped == []
+        squeezed = GaussianState(mean, var_zp * np.array([[2.0, 0.8], [0.8, 0.5]]))
+        sample_state_array(squeezed, EnsembleConfig(3000, 1))
+        assert len(mapped) == 1
 
     def test_slices_are_indexed_by_realization(self):
         state = GaussianState.vacuum(VAC)

@@ -11,8 +11,11 @@ from opasim.fields import (
     TimeGrid,
     TimeSeries,
     pump_carrier,
+    series_major,
     synthesize,
+    synthesize_values,
 )
+from opasim.cli import UFUNC_BUFFER
 from opasim.spectral import lockin_extract
 
 amplitudes = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
@@ -154,6 +157,35 @@ class TestSynthesize:
         joint = synthesize(comps_a + comps_b, grid)
         split = synthesize(comps_a, grid).values + synthesize(comps_b, grid).values
         np.testing.assert_allclose(joint.values, split, atol=1e-12)
+
+
+    # narrower than the grid, the block is built series-major; n - 1 and n
+    # sit either side of that cut, at numpy's default ufunc buffer and cli's
+    @pytest.mark.parametrize("bufsize", [8192, UFUNC_BUFFER])
+    @pytest.mark.parametrize("width", [1, 25, "n-1", "n", 128])
+    def test_block_columns_are_their_scalar_syntheses(self, width, bufsize):
+        grid = TimeGrid(16, 4)
+        n = grid.n_samples
+        width = {"n-1": n - 1, "n": n}.get(width, width)
+        rng = np.random.default_rng(width)
+        dc = rng.normal(size=width)
+        lines = rng.normal(size=(7, 2, width)) * 10.0 ** rng.integers(-8, 8, (7, 2, width))
+        lines[:, :, width // 2] = -0.0
+        carriers = [HarmonicComponent(0, dc), HarmonicComponent(3, 1.5, -0.25)]
+        carriers += [HarmonicComponent(k, c, s) for k, (c, s) in enumerate(lines, 1)]
+        old = np.getbufsize()
+        np.setbufsize(bufsize)
+        try:
+            block = synthesize_values(carriers, grid, width)
+        finally:
+            np.setbufsize(old)
+        assert block.shape == (n, width)
+        assert block.flags.f_contiguous is series_major(n, width)
+        for j in range(width):
+            alone = [HarmonicComponent(0, dc[j]), HarmonicComponent(3, 1.5, -0.25)]
+            alone += [HarmonicComponent(k, c[j], s[j]) for k, (c, s) in enumerate(lines, 1)]
+            want = synthesize(alone, grid).values
+            assert block[:, j].tobytes() == want.tobytes()
 
 
 class TestQuadratures:

@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
-from opasim import ensemble
+from opasim import ensemble, spectral
 from opasim.ensemble import (
     lockin_rows,
     medium_channel,
@@ -175,10 +175,14 @@ def test_lockin_rows_keeps_the_bits(traces, references):
 
 
 # numpy's pairwise sum adds under 8 terms in order, up to 128 through
-# eight accumulators, and splits longer series in two
+# eight accumulators, and splits longer series in two. Blocks narrower
+# than n_samples are summed series-major, the others as whole-row adds,
+# so widths n - 1, n and n + 1 sit on either side of that cut
 @pytest.mark.parametrize("n_samples", [*range(1, 21), 64, 127, 128, 129, 256, 257])
-@pytest.mark.parametrize("width", [1, 2, 3, 7, 4096])
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 4096, "n-1", "n", "n+1"])
 def test_lockin_rows_sums_each_column_as_np_sum(n_samples, width):
+    offsets = {"n-1": -1, "n": 0, "n+1": 1}
+    width = max(1, n_samples + offsets[width]) if width in offsets else width
     rng = np.random.default_rng(n_samples * 10_000 + width)
     # magnitudes over ten decades, so another order of adds changes the bits
     block = rng.normal(size=(n_samples, width)) * 10.0 ** rng.integers(-5, 5, (n_samples, width))
@@ -191,6 +195,44 @@ def test_lockin_rows_sums_each_column_as_np_sum(n_samples, width):
     wide = np.empty((n_samples, width + 8))
     wide[:, :width] = block
     assert same_bits(lockin_rows(wide[:, :width], cos1, sin1, n_samples), want)
+    # a series-major block, as fields.synthesize_values makes narrow ones
+    assert same_bits(lockin_rows(np.asfortranarray(block), cos1, sin1, n_samples), want)
+
+
+# the series-major path never calls the whole-row adds, and wider blocks do
+@pytest.mark.parametrize(
+    "shape, series",
+    [
+        ((256, 25), True),
+        ((256, 255), True),
+        ((6, 1), True),
+        ((6, 5), True),
+        ((256, 256), False),
+        ((64, 128), False),
+        ((6, 4096), False),
+    ],
+    ids=str,
+)
+def test_blocks_narrower_than_their_series_are_summed_series_major(
+    shape, series, monkeypatch
+):
+    calls = []
+    pairwise_rows = spectral._pairwise_rows
+
+    def counted(block):
+        calls.append(block.shape)
+        return pairwise_rows(block)
+
+    monkeypatch.setattr(spectral, "_pairwise_rows", counted)
+    block = np.random.default_rng(3).normal(size=shape)
+    cos1, sin1 = np.random.default_rng(4).normal(size=(2, shape[0]))
+    for order in ("C", "F"):
+        lockin_rows(np.array(block, order=order), cos1, sin1, shape[0])
+        assert (calls == []) is series
+        calls.clear()
+        spectral._column_sums(np.array(block, order=order))
+        assert (calls == []) is series
+        calls.clear()
 
 
 @pytest.mark.parametrize("medium", MEDIA, ids=_medium_id)

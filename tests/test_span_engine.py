@@ -27,11 +27,11 @@ from opasim.ensemble import (
     propagate_ensemble,
     sample_state_array,
 )
-from opasim.fields import TimeGrid
+from opasim.fields import HarmonicComponent, TimeGrid, synthesize_values
 from opasim.figures import figure_state
 from opasim.medium import SusceptibilityProfile
 from opasim.rng import uniforms
-from opasim.spectral import spectrum_rows
+from opasim.spectral import _column_sums, lockin_rows, spectrum_rows
 from opasim.validate import SharedInputs, check_one_period_lockin
 
 N = 2 * CHUNK + 1
@@ -292,6 +292,33 @@ def test_spectrum_bits_do_not_depend_on_the_ufunc_buffer(grid, draws):
     want, got = _at_default_and_in_frame(
         lambda: [spectrum_rows(block.copy(), grid, grid.max_harmonic())]
     )
+    assert got == want
+
+
+# series-major blocks, narrower than the grid: lockin-exactness's 25 draws,
+# one column, and one column fewer than the 256 samples. Each series is
+# summed by numpy's own pairwise sum, at either buffer size
+@pytest.mark.parametrize("draws", [1, 25, 255])
+def test_series_major_bits_do_not_depend_on_the_ufunc_buffer(draws):
+    grid = TimeGrid(64, 4)
+    k_max = grid.max_harmonic()
+    table = uniforms(6, 0, (2 * k_max + 1) * draws).reshape(2 * k_max + 1, draws) - 0.5
+    carriers = [HarmonicComponent(0, table[0])]
+    carriers += [
+        HarmonicComponent(k, table[2 * k - 1], table[2 * k]) for k in range(1, k_max + 1)
+    ]
+
+    def run():
+        block = synthesize_values(carriers, grid, draws)
+        cos1, sin1 = grid.harmonic(1)
+        return [
+            block,
+            _column_sums(block * block),
+            lockin_rows(block, cos1, sin1, grid.n_samples),
+            spectrum_rows(block, grid, k_max),
+        ]
+
+    want, got = _at_default_and_in_frame(run)
     assert got == want
 
 

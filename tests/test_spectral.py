@@ -113,10 +113,11 @@ class TestLockin:
             assert got.s == scale * float(np.sum(values * np.sin(phases)))
         column = spectrum_rows(np.array(values)[:, None], grid, k_max)[0]
         assert column.tolist() == [[comp.c, comp.s] for comp in lines(series, k_max)]
-        # blocks of 1 to 128 columns, over 16 decades, with -0.0 entries
-        # and an all -0.0 column: every column is its own projection
+        # blocks of 1 to 128 columns and of n - 1, n and n + 1 (either side
+        # of the series-major cut), over 16 decades, with -0.0 entries and
+        # an all -0.0 column: every column is its own projection
         n = grid.n_samples
-        for width in (1, 2, 25, 128):
+        for width in (1, 2, 25, 128, n - 1, n, n + 1):
             block = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-8, 8, (n, width))
             block[::7, 0] = -0.0
             block[:, 1::5] = -0.0
@@ -133,8 +134,9 @@ class TestLockin:
                     for column in block.T
                 ]
             )
-            got = spectrum_rows(block.copy(), grid, k_max)
-            assert got.tobytes() == want.tobytes()
+            for order in ("C", "F"):
+                got = spectrum_rows(block.copy(order=order), grid, k_max)
+                assert got.tobytes() == want.tobytes()
 
     def test_phase_covariance_under_delay(self):
         # delaying by tau advances bin k's phase by k*omega*tau; an

@@ -399,9 +399,10 @@ def _owner(array):
     return array
 
 
-def test_run_all_keeps_nothing_it_sampled(monkeypatch):
-    # back-to-back runs on two seeds each give their own results, and no
-    # sampled or propagated array outlives its run
+def _check_runs_keep_nothing(overrides, arrays, monkeypatch):
+    """Back-to-back runs on two seeds each give their own results, and
+    each makes ``arrays`` sampled or propagated arrays, none of which
+    outlives its run."""
     made = []
     for name in ("sample_state_array", "propagate_ensemble"):
         original = getattr(validate, name)
@@ -412,15 +413,25 @@ def test_run_all_keeps_nothing_it_sampled(monkeypatch):
             return out
 
         monkeypatch.setattr(validate, name, recorded)
-    cfgs = [with_overrides(RunConfig(), seed=seed) for seed in (5, 6)]
+    cfgs = [with_overrides(RunConfig(), seed=seed, **overrides) for seed in (5, 6)]
     got = [validate.run_all(cfg) for cfg in cfgs]
-    # per run: the shared draws, determinism's three slices, and two propagations
-    assert len(made) == 6 * len(cfgs)
+    assert len(made) == arrays * len(cfgs)
     gc.collect()
     assert [ref() for ref in made] == [None] * len(made)
     monkeypatch.undo()
     assert got[0] != got[1]
     assert got == [_standalone(cfg) for cfg in cfgs]
+
+
+def test_run_all_keeps_nothing_it_sampled(monkeypatch):
+    # per run: the shared draws, determinism's three slices, and one
+    # propagation, as one-period-lockin's default channel is the fixed medium
+    _check_runs_keep_nothing({}, 5, monkeypatch)
+
+
+def test_run_all_propagates_each_channel_once(monkeypatch):
+    # a cubic medium is a second channel: one more propagation per run
+    _check_runs_keep_nothing({"chi3": 0.05}, 6, monkeypatch)
 
 
 # at n = 1e4 the sampled product's relative sd, about 2/sqrt(n - 1), is
