@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from contextlib import contextmanager
 from functools import cache, partial
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from .ensemble import (
     default_thetas,
     det2,
     medium_channel,
+    numpy_frame,
     scan_state,
     squeezing_report,
     sums_scan,
@@ -148,9 +148,11 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     draw = (cfg.A, cfg.B, cfg.phi, cfg.pump_phase, medium.chi1, medium.chi2)
     a, b, phi, psi, chi1, chi2, eps0 = np.array([*draw, medium.eps0])[:, None]
     k_max = min(6, grid.max_harmonic())
-    # an overflowing input reaches the gate as NaN, which fails it
     numeric = pumped_spectrum(a, b, phi, psi, chi1, chi2, medium.chi3, eps0, grid, k_max)
-    predicted = predict_spectrum(*draw, medium.chi3)
+    predicted = predict_spectrum(*draw, medium.chi3)[: k_max + 1]
+    # an input that overflows has no spectrum to compare: exit 2 before any output
+    if not (np.isfinite(numeric).all() and np.isfinite(predicted).all()):
+        raise ValueError("the configured draw's spectrum is not finite (overflow)")
 
     out = sys.stdout
     out.write(
@@ -160,12 +162,11 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     worst = 0.0
     for k, (line, (pred_c, pred_s)) in enumerate(zip(numeric[0].tolist(), predicted)):
         comp = HarmonicComponent(k, *line)
-        # np.maximum propagates NaN where the builtin max would drop it
-        dev = np.maximum(
+        dev = max(
             abs(comp.c - pred_c) / max(1.0, abs(pred_c)),
             abs(comp.s - pred_s) / max(1.0, abs(pred_s)),
         )
-        worst = np.maximum(worst, dev)
+        worst = max(worst, dev)
         out.write(
             f"{k:>2} {comp.c:>24.16e} {comp.s:>24.16e} {comp.magnitude:>24.16e} "
             f"{math.degrees(comp.phase):>12.6f} {pred_c:>24.16e} {pred_s:>24.16e} "
@@ -342,30 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# elements in numpy's ufunc buffer while a command runs (numpy's default
-# is 8192). numpy copies an elementwise op on a strided (r, w) block
-# through this buffer when r >= 4 and w <= size / 4, and a broadcast
-# (r, 1) column on a contiguous block too: at the default, every kernel
-# block of 2048 columns or fewer, the ragged last span among them. At 128
-# only blocks of 32 columns or fewer are copied. No output bit depends on it
-UFUNC_BUFFER = 128
-
-
-@contextmanager
-def numpy_frame():
-    """numpy's settings for a run: overflow and invalid-value warnings off,
-    and a ufunc buffer of UFUNC_BUFFER elements; both are restored on exit.
-
-    Each command reports an overflow or NaN by its own check, in one line.
-    Forked span workers inherit the settings.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.setbufsize(UFUNC_BUFFER)
-        yield
-
-
 def main(argv=None) -> int:
-    """Run one command on its config, loaded once, in :func:`numpy_frame`."""
+    """Run one command on its config, loaded once, in :func:`numpy_frame`.
+
+    The span loop enters the frame itself; here it also covers each
+    command's code outside that loop.
+    """
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)

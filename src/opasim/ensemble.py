@@ -19,6 +19,7 @@ import pickle
 import signal
 import sys
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import BinaryIO, Callable, NamedTuple, Sequence
@@ -36,6 +37,14 @@ from .spectral import lockin_rows
 # the three (6, 4096) float64 kernel buffers take 576 KiB (768 KiB at the 8
 # samples of chi3), inside one core's 2 MiB L2.
 CHUNK = 4096
+
+# elements in numpy's ufunc buffer while a span loop runs (numpy's default
+# is 8192). numpy copies an elementwise op on a strided (r, w) block
+# through this buffer when r >= 4 and w <= size / 4, and a broadcast
+# (r, 1) column on a contiguous block too: at the default, every kernel
+# block of 2048 columns or fewer, the ragged last span among them. At 128
+# only blocks of 32 columns or fewer are copied. No output bit depends on it
+UFUNC_BUFFER = 128
 
 _PSD_SLACK = 1e-9
 
@@ -163,11 +172,7 @@ def sample_state_array(
                 column *= factor
     else:
         draws = map_pairs(draws, noise)
-    # a scalar add per column: an add of the broadcast (2,) mean goes through
-    # numpy's ufunc buffer at its default size, outside cli.numpy_frame
-    mean = state.mean.as_array()
-    draws[:, 0] += mean[0]
-    draws[:, 1] += mean[1]
+    draws += state.mean.as_array()
     return draws
 
 
@@ -247,6 +252,20 @@ def span_groups(n_spans: int, groups: int) -> list[tuple[int, int]]:
     return [(g * n_spans // k, (g + 1) * n_spans // k) for g in range(k)]
 
 
+@contextmanager
+def numpy_frame():
+    """numpy's settings for a run: overflow and invalid-value warnings off,
+    and a ufunc buffer of UFUNC_BUFFER elements; both are restored on exit.
+
+    Each command reports an overflow or NaN by its own check, in one line.
+    Forked span workers inherit the settings.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.setbufsize(UFUNC_BUFFER)
+        yield
+
+
+@numpy_frame()
 def run_spans(work, n: int, workers: int = 1) -> list:
     """Ordered map of ``work(start, count)`` over the CHUNK-row spans of n rows.
 
@@ -261,7 +280,8 @@ def run_spans(work, n: int, workers: int = 1) -> list:
     process may hold a lock that ``work`` takes. An exception raised in a
     child is raised here with its own type and message; a child that dies
     without a result raises ChildProcessError. No child outlives the
-    call, whether it returns or raises.
+    call, whether it returns or raises. Every span, here and in the
+    children, runs in :func:`numpy_frame`, whoever calls.
     """
     spans = [(start, min(CHUNK, n - start)) for start in range(0, n, CHUNK)]
     (_, head), *rest = span_groups(len(spans), min(workers, usable_cpus()))
@@ -375,25 +395,12 @@ def _block_buffers(n_samples: int, count: int) -> list[np.ndarray]:
     and the centre row all reuse them. Block-sized arrays freed after
     every span would go back to the system, and the next span would fault
     their pages in again. Each buffer starts on a cache line
-    (:func:`opasim.rng.aligned_empty`), and at CHUNK + 8 columns every
-    row does.
-
-    At its default size of 8192 elements, numpy's ufunc buffer slows two
-    kinds of block: it copies a broadcast (n_samples, 1) reference on a
-    contiguous block through the buffer (46 against 15 us for a
-    (9, 4096) product, numpy 2.4 on a 2-vCPU x86-64 VM), and it copies
-    an op on strided (n_samples, w) views through it for w <= 2048
-    (1.2-1.3 ns per element against 0.27-0.31 ns for w >= 2049). The
-    buffers' rows are 8 elements longer than the widest block, so no
-    full-width view is one contiguous run; the ragged last span (576
-    rows at 1e6) and every ensemble of 2048 rows or fewer stay narrow.
-    :func:`opasim.cli.numpy_frame`, which every command and script runs
-    in, sets a buffer small enough that neither copy is made. The rows'
-    extra 8 elements still matter to a library caller outside it.
+    (:func:`opasim.rng.aligned_empty`), and at CHUNK columns, 512 lines
+    of float64, every row does.
     """
     held = getattr(_held, "buffers", None)
-    if held is None or held[0].shape[0] < n_samples or held[0].shape[1] <= count:
-        shape = (n_samples, max(count, CHUNK) + 8)
+    if held is None or held[0].shape[0] < n_samples or held[0].shape[1] < count:
+        shape = (n_samples, max(count, CHUNK))
         held = _held.buffers = [rng.aligned_empty(shape) for _ in range(3)]
     return [buffer[:n_samples, :count] for buffer in held]
 

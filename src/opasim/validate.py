@@ -363,9 +363,10 @@ def check_heisenberg_symplectic(shared: SharedInputs) -> tuple[bool, str]:
     convention = cfg.convention()
     var_zp = convention.var_zp
     state = single_pass(GaussianState.vacuum(convention), SYMPLECTIC)
-    det = det2(state.cov)
-    if abs(det - var_zp**2) > 1e-10:
-        return False, f"oracle determinant off by {abs(det - var_zp**2):.3e}"
+    # the margin of _rounding_floor, relative to the exact product
+    det_rel = abs(det2(state.cov) / var_zp**2 - 1.0)
+    if det_rel > 8.0 * np.finfo(float).eps:
+        return False, f"oracle determinant off by {det_rel:.3e} relative"
     scan = shared.scans[1]
     if not np.isfinite(scan.cov).all():
         return False, f"scan covariance is not finite ({scan.cov.tolist()})"

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from opasim import cli, ensemble, rng
-from opasim.cli import UFUNC_BUFFER, main
+from opasim.cli import main
 from opasim.config import RUN_FIELDS, RunConfig, from_json, with_overrides
+from opasim.ensemble import UFUNC_BUFFER
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -163,17 +164,22 @@ class TestSpectrumCommand:
         assert code == run_cli(["config", *flags], capsys)[0]
         assert code in (0, 2)
 
-    def test_overflow_fails_the_gate(self, capsys):
-        code, out, _ = run_cli(["spectrum", "--A", "1e200", "--B", "1"], capsys)
-        assert code == 1
-        assert out.strip().splitlines()[-1].startswith("max deviation = nan")
+    @pytest.mark.parametrize(
+        "flags",
+        [["--B", "1e200"], ["--chi1", "1.7e308"], ["--A", "1e200", "--B", "1"]],
+        ids=" ".join,
+    )
+    def test_overflow_exits_2_before_any_output(self, flags, capsys):
+        code, out, err = run_cli(["spectrum", *flags], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
         # pytest collects warnings itself, so stderr is read from a fresh process
         result = subprocess.run(
-            [sys.executable, "-m", "opasim", "spectrum", "--A", "1e200", "--B", "1"],
+            [sys.executable, "-m", "opasim", "spectrum", *flags],
             capture_output=True,
             text=True,
         )
-        assert result.returncode == 1
+        assert (result.returncode, result.stdout) == (2, "")
         assert "RuntimeWarning" not in result.stderr
 
 

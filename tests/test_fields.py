@@ -15,7 +15,7 @@ from opasim.fields import (
     synthesize,
     synthesize_values,
 )
-from opasim.cli import UFUNC_BUFFER
+from opasim.ensemble import UFUNC_BUFFER
 from opasim.spectral import lockin_extract
 
 amplitudes = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
@@ -160,7 +160,7 @@ class TestSynthesize:
 
 
     # narrower than the grid, the block is built series-major; n - 1 and n
-    # sit either side of that cut, at numpy's default ufunc buffer and cli's
+    # sit either side of that cut, at numpy's default ufunc buffer and ensemble's
     @pytest.mark.parametrize("bufsize", [8192, UFUNC_BUFFER])
     @pytest.mark.parametrize("width", [1, 25, "n-1", "n", 128])
     def test_block_columns_are_their_scalar_syntheses(self, width, bufsize):

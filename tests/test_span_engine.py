@@ -1,7 +1,7 @@
 """The span engine keeps every output byte: golden CSV and stdout hashes, span invariance.
 
 The kernels' bits are also the same at numpy's default ufunc buffer size
-and at the one of cli's numpy frame, which every golden is made in.
+and at the one of ensemble's numpy frame, which every golden is made in.
 
 A span of CHUNK rows is the kernel block and the group of the scan and
 figure sums. n = 2 * CHUNK + 1 makes the last span a single row, so the
@@ -17,18 +17,20 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from opasim import ensemble
-from opasim.cli import UFUNC_BUFFER, main, numpy_frame
+from opasim import cli, ensemble
+from opasim.cli import main
 from opasim.config import RunConfig, with_overrides
 from opasim.ensemble import (
     CHUNK,
+    UFUNC_BUFFER,
     channel_sums,
     medium_channel,
+    numpy_frame,
     propagate_ensemble,
     sample_state_array,
 )
 from opasim.fields import HarmonicComponent, TimeGrid, synthesize_values
-from opasim.figures import figure_state
+from opasim.figures import emit_figure, figure_state
 from opasim.medium import SusceptibilityProfile
 from opasim.rng import uniforms
 from opasim.spectral import _column_sums, lockin_rows, spectrum_rows
@@ -244,7 +246,7 @@ def test_bytes_do_not_depend_on_blas_threads_or_workers(command, tmp_path):
 
 
 def _at_default_and_in_frame(run):
-    """run()'s result bytes at numpy's default ufunc buffer and in cli's frame."""
+    """run()'s result bytes at numpy's default ufunc buffer and in ensemble's frame."""
     assert np.getbufsize() != UFUNC_BUFFER
     want = run()
     with numpy_frame():
@@ -320,6 +322,61 @@ def test_series_major_bits_do_not_depend_on_the_ufunc_buffer(draws):
 
     want, got = _at_default_and_in_frame(run)
     assert got == want
+
+
+# library calls outside cli.main, on N rows: three spans on two workers,
+# the first in this process and the last two in a forked child
+LIBRARY_CALLS = {
+    "run_scan": lambda cfg: cli.run_scan(cfg, workers=2),
+    "emit_figure": lambda cfg: emit_figure("fig2", cfg, workers=2),
+}
+
+
+def _numpy_state():
+    errors = np.geterr()
+    return np.getbufsize(), errors["over"], errors["invalid"]
+
+
+@pytest.mark.parametrize("call", LIBRARY_CALLS)
+def test_library_span_loops_run_in_the_frame(call, tmp_path, monkeypatch):
+    # each span appends its pid and numpy state to a file: a child's memory
+    # is lost with it
+    log = tmp_path / "spans.txt"
+    sample = ensemble.sample_state_array
+
+    def logged(*args):
+        with open(log, "a") as stream:
+            stream.write(f"{os.getpid()} {_numpy_state()}\n")
+        return sample(*args)
+
+    monkeypatch.setattr(ensemble, "sample_state_array", logged)
+    monkeypatch.setattr(ensemble, "usable_cpus", lambda: 2)
+    default = _numpy_state()
+    assert default[0] != UFUNC_BUFFER
+    LIBRARY_CALLS[call](with_overrides(RunConfig(), n_realizations=N))
+    assert _numpy_state() == default
+    spans = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    assert sorted(pid == str(os.getpid()) for pid, _ in spans) == [False, False, True]
+    assert {state for _, state in spans} == {str((UFUNC_BUFFER, "ignore", "ignore"))}
+
+
+# the span that raises runs in this process (0) or in the forked child
+@pytest.mark.parametrize("start", [0, CHUNK])
+@pytest.mark.parametrize("call", LIBRARY_CALLS)
+def test_the_frame_does_not_outlive_a_span_that_raises(call, start, monkeypatch):
+    sample = ensemble.sample_state_array
+
+    def failing(state, cfg, span_start, count):
+        if span_start == start:
+            raise ValueError("span failed")
+        return sample(state, cfg, span_start, count)
+
+    monkeypatch.setattr(ensemble, "sample_state_array", failing)
+    monkeypatch.setattr(ensemble, "usable_cpus", lambda: 2)
+    default = _numpy_state()
+    with pytest.raises(ValueError, match="span failed"):
+        LIBRARY_CALLS[call](with_overrides(RunConfig(), n_realizations=N))
+    assert _numpy_state() == default
 
 
 def _propagated():

@@ -445,3 +445,17 @@ def test_heisenberg_symplectic_passes_a_correct_pipeline_on_every_seed(n, seeds)
         if not ok:
             failed.append((seed, detail))
     assert failed == []
+
+
+# var_zp = 10^(k/4), k = -48..48: det's rounding scales with var_zp^2, so
+# an absolute bound failed from 1e3 up and checked nothing below 1e-5
+@pytest.mark.parametrize("var_zp", [10 ** (k / 4) for k in range(-48, 49)])
+def test_heisenberg_symplectic_determinant_gate_is_relative(var_zp):
+    cfg = with_overrides(RunConfig(), n_realizations=1000, var_zp=var_zp)
+    ok, detail = validate.check_heisenberg_symplectic(SharedInputs(cfg))
+    assert ok and detail.startswith("oracle det exact"), detail
+
+
+def test_validate_passes_at_a_large_var_zp(capsys):
+    assert main(["validate", "--var-zp", "1e5"]) == 0
+    capsys.readouterr()
