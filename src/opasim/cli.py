@@ -44,9 +44,7 @@ from .fields import HarmonicComponent, QuadraturePair
 from .figures import FIGURE_NAMES, FigureTable, emit_figure, scan_table
 from .oracle import PassGain, gain_matrix, map_quadratures, single_pass
 from .spectral import predict_spectrum, pumped_spectrum
-from .validate import run_all
-
-SPECTRUM_GATE = 1e-9
+from .validate import run_all, spectrum_floor
 
 
 # every number the CLI prints: 17 significant digits round-trip a double
@@ -159,21 +157,19 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
         f"{'k':>2} {'c_pipeline':>24} {'s_pipeline':>24} {'magnitude':>24} "
         f"{'phase_deg':>12} {'c_predicted':>24} {'s_predicted':>24} {'deviation':>12}\n"
     )
-    worst = 0.0
-    for k, (line, (pred_c, pred_s)) in enumerate(zip(numeric[0].tolist(), predicted)):
+    err = np.abs(numeric[0] - predicted)
+    devs = np.max(err / np.maximum(1.0, np.abs(predicted)), axis=1).tolist()
+    for k, (line, (pred_c, pred_s), dev) in enumerate(zip(numeric[0].tolist(), predicted, devs)):
         comp = HarmonicComponent(k, *line)
-        dev = max(
-            abs(comp.c - pred_c) / max(1.0, abs(pred_c)),
-            abs(comp.s - pred_s) / max(1.0, abs(pred_s)),
-        )
-        worst = max(worst, dev)
         out.write(
             f"{k:>2} {comp.c:>24.16e} {comp.s:>24.16e} {comp.magnitude:>24.16e} "
             f"{math.degrees(comp.phase):>12.6f} {pred_c:>24.16e} {pred_s:>24.16e} "
             f"{dev:>12.3e}\n"
         )
-    out.write(f"max deviation = {worst:.3e} (gate {SPECTRUM_GATE:.0e})\n")
-    return 0 if worst <= SPECTRUM_GATE else 1
+    bound = spectrum_floor(cfg.A, cfg.B, medium.chi1, medium.chi2, medium.chi3)
+    worst = float(np.max(err))
+    out.write(f"max error = {worst:.3e} (bound {bound:.3e})\n")
+    return 0 if worst <= bound else 1
 
 
 def run_scan(cfg: RunConfig, workers: int = 1) -> QuadratureScan:

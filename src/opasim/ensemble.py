@@ -453,7 +453,8 @@ def channel_sums(
     of a call that passes that channel alone.
     """
     mean = state.mean.as_array()[None]
-    centers = [channel(mean)[0] for channel, _ in channels]
+    with numpy_frame():  # as the spans' own channel calls
+        centers = [channel(mean)[0] for channel, _ in channels]
 
     def work(start, count):
         pairs = sample_state_array(state, cfg, start, count)

@@ -22,6 +22,7 @@ one) are what it checks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import replace
 from functools import cached_property, partial
 from typing import Callable
@@ -107,24 +108,58 @@ def _synthesized_lines(lines: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return synthesize_values(carriers, grid, len(lines))
 
 
-def _bounded(worst: float, bound: float, what: str) -> tuple[bool, str]:
-    """(worst <= bound, detail); a NaN or infinite worst fails and is named."""
+# margins of rounding_floor, each at least twice the worst of a sweep of
+# correct runs (README, "Numerical guarantees")
+CHANNEL_MARGIN = DETERMINANT_MARGIN = 8.0
+SYNTHESIS_MARGIN = SPECTRUM_MARGIN = 16.0
+
+
+def rounding_floor(magnitude, margin: float):
+    """margin*eps*(magnitude + tiny), the gate of every closed-form comparison:
+    a sum of terms within ``magnitude`` in total rounds by a few eps of it
+    (Higham, SIAM J. Sci. Comput. 14, 1993); tiny covers subnormal results."""
+    return margin * sys.float_info.epsilon * (magnitude + sys.float_info.min)
+
+
+def polynomial_magnitude(coefficients, e):
+    """sum_k |c_k|*e^k of (c_1, ..., c_d), in Horner form: the magnitude of
+    a medium's output, and of each of its terms, on a trace within e."""
+    magnitude = 0.0
+    for c in reversed(coefficients):
+        magnitude = (magnitude + abs(c)) * e
+    return magnitude
+
+
+def spectrum_floor(a, b, chi1, chi2, chi3):
+    """rounding_floor of :func:`~opasim.spectral.pumped_spectrum` against its
+    closed form: the pumped field stays within |a| + |b|."""
+    magnitude = polynomial_magnitude((chi1, chi2, chi3), abs(a) + abs(b))
+    return rounding_floor(magnitude, SPECTRUM_MARGIN)
+
+
+def _gated(err, floor, what: str, where=lambda at: "") -> tuple[bool, str]:
+    """(ok, detail): every err within its floor. A NaN, infinite or larger err
+    fails and the detail names the first in C order, else the one nearest its
+    floor; ``where`` of that entry's index ends the detail."""
+    err, floor = np.broadcast_arrays(err, floor)
+    failed = ~(err <= floor)
+    at = np.unravel_index(np.argmax(failed if failed.any() else err / floor), err.shape)
+    worst, bound = float(err[at]), float(floor[at])
     if not math.isfinite(worst):
-        return False, f"{what} is not finite ({worst})"
-    return worst <= bound, f"max {what} {worst:.3e} (bound {bound:g})"
-
-
-def _largest(deviations: np.ndarray) -> float:
-    """The largest deviation, NaN if any is NaN (Python's max drops NaN)."""
-    return float(np.max(deviations, initial=0.0))
+        return False, f"{what} is not finite ({worst}){where(at)}"
+    if worst <= bound:
+        return True, f"worst {what} {worst:.3e} (bound {bound:.3e}){where(at)}"
+    return False, f"{what} {worst:.3e} above bound {bound:.3e}{where(at)}"
 
 
 def check_lockin_exactness(shared: SharedInputs) -> tuple[bool, str]:
-    """Synthesis -> extraction recovers every coefficient to 1e-12."""
+    """Synthesis -> extraction recovers every coefficient to the rounding floor
+    of its draw's sum of |c| and |s|."""
     grid = shared.cfg.grid()
     lines = _random_lines(1, grid.max_harmonic())
     got = spectrum_rows(_synthesized_lines(lines, grid), grid, grid.max_harmonic())
-    return _bounded(_largest(np.abs(got - lines)), 1e-12, "coefficient error")
+    floor = rounding_floor(np.abs(lines).sum(axis=(1, 2)), SYNTHESIS_MARGIN)
+    return _gated(np.abs(got - lines), floor[:, None, None], "coefficient error")
 
 
 def check_parseval(shared: SharedInputs) -> tuple[bool, str]:
@@ -136,7 +171,7 @@ def check_parseval(shared: SharedInputs) -> tuple[bool, str]:
     spectra = spectrum_rows(block, grid, grid.max_harmonic())
     power = np.array([lines_mean_square(lines) for lines in spectra.tolist()])
     errors = np.abs(power - ms) / np.maximum(ms, 1e-30)
-    return _bounded(_largest(errors), 1e-10, "relative Parseval error")
+    return _gated(errors, 1e-10, "relative Parseval error")
 
 
 # closed-form-equivalence: draws of (a, b, phi, pump_phase, chi1, chi2,
@@ -148,12 +183,12 @@ LOW = (0.0, 0.0, 0.0, 0.0, 0.5, -1.0, 0.5)
 HIGH = (2.0, 2.0, 2 * math.pi, 2 * math.pi, 2.0, 1.0, 2.0)
 
 
-def _closed_form_spectra(grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(numeric, predicted) of the closed-form check, one row per draw.
+def _closed_form_spectra(grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(numeric, predicted, floor) of the closed-form check, one row per draw.
 
-    Both are (DRAWS, 5, 2), bins k = 0..4 at chi3 = 0: :func:`~opasim.spectral.pumped_spectrum` one block
-    at a time, and :func:`~opasim.spectral.predict_spectrum` on all draws.
-    Each row has the bits of that draw's scalar pipeline and closed form.
+    The spectra are (DRAWS, 5, 2), bins k = 0..4 at chi3 = 0: :func:`~opasim.spectral.pumped_spectrum` one block
+    at a time, and :func:`~opasim.spectral.predict_spectrum` on all draws,
+    each row with the bits of that draw's scalar pipeline and closed form.
     """
     draws = _uniform_table(3, (DRAWS, 7), LOW, HIGH)
     numeric = np.empty((DRAWS, 5, 2))
@@ -165,26 +200,7 @@ def _closed_form_spectra(grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     predicted = np.empty((DRAWS, 5, 2))
     for k, line in enumerate(predict_spectrum(a, b, phi, psi, chi1, chi2, 0.0)[:5]):
         predicted[:, k, 0], predicted[:, k, 1] = line
-    return numeric, predicted
-
-
-def _closed_form_worst(numeric: np.ndarray, predicted: np.ndarray) -> tuple[float, str | None]:
-    """Worst deviation over tolerance, or NaN and the first failure's detail.
-
-    Tolerance is 1e-9 relative with a 1e-12 absolute floor for zero bins.
-    The first failure is taken in draw order, then by bin k, c before s; a
-    NaN or infinite deviation fails.
-    """
-    err = np.abs(numeric - predicted)
-    tol = 1e-9 * np.abs(predicted) + 1e-12
-    failed = ~(np.isfinite(err) & (err <= tol))
-    if not failed.any():
-        return float(np.max(err / tol)), None
-    first = np.unravel_index(np.argmax(failed), failed.shape)
-    k, dev, bound = first[1], float(err[first]), float(tol[first])
-    if not math.isfinite(dev):
-        return math.nan, f"bin k={k} deviation is not finite ({dev})"
-    return math.nan, f"bin k={k} off by {dev:.3e} (tol {bound:.3e})"
+    return numeric, predicted, spectrum_floor(a, b, chi1, chi2, 0.0)[:, None, None]
 
 
 def check_closed_form_equivalence(shared: SharedInputs) -> tuple[bool, str]:
@@ -194,11 +210,9 @@ def check_closed_form_equivalence(shared: SharedInputs) -> tuple[bool, str]:
     the first; multi-period extraction is checked by lockin-exactness and
     parseval on the whole grid.
     """
-    numeric, predicted = _closed_form_spectra(replace(shared.cfg.grid(), n_periods=1))
-    worst, failure = _closed_form_worst(numeric, predicted)
-    if failure is not None:
-        return False, failure
-    return True, f"{DRAWS} draws, worst deviation at {worst:.3f} of tolerance"
+    numeric, predicted, floor = _closed_form_spectra(replace(shared.cfg.grid(), n_periods=1))
+    err = np.abs(numeric - predicted)
+    return _gated(err, floor, "deviation", lambda at: f" in bin k={at[1]} of draw {at[0]}")
 
 
 # the fixed medium of oracle-pipeline-equivalence and determinism, pumped at B = 1
@@ -227,9 +241,18 @@ class SharedInputs:
 
     @cached_property
     def radius(self) -> float:
-        """The largest hypot(x1, x2) of the vacuum draws (:func:`_rounding_floor`)."""
+        """The largest hypot(x1, x2) of the vacuum draws."""
         _, pairs = self.vacuum
         return float(np.max(np.hypot(pairs[:, 0], pairs[:, 1]), initial=0.0))
+
+    def channel_floor(self, pump_b: float, medium: SusceptibilityProfile) -> float:
+        """rounding_floor of a vacuum draw's k = 1 output: radius + |pump_b|
+        bounds |E| on every trace, and the lock-in sums the polarization's
+        terms, whose largest outgrows the output, over the divisor eps0*chi1.
+        It is infinite where the polarization of such a trace may overflow."""
+        chis = (medium.chi1, medium.chi2, medium.chi3)
+        magnitude = medium.eps0 * polynomial_magnitude(chis, self.radius + abs(pump_b))
+        return rounding_floor(magnitude / (medium.eps0 * medium.chi1), CHANNEL_MARGIN)
 
     def propagated(
         self, pump_b: float, pump_phase: float, medium: SusceptibilityProfile
@@ -264,29 +287,14 @@ class SharedInputs:
         )
 
 
-def _rounding_floor(radius: float, pump_b: float, medium: SusceptibilityProfile) -> float:
-    """8*eps*sum_k |r_k|*e^k: the rounding a trace's lock-in may carry.
-
-    e = radius + |pump_b|, with radius the largest hypot(x1, x2) of the
-    input pairs, bounds |E| on every realization's trace, and r_k =
-    chi_k/chi1 are the coefficients of the output field E + r2*E^2 + r3*E^3. The lock-in sums the medium's terms, so its
-    rounding grows with the largest of them, not with the k = 1 output:
-    at a large var_zp the r2*E^2 term is far above the output's scale.
-    """
-    e = radius + abs(pump_b)
-    ratios = (1.0, medium.chi2 / medium.chi1, medium.chi3 / medium.chi1)
-    return 8.0 * np.finfo(float).eps * sum(abs(r) * e**k for k, r in enumerate(ratios, 1))
-
-
 def check_oracle_equivalence(shared: SharedInputs) -> tuple[bool, str]:
     """Pipeline equals the closed-form gain map on every vacuum realization."""
     r = 0.5
     _, pairs = shared.vacuum
     deviation = pairs * np.array([1.0 - r, 1.0 + r])
     deviation -= shared.propagated(1.0, 0.0, FIXED_MEDIUM)
-    worst = float(np.max(np.abs(deviation, out=deviation)))
-    bound = max(1e-10, _rounding_floor(shared.radius, 1.0, FIXED_MEDIUM))
-    return _bounded(worst, bound, "per-realization deviation")
+    floor = shared.channel_floor(1.0, FIXED_MEDIUM)
+    return _gated(np.abs(deviation, out=deviation), floor, "per-realization deviation")
 
 
 def check_one_period_lockin(shared: SharedInputs) -> tuple[bool, str]:
@@ -299,7 +307,10 @@ def check_one_period_lockin(shared: SharedInputs) -> tuple[bool, str]:
     """
     cfg = shared.cfg
     _, pairs = shared.vacuum
-    out = shared.propagated(cfg.B, cfg.pump_phase, cfg.medium)
+    out = shared.propagated(cfg.B, cfg.pump_phase, cfg.medium)  # raises on chi1 = 0
+    floor = shared.channel_floor(cfg.B, cfg.medium)
+    if not math.isfinite(floor):
+        raise ValueError(f"the configured medium pumped at B = {cfg.B!r} overflows a trace")
     # one configured period's own lock-in, 512 realizations at a time
     period = replace(cfg.grid(), n_periods=1)
     pump = pump_trace(cfg.B, cfg.pump_phase, period)
@@ -309,22 +320,11 @@ def check_one_period_lockin(shared: SharedInputs) -> tuple[bool, str]:
         rows = slice(lo, lo + 512)
         traces = transfer_values(synthesize_rows(pairs[rows], pump, cos1, sin1), cfg.medium)
         lockin_rows(traces, cos1, sin1, period.n_samples, out=full[rows])
-    bound = max(
-        1e-13 * max(1.0, float(np.max(np.abs(out)))),
-        _rounding_floor(shared.radius, cfg.B, cfg.medium),
-    )
     # |full - out| in place: no further O(n) array while the shared ones are held
     full -= out
-    worst = float(np.max(np.abs(full, out=full)))
-    compared = (
-        f"{channel_samples(cfg.medium)}-sample period vs "
-        f"{period.samples_per_period}x{period.n_periods} grid:"
-    )
-    if not math.isfinite(worst):
-        return False, f"{compared} per-realization deviation is not finite ({worst})"
-    return worst <= bound, (
-        f"{compared} max per-realization deviation {worst:.3e} (bound {bound:.3e})"
-    )
+    ok, detail = _gated(np.abs(full, out=full), floor, "per-realization deviation")
+    grid = f"{period.samples_per_period}x{period.n_periods} grid"
+    return ok, f"{channel_samples(cfg.medium)}-sample period vs {grid}: {detail}"
 
 
 def check_vacuum_scan_flat(shared: SharedInputs) -> tuple[bool, str]:
@@ -363,10 +363,10 @@ def check_heisenberg_symplectic(shared: SharedInputs) -> tuple[bool, str]:
     convention = cfg.convention()
     var_zp = convention.var_zp
     state = single_pass(GaussianState.vacuum(convention), SYMPLECTIC)
-    # the margin of _rounding_floor, relative to the exact product
-    det_rel = abs(det2(state.cov) / var_zp**2 - 1.0)
-    if det_rel > 8.0 * np.finfo(float).eps:
-        return False, f"oracle determinant off by {det_rel:.3e} relative"
+    floor = rounding_floor(var_zp**2, DETERMINANT_MARGIN)
+    ok, detail = _gated(abs(det2(state.cov) - var_zp**2), floor, "oracle det error")
+    if not ok:
+        return False, detail
     scan = shared.scans[1]
     if not np.isfinite(scan.cov).all():
         return False, f"scan covariance is not finite ({scan.cov.tolist()})"

@@ -103,46 +103,50 @@ STDOUT_GOLDEN = {
     # compared against one configured period, when the channel traced
     # 2d + 2 samples (only the one-period-lockin detail line changed), and
     # when the check inputs came from opasim.rng's uniforms (the detail
-    # lines of lockin-exactness, parseval and closed-form-equivalence), and
-    # when heisenberg-symplectic's bound scaled with n (its detail line)
-    ("validate",): "d76ebb9a4d4d7f77f5fba6ab86a6dbf2ca4b94e31bdd1f40e6ef0efe75a81f1b",
+    # lines of lockin-exactness, parseval and closed-form-equivalence),
+    # when heisenberg-symplectic's bound scaled with n (its detail line), and
+    # when every closed-form gate became a rounding floor (the detail lines
+    # of lockin-exactness, parseval, closed-form-equivalence, oracle-
+    # pipeline-equivalence and one-period-lockin, which print their bounds)
+    ("validate",): "e74f997a39f3f64b21a4f90d1a66bb1a0f8b0d78c84b1813ad45cf2c1de25144",
     # re-recorded as the line above
     (
         "validate", "--chi3", "0.05", "--chi1", "0.7", "--eps0", "2.5",
         "--pump-phase-deg", "37",
-    ): "272fabd45db9c1b060e5d7dab26f4c16743273f49cc37892546076a4f65debac",
+    ): "0d8473a5127bae494bdf2368c23a89c57e031c02bb3c2cd224fbb79be738d9c2",
     # the smallest alias-free grid, and 381 samples: the lock-in sums over
     # fewer and over more than 128 samples take different pairwise paths;
     # both re-recorded as the first line, and the first again when the
     # closed-form draws took a pump phase (its closed-form detail line)
     ("validate", "--samples-per-period", "9", "--n-periods", "1"):
-    "614e51fbf368cdd52b0ecf6cc38101717e08929751a6b6bbe792c0fd00ce970a",
+    "e224eb0478802a0e9f1eb4e60926a7bbb5fc3ae135eaa1ffa3dbf601e7a518d8",
     ("validate", "--samples-per-period", "127", "--n-periods", "3"):
-    "46a75fe20d3ca47c361713f36e1292c2ea673fa761755ff90faf9095f8f404a4",
+    "23ae579923e1c2fd971ac0a4cc678ead0beafb070ddb2e207b084e116c5904d3",
     # re-recorded when phases became periodic; the spectrum entries were
     # all re-recorded when the closed form became the line algebra (only
-    # the predicted and deviation columns moved)
-    ("spectrum",): "9f29669a1fb508ba317fc912d57ce62672c0ed859d867b81bfb41d8602c0eeec",
+    # the predicted and deviation columns moved), and again when the gate
+    # became a rounding floor (only the last line, which prints the bound)
+    ("spectrum",): "1d9943b27f89f2c67f4b831d947e35ca65dc7ce10052c1d0561638bd75e7976a",
     # a non-unit medium, where the 1/eps0 scale and the chi1 product enter
     (
         "spectrum", "--A", "0.7", "--phi-deg", "33", "--B", "1.3", "--chi1", "0.7",
         "--chi2", "-0.4", "--eps0", "2.5",
-    ): "b45ee61035a497ab1111dda57d5fef08a07e4c5ecd72118a23dead2c12dbf358",
+    ): "899e6276f8d5843e7223c52901700423102d4a5bf83eab086bf1fc3397dbe0b8",
     # a lock-in over more than 128 samples
     (
         "spectrum", "--samples-per-period", "127", "--n-periods", "3", "--A", "1.5",
         "--phi-deg", "200",
-    ): "2954742f31f610c57da4c2bf110e484f9b876433d277a187472bde8a4b423f12",
+    ): "03ba6ee39a86afae644c8cd9c77d4dc3ded66c2d0e8bba1b29844613332b8023",
     # a full turn is reduced to phase 0 before radians, so this prints the
     # bytes of ("spectrum", "--A", "0.5") (test_cli checks that)
     ("spectrum", "--pump-phase-deg", "360", "--A", "0.5"):
-    "e3c140812e803fc381ae76c6ccf9b86f53bb47cff3e7c4d1fa78041b9ed3572d",
+    "f74ad366ba739238f696b4f301b651983f101a6cbd2797f24aa3f9a1458f7e80",
     # a Kerr medium at a pump phase, on the fewest samples that resolve k <= 6
     (
         "spectrum", "--chi3", "0.05", "--chi1", "0.7", "--eps0", "2.5",
         "--pump-phase-deg", "37", "--A", "0.5", "--samples-per-period", "13",
         "--n-periods", "1",
-    ): "26c65f7d770bbd4a5f5a5d6f473b53a564477c44b3b8bc9776f8db2e853e0259",
+    ): "bb117d1a1ad3d0cea402ded73f883be55ff6c8ba4024e665fc2a0d1db70d8eed",
 }
 
 
@@ -275,14 +279,24 @@ def test_channel_bits_do_not_depend_on_the_ufunc_buffer(rows, medium):
     assert got == want
 
 
-def test_channel_sums_bits_do_not_depend_on_the_ufunc_buffer():
-    # a whole span and a 1808-row one, summed to degree 4
+def test_channel_sums_bits_do_not_depend_on_the_ufunc_buffer(monkeypatch):
+    # a whole span and a 1808-row one, summed to degree 4. run_spans enters
+    # the frame itself, so its undecorated body runs the spans here
     cfg = with_overrides(RunConfig(), n_realizations=CHUNK + 1808)
     state = figure_state("fig1b", cfg)
     channel = medium_channel(1.3, 0.6, FRAME_MEDIA["chi3"])
+    sizes, body = [], ensemble.run_spans.__wrapped__
+
+    def run_spans(*args):
+        sizes.append(np.getbufsize())
+        return body(*args)
+
+    monkeypatch.setattr(ensemble, "run_spans", run_spans)
+    default = np.getbufsize()
     want, got = _at_default_and_in_frame(
         lambda: channel_sums(state, cfg.ensemble(), [(channel, 4)])[0]
     )
+    assert sizes == [default, UFUNC_BUFFER]
     assert got == want
 
 

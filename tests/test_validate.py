@@ -5,13 +5,14 @@ non-finite results."""
 import gc
 import itertools
 import math
+import sys
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from opasim import ensemble, rng, spectral, validate
+from opasim import cli, ensemble, rng, spectral, validate
 from opasim.cli import main
 from opasim.config import RunConfig, with_overrides
 from opasim.ensemble import default_thetas, sums_scan
@@ -56,11 +57,14 @@ def _scalar_check(grid, perturb=()):
 
     perturb holds (draw, k, part, delta): delta is added to that draw's
     closed-form bin k, part "c" or "s". Returns (draws, numeric,
-    predicted, worst, verdict), verdict as the check reports it.
+    predicted, floors, verdict), verdict as the check reports it: each
+    draw's floor is 16 eps (chi1*e + |chi2|*e^2 + tiny), e = a + b, in
+    Horner form, and a failure names the first deviation not within it,
+    a pass the one nearest it.
     """
     uniform = _scalar_draws(3)
-    draws, numeric, predicted = [], [], []
-    worst, verdict = 0.0, None
+    draws, numeric, predicted, floors = [], [], [], []
+    nearest, verdict = (0.0,), None
     for draw in range(1000):
         a = uniform(0.0, 2.0)
         b = uniform(0.0, 2.0)
@@ -87,19 +91,30 @@ def _scalar_check(grid, perturb=()):
         for at, k, part, delta in perturb:
             if at == draw:
                 pred[k] = replace(pred[k], **{part: getattr(pred[k], part) + delta})
+        e = a + b
+        magnitude = (abs(medium.chi2) * e + medium.chi1) * e
+        tol = 16.0 * sys.float_info.epsilon * (magnitude + sys.float_info.min)
         draws.append((a, b, phi, pump_phase, medium.chi1, medium.chi2, medium.eps0))
         numeric.append([(line.c, line.s) for line in num])
         predicted.append([(line.c, line.s) for line in pred])
+        floors.append(tol)
         for n, p in zip(num, pred):
             for got, want in ((n.c, p.c), (n.s, p.s)):
                 err = abs(got - want)
-                tol = 1e-9 * abs(want) + 1e-12
-                if verdict is None and err > tol:
-                    verdict = False, f"bin k={n.k} off by {err:.3e} (tol {tol:.3e})"
-                worst = max(worst, err / tol)
+                where = f" in bin k={n.k} of draw {draw}"
+                if verdict is None and not err <= tol:
+                    if math.isfinite(err):
+                        detail = f"deviation {err:.3e} above bound {tol:.3e}{where}"
+                    else:
+                        detail = f"deviation is not finite ({err}){where}"
+                    verdict = False, detail
+                if err / tol > nearest[0]:
+                    nearest = err / tol, err, tol, where
     if verdict is None:
-        verdict = True, f"1000 draws, worst deviation at {worst:.3f} of tolerance"
-    return np.array(draws), np.array(numeric), np.array(predicted), worst, verdict
+        _, err, tol, where = nearest
+        verdict = True, f"worst deviation {err:.3e} (bound {tol:.3e}){where}"
+    floors = np.array(floors)[:, None, None]
+    return np.array(draws), np.array(numeric), np.array(predicted), floors, verdict
 
 
 def _bits(array):
@@ -112,11 +127,12 @@ def _grid_id(grid):
 
 @pytest.mark.parametrize("grid", GRIDS, ids=_grid_id)
 def test_batched_check_has_the_scalar_pipelines_bits(grid):
-    _, numeric, predicted, worst, verdict = _scalar_check(grid)
+    _, numeric, predicted, floors, verdict = _scalar_check(grid)
     got = validate._closed_form_spectra(grid)
-    assert _bits(got[0]) == _bits(numeric)
-    assert _bits(got[1]) == _bits(predicted)
-    assert validate._closed_form_worst(*got) == (worst, None)
+    assert [_bits(x) for x in got] == [_bits(numeric), _bits(predicted), _bits(floors)]
+    # the check reads one period of the configured grid
+    if grid.n_periods > 1:
+        verdict = _scalar_check(replace(grid, n_periods=1))[4]
     cfg = RunConfig(samples_per_period=grid.samples_per_period, n_periods=grid.n_periods)
     assert verdict[0]
     assert validate.check_closed_form_equivalence(SharedInputs(cfg)) == verdict
@@ -172,8 +188,29 @@ def test_the_first_reported_failure_is_pinned(monkeypatch):
     perturb = [(637, 3, "s", 1e-6)]
     monkeypatch.setattr(validate, "predict_spectrum", _perturbed_lines(perturb))
     got = validate.check_closed_form_equivalence(SharedInputs(RunConfig()))
-    # draw 637's closed-form s of bin 3 is 0.25293..., so tol 2.539e-10
-    assert got == (False, "bin k=3 off by 1.000e-06 (tol 2.539e-10)")
+    # draw 637 has e = a + b = 2.650, chi1 = 1.033 and chi2 = -0.903, so its
+    # magnitude chi1*e + |chi2|*e^2 is 9.077 and its floor 16 eps of that
+    want = "deviation 1.000e-06 above bound 3.225e-14 in bin k=3 of draw 637"
+    assert got == (False, want)
+
+
+def test_a_closed_form_off_by_1e_11_relative_fails(monkeypatch, capsys):
+    # 1e-11 of a bin is far above its rounding floor, a few eps of the
+    # draw's magnitude, and far below a 1e-9 relative tolerance
+    p = validate._closed_form_spectra(replace(RunConfig().grid(), n_periods=1))[1]
+    perturb = [(637, 3, "s", 1e-11 * abs(p[637, 3, 1]))]
+    monkeypatch.setattr(validate, "predict_spectrum", _perturbed_lines(perturb))
+    ok, detail = validate.check_closed_form_equivalence(SharedInputs(RunConfig()))
+    assert not ok and detail.endswith("in bin k=3 of draw 637")
+
+    def perturbed(*args):
+        lines = spectral.predict_spectrum(*args)
+        lines[2][0] *= 1.0 + 1e-11  # -1 at the defaults, the largest line
+        return lines
+
+    monkeypatch.setattr(cli, "predict_spectrum", perturbed)
+    assert main(["spectrum"]) == 1
+    assert capsys.readouterr().out.endswith("max error = 1.000e-11 (bound 5.329e-15)\n")
 
 
 @pytest.fixture
@@ -194,7 +231,10 @@ def nan_lockin(monkeypatch):
     [
         (validate.check_lockin_exactness, "coefficient error is not finite (nan)"),
         (validate.check_parseval, "relative Parseval error is not finite (nan)"),
-        (validate.check_closed_form_equivalence, "bin k=1 deviation is not finite (nan)"),
+        (
+            validate.check_closed_form_equivalence,
+            "deviation is not finite (nan) in bin k=1 of draw 0",
+        ),
         (
             validate.check_oracle_equivalence,
             "per-realization deviation is not finite (nan)",
@@ -275,7 +315,13 @@ def _per_draw_worst(grid):
 def _stacked_worst(grid, monkeypatch):
     """Worst values of the two checks as run, at full precision."""
     worst = []
-    monkeypatch.setattr(validate, "_bounded", lambda value, *_: worst.append(value))
+    gated = validate._gated
+
+    def gated_worst(err, *args):
+        worst.append(float(np.max(err)))
+        return gated(err, *args)
+
+    monkeypatch.setattr(validate, "_gated", gated_worst)
     cfg = RunConfig(samples_per_period=grid.samples_per_period, n_periods=grid.n_periods)
     validate.check_lockin_exactness(SharedInputs(cfg))
     validate.check_parseval(SharedInputs(cfg))
@@ -320,7 +366,7 @@ def test_an_infinite_closed_form_fails(monkeypatch):
     perturb = [(3, 2, "c", math.inf)]
     monkeypatch.setattr(validate, "predict_spectrum", _perturbed_lines(perturb))
     got = validate.check_closed_form_equivalence(SharedInputs(RunConfig()))
-    assert got == (False, "bin k=2 deviation is not finite (inf)")
+    assert got == (False, "deviation is not finite (inf) in bin k=2 of draw 3")
 
 
 # the chi2 media are named by their chi3
@@ -369,8 +415,8 @@ def test_one_period_lockin_keeps_the_span_buffers_short(monkeypatch):
     ids=lambda check: check.__name__,
 )
 def test_lockin_checks_pass_at_a_large_var_zp(check):
-    # the traces' E^2 term sets the lock-in's rounding, far above 1e-10
-    # and above 1e-13 of the k = 1 output at var_zp = 1e10
+    # the traces' E^2 term sets the lock-in's rounding, far above eps of
+    # the k = 1 output at var_zp = 1e10
     ok, detail = check(SharedInputs(with_overrides(RunConfig(), var_zp=1e10)))
     assert ok, detail
 
