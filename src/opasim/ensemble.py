@@ -625,9 +625,9 @@ def squeezing_report(
     mid = (a + b)/2 and R = hypot((a - b)/2, c), whatever the thetas: v_max
     = mid + R, and v_min = (a*b - c^2)/v_max, as mid - R cancels. theta_min
     is in (-pi/2, pi/2], 0 for a round state; theta_max = theta_min + pi/2.
-    Negative squeeze_db means squeezing. A NaN or infinite covariance, or
-    an all-zero one (v_max = 0), has no extrema to report and raises
-    ValueError.
+    Negative squeeze_db means squeezing. A NaN or infinite covariance, an
+    all-zero one (v_max = 0), or one whose product v_min*v_max overflows
+    has no extrema to report and raises ValueError.
     """
     (a, c), (_, b) = scan.cov.tolist()
     # tested first: NaN fails the v_max > 0 test too, and is no lost noise
@@ -643,6 +643,9 @@ def squeezing_report(
         )
     # each product scaled by v_max first, so that no product overflows
     v_min = max(a * (b / v_max) - c * (c / v_max), 0.0)
+    product = v_min * v_max
+    if not math.isfinite(product):
+        raise ValueError(f"the scan's uncertainty product overflows (v_max = {v_max!r})")
     # 0.0 - x is +0.0 for either zero: theta_min is never -0.0 or -pi/2
     theta_min = 0.5 * math.atan2(0.0 - c, 0.0 - half)
     return SqueezingReport(
@@ -652,5 +655,5 @@ def squeezing_report(
         theta_max=theta_min + 0.5 * math.pi,
         squeeze_db=10.0 * math.log10(v_min / var_zp) if v_min > 0.0 else -math.inf,
         antisqueeze_db=10.0 * math.log10(v_max / var_zp),
-        uncertainty_product=v_min * v_max,
+        uncertainty_product=product,
     )

@@ -38,6 +38,10 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53_SCALE = 2.0**-53
 
+# the largest Box-Muller radius sqrt(-2 log u), to a rounding: no uniform
+# of the stream is below 2**-54
+MAX_RADIUS = math.sqrt(-2.0 * math.log(0.5 * _U53_SCALE))
+
 # rows per sampling block: the block's buffers stay in cache, and a large
 # draw holds little more than its result
 _BLOCK = 4096
@@ -165,11 +169,9 @@ def aligned_empty(shape: tuple[int, ...], dtype=float) -> np.ndarray:
 
     malloc aligns to 16 bytes, so where a held buffer starts within a
     cache line depended on every earlier allocation of the process, and
-    numpy's AVX-512 loops run slower on rows that start off a line: an
-    add of two (3, 4096) row blocks took 6.3 us aligned and 10-13 us at
-    offsets of 16-48 bytes (numpy 2.4, 2-vCPU x86-64 VM). The held
-    sampling and kernel buffers are made here, so their speed does not
-    move with unrelated code.
+    numpy's AVX-512 loops run slower on rows that start off a line. The
+    held sampling and kernel buffers are made here, so their speed does
+    not move with unrelated code.
     """
     dtype = np.dtype(dtype)
     nbytes = math.prod(shape) * dtype.itemsize

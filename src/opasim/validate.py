@@ -55,7 +55,7 @@ from .medium import (
     transfer_values,
 )
 from .oracle import PassGain, map_quadratures, single_pass
-from .rng import uniforms
+from .rng import MAX_RADIUS, uniforms
 from .spectral import (
     _column_sums,
     lines_mean_square,
@@ -135,6 +135,16 @@ def spectrum_floor(a, b, chi1, chi2, chi3):
     closed form: the pumped field stays within |a| + |b|."""
     magnitude = polynomial_magnitude((chi1, chi2, chi3), abs(a) + abs(b))
     return rounding_floor(magnitude, SPECTRUM_MARGIN)
+
+
+def channel_floor(medium: SusceptibilityProfile, e: float) -> float:
+    """rounding_floor of the medium channel's k = 1 output on traces within e:
+    the lock-in sums the polarization's terms, whose largest outgrows the
+    output, over the divisor eps0*chi1. It is infinite where the
+    polarization of such a trace may overflow."""
+    chis = (medium.chi1, medium.chi2, medium.chi3)
+    magnitude = medium.eps0 * polynomial_magnitude(chis, e)
+    return rounding_floor(magnitude / (medium.eps0 * medium.chi1), CHANNEL_MARGIN)
 
 
 def _gated(err, floor, what: str, where=lambda at: "") -> tuple[bool, str]:
@@ -241,18 +251,10 @@ class SharedInputs:
 
     @cached_property
     def radius(self) -> float:
-        """The largest hypot(x1, x2) of the vacuum draws."""
+        """The largest hypot(x1, x2) of the vacuum draws: radius + |B| bounds
+        |E| on every trace of a draw pumped at B."""
         _, pairs = self.vacuum
         return float(np.max(np.hypot(pairs[:, 0], pairs[:, 1]), initial=0.0))
-
-    def channel_floor(self, pump_b: float, medium: SusceptibilityProfile) -> float:
-        """rounding_floor of a vacuum draw's k = 1 output: radius + |pump_b|
-        bounds |E| on every trace, and the lock-in sums the polarization's
-        terms, whose largest outgrows the output, over the divisor eps0*chi1.
-        It is infinite where the polarization of such a trace may overflow."""
-        chis = (medium.chi1, medium.chi2, medium.chi3)
-        magnitude = medium.eps0 * polynomial_magnitude(chis, self.radius + abs(pump_b))
-        return rounding_floor(magnitude / (medium.eps0 * medium.chi1), CHANNEL_MARGIN)
 
     def propagated(
         self, pump_b: float, pump_phase: float, medium: SusceptibilityProfile
@@ -274,10 +276,21 @@ class SharedInputs:
 
         The first is through the unpumped configured medium without its
         cubic term, the second through the SYMPLECTIC map, as ``scan
-        --mode symplectic`` samples it.
+        --mode symplectic`` samples it. Raises ValueError, before any
+        draw, where the first scan's sums of squares may overflow.
         """
         cfg = self.cfg
-        flat = medium_channel(0.0, 0.0, replace(cfg.medium, chi3=0.0))
+        flat_medium = replace(cfg.medium, chi3=0.0)
+        # an unpumped output is its draw, within MAX_RADIUS*sqrt(var_zp),
+        # plus its rounding; sums_scan squares the sum of n of them
+        e = MAX_RADIUS * math.sqrt(cfg.var_zp)
+        reach = cfg.n_realizations * (e + channel_floor(flat_medium, e))
+        if not reach * reach < math.inf:
+            raise ValueError(
+                "the configured medium's rounding overflows the unpumped scan's sums "
+                f"(chi2/chi1 = {flat_medium.chi2 / flat_medium.chi1!r})"
+            )
+        flat = medium_channel(0.0, 0.0, flat_medium)
         symplectic = partial(map_quadratures, gain=SYMPLECTIC)
         vacuum = GaussianState.vacuum(cfg.convention())
         results = channel_sums(vacuum, cfg.ensemble(), [(flat, 2), (symplectic, 2)])
@@ -293,7 +306,7 @@ def check_oracle_equivalence(shared: SharedInputs) -> tuple[bool, str]:
     _, pairs = shared.vacuum
     deviation = pairs * np.array([1.0 - r, 1.0 + r])
     deviation -= shared.propagated(1.0, 0.0, FIXED_MEDIUM)
-    floor = shared.channel_floor(1.0, FIXED_MEDIUM)
+    floor = channel_floor(FIXED_MEDIUM, shared.radius + 1.0)
     return _gated(np.abs(deviation, out=deviation), floor, "per-realization deviation")
 
 
@@ -308,7 +321,7 @@ def check_one_period_lockin(shared: SharedInputs) -> tuple[bool, str]:
     cfg = shared.cfg
     _, pairs = shared.vacuum
     out = shared.propagated(cfg.B, cfg.pump_phase, cfg.medium)  # raises on chi1 = 0
-    floor = shared.channel_floor(cfg.B, cfg.medium)
+    floor = channel_floor(cfg.medium, shared.radius + abs(cfg.B))
     if not math.isfinite(floor):
         raise ValueError(f"the configured medium pumped at B = {cfg.B!r} overflows a trace")
     # one configured period's own lock-in, 512 realizations at a time

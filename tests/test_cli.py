@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opasim import cli, ensemble, rng
+from opasim import cli, ensemble, rng, validate
 from opasim.cli import main
 from opasim.config import RUN_FIELDS, RunConfig, from_json, with_overrides
 from opasim.ensemble import UFUNC_BUFFER
@@ -506,6 +506,14 @@ class TestValidateCommand:
             assert out == "" and err.count("\n") == 1
             assert err.startswith("error: the configured medium pumped at B = ")
 
+    def test_an_unpumped_scan_that_overflows_is_config_error(self, monkeypatch, capsys):
+        # the flat scan's rounding residue, squared, overflows: rejected
+        # before its ensemble is sampled
+        monkeypatch.setattr(validate, "channel_sums", None)
+        code, out, err = run_cli(["validate", "--chi2", "1e200"], capsys)
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith("error: the configured medium's rounding overflows")
+
     def test_validate_passes_on_a_linear_medium(self, capsys):
         code, out, _ = run_cli(["validate", "--chi2", "0"], capsys)
         assert code == 0
@@ -907,6 +915,26 @@ class TestRunGuards:
         assert code == 2
         assert out == "" and list(tmp_path.iterdir()) == []
         assert "error: table " in err and "is not finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--chi2", "1e150", "--B", "0"],
+            ["figure", "fig2", "--chi2", "1e150", "--B", "0"],
+            ["validate", "--chi2", "1e150"],
+        ],
+        ids=" ".join,
+    )
+    def test_an_overflowing_uncertainty_product_is_config_error(self, argv, tmp_path, capsys):
+        # each variance is finite, v_min*v_max is not
+        if argv[0] == "scan":
+            argv = [*argv, "-o", str(tmp_path / "x.csv")]
+        elif argv[0] == "figure":
+            argv = [*argv, "--outdir", str(tmp_path)]
+        code, out, err = run_cli([*argv, "--n-realizations", "1000"], capsys)
+        assert (code, out, list(tmp_path.iterdir())) == (2, "", [])
+        (line,) = err.splitlines()
+        assert line.startswith("error: the scan's uncertainty product overflows")
 
     @pytest.mark.parametrize(
         "argv",

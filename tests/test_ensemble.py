@@ -751,6 +751,11 @@ class TestSqueezingReport:
         with pytest.raises(ValueError, match="covariance is not finite"):
             squeezing_report(scan, VAC)
 
+    def test_an_overflowing_uncertainty_product_is_rejected(self):
+        # both extrema are finite, their product is not: no inf in a summary
+        with pytest.raises(ValueError, match="uncertainty product overflows"):
+            self._report(np.array([[1e200, 0.0], [0.0, 1e200]]))
+
     def test_rejects_bad_convention(self):
         scan = scan_state(GaussianState.vacuum(VAC), default_thetas(5))
         bad = object.__new__(VacuumConvention)

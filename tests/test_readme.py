@@ -1,4 +1,4 @@
-"""The README's library example runs, and the names and labels it gives exist."""
+"""The README's library example runs, and the names, labels and sections it gives exist."""
 
 import contextlib
 import importlib
@@ -72,7 +72,49 @@ def test_every_oracle_label_the_readme_quotes_is_printed(capsys):
     assert labels == [line.split(" =", 1)[0].rstrip() for line in lines]
 
 
+def _section_references(text: str) -> list[str]:
+    """Every quoted section the README points to: see "X", or "X" below/above."""
+    flat = re.sub(r"\s+", " ", text)
+    pattern = r'\b[Ss]ee "([^"]+)"|"([^"]+)" (?:below|above)\b'
+    return [see or placed for see, placed in re.findall(pattern, flat)]
+
+
+def _section_titles(text: str) -> set[str]:
+    """The README's # headings and the labels of its bold-led paragraphs and bullets."""
+    headings = re.findall(r"^#+ (.+?)\s*$", text, re.M)
+    labels = re.findall(r"^(?:- )?\*\*(.+?)\.?\*\*", text, re.M)
+    return set(headings) | set(labels)
+
+
+def test_every_section_reference_resolves():
+    text = README.read_text()
+    references = _section_references(text)
+    assert len(references) >= 3
+    titles = _section_titles(text)
+    assert [name for name in references if name not in titles] == []
+
+
+def test_a_dangling_section_reference_is_caught():
+    text = '# Top\n\n- **Narrow blocks.** x\n\nSee "Top", see "Narrow\nblocks", "Gone" below.\n'
+    references = _section_references(text)
+    assert references == ["Top", "Narrow blocks", "Gone"]
+    assert [name for name in references if name not in _section_titles(text)] == ["Gone"]
+
+
 SRC = Path(opasim.__file__).resolve().parent
+# a quoted duration or memory figure; computed sizes in KiB/MiB are allowed
+MEASURED = re.compile(r"\d\s*(?:µs|us|ms|ns|MB)\b")
+
+
+def test_no_timing_or_rss_figure_is_quoted():
+    # measurements belong to CHANGES.md and ROADMAP.md, with their host
+    texts = {README.name: README.read_text()}
+    texts |= {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert {name: MEASURED.findall(text) for name, text in texts.items()} == {
+        name: [] for name in texts
+    }
+
+
 # a Sphinx cross-reference role; a leading ~ only shortens the rendered name
 ROLE = re.compile(r":(?:func|meth|class|mod|data):`~?([\w.]+)`")
 
